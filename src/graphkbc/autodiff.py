@@ -329,12 +329,6 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
     return out
 
 
-def l_norm(x, p: int) -> float:
-    """L1 or L2 norm of a plain vector (convenience over rows_norm)."""
-    arr = np.asarray(x, dtype=DTYPE)
-    return float(rows_norm(Tensor(arr[None, :]), p).data[0])
-
-
 def rows_norm(x, p: int) -> Tensor:
     """Per-row L1 or L2 norm of a (n, d) batch; gradient at 0 is 0."""
     x = _ensure(x)

@@ -257,12 +257,8 @@ def _load_split_files(prefix, ev, rv):
     test = load_triplet_file(f"{prefix}.test.txt", ev, rv, labeled=True)
     with open(f"{prefix}.ookb.txt", encoding="utf-8") as fh:
         ookb = {ev.add(line.rstrip("\n")) for line in fh if line.rstrip("\n")}
-    stats = SplitStats(
-        training_triplets=len(train), validation_triplets=len(valid),
-        test_triplets=len(test), auxiliary_triplets=len(aux),
-        ookb_entities=len(ookb), auxiliary_entities=0, auxiliary_entities_total=0,
-        discarded_triplets=0, aux_known_endpoint_outside_training=0,
-    )
+    with open(f"{prefix}.stats.json", encoding="utf-8") as fh:
+        stats = SplitStats(**json.load(fh))
     return OokbSplit(train=train, aux=aux, ookb_entities=ookb,
                      validation=valid, test=test, stats=stats)
 
@@ -326,15 +322,20 @@ def cmd_eval(args) -> int:
 # predict
 
 def cmd_predict(args) -> int:
-    from .evaluate import OokbContext, ThresholdTable, classify, make_scorer, \
-        ookb_vector, propagated_vectors, tune_thresholds
+    from .evaluate import OokbContext, ThresholdTable, classify, labeled_arrays, \
+        make_scorer, resolve_vectors, tune_thresholds
     from .kg import build_graph, entities_of, load_triplet_file, positives
-    from .model import InferenceError, NeighborSampler, NeighborTable, load_model
+    from .model import load_model
 
     model, ev, rv, extra = load_model(args.checkpoint)
     graph = build_graph(positives(load_triplet_file(args.train, ev, rv)))
-    queries = [lt.triplet for lt in load_triplet_file(args.triplets, ev, rv)]
+    queries = labeled_arrays(load_triplet_file(args.triplets, ev, rv))[0]
     aux = positives(load_triplet_file(args.aux, ev, rv)) if args.aux else []
+    # an entity outside the trained graph never received updates (it may
+    # still own an untouched embedding row); resolve it through aux triplets
+    outside = (set(queries[:, ::2].ravel().tolist()) | entities_of(aux)) - entities_of(graph)
+    ctx = OokbContext(graph, aux, frozenset(outside), model, sampler_seed=args.seed,
+                      name_of=ev.name_of)
 
     if args.thresholds:
         with open(args.thresholds, encoding="utf-8") as fh:
@@ -342,48 +343,23 @@ def cmd_predict(args) -> int:
         per = {rv.id_of(name): t for name, t in data["relations"].items() if name in rv}
         thresholds = ThresholdTable(per, data["global"])
     elif args.valid:
+        # tuned on the training graph alone, as the standard protocol does
         valid = load_triplet_file(args.valid, ev, rv, labeled=True)
-        table = NeighborTable(model.n_entities, graph.triplets) if model.cfg.depth else None
-        sampler = NeighborSampler(table, model.cfg.neighbor_cap, [args.seed]) if table else None
-        needed = {e for lt in valid for e in (lt.triplet.head, lt.triplet.tail)}
-        vectors = propagated_vectors(model, table, needed, sampler)
-        thresholds = tune_thresholds(valid, make_scorer(model, vectors))
+        known = OokbContext(graph, [], frozenset(), model, sampler_seed=args.seed)
+        resolved = resolve_vectors(labeled_arrays(valid)[0][:, ::2], known)
+        thresholds = tune_thresholds(valid, make_scorer(model, *resolved))
     else:
         raise UsageError("predict needs --thresholds or --valid to tune on")
 
-    # an entity outside the trained graph never received updates (it may
-    # still own an untouched embedding row); resolve it through aux triplets
-    in_graph = entities_of(graph)
-    outside = {e for t in queries + aux for e in (t.head, t.tail) if e not in in_graph}
-    query_outside = {e for t in queries for e in (t.head, t.tail) if e not in in_graph}
-    vectors = {}
-    if outside or aux:
-        ctx = OokbContext(graph, aux, frozenset(outside), model, sampler_seed=args.seed)
-        for u in sorted(query_outside):
-            if ctx.table.degree(u) == 0:
-                raise InferenceError(
-                    f"entity {ev.name_of(u)!r} is outside the knowledge base and "
-                    "has no auxiliary triplet"
-                )
-            vectors[u] = ookb_vector(u, ctx)
-        known_table = ctx.table if model.cfg.depth else None
-        sampler = ctx.sampler
-    else:
-        known_table = NeighborTable(model.n_entities, graph.triplets) if model.cfg.depth else None
-        sampler = NeighborSampler(known_table, model.cfg.neighbor_cap, [args.seed]) if known_table else None
-    known = {e for t in queries for e in (t.head, t.tail) if e in in_graph}
-    vectors.update(propagated_vectors(model, known_table, known, sampler))
-
-    scorer = make_scorer(model, vectors)
-    scores = scorer(queries)
+    scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
+    cutoffs = thresholds.threshold_of(queries[:, 1])
+    labels = classify(queries, thresholds, scores)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for t, s in zip(queries, scores):
-            thr = thresholds.threshold_of(t.relation)
-            label = 1 if classify(t, thresholds, float(s)) else -1
+        for (h, r, t), s, thr, positive in zip(queries.tolist(), scores, cutoffs, labels):
             sink.write(
-                f"{ev.name_of(t.head)}\t{rv.name_of(t.relation)}\t{ev.name_of(t.tail)}"
-                f"\t{s:.6f}\t{thr:.6f}\t{label}\n"
+                f"{ev.name_of(h)}\t{rv.name_of(r)}\t{ev.name_of(t)}"
+                f"\t{s:.6f}\t{thr:.6f}\t{1 if positive else -1}\n"
             )
     finally:
         if args.out:

@@ -6,28 +6,29 @@ below the threshold). Entities absent from the trained embedding table are
 resolved at query time by running the trained propagation step over their
 auxiliary neighborhood; a simpler baseline instead pools the translation-
 implied positions of the neighbors (head + relation, or tail - relation).
+Both protocols and the ``predict`` command resolve vectors the same way: an
+``OokbContext`` holds the neighbor table, ``resolve_vectors`` returns an
+(n, d) array for sorted ids, and ``make_scorer`` scores id triplets from it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from .kg import KnowledgeGraph, LabeledTriplet, Triplet
 from .model import (
+    _SEGMENT_POOL,
+    DIR_HEAD,
     GraphModel,
     InferenceError,
     NeighborSampler,
     NeighborTable,
-    pool,
-    score_vectors,
 )
-
-_DIR_HEAD = 0
-_DIR_TAIL = 1
 
 
 @dataclass
@@ -37,12 +38,23 @@ class ThresholdTable:
     per_relation: dict[int, float]
     global_threshold: float
 
-    def threshold_of(self, relation: int) -> float:
-        return self.per_relation.get(relation, self.global_threshold)
+    def threshold_of(self, relations) -> np.ndarray:
+        """Threshold of each relation id in ``relations`` (a scalar or an array)."""
+        relations = np.asarray(relations)
+        out = np.full(relations.shape, self.global_threshold)
+        for r, thr in self.per_relation.items():
+            out[relations == r] = thr
+        return out
 
     def digest(self) -> str:
         payload = repr(sorted(self.per_relation.items())) + repr(self.global_threshold)
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
+
+
+def labeled_arrays(labeled: Sequence[LabeledTriplet]) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) id array and the (n,) boolean labels of labeled triplets."""
+    triplets, labels = zip(*labeled) if labeled else ((), ())
+    return np.array(triplets, dtype=np.intp).reshape(-1, 3), np.array(labels, dtype=bool)
 
 
 def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -70,7 +82,7 @@ def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
 
 def tune_thresholds(
     validation: Sequence[LabeledTriplet],
-    scorer: Callable[[Sequence[Triplet]], np.ndarray],
+    scorer: Callable[[np.ndarray], np.ndarray],
 ) -> ThresholdTable:
     """Per-relation thresholds maximizing validation accuracy.
 
@@ -79,30 +91,24 @@ def tune_thresholds(
     """
     if not validation:
         raise ValueError("cannot tune thresholds on an empty validation set")
-    triplets = [lt.triplet for lt in validation]
+    triplets, labels = labeled_arrays(validation)
     scores = np.asarray(scorer(triplets), dtype=float)
-    labels = np.array([lt.label for lt in validation], dtype=bool)
     global_thr, _ = _best_threshold(scores, labels)
-    relations = np.array([t.relation for t in triplets])
+    relations = triplets[:, 1]
     per: dict[int, float] = {}
-    for r in sorted(set(relations.tolist())):
+    for r in np.unique(relations).tolist():
         mask = relations == r
         per[r], _ = _best_threshold(scores[mask], labels[mask])
     return ThresholdTable(per, global_thr)
 
 
-def classify(triplet: Triplet, thresholds: ThresholdTable, score: float) -> bool:
-    """Positive iff the score is strictly below the relation's threshold."""
-    return score < thresholds.threshold_of(triplet.relation)
+def classify(triplets, thresholds: ThresholdTable, scores) -> np.ndarray:
+    """Positive iff a score is strictly below its relation's threshold.
 
-
-def accuracy(
-    test_set: Sequence[LabeledTriplet], classifier: Callable[[Triplet], bool]
-) -> float:
-    if not test_set:
-        raise ValueError("cannot compute accuracy of an empty test set")
-    correct = sum(1 for lt in test_set if classifier(lt.triplet) == lt.label)
-    return correct / len(test_set)
+    Elementwise over a triplet and its score, or over an (n, 3) id array
+    and n scores.
+    """
+    return np.asarray(scores) < thresholds.threshold_of(np.asarray(triplets)[..., 1])
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +116,15 @@ def accuracy(
 
 @dataclass
 class OokbContext:
-    """Everything needed to resolve vectors when auxiliary triplets exist.
+    """The neighbor table and sampler that every vector resolution runs on.
 
-    The combined neighbor table spans training plus auxiliary triplets, with
-    embedding-less entities (the OOKB set and anything beyond the trained
-    vocabulary) excluded from neighbor lists so that intermediate propagation
-    steps only ever touch entities that have base vectors.
+    The table spans training plus auxiliary triplets, with embedding-less
+    entities (the OOKB set and anything beyond the trained vocabulary)
+    excluded from neighbor lists so that intermediate propagation steps only
+    ever touch entities that have base vectors. Standard evaluation passes
+    no auxiliary triplets and an empty OOKB set; a model without propagation
+    then reads base rows only, and no table is built. ``name_of`` turns an
+    entity id into the name that error messages show.
     """
 
     train: KnowledgeGraph
@@ -123,15 +132,22 @@ class OokbContext:
     ookb_entities: frozenset[int]
     model: GraphModel
     sampler_seed: int = 0
-    table: NeighborTable = field(init=False)
-    sampler: NeighborSampler = field(init=False)
+    name_of: Callable[[int], object] = int
+    table: NeighborTable | None = field(init=False)
+    sampler: NeighborSampler | None = field(init=False)
 
     def __post_init__(self):
         self.ookb_entities = frozenset(self.ookb_entities)
         for t in self.aux:
             n = (t.head in self.ookb_entities) + (t.tail in self.ookb_entities)
             if n != 1:
-                raise ValueError(f"auxiliary triplet must bridge exactly one OOKB entity, got {n}: {t}")
+                raise InferenceError(
+                    f"auxiliary triplet ({self.name_of(t.head)!r}, {self.name_of(t.tail)!r}) "
+                    f"links {n} out-of-KB entities; it must link exactly one to a known entity"
+                )
+        self.table = self.sampler = None
+        if self.model.cfg.depth == 0 and not self.ookb_entities:
+            return
         rowless = {
             e
             for t in self.aux
@@ -147,98 +163,134 @@ class OokbContext:
         )
 
 
-def ookb_vector(u: int, ctx: OokbContext) -> np.ndarray:
-    """Vector of an OOKB entity from its auxiliary neighborhood, no retraining.
+def _require_aux(ids: np.ndarray, ctx: OokbContext) -> None:
+    unlinked = sorted(set(ids.tolist()).difference(ctx.table.records))
+    if unlinked:
+        raise InferenceError(
+            f"entity {ctx.name_of(unlinked[0])!r} is outside the knowledge base "
+            "and has no auxiliary triplet"
+        )
 
-    Runs the trained propagation step over the combined graph; the entity's
-    own base row (which does not exist) is never touched.
+
+def ookb_vector(ids: np.ndarray, ctx: OokbContext) -> np.ndarray:
+    """Vectors of OOKB entities from their auxiliary neighborhoods, no retraining.
+
+    One batched run of the trained propagation step over the combined graph,
+    one row per id; the entities' own base rows are never touched.
     """
-    if u not in ctx.ookb_entities:
-        raise InferenceError(f"entity {u} is not in the OOKB set")
-    if ctx.table.degree(u) == 0:
-        raise InferenceError(f"OOKB entity {u} has no auxiliary triplet")
     if ctx.model.cfg.depth == 0:
         raise InferenceError(
             "the trained model has no propagation step; use the pooled baseline"
         )
-    return ctx.model.propagate(u, ctx.table, training=False, sampler=ctx.sampler)
+    _require_aux(ids, ctx)
+    return ctx.model.propagate_batch(ids, ctx.table, training=False, sampler=ctx.sampler).data
 
 
 def baseline_ookb_vector(
-    u: int,
+    ids: np.ndarray,
     ctx: OokbContext,
     pooling: str,
     raw_neighbors: bool = False,
 ) -> np.ndarray:
-    """Pooled translation-implied position of an OOKB entity.
+    """Pooled translation-implied positions of OOKB entities, one row per id.
 
     A neighbor arriving as the head of (h, r, u) contributes v_h + v_r (the
     position the translation geometry implies for u); a neighbor arriving as
     the tail of (u, r, t) contributes v_t - v_r. ``raw_neighbors`` pools the
-    neighbors' own vectors instead.
+    neighbors' own vectors instead. Neighborhoods over the cap are pooled
+    over the sampler's subset, as in propagation.
     """
-    if ctx.table.degree(u) == 0:
-        raise InferenceError(f"OOKB entity {u} has no auxiliary triplet")
-    nbr, rel, dirs = ctx.table.records[u]
-    cap = ctx.model.cfg.neighbor_cap
-    if len(nbr) > cap:
-        picked = ctx.sampler.indices(u)
-        nbr, rel, dirs = nbr[picked], rel[picked], dirs[picked]
-    ent = ctx.model.entities.data
-    relv = ctx.model.relations.data
-    if raw_neighbors:
-        contributions = ent[nbr]
-    else:
-        signs = np.where(dirs == _DIR_HEAD, 1.0, -1.0)[:, None]
-        contributions = ent[nbr] + signs * relv[rel]
-    return pool(list(contributions), pooling)
+    _require_aux(ids, ctx)
+    nbr, rel, dirs, seg = ctx.model.neighbor_records(ids, ctx.table, ctx.sampler)
+    contributions = ctx.model.entities.data[nbr]
+    if not raw_neighbors:
+        signs = np.where(dirs == DIR_HEAD, 1.0, -1.0)[:, None]
+        contributions = contributions + signs * ctx.model.relations.data[rel]
+    return _SEGMENT_POOL[pooling](contributions, seg, len(ids)).data
 
 
-def propagated_vectors(
-    model: GraphModel,
-    table: NeighborTable | None,
-    ids: Iterable[int],
-    sampler: NeighborSampler | None = None,
-    batch_size: int = 1024,
-) -> dict[int, np.ndarray]:
-    """Inference-mode vectors for many entities, computed in batches."""
-    ids = np.unique(np.fromiter(ids, dtype=np.intp))
-    out: dict[int, np.ndarray] = {}
-    for start in range(0, len(ids), batch_size):
-        chunk = ids[start:start + batch_size]
-        vecs = model.propagate_batch(chunk, table, training=False, sampler=sampler)
-        for e, v in zip(chunk, vecs.data):
-            out[int(e)] = v
-    return out
+def propagated_vectors(ids: np.ndarray, ctx: OokbContext, batch_size: int = 1024) -> np.ndarray:
+    """Inference-mode vectors of sorted unique ``ids`` in batches, one row per id."""
+    chunks = [
+        ctx.model.propagate_batch(
+            ids[start:start + batch_size], ctx.table, training=False, sampler=ctx.sampler
+        ).data
+        for start in range(0, len(ids), batch_size)
+    ]
+    return np.concatenate(chunks) if chunks else np.empty((0, ctx.model.cfg.dim))
+
+
+def resolve_vectors(
+    ids,
+    ctx: OokbContext,
+    method: str = "proposed",
+    pooling: str | None = None,
+    raw_neighbors: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted unique ``ids`` and their (n, d) vectors.
+
+    Known entities are propagated over the context's table. The OOKB ones
+    are composed from their auxiliary triplets in one batch: by the trained
+    propagation step (``method="proposed"``) or by the pooled baseline.
+    """
+    ids = np.unique(np.asarray(ids, dtype=np.intp))
+    ookb = np.isin(ids, np.fromiter(ctx.ookb_entities, dtype=np.intp))
+    vectors = np.empty((len(ids), ctx.model.cfg.dim))
+    vectors[~ookb] = propagated_vectors(ids[~ookb], ctx)
+    if ookb.any():
+        if method == "proposed":
+            vectors[ookb] = ookb_vector(ids[ookb], ctx)
+        else:
+            vectors[ookb] = baseline_ookb_vector(ids[ookb], ctx, pooling, raw_neighbors)
+    return ids, vectors
 
 
 def make_scorer(
     model: GraphModel,
-    vectors: dict[int, np.ndarray],
-) -> Callable[[Sequence[Triplet]], np.ndarray]:
-    """Score triplets from a resolved vector dictionary."""
+    ids: np.ndarray,
+    vectors: np.ndarray,
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Score triplets ((n, 3) ids) from resolved vectors of sorted ``ids``."""
 
-    def scorer(triplets: Sequence[Triplet]) -> np.ndarray:
-        out = np.empty(len(triplets))
-        relv = model.relations.data
-        p = model.cfg.norm_p
-        for i, t in enumerate(triplets):
-            out[i] = score_vectors(vectors[t.head], relv[t.relation], vectors[t.tail], p)
-        return out
+    def scorer(triplets) -> np.ndarray:
+        triplets = np.asarray(triplets, dtype=np.intp).reshape(-1, 3)
+        heads = vectors[np.searchsorted(ids, triplets[:, 0])]
+        tails = vectors[np.searchsorted(ids, triplets[:, 2])]
+        diff = heads + model.relations.data[triplets[:, 1]] - tails
+        return ad.rows_norm(diff, model.cfg.norm_p).data
 
     return scorer
 
 
-def _entities_in(labeled: Iterable[LabeledTriplet]) -> set[int]:
-    out: set[int] = set()
-    for lt in labeled:
-        out.add(lt.triplet.head)
-        out.add(lt.triplet.tail)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # evaluation protocols
+
+def _classification_report(
+    ctx: OokbContext,
+    validation: Sequence[LabeledTriplet],
+    test: Sequence[LabeledTriplet],
+    report: dict,
+    thresholds: ThresholdTable | None,
+    per_relation: bool,
+    **resolve,
+) -> tuple[dict, ThresholdTable]:
+    """Resolve every entity once, tune thresholds unless given, score the test set."""
+    valid_triplets, _ = labeled_arrays(validation)
+    test_triplets, labels = labeled_arrays(test)
+    needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
+    scorer = make_scorer(ctx.model, *resolve_vectors(needed, ctx, **resolve))
+    if thresholds is None:
+        thresholds = tune_thresholds(validation, scorer)
+        if not per_relation:
+            thresholds = ThresholdTable({}, thresholds.global_threshold)
+    correct = classify(test_triplets, thresholds, scorer(test_triplets)) == labels
+    report.update(
+        accuracy=int(correct.sum()) / len(test),
+        n_test=len(test),
+        threshold_digest=thresholds.digest(),
+    )
+    return report, thresholds
+
 
 def evaluate_standard(
     train_graph: KnowledgeGraph,
@@ -250,38 +302,17 @@ def evaluate_standard(
     sampler_seed: int = 0,
     dataset_name: str = "standard",
     thresholds: ThresholdTable | None = None,
-) -> dict:
+) -> tuple[dict, ThresholdTable]:
     """Threshold tuning on validation followed by test accuracy."""
-    table = None
-    sampler = None
-    if model.cfg.depth > 0:
-        table = NeighborTable(model.n_entities, train_graph.triplets)
-        sampler = NeighborSampler(table, model.cfg.neighbor_cap, seed=[sampler_seed])
     if not test:
         raise ValueError("empty test set")
-    needed = _entities_in(validation) | _entities_in(test)
-    vectors = propagated_vectors(model, table, needed, sampler)
-    scorer = make_scorer(model, vectors)
-    if thresholds is None:
-        thresholds = tune_thresholds(validation, scorer)
-        if not per_relation:
-            thresholds = ThresholdTable({}, thresholds.global_threshold)
-    test_triplets = [lt.triplet for lt in test]
-    scores = scorer(test_triplets)
-    correct = sum(
-        1
-        for lt, s in zip(test, scores)
-        if classify(lt.triplet, thresholds, s) == lt.label
-    )
+    ctx = OokbContext(train_graph, [], frozenset(), model, sampler_seed=sampler_seed)
     report = {
         "dataset": dataset_name,
         "method": "standard",
         "pooling": model.cfg.pooling if model.cfg.depth > 0 else "-",
-        "accuracy": correct / len(test),
-        "n_test": len(test),
-        "threshold_digest": thresholds.digest(),
     }
-    return report, thresholds
+    return _classification_report(ctx, validation, test, report, thresholds, per_relation)
 
 
 def evaluate_ookb(
@@ -295,7 +326,7 @@ def evaluate_ookb(
     sampler_seed: int = 0,
     dataset_name: str = "ookb",
     thresholds: ThresholdTable | None = None,
-) -> dict:
+) -> tuple[dict, ThresholdTable]:
     """Classify the OOKB test triplets of a split.
 
     ``method="proposed"`` resolves OOKB entities with the trained propagation
@@ -308,52 +339,16 @@ def evaluate_ookb(
         raise ValueError(f"unknown method {method!r}")
     if not split.test:
         raise ValueError("OOKB split has an empty test set")
+    if method == "baseline" and pooling not in _SEGMENT_POOL:
+        raise ValueError(f"baseline evaluation needs a pooling out of {sorted(_SEGMENT_POOL)}")
     ctx = OokbContext(split.train, list(split.aux), frozenset(split.ookb_entities),
                       model, sampler_seed=sampler_seed)
-
-    known_needed = _entities_in(split.validation) | {
-        e
-        for lt in split.test
-        for e in (lt.triplet.head, lt.triplet.tail)
-        if e not in ctx.ookb_entities and e < model.n_entities
-    }
-    table = ctx.table if model.cfg.depth > 0 else None
-    vectors = propagated_vectors(model, table, known_needed, ctx.sampler)
-
-    ookb_needed = {
-        e
-        for lt in split.test
-        for e in (lt.triplet.head, lt.triplet.tail)
-        if e in ctx.ookb_entities or e >= model.n_entities
-    }
-    for u in sorted(ookb_needed):
-        if u not in ctx.ookb_entities:
-            raise InferenceError(f"entity {u} has no embedding and is not in the OOKB set")
-        if method == "proposed":
-            vectors[u] = ookb_vector(u, ctx)
-        else:
-            if pooling is None:
-                raise ValueError("baseline evaluation needs an explicit pooling")
-            vectors[u] = baseline_ookb_vector(u, ctx, pooling, raw_neighbors)
-
-    scorer = make_scorer(model, vectors)
-    if thresholds is None:
-        thresholds = tune_thresholds(split.validation, scorer)
-        if not per_relation:
-            thresholds = ThresholdTable({}, thresholds.global_threshold)
-    test_triplets = [lt.triplet for lt in split.test]
-    scores = scorer(test_triplets)
-    correct = sum(
-        1
-        for lt, s in zip(split.test, scores)
-        if classify(lt.triplet, thresholds, s) == lt.label
-    )
     report = {
         "dataset": dataset_name,
         "method": method,
         "pooling": model.cfg.pooling if method == "proposed" else pooling,
-        "accuracy": correct / len(split.test),
-        "n_test": len(split.test),
-        "threshold_digest": thresholds.digest(),
     }
-    return report, thresholds
+    return _classification_report(
+        ctx, split.validation, split.test, report, thresholds, per_relation,
+        method=method, pooling=pooling, raw_neighbors=raw_neighbors,
+    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,9 +30,9 @@ TRANSITIONS = ("identity", "tanh-layer", "relu-layer", "relation-relu-bn")
 POOLINGS = ("sum", "avg", "max")
 MODES = ("stacked", "unrolled", "none")
 
-_DIR_HEAD = 0  # neighbor is the head of (h, r, e)
-_DIR_TAIL = 1  # neighbor is the tail of (e, r, t)
-_DIR_SELF = 2  # fallback: entity keeps its own base vector
+DIR_HEAD = 0  # neighbor is the head of (h, r, e)
+DIR_TAIL = 1  # neighbor is the tail of (e, r, t)
+DIR_SELF = 2  # fallback: entity keeps its own base vector
 
 
 class InferenceError(RuntimeError):
@@ -94,21 +94,7 @@ class ObjectiveConfig:
 
 
 # ---------------------------------------------------------------------------
-# pooling (public, array-level; the in-graph path uses segment reductions)
-
-def pool(vectors: Sequence[np.ndarray], pooling: str) -> np.ndarray:
-    """Reduce a nonempty collection of equal-length vectors to one vector."""
-    if len(vectors) == 0:
-        raise ValueError("cannot pool an empty set of vectors")
-    stacked = np.asarray(vectors, dtype=float)
-    if pooling == "sum":
-        return stacked.sum(axis=0)
-    if pooling == "avg":
-        return stacked.mean(axis=0)
-    if pooling == "max":
-        return stacked.max(axis=0)
-    raise ValueError(f"unknown pooling {pooling!r}")
-
+# pooling: segment reductions over grouped rows, by pooling name
 
 _SEGMENT_POOL = {
     "sum": ad.segment_sum,
@@ -139,9 +125,9 @@ class NeighborTable:
         for source in (triplets, extra):
             for h, r, t in source:
                 if h not in exclude:
-                    per_entity.setdefault(t, []).append((h, r, _DIR_HEAD))
+                    per_entity.setdefault(t, []).append((h, r, DIR_HEAD))
                 if t not in exclude:
-                    per_entity.setdefault(h, []).append((t, r, _DIR_TAIL))
+                    per_entity.setdefault(h, []).append((t, r, DIR_TAIL))
         self.records = {
             e: (
                 np.array([rec[0] for rec in recs], dtype=np.intp),
@@ -258,7 +244,7 @@ class GraphModel:
         update_running: bool,
     ) -> Tensor:
         kind = self.cfg.transition
-        dir_name = "head" if direction == _DIR_HEAD else "tail"
+        dir_name = "head" if direction == DIR_HEAD else "tail"
         if kind == "identity":
             return vecs
         if kind == "tanh-layer":
@@ -278,27 +264,51 @@ class GraphModel:
             raise ValueError("a depth-0 model holds no transition parameters")
         if self.cfg.n_layers and layer >= self.cfg.n_layers:
             raise ValueError(f"layer {layer} out of range for depth {self.cfg.depth} ({self.cfg.mode})")
-        dir_code = _DIR_HEAD if direction == "head" else _DIR_TAIL
+        dir_code = DIR_HEAD if direction == "head" else DIR_TAIL
         batch = Tensor(np.asarray(v, dtype=float)[None, :])
         out = self._transition_group(batch, dir_code, relation, layer, training=False, update_running=False)
         return out.data[0]
 
     # -- propagation ------------------------------------------------------
 
-    def _gather_incident(self, e: int, table: NeighborTable, sampler: NeighborSampler | None):
-        recs = table.records.get(e)
-        if recs is None:
-            return None
-        nbr, rel, dirs = recs
-        if len(nbr) > self.cfg.neighbor_cap:
-            if sampler is None:
-                raise ValueError(
-                    f"entity {e} has {len(nbr)} neighbors, above the cap "
-                    f"{self.cfg.neighbor_cap}; pass a NeighborSampler"
-                )
-            picked = sampler.indices(e)
-            nbr, rel, dirs = nbr[picked], rel[picked], dirs[picked]
-        return nbr, rel, dirs
+    def neighbor_records(
+        self,
+        ids: np.ndarray,
+        table: NeighborTable,
+        sampler: NeighborSampler | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Capped (neighbor, relation, direction, segment) records of ``ids``.
+
+        Records come in the order of ``ids``; ``segment`` is the position in
+        ``ids``. An entity over the neighbor cap keeps the sampler's subset.
+        An entity without records gets one self record: singleton pooling of
+        its own vector is the identity for all poolings, realizing the
+        base-embedding fallback.
+        """
+        cap = self.cfg.neighbor_cap
+        all_nbr, all_rel, all_dirs, all_seg = [], [], [], []
+        for seg, e in enumerate(ids.tolist()):
+            recs = table.records.get(e)
+            if recs is None:
+                nbr = np.array([e], dtype=np.intp)
+                rel = np.array([-1], dtype=np.intp)
+                dirs = np.array([DIR_SELF], dtype=np.intp)
+            else:
+                nbr, rel, dirs = recs
+                if len(nbr) > cap:
+                    if sampler is None:
+                        raise ValueError(
+                            f"entity {e} has {len(nbr)} neighbors, above the cap "
+                            f"{cap}; pass a NeighborSampler"
+                        )
+                    picked = sampler.indices(e)
+                    nbr, rel, dirs = nbr[picked], rel[picked], dirs[picked]
+            all_nbr.append(nbr)
+            all_rel.append(rel)
+            all_dirs.append(dirs)
+            all_seg.append(np.full(len(nbr), seg, dtype=np.intp))
+        return (np.concatenate(all_nbr), np.concatenate(all_rel),
+                np.concatenate(all_dirs), np.concatenate(all_seg))
 
     def propagate_batch(
         self,
@@ -333,31 +343,9 @@ class GraphModel:
         need = ids
         for _ in range(self.cfg.depth, 0, -1):
             uniq = np.unique(need)
-            all_nbr = []
-            all_rel = []
-            all_dirs = []
-            all_seg = []
-            for seg, e in enumerate(uniq):
-                got = self._gather_incident(int(e), table, sampler)
-                if got is None:
-                    if e >= self.n_entities:
-                        raise InferenceError(
-                            f"entity id {int(e)} has no trained embedding and no neighbors"
-                        )
-                    # self record: singleton pooling of the own vector is the
-                    # identity for all poolings, realizing the base fallback
-                    nbr = np.array([e], dtype=np.intp)
-                    rel = np.array([-1], dtype=np.intp)
-                    dirs = np.array([_DIR_SELF], dtype=np.intp)
-                else:
-                    nbr, rel, dirs = got
-                all_nbr.append(nbr)
-                all_rel.append(rel)
-                all_dirs.append(dirs)
-                all_seg.append(np.full(len(nbr), seg, dtype=np.intp))
-            need = np.concatenate(all_nbr)
-            plan.append((uniq, need, np.concatenate(all_rel),
-                         np.concatenate(all_dirs), np.concatenate(all_seg)))
+            nbr, rel, dirs, seg = self.neighbor_records(uniq, table, sampler)
+            plan.append((uniq, nbr, rel, dirs, seg))
+            need = nbr
 
         # bottom of the recursion: base embeddings of the final frontier
         base_ids = np.unique(need)
@@ -397,7 +385,7 @@ class GraphModel:
         parts: list[Tensor] = []
         segments: list[np.ndarray] = []
 
-        self_mask = dirs == _DIR_SELF
+        self_mask = dirs == DIR_SELF
         if self_mask.any():
             parts.append(ad.gather_rows(prev_vecs, nbr_pos[self_mask]))
             segments.append(seg[self_mask])
@@ -424,17 +412,6 @@ class GraphModel:
         combined = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
         seg_all = segments[0] if len(segments) == 1 else np.concatenate(segments)
         return _SEGMENT_POOL[self.cfg.pooling](combined, seg_all, n_targets)
-
-    def propagate(
-        self,
-        e: int,
-        table: NeighborTable,
-        *,
-        training: bool = False,
-        sampler: NeighborSampler | None = None,
-    ) -> np.ndarray:
-        """Propagated vector of one entity (convenience over the batch path)."""
-        return self.propagate_batch(np.array([e]), table, training=training, sampler=sampler).data[0]
 
     # -- scoring ----------------------------------------------------------
 
@@ -474,14 +451,6 @@ class GraphModel:
             **kw,
         )
         return float(s.data[0])
-
-
-def score_vectors(vh: np.ndarray, vr: np.ndarray, vt: np.ndarray, norm_p: int) -> float:
-    """Implausibility of explicit vectors, outside the tape."""
-    diff = np.asarray(vh) + np.asarray(vr) - np.asarray(vt)
-    if norm_p == 1:
-        return float(np.abs(diff).sum())
-    return float(np.sqrt((diff * diff).sum()))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,37 +77,6 @@ def head_replacement_probability(tph: float, hpt: float) -> float:
     return tph / (tph + hpt)
 
 
-def corrupt(
-    triplet: Triplet,
-    stats: dict[int, tuple[float, float]],
-    entity_pool: np.ndarray,
-    rng: np.random.Generator,
-    forbidden: frozenset | None = None,
-) -> Triplet:
-    """One corrupted counterpart: replace head or tail by a random entity.
-
-    The head is replaced with probability tph/(tph+hpt) for the triplet's
-    relation; the replacement is redrawn until the corrupted triplet differs
-    from the original (and, when ``forbidden`` is given, until it is not a
-    known positive).
-    """
-    entity_pool = np.asarray(entity_pool)
-    tph, hpt = stats[triplet.relation]
-    replace_head = rng.random() < head_replacement_probability(tph, hpt)
-    original = triplet.head if replace_head else triplet.tail
-    if np.all(entity_pool == original):
-        raise ValueError("entity pool too small to produce a differing corruption")
-    while True:
-        cand = int(entity_pool[rng.integers(len(entity_pool))])
-        if cand == original:
-            continue
-        out = Triplet(cand, triplet.relation, triplet.tail) if replace_head \
-            else Triplet(triplet.head, triplet.relation, cand)
-        if forbidden is not None and out in forbidden:
-            continue
-        return out
-
-
 def corrupt_batch(
     pos: np.ndarray,
     p_head: np.ndarray,
@@ -115,9 +84,18 @@ def corrupt_batch(
     rng: np.random.Generator,
     forbidden: frozenset | None = None,
 ) -> np.ndarray:
-    """Vectorized corruption of a (B, 3) positive id block."""
+    """Vectorized corruption of a (B, 3) positive id block.
+
+    Each row's head (with probability ``p_head`` of its relation) or tail is
+    redrawn from the pool until it differs from the original and, when
+    ``forbidden`` is given, the row is not a known positive.
+    """
     out = pos.copy()
     cols = np.where(rng.random(len(pos)) < p_head[pos[:, 1]], 0, 2)
+    if entity_pool.min() == entity_pool.max() and np.any(
+        pos[np.arange(len(pos)), cols] == entity_pool[0]
+    ):
+        raise ValueError("entity pool too small to produce a differing corruption")
     pending = np.arange(len(pos))
     while pending.size:
         cand = entity_pool[rng.integers(0, len(entity_pool), size=pending.size)]
@@ -261,8 +239,3 @@ def run_training(
     save_bundle(os.path.join(out_dir, "checkpoint-final"), cfg.epochs)
     return history
 
-
-def train_config_dict(cfg: TrainConfig, objective: ObjectiveConfig) -> dict:
-    out = asdict(cfg)
-    out.update(asdict(objective))
-    return out

@@ -26,13 +26,13 @@ from graphkbc.kg import (
     relations_of,
 )
 from graphkbc.model import (
+    _SEGMENT_POOL,
     GraphModel,
     ObjectiveConfig,
     PropagationConfig,
     build_table,
     loss_absolute,
     loss_pairwise,
-    pool,
 )
 from graphkbc.ookb import OokbPosition, generate
 from graphkbc.trainer import (
@@ -316,6 +316,11 @@ def test_criterion_7_depth_study(wn11):
 # criterion 8: pooling properties
 
 def test_criterion_8_pooling_properties():
+    def pool(vectors, kind):
+        # one segment holding every vector, reduced by the op propagation runs
+        rows = np.asarray(vectors, dtype=float)
+        return _SEGMENT_POOL[kind](rows, np.zeros(len(rows), dtype=np.intp), 1).data[0]
+
     rng = np.random.default_rng(8)
     for _ in range(1000):
         size = int(rng.integers(1, 9))

@@ -69,9 +69,9 @@ class TestForward:
             rows_norm(Tensor([[1.0]]), 3)
 
     def test_vector_norm_helper(self):
-        assert ad.l_norm([0.0, 0.0, 0.0], 2) == 0.0
-        assert ad.l_norm([3.0, 4.0], 2) == 5.0
-        assert ad.l_norm([1.0, -2.0, 3.0], 1) == 6.0
+        batch = Tensor([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [1.0, -2.0, 3.0]])
+        assert np.array_equal(rows_norm(batch, 2).data, [0.0, 5.0, np.sqrt(14.0)])
+        assert np.array_equal(rows_norm(batch, 1).data, [0.0, 7.0, 6.0])
 
     def test_segment_reductions(self):
         x = Tensor(np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]))

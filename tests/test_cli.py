@@ -55,6 +55,22 @@ class TestGenOokb:
             assert (out / f"tail-2.{part}.txt").exists()
         assert (out / "config.json").exists()
 
+    def test_loaded_split_keeps_written_stats(self, corpus):
+        from graphkbc.cli import _load_split_files
+        from graphkbc.kg import Vocabulary, load_triplet_file, positives
+        from graphkbc.ookb import generate, write_split
+
+        tmp_path, paths = corpus
+        ev, rv = Vocabulary(), Vocabulary()
+        train = positives(load_triplet_file(paths["train"], ev, rv))
+        valid = load_triplet_file(paths["valid"], ev, rv, labeled=True)
+        test = load_triplet_file(paths["test"], ev, rv, labeled=True)
+        split = generate(train, valid, test, 2, "tail")
+        write_split(split, tmp_path / "s", "tail-2", ev, rv)
+        loaded = _load_split_files(tmp_path / "s" / "tail-2", ev, rv)
+        assert loaded.stats == split.stats
+        assert split.stats.auxiliary_entities > 0  # not a zero placeholder
+
     def test_zero_n_is_usage_error(self, corpus):
         tmp_path, paths = corpus
         code = run(["gen-ookb", "--train", paths["train"], "--valid", paths["valid"],
@@ -220,6 +236,19 @@ class TestEvalAndPredict:
         for row in rows:
             float(row[3]), float(row[4])
             assert row[5] in ("1", "-1")
+
+    def test_predict_aux_linking_two_unknown_entities_is_data_error(self, trained, capsys):
+        # e98 is outside --train too, so the aux triplet links no known entity
+        tmp_path, paths, checkpoint = trained
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e99\tnext\te2\n")
+        aux = tmp_path / "aux.txt"
+        aux.write_text("e98\tnext\te99\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--aux", aux, "--valid", paths["valid"]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "e98" in err and "e99" in err
 
     def test_predict_unknown_entity_without_aux_names_it(self, trained, capsys):
         tmp_path, paths, checkpoint = trained

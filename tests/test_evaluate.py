@@ -4,7 +4,6 @@ import pytest
 from graphkbc.evaluate import (
     OokbContext,
     ThresholdTable,
-    accuracy,
     baseline_ookb_vector,
     classify,
     evaluate_ookb,
@@ -12,6 +11,7 @@ from graphkbc.evaluate import (
     make_scorer,
     ookb_vector,
     propagated_vectors,
+    resolve_vectors,
     tune_thresholds,
 )
 from graphkbc.kg import LabeledTriplet, Triplet, build_graph
@@ -41,7 +41,7 @@ def brute_force_threshold(scores, labels):
 
 
 def fixed_scorer(mapping):
-    return lambda triplets: np.array([mapping[t] for t in triplets])
+    return lambda triplets: np.array([mapping[Triplet(*t)] for t in triplets.tolist()])
 
 
 class TestTuneThresholds:
@@ -126,14 +126,14 @@ class TestClassify:
     TABLE = ThresholdTable({R: 2.0}, 1.0)
 
     def test_low_score_is_positive(self):
-        assert classify(Triplet(A, R, B), self.TABLE, 0.0) is True
+        assert classify(Triplet(A, R, B), self.TABLE, 0.0)
 
     def test_boundary_is_negative(self):
-        assert classify(Triplet(A, R, B), self.TABLE, 2.0) is False
+        assert not classify(Triplet(A, R, B), self.TABLE, 2.0)
 
     def test_infinite_threshold_always_positive(self):
         table = ThresholdTable({R: np.inf}, 1.0)
-        assert classify(Triplet(A, R, B), table, 1e12) is True
+        assert classify(Triplet(A, R, B), table, 1e12)
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(2)
@@ -144,26 +144,10 @@ class TestClassify:
             high_pred = classify(Triplet(A, R, B), ThresholdTable({R: hi}, 0.0), score)
             assert not (low_pred and not high_pred)
 
-
-class TestAccuracy:
-    def test_all_correct(self):
-        items = [lt(A, R, B), lt(B, R, C, False)]
-        assert accuracy(items, lambda t: t == Triplet(A, R, B)) == 1.0
-
-    def test_single_item_sets(self):
-        assert accuracy([lt(A, R, B)], lambda t: True) == 1.0
-        assert accuracy([lt(A, R, B)], lambda t: False) == 0.0
-
-    def test_random_coin_near_half(self):
-        rng = np.random.default_rng(3)
-        items = [lt(A, R, B, bool(i % 2)) for i in range(10_000)]
-        flips = iter(rng.random(10_000) < 0.5)
-        acc = accuracy(items, lambda t: next(flips))
-        assert abs(acc - 0.5) < 0.02
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            accuracy([], lambda t: True)
+    def test_batch_uses_each_relations_threshold(self):
+        triplets = np.array([[A, R, B], [A, S, B], [A, R, B], [A, S, B]])
+        preds = classify(triplets, self.TABLE, np.array([1.5, 1.5, 2.5, 0.5]))
+        assert preds.tolist() == [True, False, False, True]
 
 
 def make_model(n_entities, n_relations, seed=0, **cfg_kw):
@@ -181,14 +165,14 @@ class TestOokbVector:
         u = 4  # beyond the 4 trained rows: no base embedding exists for u
         m = make_model(4, 2, dim=3, transition="identity", pooling="avg")
         ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], {u})
-        assert np.array_equal(ookb_vector(u, ctx), m.entities.data[B])
+        assert np.array_equal(ookb_vector(np.array([u]), ctx), m.entities.data[[B]])
 
     def test_two_aux_identity_avg_is_mean(self):
         u = 4
         m = make_model(4, 2, dim=3, transition="identity", pooling="avg")
         ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u), Triplet(u, S, C)], {u})
         expected = (m.entities.data[B] + m.entities.data[C]) / 2.0
-        assert np.allclose(ookb_vector(u, ctx), expected)
+        assert np.allclose(ookb_vector(np.array([u]), ctx)[0], expected)
 
     def test_matches_independent_forward_pass(self):
         # reference path: explicit per-record matrix-vector product, running-
@@ -220,14 +204,15 @@ class TestOokbVector:
                 contribs.append(np.maximum(x, 0.0))
             return np.mean(contribs, axis=0)
 
-        assert np.allclose(ookb_vector(u, ctx), reference(), rtol=1e-12, atol=1e-12)
+        assert np.allclose(ookb_vector(np.array([u]), ctx)[0], reference(),
+                           rtol=1e-12, atol=1e-12)
 
     def test_never_touches_missing_base_row(self):
         u = 4
         m = make_model(4, 2, dim=3, transition="relation-relu-bn", pooling="max")
         before = m.entities.data.copy()
         ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], {u})
-        ookb_vector(u, ctx)
+        ookb_vector(np.array([u]), ctx)
         assert np.array_equal(m.entities.data, before)
 
     def test_no_aux_is_an_error(self):
@@ -235,12 +220,24 @@ class TestOokbVector:
         m = make_model(4, 2, dim=3)
         ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], {u, 5})
         with pytest.raises(InferenceError, match="no auxiliary"):
-            ookb_vector(5, ctx)
+            ookb_vector(np.array([u, 5]), ctx)
 
     def test_aux_rule_validated(self):
         m = make_model(4, 2, dim=3)
-        with pytest.raises(ValueError, match="exactly one"):
+        with pytest.raises(InferenceError, match="exactly one"):
             self.make_ctx(m, [Triplet(A, R, B)], [Triplet(A, R, B)], {4})
+
+    def test_batch_matches_single_entities(self):
+        # composing several OOKB entities in one batch (depth 2, shared
+        # neighbors) gives each entity the vector it gets on its own
+        m = make_model(6, 2, seed=4, dim=5, depth=2, mode="stacked", pooling="max")
+        train = [Triplet(A, R, B), Triplet(B, S, C), Triplet(C, R, D), Triplet(D, S, A)]
+        aux = [Triplet(B, R, 4), Triplet(4, S, C), Triplet(C, R, 5), Triplet(5, R, A),
+               Triplet(D, S, 5)]
+        ctx = self.make_ctx(m, train, aux, {4, 5})
+        batch = ookb_vector(np.array([4, 5]), ctx)
+        for row, u in zip(batch, (4, 5)):
+            assert np.allclose(row, ookb_vector(np.array([u]), ctx)[0], rtol=0, atol=1e-12)
 
 
 class TestBaselineVector:
@@ -251,7 +248,7 @@ class TestBaselineVector:
                           frozenset({u}), m)
         expected = m.entities.data[B] + m.relations.data[R]
         for pooling in ("sum", "avg", "max"):
-            assert np.allclose(baseline_ookb_vector(u, ctx, pooling), expected)
+            assert np.allclose(baseline_ookb_vector(np.array([u]), ctx, pooling)[0], expected)
 
     def test_two_aux_average(self):
         u = 4
@@ -262,7 +259,7 @@ class TestBaselineVector:
             (m.entities.data[B] + m.relations.data[R])
             + (m.entities.data[C] - m.relations.data[S])
         ) / 2.0
-        assert np.allclose(baseline_ookb_vector(u, ctx, "avg"), expected)
+        assert np.allclose(baseline_ookb_vector(np.array([u]), ctx, "avg")[0], expected)
 
     def test_raw_neighbor_variant(self):
         u = 4
@@ -270,7 +267,17 @@ class TestBaselineVector:
         aux = [Triplet(B, R, u), Triplet(u, S, C)]
         ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, frozenset({u}), m)
         expected = (m.entities.data[B] + m.entities.data[C]) / 2.0
-        assert np.allclose(baseline_ookb_vector(u, ctx, "avg", raw_neighbors=True), expected)
+        got = baseline_ookb_vector(np.array([u]), ctx, "avg", raw_neighbors=True)
+        assert np.allclose(got[0], expected)
+
+    def test_batch_pools_each_entity_separately(self):
+        u, w = 4, 5
+        m = make_model(4, 2, dim=3, mode="none")
+        aux = [Triplet(B, R, u), Triplet(u, S, C), Triplet(A, S, w)]
+        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, frozenset({u, w}), m)
+        ent, rel = m.entities.data, m.relations.data
+        expected = [np.maximum(ent[B] + rel[R], ent[C] - rel[S]), ent[A] + rel[S]]
+        assert np.array_equal(baseline_ookb_vector(np.array([u, w]), ctx, "max"), expected)
 
     def test_exactly_fitted_model_scores_zero_on_aux(self):
         # construct an exact translation embedding: v_i = i * e1, r = e1
@@ -282,9 +289,8 @@ class TestBaselineVector:
         m.relations.data[0, 0] = 1.0
         aux = [Triplet(3, R, u)]  # implies v_u = 4 * e1
         ctx = OokbContext(build_graph([Triplet(0, R, 1)]), aux, frozenset({u}), m)
-        v_u = baseline_ookb_vector(u, ctx, "avg")
-        from graphkbc.model import score_vectors
-        assert score_vectors(m.entities.data[3], m.relations.data[0], v_u, 1) == 0.0
+        ids, vectors = resolve_vectors([3, u], ctx, method="baseline", pooling="avg")
+        assert make_scorer(m, ids, vectors)([Triplet(3, R, u)]).tolist() == [0.0]
 
 
 class TestEvaluateFlows:
@@ -338,8 +344,12 @@ class TestEvaluateFlows:
 
     def test_propagated_vectors_cover_requested_ids(self):
         m = make_model(4, 1, dim=3, mode="none")
-        vectors = propagated_vectors(m, None, [0, 2, 2, 3])
-        assert set(vectors) == {0, 2, 3}
-        scorer = make_scorer(m, vectors)
-        scores = scorer([Triplet(0, R, 2)])
-        assert scores.shape == (1,)
+        ctx = OokbContext(build_graph([Triplet(0, R, 1)]), [], frozenset(), m)
+        ids, vectors = resolve_vectors([0, 2, 2, 3], ctx)
+        assert ids.tolist() == [0, 2, 3]
+        assert np.array_equal(vectors, m.entities.data[[0, 2, 3]])
+        assert np.array_equal(propagated_vectors(ids, ctx, batch_size=2), vectors)
+        scorer = make_scorer(m, ids, vectors)
+        scores = scorer([Triplet(0, R, 2), Triplet(3, R, 3)])
+        assert scores.shape == (2,)
+        assert scores[1] == np.abs(m.relations.data[R]).sum()

@@ -4,6 +4,7 @@ import pytest
 from graphkbc.autodiff import Tensor, gradcheck
 from graphkbc.kg import Triplet, build_graph
 from graphkbc.model import (
+    _SEGMENT_POOL,
     GraphModel,
     InferenceError,
     NeighborSampler,
@@ -12,8 +13,6 @@ from graphkbc.model import (
     build_table,
     loss_absolute,
     loss_pairwise,
-    pool,
-    score_vectors,
 )
 
 A, B, C, D, E = range(5)
@@ -25,6 +24,11 @@ def make_model(n_entities, n_relations, seed=0, **cfg_kw):
     m = GraphModel(n_entities, n_relations, cfg)
     m.init_params(np.random.default_rng(seed))
     return m
+
+
+def propagate(m, e, table, **kw):
+    """Propagated vector of one entity, through the batch path."""
+    return m.propagate_batch(np.array([e]), table, **kw).data[0]
 
 
 def summed_neighborhood_reference(graph, base, depth):
@@ -52,6 +56,12 @@ def summed_neighborhood_reference(graph, base, depth):
     return vecs
 
 
+def pool(vectors, kind):
+    """One segment holding every vector, reduced by the op propagation runs."""
+    rows = np.asarray(vectors, dtype=float)
+    return _SEGMENT_POOL[kind](rows, np.zeros(len(rows), dtype=np.intp), 1).data[0]
+
+
 class TestPooling:
     def test_singleton_fixed_point(self):
         v = np.array([1.5, -2.0])
@@ -72,8 +82,9 @@ class TestPooling:
             assert np.allclose(pool(vs, kind), pool(perm, kind), rtol=1e-12, atol=1e-12)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            pool([], "sum")
+        for op in _SEGMENT_POOL.values():
+            with pytest.raises(ValueError, match="empty"):
+                op(np.zeros((0, 2)), np.zeros(0, dtype=np.intp), 1)
 
 
 class TestTransition:
@@ -106,7 +117,7 @@ class TestPropagation:
         m = make_model(3, 1, dim=4, transition="identity", pooling="avg")
         graph = build_graph([Triplet(A, R, B)])
         table = build_table(graph, 3)
-        assert np.array_equal(m.propagate(B, table), m.entities.data[A])
+        assert np.array_equal(propagate(m, B, table), m.entities.data[A])
 
     def test_two_neighbors_identity_sum(self):
         # records of e: (a, r, e) and (e, s, b) -> v_a + v_b
@@ -114,7 +125,7 @@ class TestPropagation:
         graph = build_graph([Triplet(A, R, C), Triplet(C, S, B)])
         table = build_table(graph, 4)
         expected = m.entities.data[A] + m.entities.data[B]
-        assert np.array_equal(m.propagate(C, table), expected)
+        assert np.array_equal(propagate(m, C, table), expected)
 
     def test_matches_summation_reference_on_random_graphs(self):
         # oracle equivalence: identity transition + sum pooling vs the
@@ -146,7 +157,7 @@ class TestPropagation:
         table = build_table(graph, 3)
         ref = summed_neighborhood_reference(graph, m.entities.data, 2)
         for e in (A, B, C):
-            assert np.array_equal(m.propagate(e, table), ref[e])
+            assert np.array_equal(propagate(m, e, table), ref[e])
 
     def test_stacked_depth2_uses_one_parameter_set_per_step(self):
         # single edge a -> b; with per-step scalings 2 and 3 the two-step
@@ -163,7 +174,7 @@ class TestPropagation:
             if mode == "stacked":
                 m.store.param("A.head.l1").data[:] = 3.0 * np.eye(3)
                 m.store.param("A.tail.l1").data[:] = 3.0 * np.eye(3)
-            return m.propagate(B, table)
+            return propagate(m, B, table)
 
         assert np.array_equal(run("stacked"), 6.0 * np.array([4.0, 5.0, 6.0]))
         assert np.array_equal(run("unrolled"), 4.0 * np.array([4.0, 5.0, 6.0]))
@@ -182,21 +193,21 @@ class TestPropagation:
         m = make_model(3, 1, dim=4, transition="relation-relu-bn", depth=2)
         graph = build_graph([Triplet(A, R, B)])
         table = build_table(graph, 3)
-        assert np.array_equal(m.propagate(C, table), m.entities.data[C])
+        assert np.array_equal(propagate(m, C, table), m.entities.data[C])
 
     def test_unknown_neighborless_entity_raises(self):
         m = make_model(3, 1, dim=4)
         graph = build_graph([Triplet(A, R, B)])
         table = build_table(graph, 3)
         with pytest.raises(InferenceError, match="7"):
-            m.propagate(7, table)
+            propagate(m, 7, table)
 
     def test_deterministic_when_cap_covers_degree(self):
         graph = build_graph([Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D)])
         m = make_model(5, 2, dim=4, neighbor_cap=64)
         table = build_table(graph, 5)
-        a = m.propagate(C, table, sampler=NeighborSampler(table, 64, seed=1))
-        b = m.propagate(C, table, sampler=NeighborSampler(table, 64, seed=2))
+        a = propagate(m, C, table, sampler=NeighborSampler(table, 64, seed=1))
+        b = propagate(m, C, table, sampler=NeighborSampler(table, 64, seed=2))
         assert np.array_equal(a, b)
 
     def test_cap_subsamples_without_replacement(self):
@@ -208,7 +219,7 @@ class TestPropagation:
         assert len(picked) == 4
         assert len(set(picked.tolist())) == 4
         m = make_model(10, 1, dim=3, transition="identity", pooling="sum", neighbor_cap=4)
-        out = m.propagate(9, table, sampler=sampler)
+        out = propagate(m, 9, table, sampler=sampler)
         expected = m.entities.data[picked].sum(axis=0)  # neighbor i sits at record i
         assert np.allclose(out, expected)
 
@@ -217,7 +228,7 @@ class TestPropagation:
         table = build_table(build_graph(triplets), 10)
         m = make_model(10, 1, dim=3, neighbor_cap=4)
         with pytest.raises(ValueError, match="Sampler"):
-            m.propagate(9, table)
+            propagate(m, 9, table)
 
 
 class TestScore:
@@ -228,8 +239,11 @@ class TestScore:
         assert m.score(Triplet(0, 0, 1)) == 0.0
 
     def test_l1_and_l2_hand_values(self):
-        assert score_vectors([1, 0], [0, 1], [0, 0], 1) == pytest.approx(2.0)
-        assert score_vectors([1, 0], [0, 1], [0, 0], 2) == pytest.approx(np.sqrt(2.0))
+        for norm_p, expected in ((1, 2.0), (2, np.sqrt(2.0))):
+            m = make_model(2, 1, dim=2, mode="none", norm_p=norm_p)
+            m.entities.data[:] = [[1.0, 0.0], [0.0, 0.0]]
+            m.relations.data[:] = [[0.0, 1.0]]
+            assert m.score(Triplet(0, 0, 1)) == pytest.approx(expected)
 
     def test_score_is_nonnegative(self):
         rng = np.random.default_rng(0)

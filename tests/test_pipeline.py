@@ -100,36 +100,37 @@ def bridged(grid_split):
 class TestBridgeSanity:
     def test_composition_equals_standard_propagation(self, bridged):
         # the held entities' auxiliary records are their entire neighborhood,
-        # so composing from them must reproduce ordinary propagation exactly
+        # so composing them in one batch must reproduce the batched ordinary
+        # propagation of the same ids exactly
         split, merged, model = bridged
         ctx = OokbContext(split.train, list(split.aux),
                           frozenset(split.ookb_entities), model)
         table = build_table(merged, model.n_entities)
-        for u in sorted(split.ookb_entities):
-            assert np.array_equal(ookb_vector(u, ctx), model.propagate(u, table))
+        held = np.array(sorted(split.ookb_entities))
+        assert np.array_equal(ookb_vector(held, ctx), model.propagate_batch(held, table).data)
 
     def test_classifications_agree_between_paths(self, bridged):
         # classify the test triplets twice: everything through standard
         # propagation, and with the held entities' vectors swapped for their
         # aux-composed counterparts; predictions must coincide
-        from graphkbc.evaluate import classify, make_scorer, propagated_vectors, tune_thresholds
+        from graphkbc.evaluate import (classify, labeled_arrays, make_scorer,
+                                       resolve_vectors, tune_thresholds)
 
         split, merged, model = bridged
-        table = build_table(merged, model.n_entities)
-        needed = {e for lt in list(split.validation) + list(split.test)
-                  for e in (lt.triplet.head, lt.triplet.tail)}
-        vectors = propagated_vectors(model, table, needed)
-        scorer = make_scorer(model, vectors)
+        standard = OokbContext(merged, [], frozenset(), model)
+        valid_triplets, _ = labeled_arrays(split.validation)
+        test_triplets, _ = labeled_arrays(split.test)
+        needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
+        ids, vectors = resolve_vectors(needed, standard)
+        scorer = make_scorer(model, ids, vectors)
         thresholds = tune_thresholds(split.validation, scorer)
-        standard_preds = [classify(lt.triplet, thresholds, s)
-                          for lt, s in zip(split.test, scorer([lt.triplet for lt in split.test]))]
+        standard_preds = classify(test_triplets, thresholds, scorer(test_triplets))
 
         ctx = OokbContext(split.train, list(split.aux),
                           frozenset(split.ookb_entities), model)
-        swapped = dict(vectors)
-        for u in split.ookb_entities:
-            swapped[u] = ookb_vector(u, ctx)
-        scorer2 = make_scorer(model, swapped)
-        composed_preds = [classify(lt.triplet, thresholds, s)
-                          for lt, s in zip(split.test, scorer2([lt.triplet for lt in split.test]))]
-        assert composed_preds == standard_preds
+        held = np.isin(ids, sorted(split.ookb_entities))
+        swapped = vectors.copy()
+        swapped[held] = ookb_vector(ids[held], ctx)
+        scorer2 = make_scorer(model, ids, swapped)
+        composed_preds = classify(test_triplets, thresholds, scorer2(test_triplets))
+        assert np.array_equal(composed_preds, standard_preds)

@@ -7,7 +7,6 @@ from graphkbc.model import ObjectiveConfig, PropagationConfig, load_model, save_
 from graphkbc.trainer import (
     TrainConfig,
     compute_bernoulli_stats,
-    corrupt,
     corrupt_batch,
     head_replacement_probability,
     init_model,
@@ -41,38 +40,42 @@ class TestBernoulliStats:
 
 class TestCorrupt:
     def test_forced_head_choice(self):
-        # tph >> hpt forces head replacement; the only differing entity is B
-        stats = {R: (1.0, 0.0)}
+        # p_head 1 forces head replacement; the only differing entity is B
         rng = np.random.default_rng(0)
-        out = corrupt(Triplet(A, R, B), stats, np.array([A, B]), rng)
-        assert out == Triplet(B, R, B)
+        pos = np.array([[A, R, B]], dtype=np.intp)
+        neg = corrupt_batch(pos, np.array([1.0]), np.array([A, B]), rng)
+        assert neg.tolist() == [[B, R, B]]
 
     def test_differs_in_exactly_one_endpoint(self):
-        stats = {R: (1.0, 1.0)}
         rng = np.random.default_rng(1)
-        pool = np.arange(6)
-        for _ in range(200):
-            t = Triplet(2, R, 4)
-            out = corrupt(t, stats, pool, rng)
-            changed = (out.head != t.head) + (out.tail != t.tail)
-            assert changed == 1
-            assert out.relation == t.relation
+        pos = np.tile(np.array([[2, R, 4]], dtype=np.intp), (200, 1))
+        neg = corrupt_batch(pos, np.array([0.5]), np.arange(6), rng)
+        changed = (neg[:, 0] != pos[:, 0]).astype(int) + (neg[:, 2] != pos[:, 2])
+        assert np.all(changed == 1)
+        assert np.array_equal(neg[:, 1], pos[:, 1])
 
     def test_pool_too_small(self):
-        stats = {R: (1.0, 0.0)}
         rng = np.random.default_rng(0)
+        pos = np.array([[A, R, B]], dtype=np.intp)
         with pytest.raises(ValueError, match="pool"):
-            corrupt(Triplet(A, R, B), stats, np.array([A]), rng)
+            corrupt_batch(pos, np.array([1.0]), np.array([A]), rng)
+
+    def test_one_entity_graph_raises_instead_of_hanging(self):
+        # the only corruption candidate equals the original on both sides
+        _, model, cfg, objective = toy_setup(train_kw={"epochs": 1})
+        with pytest.raises(ValueError, match="pool"):
+            list(train(build_graph([Triplet(A, R, A)]), model, cfg, objective))
 
     def test_filter_false_negatives(self):
-        stats = {R: (1.0, 0.0)}  # always replace the head
+        # always replace the head
         graph = build_graph([Triplet(A, R, B), Triplet(C, R, B)])
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            out = corrupt(Triplet(A, R, B), stats, np.arange(4), rng,
-                          forbidden=graph.triplet_set)
-            assert out not in graph.triplet_set
-            assert out.head in (B, D)  # A is the original, (C,R,B) is a positive
+        pos = np.tile(np.array([[A, R, B]], dtype=np.intp), (50, 1))
+        neg = corrupt_batch(pos, np.array([1.0]), np.arange(4), rng,
+                            forbidden=graph.triplet_set)
+        for row in neg.tolist():
+            assert Triplet(*row) not in graph.triplet_set
+            assert row[0] in (B, D)  # A is the original, (C,R,B) is a positive
 
     def test_head_replacement_rate_balanced(self):
         # empirical frequency matches tph/(tph+hpt) = 0.5 within +-0.01
