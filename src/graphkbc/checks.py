@@ -6,8 +6,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, gradcheck
-from .kg import Triplet, build_graph
-from .model import GraphModel, PropagationConfig, build_table, loss_absolute
+from .kg import Triplet
+from .model import GraphModel, NeighborSampler, NeighborTable, PropagationConfig, loss_absolute
 from .nn import BatchNorm, ParamStore
 
 
@@ -44,11 +44,11 @@ def _model_suite(rng: np.random.Generator, tol: float, corrupt_hook: bool) -> li
         Triplet(2, 0, 3),
         Triplet(3, 1, 4),
         Triplet(4, 0, 0),
+        Triplet(5, 1, 0),  # entity 0 has 3 records, one above the cap
     ]
-    graph = build_graph(triplets)
-    cfg = PropagationConfig(dim=4, depth=1, mode="stacked",
-                            pooling="avg", transition="relation-relu-bn")
-    model = GraphModel(5, 2, cfg)
+    cfg = PropagationConfig(dim=4, depth=1, mode="stacked", pooling="avg",
+                            transition="relation-relu-bn", neighbor_cap=2)
+    model = GraphModel(6, 2, cfg)
     model.init_params(rng)
     # move gamma/beta off their exact defaults: a batch-of-one group outputs
     # beta verbatim, and beta = 0 would park the relu on its kink
@@ -57,15 +57,16 @@ def _model_suite(rng: np.random.Generator, tol: float, corrupt_hook: bool) -> li
             p.data += rng.uniform(0.1, 0.3, size=p.data.shape)
         elif name.endswith(".beta"):
             p.data += rng.uniform(0.2, 0.5, size=p.data.shape)
-    table = build_table(graph, 5)
+    table = NeighborTable(6, triplets)
+    sampler = NeighborSampler(table, cfg.neighbor_cap, seed=0)
     pos = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3]])
     neg = np.array([[0, 0, 2], [4, 1, 2], [2, 0, 0]])
     both = np.concatenate([pos, neg])
 
     def build_loss():
         # one joint scoring pass, as in training minibatches
-        scores = model.score_ids(both[:, 0], both[:, 1], both[:, 2], table,
-                                 training=True, update_running=False)
+        scores = model.score_ids(both[:, 0], both[:, 1], both[:, 2], table, training=True,
+                                 sampler=sampler, update_running=False)
         pos_s = ad.gather_rows(scores, np.arange(len(pos)))
         neg_s = ad.gather_rows(scores, np.arange(len(pos), len(both)))
         loss = loss_absolute(pos_s, neg_s, margin=1.0)

@@ -322,34 +322,42 @@ def cmd_eval(args) -> int:
 # predict
 
 def cmd_predict(args) -> int:
+    import numpy as np
+
     from .evaluate import OokbContext, ThresholdTable, classify, labeled_arrays, \
         make_scorer, resolve_vectors, tune_thresholds
-    from .kg import build_graph, entities_of, load_triplet_file, positives
-    from .model import load_model
+    from .kg import build_graph, load_triplet_file, positives, triplet_array
+    from .model import InferenceError, load_model
 
     model, ev, rv, extra = load_model(args.checkpoint)
     graph = build_graph(positives(load_triplet_file(args.train, ev, rv)))
     queries = labeled_arrays(load_triplet_file(args.triplets, ev, rv))[0]
     aux = positives(load_triplet_file(args.aux, ev, rv)) if args.aux else []
-    # an entity outside the trained graph never received updates (it may
-    # still own an untouched embedding row); resolve it through aux triplets
-    outside = (set(queries[:, ::2].ravel().tolist()) | entities_of(aux)) - entities_of(graph)
-    ctx = OokbContext(graph, aux, frozenset(outside), model, sampler_seed=args.seed,
-                      name_of=ev.name_of)
-
     if args.thresholds:
         with open(args.thresholds, encoding="utf-8") as fh:
             data = json.load(fh)
         per = {rv.id_of(name): t for name, t in data["relations"].items() if name in rv}
         thresholds = ThresholdTable(per, data["global"])
     elif args.valid:
-        # tuned on the training graph alone, as the standard protocol does
         valid = load_triplet_file(args.valid, ev, rv, labeled=True)
+        thresholds = None
+    else:
+        raise UsageError("predict needs --thresholds or --valid to tune on")
+    # every input is loaded: a relation interned past the checkpoint's table
+    # has no embedding and no transition
+    if len(rv) > model.n_relations:
+        raise InferenceError(f"relation {rv.name_of(model.n_relations)!r} is not in the checkpoint")
+    # an entity outside the trained graph never received updates (it may
+    # still own an untouched embedding row); resolve it through aux triplets
+    ends = np.concatenate([queries[:, ::2].ravel(), triplet_array(aux)[:, ::2].ravel()])
+    outside = np.setdiff1d(ends, graph.triplets[:, ::2])
+    ctx = OokbContext(graph, aux, frozenset(outside.tolist()), model, sampler_seed=args.seed,
+                      name_of=ev.name_of)
+    if thresholds is None:
+        # tuned on the training graph alone, as the standard protocol does
         known = OokbContext(graph, [], frozenset(), model, sampler_seed=args.seed)
         resolved = resolve_vectors(labeled_arrays(valid)[0][:, ::2], known)
         thresholds = tune_thresholds(valid, make_scorer(model, *resolved))
-    else:
-        raise UsageError("predict needs --thresholds or --valid to tune on")
 
     scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
     cutoffs = thresholds.threshold_of(queries[:, 1])
@@ -472,7 +480,7 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except Exception as exc:  # late imports: dispatch on exception name
         kind = type(exc).__name__
-        if kind in ("TripletParseError", "InferenceError"):
+        if kind in ("TripletParseError", "InferenceError", "CheckpointError"):
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         if kind == "GradientError":

@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .kg import KnowledgeGraph, LabeledTriplet, Triplet
+from .kg import KnowledgeGraph, LabeledTriplet, Triplet, triplet_array
 from .model import (
     _SEGMENT_POOL,
     DIR_HEAD,
@@ -138,23 +138,21 @@ class OokbContext:
 
     def __post_init__(self):
         self.ookb_entities = frozenset(self.ookb_entities)
-        for t in self.aux:
-            n = (t.head in self.ookb_entities) + (t.tail in self.ookb_entities)
-            if n != 1:
-                raise InferenceError(
-                    f"auxiliary triplet ({self.name_of(t.head)!r}, {self.name_of(t.tail)!r}) "
-                    f"links {n} out-of-KB entities; it must link exactly one to a known entity"
-                )
+        aux = triplet_array(self.aux)[:, ::2]
+        ookb = np.isin(aux, np.fromiter(self.ookb_entities, dtype=np.intp))
+        bad = ookb.sum(axis=1) != 1
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InferenceError(
+                f"auxiliary triplet ({self.name_of(int(aux[i, 0]))!r}, "
+                f"{self.name_of(int(aux[i, 1]))!r}) links {int(ookb[i].sum())} out-of-KB "
+                "entities; it must link exactly one to a known entity"
+            )
         self.table = self.sampler = None
         if self.model.cfg.depth == 0 and not self.ookb_entities:
             return
-        rowless = {
-            e
-            for t in self.aux
-            for e in (t.head, t.tail)
-            if e >= self.model.n_entities
-        }
-        exclude = set(self.ookb_entities) | rowless
+        exclude = np.concatenate([np.fromiter(self.ookb_entities, dtype=np.intp),
+                                  aux[aux >= self.model.n_entities]])
         self.table = NeighborTable(
             self.model.n_entities, self.train.triplets, extra=self.aux, exclude=exclude
         )
@@ -164,10 +162,10 @@ class OokbContext:
 
 
 def _require_aux(ids: np.ndarray, ctx: OokbContext) -> None:
-    unlinked = sorted(set(ids.tolist()).difference(ctx.table.records))
-    if unlinked:
+    unlinked = np.sort(ids[ctx.table.degrees(ids) == 0])
+    if unlinked.size:
         raise InferenceError(
-            f"entity {ctx.name_of(unlinked[0])!r} is outside the knowledge base "
+            f"entity {ctx.name_of(int(unlinked[0]))!r} is outside the knowledge base "
             "and has no auxiliary triplet"
         )
 

@@ -1,4 +1,4 @@
-"""In-memory knowledge graph: interned vocabularies, triplets, neighborhood indices, file I/O.
+"""In-memory knowledge graph: interned vocabularies, the triplet array, file I/O.
 
 Datasets are UTF-8 text, one triplet per line, tab-separated
 ``head<TAB>relation<TAB>tail`` with an optional fourth column ``1``/``-1``
@@ -8,7 +8,10 @@ into dense 0-based ids so that the rest of the pipeline works on integers.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
+
+import numpy as np
 
 
 class TripletParseError(ValueError):
@@ -76,74 +79,65 @@ class LabeledTriplet(NamedTuple):
     label: bool  # True = positive
 
 
-class KnowledgeGraph:
-    """Immutable triplet set with head- and tail-neighborhood indices.
+def triplet_array(triplets) -> np.ndarray:
+    """(head, relation, tail) rows of Triplets, id tuples or an id array, as (n, 3) intp."""
+    if isinstance(triplets, np.ndarray):
+        return triplets.astype(np.intp, copy=False).reshape(-1, 3)
+    return np.fromiter(chain.from_iterable(triplets), dtype=np.intp).reshape(-1, 3)
 
-    ``head_index[e]`` holds the triplets ``(h, r, e)`` in which ``e`` is the
-    tail (the neighbors are heads); ``tail_index[e]`` holds the triplets
-    ``(e, r, t)`` in which ``e`` is the head. Duplicate input triplets
-    collapse silently; the collapsed count is kept for load summaries.
+
+class KnowledgeGraph:
+    """Immutable triplet array with a sorted key index for membership.
+
+    ``triplets`` is an (n, 3) intp array of (head, relation, tail) rows,
+    deduplicated in first-seen order; ``keys`` holds each row's int64 key
+    ``(head * n_relations + relation) * n_entities + tail``, sorted, where the
+    counts are one past the largest ids. Duplicate input triplets collapse
+    silently; the collapsed count is kept for load summaries. Neighborhoods
+    live in ``model.NeighborTable``, built from the array.
     """
 
     def __init__(self, triplets: Iterable[Triplet]):
-        seen: set[Triplet] = set()
-        unique: list[Triplet] = []
-        dup = 0
-        for t in triplets:
-            if not isinstance(t, Triplet):
-                t = Triplet(*t)
-            if t in seen:
-                dup += 1
-            else:
-                seen.add(t)
-                unique.append(t)
-        self.triplets: tuple[Triplet, ...] = tuple(unique)
-        self.triplet_set: frozenset[Triplet] = frozenset(seen)
-        self.duplicates_collapsed: int = dup
-        self.head_index: dict[int, list[Triplet]] = {}
-        self.tail_index: dict[int, list[Triplet]] = {}
-        for t in unique:
-            self.head_index.setdefault(t.tail, []).append(t)
-            self.tail_index.setdefault(t.head, []).append(t)
+        rows = triplet_array(triplets)
+        n_ent = int(rows[:, ::2].max()) + 1 if len(rows) else 0
+        n_rel = int(rows[:, 1].max()) + 1 if len(rows) else 0
+        if n_ent * n_ent * n_rel >= 2**63:
+            raise ValueError("entity and relation ids too large for int64 triplet keys")
+        self._bound = np.array([n_ent, n_rel, n_ent])
+        self.keys, first = np.unique(self._key(rows), return_index=True)
+        first.sort()
+        self.triplets: np.ndarray = rows[first]
+        self.duplicates_collapsed: int = len(rows) - len(first)
+
+    def _key(self, rows: np.ndarray) -> np.ndarray:
+        rows = rows.astype(np.int64, copy=False)
+        return (rows[:, 0] * self._bound[1] + rows[:, 1]) * self._bound[0] + rows[:, 2]
 
     def __len__(self) -> int:
         return len(self.triplets)
 
+    def contains(self, rows) -> np.ndarray:
+        """Membership of every row of an (m, 3) id array."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1, 3)
+        found = ((rows >= 0) & (rows < self._bound)).all(axis=1)
+        if found.any():
+            keys = self._key(rows[found])
+            pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+            found[found] = self.keys[pos] == keys
+        return found
+
     def __contains__(self, t: Triplet) -> bool:
-        return t in self.triplet_set
-
-    def head_neighborhood(self, e: int) -> list[Triplet]:
-        """Triplets (h, r, e) having ``e`` as tail."""
-        return self.head_index.get(e, [])
-
-    def tail_neighborhood(self, e: int) -> list[Triplet]:
-        """Triplets (e, r, t) having ``e`` as head."""
-        return self.tail_index.get(e, [])
-
-    def degree(self, e: int) -> int:
-        return len(self.head_neighborhood(e)) + len(self.tail_neighborhood(e))
+        return bool(self.contains(t)[0])
 
 
 def build_graph(triplets: Iterable[Triplet]) -> KnowledgeGraph:
     return KnowledgeGraph(triplets)
 
 
-def _triplets_of(source) -> Iterable[Triplet]:
-    return source.triplets if isinstance(source, KnowledgeGraph) else source
-
-
 def entities_of(source) -> set[int]:
-    """All entity ids occurring as head or tail."""
-    out: set[int] = set()
-    for h, _, t in _triplets_of(source):
-        out.add(h)
-        out.add(t)
-    return out
-
-
-def relations_of(source) -> set[int]:
-    """All relation ids occurring in the triplets."""
-    return {r for _, r, _ in _triplets_of(source)}
+    """All entity ids occurring as head or tail of a graph or of triplets."""
+    rows = source.triplets if isinstance(source, KnowledgeGraph) else triplet_array(source)
+    return set(np.unique(rows[:, ::2]).tolist())
 
 
 def load_triplet_file(
@@ -197,18 +191,14 @@ def save_triplet_file(
     relation_vocab: Vocabulary,
     labeled: bool = False,
 ) -> None:
-    """Write triplets in the tab-separated dataset format (inverse of load)."""
+    """Write triplets (or rows of ids) in the tab-separated dataset format (inverse of load)."""
     with open(path, "w", encoding="utf-8") as fh:
         for item in triplets:
             if isinstance(item, LabeledTriplet):
-                t, label = item.triplet, item.label
+                (h, r, t), label = item
             else:
-                t, label = item, True
-            fields = [
-                entity_vocab.name_of(t.head),
-                relation_vocab.name_of(t.relation),
-                entity_vocab.name_of(t.tail),
-            ]
+                (h, r, t), label = item, True
+            fields = [entity_vocab.name_of(h), relation_vocab.name_of(r), entity_vocab.name_of(t)]
             if labeled:
                 fields.append("1" if label else "-1")
             fh.write("\t".join(fields) + "\n")

@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
-from typing import Iterable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kg import KnowledgeGraph, Triplet
+from .kg import triplet_array
 from .nn import BatchNorm, ParamStore
 
 TRANSITIONS = ("identity", "tanh-layer", "relu-layer", "relation-relu-bn")
@@ -104,67 +103,68 @@ _SEGMENT_POOL = {
 
 
 # ---------------------------------------------------------------------------
-# packed adjacency
+# packed adjacency: one CSR (compressed sparse row) over entity ids
+
+def _rows_of(indptr: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and lengths of ``ids``' CSR rows; ids past the end have none."""
+    start = np.zeros(len(ids), dtype=np.intp)
+    count = np.zeros(len(ids), dtype=np.intp)
+    inside = ids < len(indptr) - 1
+    start[inside] = indptr[ids[inside]]
+    count[inside] = indptr[ids[inside] + 1] - start[inside]
+    return start, count
+
 
 class NeighborTable:
-    """Per-entity packed arrays of (neighbor, relation, direction) records.
+    """(neighbor, relation, direction) records of every entity, as one CSR.
 
-    Built once from a graph's triplets (optionally plus auxiliary triplets);
-    ``exclude`` drops records whose *neighbor* falls in the given entity set,
+    Entity ``e``'s records are ``nbr``, ``rel`` and ``dir`` over
+    ``indptr[e]:indptr[e + 1]``. Every triplet ``(h, r, t)``, of ``triplets``
+    and then of ``extra``, gives ``t`` the record ``(h, r, DIR_HEAD)`` and
+    then ``h`` the record ``(t, r, DIR_TAIL)``; an entity's records keep that
+    order. ``exclude`` drops records whose *neighbor* is one of the given ids,
     which keeps embedding-less entities out of everyone else's neighborhoods.
+    The rows cover ``n_entities`` and every id the triplets name.
     """
 
-    def __init__(
-        self,
-        n_entities: int,
-        triplets: Iterable[Triplet],
-        extra: Iterable[Triplet] = (),
-        exclude: set[int] | frozenset[int] = frozenset(),
-    ):
-        per_entity: dict[int, list[tuple[int, int, int]]] = {}
-        for source in (triplets, extra):
-            for h, r, t in source:
-                if h not in exclude:
-                    per_entity.setdefault(t, []).append((h, r, DIR_HEAD))
-                if t not in exclude:
-                    per_entity.setdefault(h, []).append((t, r, DIR_TAIL))
-        self.records = {
-            e: (
-                np.array([rec[0] for rec in recs], dtype=np.intp),
-                np.array([rec[1] for rec in recs], dtype=np.intp),
-                np.array([rec[2] for rec in recs], dtype=np.intp),
-            )
-            for e, recs in per_entity.items()
-        }
-        self.n_entities = n_entities
+    def __init__(self, n_entities: int, triplets, extra=(), exclude=()):
+        rows = np.concatenate([triplet_array(triplets), triplet_array(extra)])
+        owner = rows[:, [2, 0]].ravel()
+        nbr = rows[:, [0, 2]].ravel()
+        keep = ~np.isin(nbr, np.fromiter(exclude, dtype=np.intp))
+        order = np.argsort(owner[keep], kind="stable")
+        self.nbr = nbr[keep][order]
+        self.rel = np.repeat(rows[:, 1], 2)[keep][order]
+        self.dir = np.tile(np.array([DIR_HEAD, DIR_TAIL], dtype=np.intp), len(rows))[keep][order]
+        size = max(n_entities, int(rows[:, ::2].max()) + 1 if len(rows) else 0)
+        self.indptr = np.zeros(size + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner[keep], minlength=size), out=self.indptr[1:])
 
-    def degree(self, e: int) -> int:
-        recs = self.records.get(e)
-        return 0 if recs is None else len(recs[0])
-
-    def over_cap_entities(self, cap: int) -> list[int]:
-        return sorted(e for e, recs in self.records.items() if len(recs[0]) > cap)
+    def degrees(self, ids: np.ndarray) -> np.ndarray:
+        return _rows_of(self.indptr, ids)[1]
 
 
 class NeighborSampler:
     """Capped uniform neighbor subsampling, fixed for one epoch.
 
-    For every entity whose degree exceeds the cap, draws a without-replacement
-    subset of record indices once; entities at or under the cap keep their
+    A CSR over the table's entities whose ``index`` holds positions into the
+    table's record arrays. Every entity whose degree exceeds the cap gets a
+    without-replacement subset of its records, drawn once in ascending id
+    order and kept in record order; entities at or under the cap keep their
     full neighborhoods, so the choice of seed is irrelevant for them.
     """
 
     def __init__(self, table: NeighborTable, cap: int, seed):
         rng = np.random.default_rng(seed)
-        self.selection: dict[int, np.ndarray] = {}
-        for e in table.over_cap_entities(cap):
-            degree = table.degree(e)
-            picked = rng.choice(degree, size=cap, replace=False)
+        degree = np.diff(table.indptr)
+        kept = np.minimum(degree, cap)
+        self.indptr = np.zeros(len(table.indptr), dtype=np.intp)
+        np.cumsum(kept, out=self.indptr[1:])
+        self.index = np.arange(self.indptr[-1]) + np.repeat(table.indptr[:-1] - self.indptr[:-1], kept)
+        for e in np.flatnonzero(degree > cap).tolist():
+            picked = rng.choice(int(degree[e]), size=cap, replace=False)
             picked.sort()
-            self.selection[e] = picked
-
-    def indices(self, e: int) -> np.ndarray | None:
-        return self.selection.get(e)
+            self.index[self.indptr[e]:self.indptr[e + 1]] = table.indptr[e] + picked
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +256,6 @@ class GraphModel:
         out = self._bn[(dir_name, relation, layer)](out, training=training, update_running=update_running)
         return ad.relu(out)
 
-    def transition(self, v: np.ndarray, relation: int, direction: str, layer: int = 0) -> np.ndarray:
-        """Single-vector transition (inference mode), for probing and tests."""
-        if not 0 <= relation < self.n_relations:
-            raise InferenceError(f"unknown relation id {relation}")
-        if self.cfg.n_layers == 0 and self.cfg.transition != "identity":
-            raise ValueError("a depth-0 model holds no transition parameters")
-        if self.cfg.n_layers and layer >= self.cfg.n_layers:
-            raise ValueError(f"layer {layer} out of range for depth {self.cfg.depth} ({self.cfg.mode})")
-        dir_code = DIR_HEAD if direction == "head" else DIR_TAIL
-        batch = Tensor(np.asarray(v, dtype=float)[None, :])
-        out = self._transition_group(batch, dir_code, relation, layer, training=False, update_running=False)
-        return out.data[0]
-
     # -- propagation ------------------------------------------------------
 
     def neighbor_records(
@@ -285,30 +272,30 @@ class GraphModel:
         its own vector is the identity for all poolings, realizing the
         base-embedding fallback.
         """
-        cap = self.cfg.neighbor_cap
-        all_nbr, all_rel, all_dirs, all_seg = [], [], [], []
-        for seg, e in enumerate(ids.tolist()):
-            recs = table.records.get(e)
-            if recs is None:
-                nbr = np.array([e], dtype=np.intp)
-                rel = np.array([-1], dtype=np.intp)
-                dirs = np.array([DIR_SELF], dtype=np.intp)
-            else:
-                nbr, rel, dirs = recs
-                if len(nbr) > cap:
-                    if sampler is None:
-                        raise ValueError(
-                            f"entity {e} has {len(nbr)} neighbors, above the cap "
-                            f"{cap}; pass a NeighborSampler"
-                        )
-                    picked = sampler.indices(e)
-                    nbr, rel, dirs = nbr[picked], rel[picked], dirs[picked]
-            all_nbr.append(nbr)
-            all_rel.append(rel)
-            all_dirs.append(dirs)
-            all_seg.append(np.full(len(nbr), seg, dtype=np.intp))
-        return (np.concatenate(all_nbr), np.concatenate(all_rel),
-                np.concatenate(all_dirs), np.concatenate(all_seg))
+        ids = np.asarray(ids, dtype=np.intp)
+        start, count = _rows_of(table.indptr, ids)
+        over = count > self.cfg.neighbor_cap
+        if sampler is None and over.any():
+            i = int(np.argmax(over))
+            raise ValueError(
+                f"entity {ids[i]} has {count[i]} neighbors, above the cap "
+                f"{self.cfg.neighbor_cap}; pass a NeighborSampler"
+            )
+        if sampler is not None:
+            start, count = _rows_of(sampler.indptr, ids)
+        n_rows = np.maximum(count, 1)  # an entity without records gets its self record
+        seg = np.repeat(np.arange(len(ids)), n_rows)
+        real = np.repeat(count > 0, n_rows)
+        pos = (np.arange(len(seg)) + np.repeat(start + n_rows - np.cumsum(n_rows), n_rows))[real]
+        if sampler is not None:
+            pos = sampler.index[pos]
+        nbr = ids[seg]
+        nbr[real] = table.nbr[pos]
+        rel = np.full(len(seg), -1, dtype=np.intp)
+        rel[real] = table.rel[pos]
+        dirs = np.full(len(seg), DIR_SELF, dtype=np.intp)
+        dirs[real] = table.dir[pos]
+        return nbr, rel, dirs, seg
 
     def propagate_batch(
         self,
@@ -441,17 +428,6 @@ class GraphModel:
         vr = ad.gather_rows(self.relations, relations)
         return ad.rows_norm(vh + vr - vt, self.cfg.norm_p)
 
-    def score(self, triplet: Triplet, table: NeighborTable | None = None, **kw) -> float:
-        """Implausibility of a single triplet."""
-        s = self.score_ids(
-            np.array([triplet.head]),
-            np.array([triplet.relation]),
-            np.array([triplet.tail]),
-            table,
-            **kw,
-        )
-        return float(s.data[0])
-
 
 # ---------------------------------------------------------------------------
 # objectives
@@ -476,10 +452,6 @@ def loss_pairwise(pos_scores: Tensor, neg_scores: Tensor, margin: float) -> Tens
 
 
 LOSSES = {"absolute": loss_absolute, "pairwise": loss_pairwise}
-
-
-def build_table(graph: KnowledgeGraph, n_entities: int, **kw) -> NeighborTable:
-    return NeighborTable(n_entities, graph.triplets, **kw)
 
 
 # ---------------------------------------------------------------------------

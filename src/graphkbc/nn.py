@@ -156,6 +156,10 @@ _MANIFEST = "manifest.json"
 _BLOB = "params.bin"
 
 
+class CheckpointError(ValueError):
+    """A checkpoint whose blob does not match its manifest (torn or truncated)."""
+
+
 def save_checkpoint(store: ParamStore, directory, extra: dict | None = None) -> None:
     """Write the store (params, buffers, Adam moments) plus metadata."""
     os.makedirs(directory, exist_ok=True)
@@ -202,6 +206,13 @@ def load_checkpoint(directory) -> tuple[ParamStore, dict]:
         manifest = json.load(fh)
     with open(os.path.join(directory, _BLOB), "rb") as fh:
         blob = fh.read()
+    expected = max((e["offset"] + np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"]))
+                    for e in manifest["tensors"]), default=0)
+    if len(blob) != expected:
+        raise CheckpointError(
+            f"{os.path.join(directory, _BLOB)} holds {len(blob)} bytes, "
+            f"its manifest describes {expected}"
+        )
 
     arrays: dict[tuple[str, str], np.ndarray] = {}
     for entry in manifest["tensors"]:

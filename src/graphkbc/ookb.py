@@ -18,7 +18,10 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .kg import (
     KnowledgeGraph,
@@ -28,7 +31,13 @@ from .kg import (
     build_graph,
     entities_of,
     save_triplet_file,
+    triplet_array,
 )
+
+
+def _endpoints_in(triplets, entities) -> np.ndarray:
+    """(n, 2) mask: whether each triplet's head and tail lie in ``entities``."""
+    return np.isin(triplet_array(triplets)[:, ::2], np.fromiter(entities, dtype=np.intp))
 
 
 class OokbPosition(str, Enum):
@@ -71,9 +80,9 @@ class OokbSplit:
     def check(self) -> list[str]:
         """Machine-check the split invariants; returns violation messages."""
         problems = []
-        for t in self.train.triplets:
-            if t.head in self.ookb_entities or t.tail in self.ookb_entities:
-                problems.append(f"training triplet touches OOKB entity: {t}")
+        touching = _endpoints_in(self.train.triplets, self.ookb_entities).any(axis=1)
+        for row in self.train.triplets[touching].tolist():
+            problems.append(f"training triplet touches OOKB entity: {Triplet(*row)}")
         for t in self.aux:
             n_ookb = (t.head in self.ookb_entities) + (t.tail in self.ookb_entities)
             if n_ookb != 1:
@@ -116,13 +125,9 @@ def finalize_ookb(candidates: set[int], train: Iterable[Triplet]) -> set[int]:
     outside the candidate set; candidates connected only to other candidates
     (or only to themselves) are dropped.
     """
-    final: set[int] = set()
-    for t in train:
-        if t.head in candidates and t.tail not in candidates:
-            final.add(t.head)
-        if t.tail in candidates and t.head not in candidates:
-            final.add(t.tail)
-    return final
+    rows = triplet_array(train)
+    candidate = _endpoints_in(rows, candidates)
+    return set(rows[:, ::2][candidate & ~candidate[:, ::-1]].tolist())
 
 
 def split_training(
@@ -133,18 +138,8 @@ def split_training(
     0 endpoints -> kept training set, 1 -> auxiliary set, 2 -> discarded.
     Input order is preserved within each part.
     """
-    kept: list[Triplet] = []
-    aux: list[Triplet] = []
-    discarded: list[Triplet] = []
-    for t in train:
-        n = (t.head in ookb) + (t.tail in ookb)
-        if n == 0:
-            kept.append(t)
-        elif n == 1:
-            aux.append(t)
-        else:
-            discarded.append(t)
-    return kept, aux, discarded
+    n_ookb = _endpoints_in(train, ookb).sum(axis=1)
+    return tuple(list(compress(train, (n_ookb == n).tolist())) for n in (0, 1, 2))
 
 
 def filter_eval_sets(
@@ -187,14 +182,11 @@ def generate(
     test, validation = filter_eval_sets(test_file, valid_file, n, ookb_entities)
 
     graph = build_graph(kept)
-    train_entities = entities_of(graph)
     aux_entities_all = entities_of(aux)
     aux_known = aux_entities_all - ookb_entities
-    outside = 0
-    for t in aux:
-        known = t.tail if t.head in ookb_entities else t.head
-        if known not in train_entities:
-            outside += 1
+    aux_rows = triplet_array(aux)
+    known_ends = aux_rows[:, ::2][~_endpoints_in(aux_rows, ookb_entities)]
+    outside = int((~np.isin(known_ends, graph.triplets[:, ::2])).sum())
 
     stats = SplitStats(
         training_triplets=len(graph),
@@ -248,7 +240,8 @@ def write_split(
         paths[key] = p
         return p
 
-    save_triplet_file(path_of("train", "train.txt"), split.train.triplets, entity_vocab, relation_vocab)
+    save_triplet_file(path_of("train", "train.txt"), split.train.triplets.tolist(),
+                      entity_vocab, relation_vocab)
     save_triplet_file(path_of("aux", "aux.txt"), split.aux, entity_vocab, relation_vocab)
     save_triplet_file(path_of("valid", "valid.txt"), split.validation, entity_vocab, relation_vocab, labeled=True)
     save_triplet_file(path_of("test", "test.txt"), split.test, entity_vocab, relation_vocab, labeled=True)

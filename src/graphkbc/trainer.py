@@ -19,14 +19,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientError, backward
-from .kg import KnowledgeGraph, Triplet, entities_of
+from .kg import KnowledgeGraph
 from .model import (
     LOSSES,
     GraphModel,
     NeighborSampler,
+    NeighborTable,
     ObjectiveConfig,
     PropagationConfig,
-    build_table,
 )
 from .nn import adam_step, step_size
 
@@ -60,17 +60,12 @@ def compute_bernoulli_stats(graph: KnowledgeGraph) -> dict[int, tuple[float, flo
     """Per relation: (mean tails per head, mean heads per tail)."""
     if len(graph) == 0:
         raise ValueError("cannot compute corruption statistics of an empty graph")
-    counts: dict[int, int] = {}
-    heads: dict[int, set[int]] = {}
-    tails: dict[int, set[int]] = {}
-    for h, r, t in graph.triplets:
-        counts[r] = counts.get(r, 0) + 1
-        heads.setdefault(r, set()).add(h)
-        tails.setdefault(r, set()).add(t)
-    return {
-        r: (counts[r] / len(heads[r]), counts[r] / len(tails[r]))
-        for r in counts
-    }
+    rows = graph.triplets
+    relations = np.unique(rows[:, 1])
+    counts = np.bincount(rows[:, 1])[relations]
+    heads = np.bincount(np.unique(rows[:, :2], axis=0)[:, 1])[relations]
+    tails = np.bincount(np.unique(rows[:, 1:], axis=0)[:, 0])[relations]
+    return dict(zip(relations.tolist(), zip((counts / heads).tolist(), (counts / tails).tolist())))
 
 
 def head_replacement_probability(tph: float, hpt: float) -> float:
@@ -82,13 +77,13 @@ def corrupt_batch(
     p_head: np.ndarray,
     entity_pool: np.ndarray,
     rng: np.random.Generator,
-    forbidden: frozenset | None = None,
+    forbidden: KnowledgeGraph | None = None,
 ) -> np.ndarray:
     """Vectorized corruption of a (B, 3) positive id block.
 
     Each row's head (with probability ``p_head`` of its relation) or tail is
     redrawn from the pool until it differs from the original and, when
-    ``forbidden`` is given, the row is not a known positive.
+    ``forbidden`` is given, the row is not one of that graph's triplets.
     """
     out = pos.copy()
     cols = np.where(rng.random(len(pos)) < p_head[pos[:, 1]], 0, 2)
@@ -101,12 +96,9 @@ def corrupt_batch(
         cand = entity_pool[rng.integers(0, len(entity_pool), size=pending.size)]
         ok = cand != pos[pending, cols[pending]]
         if forbidden is not None:
-            for j in np.flatnonzero(ok):
-                row = pending[j]
-                trial = out[row].copy()
-                trial[cols[row]] = cand[j]
-                if Triplet(*map(int, trial)) in forbidden:
-                    ok[j] = False
+            trial = out[pending]
+            trial[np.arange(len(pending)), cols[pending]] = cand
+            ok &= ~forbidden.contains(trial)
         rows = pending[ok]
         out[rows, cols[rows]] = cand[ok]
         pending = pending[~ok]
@@ -141,15 +133,15 @@ def train(
     """
     if len(graph) == 0:
         raise ValueError("cannot train on an empty graph")
-    positives = np.array([[t.head, t.relation, t.tail] for t in graph.triplets], dtype=np.intp)
+    positives = graph.triplets
     stats = compute_bernoulli_stats(graph)
     p_head = np.full(model.n_relations, 0.5)
     for r, (tph, hpt) in stats.items():
         p_head[r] = head_replacement_probability(tph, hpt)
-    entity_pool = np.array(sorted(entities_of(graph)), dtype=np.intp)
-    table = build_table(graph, model.n_entities)
+    entity_pool = np.unique(positives[:, ::2])
+    table = NeighborTable(model.n_entities, positives)
     loss_fn = LOSSES[objective.objective]
-    forbidden = graph.triplet_set if cfg.filter_false_negatives else None
+    forbidden = graph if cfg.filter_false_negatives else None
     n = len(positives)
 
     for epoch in range(start_epoch, cfg.epochs):

@@ -23,14 +23,13 @@ from graphkbc.kg import (
     entities_of,
     load_triplet_file,
     positives,
-    relations_of,
 )
 from graphkbc.model import (
     _SEGMENT_POOL,
     GraphModel,
+    NeighborTable,
     ObjectiveConfig,
     PropagationConfig,
-    build_table,
     loss_absolute,
     loss_pairwise,
 )
@@ -85,7 +84,7 @@ def wn11():
     assert len(train) == 112_581
     graph = build_graph(train)
     assert len(entities_of(graph)) == 38_696
-    assert len(relations_of(graph)) == 11
+    assert len(np.unique(graph.triplets[:, 1])) == 11
     return train, valid, test, ev, rv
 
 
@@ -144,23 +143,17 @@ def test_criterion_2_gradient_correctness():
 # criterion 3: propagation matches the plain summation recurrence; the two
 # parameter-sharing modes coincide at depth 1
 
-def _summation_reference(graph, base, depth):
-    vecs = {e: base[e].copy() for e in range(len(base))}
+def _summation_reference(triplets, base, depth):
+    # one pass over the distinct raw triplets per step: each adds its head to
+    # its tail's sum and its tail to its head's; a neighborless entity keeps
+    # its base vector
+    vecs = [row.copy() for row in base]
     for _ in range(depth):
-        step = {}
-        for e in vecs:
-            incoming = graph.head_neighborhood(e)
-            outgoing = graph.tail_neighborhood(e)
-            if not incoming and not outgoing:
-                step[e] = base[e].copy()
-                continue
-            acc = np.zeros_like(base[e])
-            for h, _, _ in incoming:
-                acc = acc + vecs[h]
-            for _, _, t in outgoing:
-                acc = acc + vecs[t]
-            step[e] = acc
-        vecs = step
+        sums = [None] * len(base)
+        for h, _, t in set(triplets):
+            for e, nbr in ((t, h), (h, t)):
+                sums[e] = vecs[nbr] if sums[e] is None else sums[e] + vecs[nbr]
+        vecs = [base[e].copy() if s is None else s for e, s in enumerate(sums)]
     return vecs
 
 
@@ -180,8 +173,8 @@ def test_criterion_3_oracle_equivalence():
         model = GraphModel(n, n_rel, cfg)
         # integer-valued embeddings make float addition exact in any order
         model.entities.data[:] = rng.integers(-8, 9, size=(n, 5))
-        table = build_table(graph, n)
-        reference = _summation_reference(graph, model.entities.data, depth)
+        table = NeighborTable(n, graph.triplets)
+        reference = _summation_reference(triplets, model.entities.data, depth)
         got = model.propagate_batch(np.arange(n), table).data
         for e in range(n):
             assert np.array_equal(got[e], reference[e]), (trial, e)
@@ -194,7 +187,7 @@ def test_criterion_3_oracle_equivalence():
                                 pooling="avg", transition="relation-relu-bn")
         model = GraphModel(3, 2, cfg)
         model.init_params(np.random.default_rng(5))
-        outs[mode] = model.propagate_batch(np.arange(3), build_table(graph, 3)).data
+        outs[mode] = model.propagate_batch(np.arange(3), NeighborTable(3, graph.triplets)).data
     assert np.array_equal(outs["stacked"], outs["unrolled"])
     report(3, "summation-form oracle, bitwise on 100 graphs")
 

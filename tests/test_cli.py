@@ -250,6 +250,36 @@ class TestEvalAndPredict:
         err = capsys.readouterr().err
         assert "data error" in err and "e98" in err and "e99" in err
 
+    def test_truncated_checkpoint_blob_is_data_error(self, trained, capsys):
+        tmp_path, paths, checkpoint = trained
+        blob = checkpoint / "params.bin"
+        blob.write_bytes(blob.read_bytes()[:-8])
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e0\tnext\te1\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--valid", paths["valid"]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "params.bin" in err
+
+    @pytest.mark.parametrize("where", ["aux", "query"])
+    def test_predict_relation_missing_from_checkpoint_is_data_error(self, trained, capsys,
+                                                                    where):
+        tmp_path, paths, checkpoint = trained
+        queries = tmp_path / "queries.txt"
+        aux = tmp_path / "aux.txt"
+        if where == "aux":
+            queries.write_text("e99\tnext\te2\n")
+            aux.write_text("e12\tsideways\te99\n")
+        else:
+            queries.write_text("e0\tsideways\te1\n")
+            aux.write_text("e12\tnext\te99\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--aux", aux, "--valid", paths["valid"]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "sideways" in err
+
     def test_predict_unknown_entity_without_aux_names_it(self, trained, capsys):
         tmp_path, paths, checkpoint = trained
         queries = tmp_path / "queries.txt"

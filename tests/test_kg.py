@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +11,6 @@ from graphkbc.kg import (
     entities_of,
     load_triplet_file,
     positives,
-    relations_of,
     save_triplet_file,
 )
 
@@ -102,10 +102,10 @@ class TestGraph:
     def test_single_edge_indices(self):
         a, r, b = 0, 0, 1
         g = build_graph([Triplet(a, r, b)])
-        assert g.head_neighborhood(b) == [Triplet(a, r, b)]
-        assert g.tail_neighborhood(a) == [Triplet(a, r, b)]
-        assert g.head_neighborhood(a) == []
-        assert g.tail_neighborhood(b) == []
+        assert g.triplets.tolist() == [[a, r, b]]
+        assert g.triplets.dtype == np.intp
+        assert Triplet(a, r, b) in g
+        assert Triplet(b, r, a) not in g
 
     def test_duplicates_collapse(self):
         t = Triplet(0, 0, 1)
@@ -115,16 +115,25 @@ class TestGraph:
 
     def test_two_incoming_edges(self):
         g = build_graph([Triplet(0, 0, 1), Triplet(2, 1, 1)])
-        assert len(g.head_neighborhood(1)) == 2
+        assert np.count_nonzero(g.triplets[:, 2] == 1) == 2
 
     def test_entities_and_relations(self):
+        def relations(g):
+            return set(np.unique(g.triplets[:, 1]).tolist())
+
         assert entities_of(build_graph([Triplet(0, 0, 1)])) == {0, 1}
         assert entities_of(build_graph([])) == set()
         assert entities_of(build_graph([Triplet(0, 0, 1), Triplet(1, 1, 2)])) == {0, 1, 2}
-        assert relations_of(build_graph([Triplet(0, 0, 1)])) == {0}
-        assert relations_of(build_graph([])) == set()
+        assert relations(build_graph([Triplet(0, 0, 1)])) == {0}
+        assert relations(build_graph([])) == set()
         g = build_graph([Triplet(0, 0, 1), Triplet(1, 0, 2), Triplet(0, 1, 2)])
-        assert relations_of(g) == {0, 1}
+        assert relations(g) == {0, 1}
+
+    def test_membership_outside_the_id_range(self):
+        g = build_graph([Triplet(0, 0, 1), Triplet(1, 1, 2)])
+        rows = [[0, 0, 1], [3, 0, 1], [0, 2, 1], [-1, 0, 1], [1, 1, 2], [2, 1, 1]]
+        assert g.contains(rows).tolist() == [True, False, False, False, True, False]
+        assert not build_graph([]).contains([[0, 0, 0]]).any()
 
 
 @given(
@@ -138,11 +147,9 @@ class TestGraph:
 def test_graph_index_invariants(raw):
     triplets = [Triplet(*t) for t in raw]
     g = build_graph(triplets)
-    for e in entities_of(g):
-        assert all(t.tail == e for t in g.head_neighborhood(e))
-        assert all(t.head == e for t in g.tail_neighborhood(e))
-    total_head = sum(len(v) for v in g.head_index.values())
-    total_tail = sum(len(v) for v in g.tail_index.values())
-    assert total_head == len(g) == total_tail
-    indexed = {t for v in g.head_index.values() for t in v}
-    assert indexed == set(g.triplets)
+    distinct = list(dict.fromkeys(triplets))  # first-seen order
+    assert g.triplets.reshape(-1, 3).tolist() == [list(t) for t in distinct]
+    assert g.duplicates_collapsed == len(triplets) - len(distinct)
+    assert np.all(np.diff(g.keys) > 0) and len(g.keys) == len(g)
+    grid = np.array([[h, r, t] for h in range(-1, 8) for r in range(4) for t in range(8)])
+    assert g.contains(grid).tolist() == [Triplet(*row) in set(distinct) for row in grid.tolist()]

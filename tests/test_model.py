@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from graphkbc.autodiff import Tensor, gradcheck
 from graphkbc.kg import Triplet, build_graph
 from graphkbc.model import (
     _SEGMENT_POOL,
+    DIR_HEAD,
+    DIR_SELF,
+    DIR_TAIL,
     GraphModel,
     InferenceError,
     NeighborSampler,
+    NeighborTable,
     ObjectiveConfig,
     PropagationConfig,
-    build_table,
     loss_absolute,
     loss_pairwise,
 )
@@ -31,29 +35,47 @@ def propagate(m, e, table, **kw):
     return m.propagate_batch(np.array([e]), table, **kw).data[0]
 
 
-def summed_neighborhood_reference(graph, base, depth):
+def summed_neighborhood_reference(triplets, base, depth):
     """Direct, independent implementation of the pure summation recurrence.
 
-    Loops over the explicit neighborhood lists; with integer-valued inputs
-    every addition is exact, so any summation order gives identical bits.
+    Loops over the distinct raw triplets; with integer-valued inputs every
+    addition is exact, so any summation order gives identical bits.
     """
-    vecs = {e: base[e].copy() for e in range(len(base))}
+    vecs = [row.copy() for row in base]
     for _ in range(depth):
-        nxt = {}
-        for e in vecs:
-            g = graph.head_neighborhood(e)
-            gg = graph.tail_neighborhood(e)
-            if not g and not gg:
-                nxt[e] = base[e].copy()
-                continue
-            acc = np.zeros_like(base[e])
-            for (h, _, _t) in g:
-                acc = acc + vecs[h]
-            for (_h, _, t) in gg:
-                acc = acc + vecs[t]
-            nxt[e] = acc
-        vecs = nxt
+        acc = [None] * len(base)
+        for h, _, t in set(triplets):
+            for e, nbr in ((t, h), (h, t)):
+                acc[e] = vecs[nbr] if acc[e] is None else acc[e] + vecs[nbr]
+        vecs = [base[e].copy() if a is None else a for e, a in enumerate(acc)]
     return vecs
+
+
+def reference_records(triplets, extra=(), exclude=()):
+    """Per-entity (neighbor, relation, direction) lists, one triplet at a time."""
+    records = {}
+    for h, r, t in list(triplets) + list(extra):
+        if h not in exclude:
+            records.setdefault(t, []).append((h, r, DIR_HEAD))
+        if t not in exclude:
+            records.setdefault(h, []).append((t, r, DIR_TAIL))
+    return records
+
+
+def csr_records(table, e):
+    span = slice(table.indptr[e], table.indptr[e + 1])
+    return list(zip(table.nbr[span].tolist(), table.rel[span].tolist(), table.dir[span].tolist()))
+
+
+def transition(m, v, relation, direction=DIR_HEAD):
+    """Inference-mode transition of one vector, through the group op."""
+    batch = Tensor(np.asarray(v, dtype=float)[None, :])
+    return m._transition_group(batch, direction, relation, 0, training=False,
+                               update_running=False).data[0]
+
+
+def score(m, h, r, t):
+    return float(m.score_ids([h], [r], [t], None).data[0])
 
 
 def pool(vectors, kind):
@@ -91,24 +113,24 @@ class TestTransition:
     def test_identity(self):
         m = make_model(3, 1, dim=4, transition="identity")
         v = np.array([1.0, -2.0, 3.0, 0.5])
-        assert np.array_equal(m.transition(v, R, "head"), v)
+        assert np.array_equal(transition(m, v, R), v)
 
     def test_relu_layer_zero_matrix(self):
         m = make_model(3, 1, dim=3, transition="relu-layer")
         m.store.param("A.head.l0").data[:] = 0.0
-        assert np.array_equal(m.transition(np.ones(3), R, "head"), np.zeros(3))
+        assert np.array_equal(transition(m, np.ones(3), R), np.zeros(3))
 
     def test_relation_relu_bn_inference_hand_value(self):
         m = make_model(3, 1, dim=3, transition="relation-relu-bn")
         m.store.param("A.head.r0.l0").data[:] = np.eye(3)
         v = np.array([1.0, -1.0, 2.0])
         expected = np.maximum(v / np.sqrt(1.0 + 1e-5), 0.0)
-        assert np.allclose(m.transition(v, R, "head"), expected, rtol=1e-12)
+        assert np.allclose(transition(m, v, R), expected, rtol=1e-12)
 
     def test_unknown_relation(self):
         m = make_model(3, 1, dim=3)
-        with pytest.raises(InferenceError):
-            m.transition(np.ones(3), 5, "head")
+        with pytest.raises(KeyError):
+            transition(m, np.ones(3), 5)
 
 
 class TestPropagation:
@@ -116,14 +138,14 @@ class TestPropagation:
         # e's only record is (h, r, e): propagated vector equals v_h
         m = make_model(3, 1, dim=4, transition="identity", pooling="avg")
         graph = build_graph([Triplet(A, R, B)])
-        table = build_table(graph, 3)
+        table = NeighborTable(3, graph.triplets)
         assert np.array_equal(propagate(m, B, table), m.entities.data[A])
 
     def test_two_neighbors_identity_sum(self):
         # records of e: (a, r, e) and (e, s, b) -> v_a + v_b
         m = make_model(4, 2, dim=4, transition="identity", pooling="sum")
         graph = build_graph([Triplet(A, R, C), Triplet(C, S, B)])
-        table = build_table(graph, 4)
+        table = NeighborTable(4, graph.triplets)
         expected = m.entities.data[A] + m.entities.data[B]
         assert np.array_equal(propagate(m, C, table), expected)
 
@@ -144,8 +166,8 @@ class TestPropagation:
             m = make_model(n, n_rel, dim=5, transition="identity", pooling="sum",
                            mode="unrolled", depth=depth)
             m.entities.data[:] = rng.integers(-8, 9, size=m.entities.data.shape)
-            table = build_table(graph, n)
-            reference = summed_neighborhood_reference(graph, m.entities.data, depth)
+            table = NeighborTable(n, graph.triplets)
+            reference = summed_neighborhood_reference(triplets, m.entities.data, depth)
             got = m.propagate_batch(np.arange(n), table).data
             for e in range(n):
                 assert np.array_equal(got[e], reference[e]), (trial, e)
@@ -153,9 +175,9 @@ class TestPropagation:
     def test_depth2_unrolled_equals_double_application(self):
         m = make_model(3, 1, dim=4, transition="identity", pooling="sum",
                        mode="unrolled", depth=2)
-        graph = build_graph([Triplet(A, R, B), Triplet(B, R, C)])
-        table = build_table(graph, 3)
-        ref = summed_neighborhood_reference(graph, m.entities.data, 2)
+        triplets = [Triplet(A, R, B), Triplet(B, R, C)]
+        table = NeighborTable(3, triplets)
+        ref = summed_neighborhood_reference(triplets, m.entities.data, 2)
         for e in (A, B, C):
             assert np.array_equal(propagate(m, e, table), ref[e])
 
@@ -163,7 +185,7 @@ class TestPropagation:
         # single edge a -> b; with per-step scalings 2 and 3 the two-step
         # vector of b is 3 * 2 * v0(b), while weight sharing would give 4x
         graph = build_graph([Triplet(A, R, B)])
-        table = build_table(graph, 2)
+        table = NeighborTable(2, graph.triplets)
 
         def run(mode):
             m = make_model(2, 1, dim=3, transition="relu-layer", pooling="avg",
@@ -185,27 +207,27 @@ class TestPropagation:
         for mode in ("stacked", "unrolled"):
             m = make_model(3, 2, seed=9, dim=4, transition="relation-relu-bn",
                            pooling="avg", mode=mode, depth=1)
-            table = build_table(graph, 3)
+            table = NeighborTable(3, graph.triplets)
             outs[mode] = m.propagate_batch(np.arange(3), table).data
         assert np.array_equal(outs["stacked"], outs["unrolled"])
 
     def test_isolated_entity_falls_back_to_base(self):
         m = make_model(3, 1, dim=4, transition="relation-relu-bn", depth=2)
         graph = build_graph([Triplet(A, R, B)])
-        table = build_table(graph, 3)
+        table = NeighborTable(3, graph.triplets)
         assert np.array_equal(propagate(m, C, table), m.entities.data[C])
 
     def test_unknown_neighborless_entity_raises(self):
         m = make_model(3, 1, dim=4)
         graph = build_graph([Triplet(A, R, B)])
-        table = build_table(graph, 3)
+        table = NeighborTable(3, graph.triplets)
         with pytest.raises(InferenceError, match="7"):
             propagate(m, 7, table)
 
     def test_deterministic_when_cap_covers_degree(self):
         graph = build_graph([Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D)])
         m = make_model(5, 2, dim=4, neighbor_cap=64)
-        table = build_table(graph, 5)
+        table = NeighborTable(5, graph.triplets)
         a = propagate(m, C, table, sampler=NeighborSampler(table, 64, seed=1))
         b = propagate(m, C, table, sampler=NeighborSampler(table, 64, seed=2))
         assert np.array_equal(a, b)
@@ -213,9 +235,9 @@ class TestPropagation:
     def test_cap_subsamples_without_replacement(self):
         triplets = [Triplet(i, R, 9) for i in range(9)]
         graph = build_graph(triplets)
-        table = build_table(graph, 10)
+        table = NeighborTable(10, graph.triplets)
         sampler = NeighborSampler(table, 4, seed=3)
-        picked = sampler.indices(9)
+        picked = sampler.index[sampler.indptr[9]:sampler.indptr[10]] - table.indptr[9]
         assert len(picked) == 4
         assert len(set(picked.tolist())) == 4
         m = make_model(10, 1, dim=3, transition="identity", pooling="sum", neighbor_cap=4)
@@ -225,10 +247,58 @@ class TestPropagation:
 
     def test_over_cap_without_sampler_is_an_error(self):
         triplets = [Triplet(i, R, 9) for i in range(9)]
-        table = build_table(build_graph(triplets), 10)
+        table = NeighborTable(10, triplets)
         m = make_model(10, 1, dim=3, neighbor_cap=4)
         with pytest.raises(ValueError, match="Sampler"):
             propagate(m, 9, table)
+
+
+@given(
+    triplets=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 2), st.integers(0, 7)),
+                      max_size=25),
+    extra=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(0, 9)),
+                   max_size=10),
+    exclude=st.frozensets(st.integers(0, 9), max_size=4),
+)
+def test_neighbor_table_matches_per_triplet_loop(triplets, extra, exclude):
+    # duplicates and self-loops stay in the table; ids 6..9 lie past n_entities
+    table = NeighborTable(6, [Triplet(*t) for t in triplets], extra=extra, exclude=exclude)
+    reference = reference_records(triplets, extra, exclude)
+    named = [e for h, _, t in triplets + extra for e in (h, t)]
+    assert len(table.indptr) - 1 == max([6] + [e + 1 for e in named])
+    for e in range(len(table.indptr) - 1):
+        assert csr_records(table, e) == reference.get(e, []), e
+    assert table.degrees(np.array([99])).tolist() == [0]
+
+
+def test_neighbor_records_match_per_entity_loop():
+    # an entity over the cap keeps the sampler's draw: one rng.choice per
+    # over-cap entity in ascending id order, sorted back into record order
+    rng = np.random.default_rng(11)
+    cap = 3
+    for trial in range(30):
+        n = int(rng.integers(4, 12))
+        triplets = [(int(rng.integers(n - 1)), int(rng.integers(2)), int(rng.integers(n - 1)))
+                    for _ in range(int(rng.integers(1, 4 * n)))]
+        table = NeighborTable(n, triplets)
+        seed = int(rng.integers(1000))
+        sampler = NeighborSampler(table, cap, seed=seed)
+        m = make_model(n, 2, dim=2, neighbor_cap=cap)
+        ids = rng.permutation(n)  # entity n - 1 has no records: the self fallback
+        records = reference_records(triplets)
+        draws = np.random.default_rng(seed)
+        picks = {}
+        for e in sorted(records):
+            if len(records[e]) > cap:
+                picks[e] = np.sort(draws.choice(len(records[e]), size=cap, replace=False))
+        expected = []
+        for seg, e in enumerate(ids.tolist()):
+            recs = records.get(e, [(e, -1, DIR_SELF)])
+            if e in picks:
+                recs = [recs[i] for i in picks[e]]
+            expected += [(*rec, seg) for rec in recs]
+        got = m.neighbor_records(ids, table, sampler)
+        assert list(zip(*(col.tolist() for col in got))) == expected, trial
 
 
 class TestScore:
@@ -236,14 +306,14 @@ class TestScore:
         m = make_model(2, 1, dim=2, mode="none")
         m.entities.data[:] = [[0.0, 0.0], [1.0, 1.0]]
         m.relations.data[:] = [[1.0, 1.0]]
-        assert m.score(Triplet(0, 0, 1)) == 0.0
+        assert score(m, 0, 0, 1) == 0.0
 
     def test_l1_and_l2_hand_values(self):
         for norm_p, expected in ((1, 2.0), (2, np.sqrt(2.0))):
             m = make_model(2, 1, dim=2, mode="none", norm_p=norm_p)
             m.entities.data[:] = [[1.0, 0.0], [0.0, 0.0]]
             m.relations.data[:] = [[0.0, 1.0]]
-            assert m.score(Triplet(0, 0, 1)) == pytest.approx(expected)
+            assert score(m, 0, 0, 1) == pytest.approx(expected)
 
     def test_score_is_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -251,7 +321,7 @@ class TestScore:
         for _ in range(20):
             h, t = rng.integers(6, size=2)
             r = rng.integers(2)
-            assert m.score(Triplet(int(h), int(r), int(t))) >= 0.0
+            assert score(m, h, r, t) >= 0.0
 
 
 class TestObjectives:
@@ -330,7 +400,7 @@ class TestFullModelGradients:
             # beta = 0 would leave batch-of-one groups exactly on the relu kink
             if name.endswith(".gamma") or name.endswith(".beta"):
                 p.data += rng.uniform(0.1, 0.4, size=p.data.shape)
-        table = build_table(graph, 5)
+        table = NeighborTable(5, graph.triplets)
         pos = np.array([[A, R, B], [B, S, C], [C, R, D]])
         neg = np.array([[A, R, C], [E, S, C], [C, R, A]])
         both = np.concatenate([pos, neg])

@@ -95,7 +95,7 @@ class TestGenerate:
         # candidates {A, D}; (A,R,B) qualifies A; (C,R,D) qualifies D;
         # (A,S,D) qualifies neither (both endpoints are candidates).
         assert split.ookb_entities == {A, D}
-        assert list(split.train.triplets) == [Triplet(B, S, C)]
+        assert split.train.triplets.tolist() == [[B, S, C]]
         assert split.aux == [Triplet(A, R, B), Triplet(C, R, D)]
         assert split.test == self.TEST  # both touch an OOKB entity
         assert split.validation == [lt(B, R, C)]
@@ -122,7 +122,7 @@ class TestGenerate:
         b = generate(self.TRAIN, self.VALID, self.TEST, 2, OokbPosition.BOTH)
         assert a.ookb_entities == b.ookb_entities
         assert a.aux == b.aux
-        assert list(a.train.triplets) == list(b.train.triplets)
+        assert a.train.triplets.tolist() == b.train.triplets.tolist()
 
 
 @settings(max_examples=50)

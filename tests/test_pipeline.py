@@ -18,7 +18,7 @@ from graphkbc.evaluate import (
     ookb_vector,
 )
 from graphkbc.kg import build_graph
-from graphkbc.model import ObjectiveConfig, PropagationConfig, build_table
+from graphkbc.model import NeighborTable, ObjectiveConfig, PropagationConfig
 from graphkbc.ookb import generate
 from graphkbc.trainer import TrainConfig, init_model, train
 
@@ -86,7 +86,7 @@ class TestOokbPipeline:
 def bridged(grid_split):
     """Aux triplets folded back into training; the held entities are trained."""
     split, ev, rv = grid_split
-    merged = build_graph(list(split.train.triplets) + list(split.aux))
+    merged = build_graph(split.train.triplets.tolist() + split.aux)
     objective = ObjectiveConfig(objective="absolute", margin=2.0)
     cfg = TrainConfig(epochs=300, minibatch_size=512, seed=3, alpha2=0.003)
     model = init_model(len(ev), len(rv),
@@ -105,7 +105,7 @@ class TestBridgeSanity:
         split, merged, model = bridged
         ctx = OokbContext(split.train, list(split.aux),
                           frozenset(split.ookb_entities), model)
-        table = build_table(merged, model.n_entities)
+        table = NeighborTable(model.n_entities, merged.triplets)
         held = np.array(sorted(split.ookb_entities))
         assert np.array_equal(ookb_vector(held, ctx), model.propagate_batch(held, table).data)
 
