@@ -1,10 +1,11 @@
 """Minimal reverse-mode differentiation over dense float64 numpy arrays.
 
 Only the operations the propagation model needs: broadcasting arithmetic,
-row-batched affine maps, activations, row gathers and segment reductions
-(the building blocks of neighborhood pooling), per-row norms, and axis-0
-statistics for batch normalization. Each operation records a backward
-closure; ``backward`` walks the tape in reverse topological order.
+affine maps from a stack of matrices over rows sorted by group,
+activations, row gathers and segment reductions (the building blocks of
+neighborhood pooling), per-row norms, axis-0 means, and batch normalization
+of row groups. Each operation records a backward closure; ``backward``
+walks the tape in reverse topological order.
 """
 
 from __future__ import annotations
@@ -40,9 +41,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -179,18 +177,38 @@ def tanh(a) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra and reductions
 
-def affine_rows(x, weight) -> Tensor:
-    """Apply a square matrix to every row: ``out[i] = weight @ x[i]``."""
+def _group_slices(offsets, n_rows: int, n_groups: int) -> list[tuple[int, int, int]]:
+    """(group, start, stop) of each nonempty group ``g``: rows ``offsets[g]:offsets[g + 1]``."""
+    bounds = np.asarray(offsets, dtype=np.intp).tolist()
+    if len(bounds) != n_groups + 1 or bounds[0] != 0 or bounds[-1] != n_rows or sorted(bounds) != bounds:
+        raise ValueError(f"offsets {bounds} do not split {n_rows} rows into {n_groups} groups")
+    return [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
+
+
+def affine_rows(x, weight, offsets) -> Tensor:
+    """Apply one of G square matrices to each group of rows.
+
+    ``weight`` is a (G, d, d) stack and the rows of ``x`` are sorted by
+    group: ``out[i] = weight[g] @ x[i]`` for ``offsets[g] <= i < offsets[g + 1]``.
+    A single matrix is the stack of one, with offsets ``[0, n]``.
+    """
     x, weight = _ensure(x), _ensure(weight)
-    if x.data.ndim != 2 or weight.data.ndim != 2:
-        raise ValueError(f"affine_rows wants (n,d) rows and (d,d) matrix, got {x.shape} and {weight.shape}")
-    if x.data.shape[1] != weight.data.shape[1] or weight.data.shape[0] != weight.data.shape[1]:
-        raise ValueError(f"shape mismatch: rows {x.shape} vs matrix {weight.shape}")
-    out = _make(x.data @ weight.data.T, (x, weight))
+    if x.data.ndim != 2 or weight.data.ndim != 3 or weight.data.shape[1:] != (x.data.shape[1],) * 2:
+        raise ValueError(f"affine_rows wants (n,d) rows and a (G,d,d) stack, got {x.shape} and {weight.shape}")
+    groups = _group_slices(offsets, x.data.shape[0], weight.data.shape[0])
+    data = np.empty_like(x.data)
+    for g, lo, hi in groups:
+        np.matmul(x.data[lo:hi], weight.data[g].T, out=data[lo:hi])
+    out = _make(data, (x, weight))
     if out.requires_grad:
-        def backward(g):
-            _accumulate(x, g @ weight.data)
-            _accumulate(weight, g.T @ x.data)
+        def backward(grad):
+            gx = np.empty_like(x.data)
+            gw = np.zeros_like(weight.data)
+            for g, lo, hi in groups:
+                np.matmul(grad[lo:hi], weight.data[g], out=gx[lo:hi])
+                gw[g] = grad[lo:hi].T @ x.data[lo:hi]
+            _accumulate(x, gx)
+            _accumulate(weight, gw)
         out._backward = backward
     return out
 
@@ -215,6 +233,48 @@ def mean0(a) -> Tensor:
             _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
         out._backward = backward
     return out
+
+
+def batch_norm_rows(x, offsets, gamma, beta, eps: float, fixed=None):
+    """``(x[i] - mean[g]) * inv[g] * gamma[g] + beta[g]`` for the rows of each group ``g``.
+
+    Rows are sorted by group as for ``affine_rows``. Without ``fixed``, each
+    group uses its batch mean and variance, ``inv = (var + eps) ** -0.5``
+    (a one-row group outputs its beta); ``fixed = (mean, inv)`` gives them.
+    Returns the output and the (G, d) mean and variance (None when fixed).
+    """
+    x, gamma, beta = _ensure(x), _ensure(gamma), _ensure(beta)
+    groups = _group_slices(offsets, x.data.shape[0], gamma.data.shape[0])
+    mean, inv = fixed if fixed is not None else (np.zeros_like(gamma.data), np.zeros_like(gamma.data))
+    var = None if fixed is not None else np.zeros_like(gamma.data)
+    centered, data = np.empty_like(x.data), np.empty_like(x.data)
+    for g, lo, hi in groups:
+        if fixed is None:
+            mean[g] = x.data[lo:hi].mean(axis=0)
+        c = np.subtract(x.data[lo:hi], mean[g], out=centered[lo:hi])
+        if fixed is None:
+            var[g] = (c * c).mean(axis=0)
+            inv[g] = (var[g] + eps) ** -0.5
+        y = np.multiply(c, inv[g], out=data[lo:hi])
+        y *= gamma.data[g]
+        y += beta.data[g]
+    out = _make(data, (x, gamma, beta))
+    if out.requires_grad:
+        def backward(grad):
+            gx = np.empty_like(x.data)
+            g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
+            for g, lo, hi in groups:
+                xhat = centered[lo:hi] * inv[g]
+                g_beta[g] = grad[lo:hi].sum(axis=0)
+                g_gamma[g] = (grad[lo:hi] * xhat).sum(axis=0)
+                dxhat = grad[lo:hi] * gamma.data[g]
+                if fixed is None:  # the batch statistics depend on x as well
+                    dxhat -= dxhat.mean(axis=0) + xhat * (dxhat * xhat).mean(axis=0)
+                np.multiply(dxhat, inv[g], out=gx[lo:hi])
+            for t, gt in ((x, gx), (gamma, g_gamma), (beta, g_beta)):
+                _accumulate(t, gt)
+        out._backward = backward
+    return out, mean, var
 
 
 def gather_rows(a, idx) -> Tensor:

@@ -13,25 +13,25 @@ from .nn import BatchNorm, ParamStore
 
 def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
     x = Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
-    A = Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
-    store = ParamStore()
-    bn = BatchNorm(store, "bn", 4)
-    bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=4)
-    bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=4)
+    W = Tensor(rng.uniform(-1, 1, size=(1, 4, 4)), requires_grad=True)
+    A = Tensor(rng.uniform(-1, 1, size=(3, 4, 4)), requires_grad=True)
+    bn = BatchNorm(ParamStore(*BatchNorm.tensors("bn", 3, 4)), "bn")
+    bn.gamma.data += rng.uniform(-0.5, 0.5, size=(3, 4))
+    bn.beta.data += rng.uniform(-0.5, 0.5, size=(3, 4))
+    seg = np.array([0, 1, 0, 1, 0])
 
     cases = {
-        "affine+relu+l2": lambda: ad.sum_all(ad.rows_norm(ad.relu(ad.affine_rows(x, A)), 2)),
-        "tanh+l1": lambda: ad.sum_all(ad.rows_norm(ad.tanh(ad.affine_rows(x, A)), 1)),
-        "segment_pool": lambda: ad.sum_all(
-            ad.segment_max(x, np.array([0, 1, 0, 1, 0]), 2)
-            + ad.segment_mean(x, np.array([0, 1, 0, 1, 0]), 2)
-        ),
+        "affine+relu+l2": lambda: ad.sum_all(ad.rows_norm(ad.relu(ad.affine_rows(x, W, [0, 5])), 2)),
+        # rows 0-1 take matrix 0 and rows 2-4 matrix 2; matrix 1 gets no rows
+        # and so a zero gradient
+        "tanh+l1": lambda: ad.sum_all(ad.rows_norm(ad.tanh(ad.affine_rows(x, A, [0, 2, 2, 5])), 1)),
+        "segment_pool": lambda: ad.sum_all(ad.segment_max(x, seg, 2) + ad.segment_mean(x, seg, 2)),
+        # group 0 holds one row (its output is its beta), group 1 none
         "batchnorm": lambda: ad.sum_all(
-            ad.rows_norm(bn(x, training=True, update_running=False), 2)
-        ),
+            ad.rows_norm(bn(x, [0, 1, 1, 5], training=True, update_running=False), 2)),
     }
     failures = []
-    params = {"x": x, "A": A, "gamma": bn.gamma, "beta": bn.beta}
+    params = {"x": x, "W": W, "A": A, "gamma": bn.gamma, "beta": bn.beta}
     for name, build in cases.items():
         failures += [f"op:{name}: {msg}" for msg in gradcheck(build, params, tol=tol)]
     return failures
@@ -46,38 +46,40 @@ def _model_suite(rng: np.random.Generator, tol: float, corrupt_hook: bool) -> li
         Triplet(4, 0, 0),
         Triplet(5, 1, 0),  # entity 0 has 3 records, one above the cap
     ]
-    cfg = PropagationConfig(dim=4, depth=1, mode="stacked", pooling="avg",
-                            transition="relation-relu-bn", neighbor_cap=2)
-    model = GraphModel(6, 2, cfg)
-    model.init_params(rng)
-    # move gamma/beta off their exact defaults: a batch-of-one group outputs
-    # beta verbatim, and beta = 0 would park the relu on its kink
-    for name, p in model.store.parameters().items():
-        if name.endswith(".gamma"):
-            p.data += rng.uniform(0.1, 0.3, size=p.data.shape)
-        elif name.endswith(".beta"):
-            p.data += rng.uniform(0.2, 0.5, size=p.data.shape)
     table = NeighborTable(6, triplets)
-    sampler = NeighborSampler(table, cfg.neighbor_cap, seed=0)
+    sampler = NeighborSampler(table, 2, seed=0)
     pos = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3]])
     neg = np.array([[0, 0, 2], [4, 1, 2], [2, 0, 0]])
     both = np.concatenate([pos, neg])
+    failures = []
+    # transitions per (layer, direction, relation) and per (layer, direction)
+    for transition in ("relation-relu-bn", "tanh-layer"):
+        cfg = PropagationConfig(dim=4, depth=1, mode="stacked", pooling="avg",
+                                transition=transition, neighbor_cap=2)
+        model = GraphModel(6, 2, cfg)
+        model.init_params(rng)
+        # move gamma/beta off their exact defaults: a batch-of-one group
+        # outputs beta verbatim, and beta = 0 would park the relu on its kink
+        if model.bn is not None:
+            model.bn.gamma.data += rng.uniform(0.1, 0.3, size=model.bn.gamma.data.shape)
+            model.bn.beta.data += rng.uniform(0.2, 0.5, size=model.bn.beta.data.shape)
 
-    def build_loss():
-        # one joint scoring pass, as in training minibatches
-        scores = model.score_ids(both[:, 0], both[:, 1], both[:, 2], table, training=True,
-                                 sampler=sampler, update_running=False)
-        pos_s = ad.gather_rows(scores, np.arange(len(pos)))
-        neg_s = ad.gather_rows(scores, np.arange(len(pos), len(both)))
-        loss = loss_absolute(pos_s, neg_s, margin=1.0)
-        if corrupt_hook:
-            # test hook: a wrong-sign contribution the checker must flag
-            return loss + ad.sum_all(model.relations * (-2.0)) \
-                + Tensor(2.0 * model.relations.data.sum())
-        return loss
+        def build_loss():
+            # one joint scoring pass, as in training minibatches
+            scores = model.score_ids(both[:, 0], both[:, 1], both[:, 2], table, training=True,
+                                     sampler=sampler, update_running=False)
+            pos_s = ad.gather_rows(scores, np.arange(len(pos)))
+            neg_s = ad.gather_rows(scores, np.arange(len(pos), len(both)))
+            loss = loss_absolute(pos_s, neg_s, margin=1.0)
+            if corrupt_hook:
+                # test hook: a wrong-sign contribution the checker must flag
+                return loss + ad.sum_all(model.relations * (-2.0)) \
+                    + Tensor(2.0 * model.relations.data.sum())
+            return loss
 
-    failures = gradcheck(build_loss, model.store.parameters(), tol=tol)
-    return [f"model: {msg}" for msg in failures]
+        failures += [f"model {transition}: {msg}"
+                     for msg in gradcheck(build_loss, model.store.parameters(), tol=tol)]
+    return failures
 
 
 def gradient_check_report(

@@ -1,13 +1,13 @@
 """The propagation model and the translation-based output model.
 
-An entity's vector at step n is a pooled reduction over its transformed
-neighbor vectors at step n-1: neighbors arriving through an edge in which
-they are the head pass through the head-side transition, neighbors that are
-tails pass through the tail-side transition, and the pooled union becomes
-the new vector. Step 0 is the learned base embedding. The stacked variant
-keeps independent transition parameters per step, the unrolled variant
-shares one set; ``mode="none"`` skips propagation entirely and scores raw
-embeddings (a plain translation model).
+An entity's vector at step n pools its neighbors' step n-1 vectors, each
+passed through the transition of its (layer, direction, relation) group:
+head-side or tail-side, per relation for ``relation-relu-bn``. All groups'
+parameters are rows of one stacked tensor per kind, applied in one call per
+step. Step 0 is the learned base embedding. The stacked variant keeps
+independent transition parameters per step, the unrolled variant shares one
+set; ``mode="none"`` skips propagation entirely and scores raw embeddings
+(a plain translation model).
 
 Scoring follows the translation geometry: a triplet (h, r, t) gets the
 implausibility ``|| v_h + v_r - v_t ||``; smaller means more plausible.
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .kg import triplet_array
-from .nn import BatchNorm, ParamStore
+from .kg import Vocabulary, triplet_array
+from .nn import BatchNorm, ParamStore, load_checkpoint, save_checkpoint
 
 TRANSITIONS = ("identity", "tanh-layer", "relu-layer", "relation-relu-bn")
 POOLINGS = ("sum", "avg", "max")
@@ -171,7 +171,13 @@ class NeighborSampler:
 # the model
 
 class GraphModel:
-    """Embedding tables plus propagation parameters over a fixed vocabulary."""
+    """Embedding tables plus stacked transition parameters over a fixed vocabulary.
+
+    Row ``group_index(layer, direction, relation)`` of the (G, d, d) stack
+    ``A`` and of the (G, d) ``bn.*`` tensors (``relation-relu-bn`` only) is
+    that neighbor group's transition. A given ``store`` (a loaded
+    checkpoint) must hold exactly the model's tensors in their shapes.
+    """
 
     def __init__(
         self,
@@ -183,78 +189,49 @@ class GraphModel:
         self.cfg = cfg
         self.n_entities = n_entities
         self.n_relations = n_relations
-        self.store = store if store is not None else ParamStore()
-        attach = store is None
-        if attach:
-            self.entities = self.store.add_param("entities", np.zeros((n_entities, cfg.dim)))
-            self.relations = self.store.add_param("relations", np.zeros((n_relations, cfg.dim)))
+        self.n_groups = cfg.n_layers * 2 * (n_relations if cfg.transition == "relation-relu-bn" else 1)
+        d = cfg.dim
+        params = {"entities": np.zeros((n_entities, d)), "relations": np.zeros((n_relations, d))}
+        buffers = {}
+        if self.n_groups and cfg.transition != "identity":
+            params["A"] = np.broadcast_to(np.eye(d), (self.n_groups, d, d))
+        if self.n_groups and cfg.transition == "relation-relu-bn":
+            # a step normalizes each group by its own batch statistics, so
+            # inference needs each group's running statistics
+            bn_params, buffers = BatchNorm.tensors("bn", self.n_groups, d)
+            params |= bn_params
+        if store is None:
+            store = ParamStore(params, buffers)
         else:
-            self.entities = self.store.param("entities")
-            self.relations = self.store.param("relations")
-
-        self._matrices: dict[tuple[str, int, int], Tensor] = {}
-        # batch normalization is stateful per (direction, relation, layer):
-        # a step normalizes each (relation, direction) neighbor group by its
-        # own batch statistics, so running statistics must be kept per group
-        # for inference to see the distribution that was actually trained
-        self._bn: dict[tuple[str, int, int], BatchNorm] = {}
-        for layer in range(cfg.n_layers):
-            for direction in ("head", "tail"):
-                if cfg.transition in ("tanh-layer", "relu-layer"):
-                    name = f"A.{direction}.l{layer}"
-                    self._matrices[(direction, -1, layer)] = (
-                        self.store.add_param(name, np.eye(cfg.dim)) if attach else self.store.param(name)
-                    )
-                elif cfg.transition == "relation-relu-bn":
-                    for r in range(n_relations):
-                        name = f"A.{direction}.r{r}.l{layer}"
-                        self._matrices[(direction, r, layer)] = (
-                            self.store.add_param(name, np.eye(cfg.dim)) if attach else self.store.param(name)
-                        )
-                        bn_name = f"bn.{direction}.r{r}.l{layer}"
-                        if attach:
-                            bn = BatchNorm(self.store, bn_name, cfg.dim)
-                        else:
-                            bn = BatchNorm.__new__(BatchNorm)
-                            bn.name = bn_name
-                            bn.momentum = 0.9
-                            bn.eps = 1e-5
-                            bn._store = self.store
-                            bn.gamma = self.store.param(f"{bn_name}.gamma")
-                            bn.beta = self.store.param(f"{bn_name}.beta")
-                        self._bn[(direction, r, layer)] = bn
+            store.check_layout(params, buffers)
+        self.store = store
+        self.entities = store.param("entities")
+        self.relations = store.param("relations")
+        self.A = store.param("A") if "A" in params else None
+        self.bn = BatchNorm(store, "bn") if buffers else None
 
     def init_params(self, rng: np.random.Generator) -> None:
         """Uniform embeddings in +-6/sqrt(d); near-identity transition matrices."""
         bound = 6.0 / np.sqrt(self.cfg.dim)
         self.entities.data[:] = rng.uniform(-bound, bound, size=self.entities.data.shape)
         self.relations.data[:] = rng.uniform(-bound, bound, size=self.relations.data.shape)
-        for mat in self._matrices.values():
-            mat.data[:] = np.eye(self.cfg.dim) + rng.normal(0.0, 0.01, size=mat.data.shape)
+        if self.A is not None:
+            self.A.data[:] = np.eye(self.cfg.dim) + rng.normal(0.0, 0.01, size=self.A.data.shape)
 
-    # -- transitions ------------------------------------------------------
+    def group_index(self, layer, dirs, rel) -> np.ndarray:
+        """Row ``(layer * 2 + direction) * R' + relation`` of the stacked tensors.
 
-    def _transition_group(
-        self,
-        vecs: Tensor,
-        direction: int,
-        relation: int,
-        layer: int,
-        training: bool,
-        update_running: bool,
-    ) -> Tensor:
-        kind = self.cfg.transition
-        dir_name = "head" if direction == DIR_HEAD else "tail"
-        if kind == "identity":
-            return vecs
-        if kind == "tanh-layer":
-            return ad.tanh(ad.affine_rows(vecs, self._matrices[(dir_name, -1, layer)]))
-        if kind == "relu-layer":
-            return ad.relu(ad.affine_rows(vecs, self._matrices[(dir_name, -1, layer)]))
-        # relation-relu-bn
-        out = ad.affine_rows(vecs, self._matrices[(dir_name, relation, layer)])
-        out = self._bn[(dir_name, relation, layer)](out, training=training, update_running=update_running)
-        return ad.relu(out)
+        R' is ``n_relations`` for ``relation-relu-bn``; otherwise it is 1 and
+        the relation is ignored.
+        """
+        dirs = np.asarray(dirs, dtype=np.intp)
+        if self.cfg.transition != "relation-relu-bn":
+            return layer * 2 + dirs
+        rel = np.asarray(rel, dtype=np.intp)
+        bad = rel[(rel < 0) | (rel >= self.n_relations)]
+        if bad.size:
+            raise IndexError(f"relation {bad[0]} is outside the model's {self.n_relations} relations")
+        return (layer * 2 + dirs) * self.n_relations + rel
 
     # -- propagation ------------------------------------------------------
 
@@ -367,38 +344,32 @@ class GraphModel:
         training: bool,
         update_running: bool,
     ) -> Tensor:
-        """One pooled propagation step over grouped neighbor records."""
-        relation_dependent = self.cfg.transition == "relation-relu-bn"
+        """One pooled propagation step over neighbor records.
+
+        The records are stably sorted by transition group, self records
+        first; every group's rows go through its matrix, batch norm and the
+        activation in one call each, the self records keep their vectors.
+        """
+        real = dirs != DIR_SELF
+        key = np.full(len(dirs), -1, dtype=np.intp)
+        key[real] = self.group_index(layer, dirs[real], rel[real])
+        order = np.argsort(key, kind="stable")
+        key, pos, seg = key[order], nbr_pos[order], seg[order]
+        n_self = int(np.searchsorted(key, 0))
         parts: list[Tensor] = []
-        segments: list[np.ndarray] = []
-
-        self_mask = dirs == DIR_SELF
-        if self_mask.any():
-            parts.append(ad.gather_rows(prev_vecs, nbr_pos[self_mask]))
-            segments.append(seg[self_mask])
-
-        real = ~self_mask
-        if relation_dependent:
-            keys = dirs[real] * self.n_relations + rel[real]
-        else:
-            keys = dirs[real]
-        real_pos = nbr_pos[real]
-        real_rel = rel[real]
-        real_dirs = dirs[real]
-        real_seg = seg[real]
-        for key in np.unique(keys):
-            mask = keys == key
-            group_vecs = ad.gather_rows(prev_vecs, real_pos[mask])
-            direction = int(real_dirs[mask][0])
-            relation = int(real_rel[mask][0]) if relation_dependent else -1
-            parts.append(
-                self._transition_group(group_vecs, direction, relation, layer, training, update_running)
-            )
-            segments.append(real_seg[mask])
-
+        if n_self:
+            parts.append(ad.gather_rows(prev_vecs, pos[:n_self]))
+        if n_self < len(key):
+            rows = ad.gather_rows(prev_vecs, pos[n_self:])
+            if self.A is not None:
+                offsets = np.searchsorted(key[n_self:], np.arange(self.n_groups + 1))
+                rows = ad.affine_rows(rows, self.A, offsets)
+                if self.bn is not None:
+                    rows = self.bn(rows, offsets, training=training, update_running=update_running)
+                rows = ad.tanh(rows) if self.cfg.transition == "tanh-layer" else ad.relu(rows)
+            parts.append(rows)
         combined = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-        seg_all = segments[0] if len(segments) == 1 else np.concatenate(segments)
-        return _SEGMENT_POOL[self.cfg.pooling](combined, seg_all, n_targets)
+        return _SEGMENT_POOL[self.cfg.pooling](combined, seg, n_targets)
 
     # -- scoring ----------------------------------------------------------
 
@@ -464,8 +435,6 @@ def save_model(
     relation_vocab,
     extra: dict | None = None,
 ) -> None:
-    from .nn import save_checkpoint
-
     os.makedirs(directory, exist_ok=True)
     payload = {"propagation": model.cfg.to_dict()}
     if extra:
@@ -477,9 +446,6 @@ def save_model(
 
 def load_model(directory):
     """Returns (model, entity_vocab, relation_vocab, extra)."""
-    from .kg import Vocabulary
-    from .nn import load_checkpoint
-
     store, extra = load_checkpoint(directory)
     entity_vocab = Vocabulary.load(os.path.join(directory, "entities.txt"))
     relation_vocab = Vocabulary.load(os.path.join(directory, "relations.txt"))

@@ -1,10 +1,12 @@
 """Learnable parameters, batch normalization, Adam, and checkpoint I/O.
 
 The optimizer's global step size decays once per epoch as
-``alpha1 / (alpha2 * epoch + 1.0)``; within an epoch it is constant.
-Checkpoints are a JSON manifest (name, kind, shape, dtype, byte offset)
-next to one flat little-endian binary blob, covering parameters, running
-statistics, and optimizer moments so training resumes exactly.
+``alpha1 / (alpha2 * epoch + 1.0)``; within an epoch it is constant. Every
+Adam update steps all parameters together, so a store keeps one step count.
+Checkpoints are a JSON manifest (name, kind, shape, dtype, byte offset of
+each tensor, plus the step count) next to one flat little-endian binary
+blob, covering parameters, running statistics, and optimizer moments so
+training resumes exactly.
 """
 
 from __future__ import annotations
@@ -14,32 +16,39 @@ import os
 
 import numpy as np
 
-from .autodiff import DTYPE, Tensor, mean0, power
+from .autodiff import DTYPE, Tensor, batch_norm_rows
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-class ParamStore:
-    """Named parameter tensors plus per-parameter Adam state and buffers."""
+class CheckpointError(ValueError):
+    """A checkpoint that does not match its manifest or the model reading it."""
 
-    def __init__(self):
+
+class ParamStore:
+    """Named parameter tensors with their Adam moments, plus buffers (initial values by name)."""
+
+    def __init__(self, params: dict | None = None, buffers: dict | None = None):
         self._params: dict[str, Tensor] = {}
+        self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._buffers: dict[str, np.ndarray] = {}
-        self._adam: dict[str, dict] = {}
+        self.adam_t = 0  # Adam updates taken so far
+        for name, value in (params or {}).items():
+            self.add_param(name, value)
+        for name, value in (buffers or {}).items():
+            self.add_buffer(name, value)
 
     # parameters --------------------------------------------------------
-    def add_param(self, name: str, value) -> Tensor:
+    def add_param(self, name: str, value, moments=None) -> Tensor:
+        """Add a copy of ``value``; ``moments`` (m, v) resume Adam, else both are zero."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(value, dtype=DTYPE), requires_grad=True)
+        t = Tensor(np.array(value, dtype=DTYPE, order="C"), requires_grad=True)
         self._params[name] = t
-        self._adam[name] = {
-            "m": np.zeros_like(t.data),
-            "v": np.zeros_like(t.data),
-            "t": 0,
-        }
+        self._moments[name] = moments if moments is not None else (
+            np.zeros_like(t.data), np.zeros_like(t.data))
         return t
 
     def param(self, name: str) -> Tensor:
@@ -56,7 +65,7 @@ class ParamStore:
     def add_buffer(self, name: str, value) -> np.ndarray:
         if name in self._buffers:
             raise ValueError(f"duplicate buffer name {name!r}")
-        self._buffers[name] = np.array(value, dtype=DTYPE)
+        self._buffers[name] = np.array(value, dtype=DTYPE, order="C")
         return self._buffers[name]
 
     def buffer(self, name: str) -> np.ndarray:
@@ -64,6 +73,23 @@ class ParamStore:
 
     def buffers(self) -> dict[str, np.ndarray]:
         return dict(self._buffers)
+
+    def check_layout(self, params: dict, buffers: dict) -> None:
+        """Raise ``CheckpointError`` unless the store holds exactly these tensors.
+
+        ``params`` and ``buffers`` map names to arrays of the wanted shapes.
+        """
+        held = {name: p.data.shape for name, p in self._params.items()}
+        held |= {name: b.shape for name, b in self._buffers.items()}
+        wanted = {name: np.shape(value) for name, value in (params | buffers).items()}
+        problems = [f"checkpoint has no tensor {name!r}" for name in wanted if name not in held]
+        problems += [f"checkpoint tensor {name!r} is not one of the model's tensors "
+                     f"({', '.join(wanted)})" for name in held if name not in wanted]
+        problems += [f"checkpoint tensor {name!r} has shape {held[name]}; the configuration "
+                     f"and vocabularies need {shape}"
+                     for name, shape in wanted.items() if held.get(name, shape) != shape]
+        if problems:
+            raise CheckpointError("; ".join(problems))
 
 
 def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float:
@@ -85,14 +111,12 @@ def adam_step(
     gradient. Returns the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
+    t = store.adam_t + 1
     for name, p in store._params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        state = store._adam[name]
-        state["t"] += 1
-        t = state["t"]
-        m, v = state["m"], state["v"]
+        m, v = store._moments[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
@@ -103,50 +127,48 @@ def adam_step(
         update /= denom
         update *= lr
         p.data -= update
+    store.adam_t = t
     return lr
 
 
 class BatchNorm:
-    """Per-feature batch normalization with EMA running statistics.
+    """Batch normalization of G row groups, each by its own statistics.
 
-    Training mode normalizes by the incoming batch's mean/variance and
-    updates the running statistics; inference mode normalizes by the stored
-    running statistics (initialized to mean 0, variance 1, so inference is
-    well-defined even before the first update).
+    Reads the store's (G, d) ``{name}.gamma``/``.beta`` parameters and
+    ``.running_mean``/``.running_var`` buffers (``tensors`` gives their
+    initial values). Rows are sorted by group and split by ``offsets``, as
+    for ``autodiff.affine_rows``. Training mode normalizes each group by its
+    batch statistics (a one-row group outputs its beta) and moves the EMA
+    running statistics of the groups present; inference mode normalizes by
+    the running statistics (mean 0, variance 1 before the first update).
     """
 
-    def __init__(self, store: ParamStore, name: str, dim: int,
-                 momentum: float = 0.9, eps: float = 1e-5):
-        self.name = name
+    def __init__(self, store: ParamStore, name: str, momentum: float = 0.9, eps: float = 1e-5):
         self.momentum = momentum
         self.eps = eps
-        self._store = store
-        self.gamma = store.add_param(f"{name}.gamma", np.ones(dim))
-        self.beta = store.add_param(f"{name}.beta", np.zeros(dim))
-        store.add_buffer(f"{name}.running_mean", np.zeros(dim))
-        store.add_buffer(f"{name}.running_var", np.ones(dim))
+        self.gamma = store.param(f"{name}.gamma")
+        self.beta = store.param(f"{name}.beta")
+        self.running_mean = store.buffer(f"{name}.running_mean")
+        self.running_var = store.buffer(f"{name}.running_var")
 
-    def __call__(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
-        if training:
-            if x.data.shape[0] < 1:
-                raise ValueError("batch normalization needs a nonempty batch")
-            mu = mean0(x)
-            centered = x - mu
-            var = mean0(centered * centered)
-            if update_running:
-                m = self.momentum
-                rmean = self._store.buffer(f"{self.name}.running_mean")
-                rvar = self._store.buffer(f"{self.name}.running_var")
-                rmean *= m
-                rmean += (1.0 - m) * mu.data
-                rvar *= m
-                rvar += (1.0 - m) * var.data
-            inv = power(var + self.eps, -0.5)
-            return centered * inv * self.gamma + self.beta
-        rmean = self._store.buffer(f"{self.name}.running_mean")
-        rvar = self._store.buffer(f"{self.name}.running_var")
-        inv = 1.0 / np.sqrt(rvar + self.eps)
-        return (x - rmean) * inv * self.gamma + self.beta
+    @staticmethod
+    def tensors(name: str, groups: int, dim: int) -> tuple[dict, dict]:
+        """Initial (parameters, buffers) of ``groups`` batch norms over ``dim`` features."""
+        one, zero = np.ones((groups, dim)), np.zeros((groups, dim))
+        return ({f"{name}.gamma": one, f"{name}.beta": zero},
+                {f"{name}.running_mean": zero, f"{name}.running_var": one})
+
+    def __call__(self, x: Tensor, offsets, training: bool, update_running: bool = True) -> Tensor:
+        if not training:
+            fixed = (self.running_mean, 1.0 / np.sqrt(self.running_var + self.eps))
+            return batch_norm_rows(x, offsets, self.gamma, self.beta, self.eps, fixed)[0]
+        out, mean, var = batch_norm_rows(x, offsets, self.gamma, self.beta, self.eps)
+        if update_running:
+            present = np.diff(offsets) > 0
+            m = self.momentum
+            self.running_mean[present] = self.running_mean[present] * m + (1.0 - m) * mean[present]
+            self.running_var[present] = self.running_var[present] * m + (1.0 - m) * var[present]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -156,45 +178,20 @@ _MANIFEST = "manifest.json"
 _BLOB = "params.bin"
 
 
-class CheckpointError(ValueError):
-    """A checkpoint whose blob does not match its manifest (torn or truncated)."""
-
-
 def save_checkpoint(store: ParamStore, directory, extra: dict | None = None) -> None:
     """Write the store (params, buffers, Adam moments) plus metadata."""
     os.makedirs(directory, exist_ok=True)
+    tensors = [(name, kind, array) for name, p in store._params.items()
+               for kind, array in zip(("param", "adam_m", "adam_v"), (p.data, *store._moments[name]))]
+    tensors += [(name, "buffer", b) for name, b in store._buffers.items()]
     entries = []
     offset = 0
-    chunks: list[bytes] = []
-
-    def put(name, kind, array):
-        nonlocal offset
-        raw = np.ascontiguousarray(array, dtype=DTYPE).astype("<f8").tobytes()
-        entries.append({
-            "name": name,
-            "kind": kind,
-            "shape": list(array.shape),
-            "dtype": "<f8",
-            "offset": offset,
-        })
-        chunks.append(raw)
-        offset += len(raw)
-
-    for name, p in store._params.items():
-        put(name, "param", p.data)
-        put(name, "adam_m", store._adam[name]["m"])
-        put(name, "adam_v", store._adam[name]["v"])
-    for name, b in store._buffers.items():
-        put(name, "buffer", b)
-
-    manifest = {
-        "tensors": entries,
-        "adam_steps": {name: store._adam[name]["t"] for name in store._params},
-        "extra": extra or {},
-    }
     with open(os.path.join(directory, _BLOB), "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
+        for name, kind, array in tensors:
+            entries.append({"name": name, "kind": kind, "shape": list(array.shape),
+                            "dtype": "<f8", "offset": offset})
+            offset += fh.write(np.ascontiguousarray(array, dtype="<f8").data)
+    manifest = {"tensors": entries, "adam_step": store.adam_t, "extra": extra or {}}
     with open(os.path.join(directory, _MANIFEST), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -202,34 +199,32 @@ def save_checkpoint(store: ParamStore, directory, extra: dict | None = None) -> 
 
 def load_checkpoint(directory) -> tuple[ParamStore, dict]:
     """Rebuild a ParamStore from a checkpoint directory; returns (store, extra)."""
-    with open(os.path.join(directory, _MANIFEST), encoding="utf-8") as fh:
+    manifest_path = os.path.join(directory, _MANIFEST)
+    with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
-    with open(os.path.join(directory, _BLOB), "rb") as fh:
+    if "adam_step" not in manifest:  # bundles before the stacked layout count per tensor
+        named = ", ".join(repr(name) for name in list(manifest.get("adam_steps", {}))[:3])
+        raise CheckpointError(f"{manifest_path} has per-tensor Adam counts ({named}, ...): it "
+                              "predates the stacked transition tensors; retrain the model")
+    blob_path = os.path.join(directory, _BLOB)
+    with open(blob_path, "rb") as fh:
         blob = fh.read()
     expected = max((e["offset"] + np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"]))
                     for e in manifest["tensors"]), default=0)
     if len(blob) != expected:
-        raise CheckpointError(
-            f"{os.path.join(directory, _BLOB)} holds {len(blob)} bytes, "
-            f"its manifest describes {expected}"
-        )
+        raise CheckpointError(f"{blob_path} holds {len(blob)} bytes, its manifest describes {expected}")
+    views = {(e["name"], e["kind"]): np.frombuffer(blob, e["dtype"], int(np.prod(e["shape"])),
+                                                   e["offset"]).reshape(e["shape"])
+             for e in manifest["tensors"]}
 
-    arrays: dict[tuple[str, str], np.ndarray] = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(blob, dtype=entry["dtype"], count=count, offset=start)
-        arrays[(entry["name"], entry["kind"])] = arr.reshape(shape).astype(DTYPE)
+    def copy(name, kind):
+        if (name, kind) not in views:
+            raise CheckpointError(f"checkpoint tensor {name!r} has no {kind} entry")
+        return np.array(views[(name, kind)], dtype=DTYPE)
 
-    store = ParamStore()
-    for entry in manifest["tensors"]:
-        name, kind = entry["name"], entry["kind"]
+    store = ParamStore(buffers={name: view for (name, kind), view in views.items() if kind == "buffer"})
+    store.adam_t = int(manifest["adam_step"])
+    for (name, kind), view in views.items():
         if kind == "param":
-            store.add_param(name, arrays[(name, "param")])
-            store._adam[name]["m"] = arrays[(name, "adam_m")].copy()
-            store._adam[name]["v"] = arrays[(name, "adam_v")].copy()
-            store._adam[name]["t"] = manifest["adam_steps"][name]
-        elif kind == "buffer":
-            store.add_buffer(name, arrays[(name, "buffer")])
+            store.add_param(name, view, moments=(copy(name, "adam_m"), copy(name, "adam_v")))
     return store, manifest.get("extra", {})

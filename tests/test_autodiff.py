@@ -37,24 +37,48 @@ def naive_matvec(A, x):
 class TestForward:
     def test_affine_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        y = affine_rows(x, Tensor(np.eye(3)))
+        y = affine_rows(x, Tensor(np.eye(3)[None]), [0, 2])
         assert np.array_equal(y.data, x.data)
 
     def test_affine_zero(self):
         x = Tensor(np.ones((2, 3)))
-        y = affine_rows(x, Tensor(np.zeros((3, 3))))
+        y = affine_rows(x, Tensor(np.zeros((1, 3, 3))), [0, 2])
         assert np.array_equal(y.data, np.zeros((2, 3)))
 
     def test_affine_matches_naive_matvec(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(3, 3))
         x = rng.normal(size=(4, 3))
-        y = affine_rows(Tensor(x), Tensor(A))
+        y = affine_rows(Tensor(x), Tensor(A[None]), [0, 4])
         assert np.allclose(y.data, naive_matvec(A, x), rtol=1e-12, atol=1e-12)
+
+    def test_stacked_affine_matches_per_group_matvec(self):
+        # rows sorted by group; group 1 has no rows
+        rng = np.random.default_rng(8)
+        A = rng.normal(size=(3, 3, 3))
+        x = rng.normal(size=(5, 3))
+        offsets = [0, 2, 2, 5]
+        y = affine_rows(Tensor(x), Tensor(A), offsets)
+        for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+            assert np.allclose(y.data[lo:hi], naive_matvec(A[g], x[lo:hi]), rtol=1e-12, atol=1e-12)
+
+    def test_stacked_affine_gradient_of_absent_group_is_zero(self):
+        rng = np.random.default_rng(9)
+        A = Tensor(rng.normal(size=(3, 2, 2)), requires_grad=True)
+        x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        backward(sum_all(affine_rows(x, A, [0, 1, 1, 3])))
+        assert np.array_equal(A.grad[1], np.zeros((2, 2)))
+        assert np.array_equal(A.grad[0], np.outer([1.0, 1.0], x.data[0]))
 
     def test_affine_shape_mismatch(self):
         with pytest.raises(ValueError):
-            affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 4))))
+            affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 4, 4))), [0, 2])
+        with pytest.raises(ValueError):
+            affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 3))), [0, 2])
+        with pytest.raises(ValueError, match="offsets"):
+            affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 3))), [0, 2])
+        with pytest.raises(ValueError, match="offsets"):
+            affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 3))), [0, 3, 2])
 
     def test_activations(self):
         assert relu(Tensor([-1.0])).data[0] == 0.0
@@ -118,11 +142,11 @@ class TestBackward:
 
     def test_affine_relu_chain_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        A = Tensor(rng.uniform(-1, 1, size=(4, 4)), requires_grad=True)
+        A = Tensor(rng.uniform(-1, 1, size=(1, 4, 4)), requires_grad=True)
         x = Tensor(rng.uniform(-1, 1, size=(5, 4)), requires_grad=True)
 
         def build():
-            return sum_all(rows_norm(relu(affine_rows(x, A)), 2))
+            return sum_all(rows_norm(relu(affine_rows(x, A, [0, 5])), 2))
 
         assert gradcheck(build, {"A": A, "x": x}) == []
 

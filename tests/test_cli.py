@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -261,6 +262,49 @@ class TestEvalAndPredict:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "params.bin" in err
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "checkpoint has no tensor 'A'"),
+        ("rename", "checkpoint has no tensor 'A'; checkpoint tensor 'A.head.r0.l0' is not one"),
+        ("reshape", r"tensor 'A' has shape \(24, 6\); the configuration and vocabularies "
+                    r"need \(4, 6, 6\)"),
+        ("vocabulary", r"tensor 'entities' has shape \(14, 6\); .* need \(15, 6\)"),
+        ("config", r"tensor 'A' has shape \(4, 6, 6\); .* need \(8, 6, 6\)"),
+        ("per_tensor_steps", r"per-tensor Adam counts \('entities', 'relations', "
+                             r"'A.head.r0.l0', \.\.\.\).*retrain"),
+    ], ids=["drop", "rename", "reshape", "vocabulary", "config", "per_tensor_steps"])
+    def test_mismatched_bundle_is_data_error(self, trained, capsys, edit, message):
+        tmp_path, paths, checkpoint = trained
+        manifest_path = checkpoint / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        if edit == "drop":
+            manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != "A"]
+        elif edit in ("rename", "per_tensor_steps"):  # a per-group name of older bundles
+            for entry in manifest["tensors"]:
+                if entry["name"] == "A":
+                    entry["name"] = "A.head.r0.l0"
+        elif edit == "reshape":
+            for entry in manifest["tensors"]:
+                if entry["name"] == "A":
+                    entry["shape"] = [24, 6]
+        elif edit == "vocabulary":
+            with open(checkpoint / "entities.txt", "a", encoding="utf-8") as fh:
+                fh.write("e99\n")
+        elif edit == "config":
+            manifest["extra"]["propagation"].update(mode="stacked", depth=2)
+        if edit == "per_tensor_steps":  # and the step counts of older bundles
+            step = manifest.pop("adam_step")
+            manifest["adam_steps"] = {e["name"]: step for e in manifest["tensors"]
+                                      if e["kind"] == "param"}
+        manifest_path.write_text(json.dumps(manifest))
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e0\tnext\te1\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--valid", paths["valid"]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert re.search(message, err), err
 
     @pytest.mark.parametrize("where", ["aux", "query"])
     def test_predict_relation_missing_from_checkpoint_is_data_error(self, trained, capsys,

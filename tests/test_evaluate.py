@@ -15,7 +15,7 @@ from graphkbc.evaluate import (
     tune_thresholds,
 )
 from graphkbc.kg import LabeledTriplet, Triplet, build_graph
-from graphkbc.model import GraphModel, InferenceError, PropagationConfig
+from graphkbc.model import DIR_HEAD, DIR_TAIL, GraphModel, InferenceError, PropagationConfig
 from graphkbc.ookb import generate
 
 A, B, C, D, E = range(5)
@@ -180,11 +180,13 @@ class TestOokbVector:
         u = 4
         m = make_model(4, 2, seed=3, dim=5, transition="relation-relu-bn", pooling="avg")
         store = m.store
+        rmean, rvar = store.buffer("bn.running_mean"), store.buffer("bn.running_var")
         stats_rng = np.random.default_rng(1)
-        for direction in ("head", "tail"):
+        for direction in (DIR_HEAD, DIR_TAIL):
             for r in (R, S):
-                store.buffer(f"bn.{direction}.r{r}.l0.running_mean")[:] = stats_rng.normal(size=5) * 0.1
-                store.buffer(f"bn.{direction}.r{r}.l0.running_var")[:] = 1.0 + stats_rng.random(5)
+                g = int(m.group_index(0, direction, r))
+                rmean[g] = stats_rng.normal(size=5) * 0.1
+                rvar[g] = 1.0 + stats_rng.random(5)
         aux = [Triplet(B, R, u), Triplet(u, S, C), Triplet(A, R, u)]
         ctx = self.make_ctx(m, [Triplet(A, R, B)], aux, {u})
 
@@ -192,15 +194,14 @@ class TestOokbVector:
             contribs = []
             for h, r, t in aux:
                 if t == u:  # neighbor h arrives head-side
-                    vec, direction, rel = m.entities.data[h], "head", r
+                    vec, direction, rel = m.entities.data[h], DIR_HEAD, r
                 else:  # neighbor t arrives tail-side
-                    vec, direction, rel = m.entities.data[t], "tail", r
-                x = store.param(f"A.{direction}.r{rel}.l0").data @ vec
-                rm = store.buffer(f"bn.{direction}.r{rel}.l0.running_mean")
-                rv = store.buffer(f"bn.{direction}.r{rel}.l0.running_var")
-                x = (x - rm) / np.sqrt(rv + 1e-5)
-                x = x * store.param(f"bn.{direction}.r{rel}.l0.gamma").data
-                x = x + store.param(f"bn.{direction}.r{rel}.l0.beta").data
+                    vec, direction, rel = m.entities.data[t], DIR_TAIL, r
+                g = int(m.group_index(0, direction, rel))
+                x = m.A.data[g] @ vec
+                x = (x - rmean[g]) / np.sqrt(rvar[g] + 1e-5)
+                x = x * store.param("bn.gamma").data[g]
+                x = x + store.param("bn.beta").data[g]
                 contribs.append(np.maximum(x, 0.0))
             return np.mean(contribs, axis=0)
 

@@ -68,10 +68,16 @@ def csr_records(table, e):
 
 
 def transition(m, v, relation, direction=DIR_HEAD):
-    """Inference-mode transition of one vector, through the group op."""
+    """Inference-mode transition of one vector: a one-record propagation step."""
     batch = Tensor(np.asarray(v, dtype=float)[None, :])
-    return m._transition_group(batch, direction, relation, 0, training=False,
-                               update_running=False).data[0]
+    one = np.zeros(1, dtype=np.intp)
+    return m._propagate_step(batch, one, np.array([relation]), np.array([direction]), one, 1,
+                             0, training=False, update_running=False).data[0]
+
+
+def matrix(m, layer, direction, relation=0):
+    """The transition matrix of one (layer, direction, relation) group."""
+    return m.A.data[int(m.group_index(layer, direction, relation))]
 
 
 def score(m, h, r, t):
@@ -117,20 +123,61 @@ class TestTransition:
 
     def test_relu_layer_zero_matrix(self):
         m = make_model(3, 1, dim=3, transition="relu-layer")
-        m.store.param("A.head.l0").data[:] = 0.0
+        matrix(m, 0, DIR_HEAD)[:] = 0.0
         assert np.array_equal(transition(m, np.ones(3), R), np.zeros(3))
 
     def test_relation_relu_bn_inference_hand_value(self):
         m = make_model(3, 1, dim=3, transition="relation-relu-bn")
-        m.store.param("A.head.r0.l0").data[:] = np.eye(3)
+        matrix(m, 0, DIR_HEAD, R)[:] = np.eye(3)
         v = np.array([1.0, -1.0, 2.0])
         expected = np.maximum(v / np.sqrt(1.0 + 1e-5), 0.0)
         assert np.allclose(transition(m, v, R), expected, rtol=1e-12)
 
     def test_unknown_relation(self):
         m = make_model(3, 1, dim=3)
-        with pytest.raises(KeyError):
+        with pytest.raises(IndexError, match="relation 5"):
             transition(m, np.ones(3), 5)
+
+
+class TestStackedParameters:
+    def test_one_tensor_per_kind(self):
+        m = make_model(4, 11, dim=3, transition="relation-relu-bn", mode="stacked", depth=2)
+        params = m.store.parameters()
+        assert list(params) == ["entities", "relations", "A", "bn.gamma", "bn.beta"]
+        assert params["A"].data.shape == (2 * 2 * 11, 3, 3)
+        assert params["bn.gamma"].data.shape == (44, 3)
+        assert sorted(m.store.buffers()) == ["bn.running_mean", "bn.running_var"]
+        layer = make_model(4, 11, dim=3, transition="tanh-layer", mode="unrolled", depth=2)
+        assert list(layer.store.parameters()) == ["entities", "relations", "A"]
+        assert layer.A.data.shape == (2, 3, 3)
+        for kw in (dict(transition="identity"), dict(mode="none")):
+            bare = make_model(4, 11, dim=3, **kw)
+            assert list(bare.store.parameters()) == ["entities", "relations"]
+            assert bare.store.buffers() == {}
+
+    def test_group_index_order(self):
+        # layer-major, then head before tail, then relation
+        m = make_model(4, 3, dim=2, transition="relation-relu-bn", mode="stacked", depth=2)
+        groups = [(layer, d, r) for layer in range(2) for d in (DIR_HEAD, DIR_TAIL) for r in range(3)]
+        layers, dirs, rels = (np.array(col) for col in zip(*groups))
+        assert m.group_index(layers, dirs, rels).tolist() == list(range(12))
+        tanh = make_model(4, 3, dim=2, transition="tanh-layer", mode="stacked", depth=2)
+        assert tanh.group_index(1, np.array([DIR_HEAD, DIR_TAIL]), np.array([2, 0])).tolist() == [2, 3]
+
+    def test_init_params_matches_sequential_per_group_draws(self):
+        # one (G, d, d) draw equals one (d, d) draw per group in group order
+        for transition, n_rel in (("relation-relu-bn", 3), ("relu-layer", 3)):
+            m = make_model(5, n_rel, seed=17, dim=4, transition=transition, mode="stacked", depth=2)
+            rng = np.random.default_rng(17)
+            bound = 6.0 / np.sqrt(4)
+            assert np.array_equal(m.entities.data, rng.uniform(-bound, bound, size=(5, 4)))
+            assert np.array_equal(m.relations.data, rng.uniform(-bound, bound, size=(n_rel, 4)))
+            per_direction = n_rel if transition == "relation-relu-bn" else 1
+            for layer in range(2):
+                for d in (DIR_HEAD, DIR_TAIL):
+                    for r in range(per_direction):
+                        expected = np.eye(4) + rng.normal(0.0, 0.01, size=(4, 4))
+                        assert np.array_equal(matrix(m, layer, d, r), expected), (layer, d, r)
 
 
 class TestPropagation:
@@ -191,11 +238,11 @@ class TestPropagation:
             m = make_model(2, 1, dim=3, transition="relu-layer", pooling="avg",
                            mode=mode, depth=2)
             m.entities.data[:] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-            m.store.param("A.head.l0").data[:] = 2.0 * np.eye(3)
-            m.store.param("A.tail.l0").data[:] = 2.0 * np.eye(3)
+            matrix(m, 0, DIR_HEAD)[:] = 2.0 * np.eye(3)
+            matrix(m, 0, DIR_TAIL)[:] = 2.0 * np.eye(3)
             if mode == "stacked":
-                m.store.param("A.head.l1").data[:] = 3.0 * np.eye(3)
-                m.store.param("A.tail.l1").data[:] = 3.0 * np.eye(3)
+                matrix(m, 1, DIR_HEAD)[:] = 3.0 * np.eye(3)
+                matrix(m, 1, DIR_TAIL)[:] = 3.0 * np.eye(3)
             return propagate(m, B, table)
 
         assert np.array_equal(run("stacked"), 6.0 * np.array([4.0, 5.0, 6.0]))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from graphkbc.autodiff import Tensor, gradcheck, sum_all
 from graphkbc.nn import (
     ADAM_EPS,
     BatchNorm,
+    CheckpointError,
     ParamStore,
     adam_step,
     load_checkpoint,
@@ -71,58 +74,74 @@ class TestAdam:
         assert p.data[0] == pytest.approx(w, rel=1e-12)
 
 
+def batch_norm(groups, dim):
+    store = ParamStore(*BatchNorm.tensors("bn", groups, dim))
+    return store, BatchNorm(store, "bn")
+
+
+def per_group_reference(x, offsets, gamma, beta, eps):
+    """Training-mode batch norm of each group on its own, one group at a time."""
+    out = np.empty_like(x)
+    for g, (lo, hi) in enumerate(zip(offsets[:-1], offsets[1:])):
+        if hi == lo:
+            continue
+        centered = x[lo:hi] - x[lo:hi].mean(axis=0)
+        var = (centered * centered).mean(axis=0)
+        out[lo:hi] = centered * (var + eps) ** -0.5 * gamma[g] + beta[g]
+    return out
+
+
 class TestBatchNorm:
     def make(self, dim):
-        store = ParamStore()
-        return store, BatchNorm(store, "bn", dim)
+        return batch_norm(1, dim)
 
     def test_two_point_batch_is_normalized(self):
         store, bn = self.make(1)
-        out = bn(Tensor([[2.0], [4.0]]), training=True)
+        out = bn(Tensor([[2.0], [4.0]]), [0, 2], training=True)
         expected = 1.0 / np.sqrt(1.0 + bn.eps)  # batch var of {2,4} is 1
         assert out.data[0, 0] == pytest.approx(-expected, rel=1e-12)
         assert out.data[1, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_constant_batch_maps_to_beta(self):
         store, bn = self.make(2)
-        out = bn(Tensor(np.full((3, 2), 5.0)), training=True)
+        out = bn(Tensor(np.full((3, 2), 5.0)), [0, 3], training=True)
         assert np.allclose(out.data, 0.0)
 
     def test_gamma_zero_gives_beta(self):
         store, bn = self.make(2)
         bn.gamma.data[:] = 0.0
         bn.beta.data[:] = [1.0, -1.0]
-        out = bn(Tensor(np.random.default_rng(0).normal(size=(4, 2))), training=True)
+        out = bn(Tensor(np.random.default_rng(0).normal(size=(4, 2))), [0, 4], training=True)
         assert np.allclose(out.data, [[1.0, -1.0]] * 4)
 
     def test_batch_of_one_gives_beta(self):
         store, bn = self.make(2)
         bn.beta.data[:] = [0.25, -0.5]
-        out = bn(Tensor([[3.0, 7.0]]), training=True)
+        out = bn(Tensor([[3.0, 7.0]]), [0, 1], training=True)
         assert np.allclose(out.data, [[0.25, -0.5]])
 
     def test_normalized_statistics(self):
         store, bn = self.make(3)
         x = np.random.default_rng(1).normal(2.0, 3.0, size=(64, 3))
-        out = bn(Tensor(x), training=True).data
+        out = bn(Tensor(x), [0, 64], training=True).data
         assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
         assert np.allclose(out.var(axis=0), 1.0, atol=1e-4)  # eps-induced slack
 
     def test_inference_uses_initial_running_stats(self):
         store, bn = self.make(2)
         x = np.array([[1.0, -2.0]])
-        out = bn(Tensor(x), training=False)
+        out = bn(Tensor(x), [0, 1], training=False)
         assert np.allclose(out.data, x / np.sqrt(1.0 + bn.eps))
 
     def test_running_stats_ema(self):
         store, bn = self.make(1)
-        bn(Tensor([[2.0], [4.0]]), training=True)
+        bn(Tensor([[2.0], [4.0]]), [0, 2], training=True)
         rmean = store.buffer("bn.running_mean")
         rvar = store.buffer("bn.running_var")
-        assert rmean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0)
-        assert rvar[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
-        skipped = bn(Tensor([[10.0], [12.0]]), training=True, update_running=False)
-        assert rmean[0] == pytest.approx(0.3)  # unchanged
+        assert rmean[0, 0] == pytest.approx(0.9 * 0.0 + 0.1 * 3.0)
+        assert rvar[0, 0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
+        skipped = bn(Tensor([[10.0], [12.0]]), [0, 2], training=True, update_running=False)
+        assert rmean[0, 0] == pytest.approx(0.3)  # unchanged
 
     def test_training_gradients_match_finite_differences(self):
         store, bn = self.make(3)
@@ -132,11 +151,68 @@ class TestBatchNorm:
         bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=3)
 
         def build():
-            out = bn(x, training=True, update_running=False)
+            out = bn(x, [0, 6], training=True, update_running=False)
             return sum_all(out * out)
 
         params = {"x": x, "gamma": bn.gamma, "beta": bn.beta}
         assert gradcheck(build, params) == []
+
+
+class TestStackedBatchNorm:
+    # groups of 3, 0, 1 and 4 rows
+    offsets = [0, 3, 3, 4, 8]
+
+    def make(self, seed=0):
+        store, bn = batch_norm(4, 3)
+        rng = np.random.default_rng(seed)
+        bn.gamma.data[:] = rng.uniform(0.5, 1.5, size=(4, 3))
+        bn.beta.data[:] = rng.uniform(-0.5, 0.5, size=(4, 3))
+        x = rng.normal(1.0, 2.0, size=(8, 3))
+        return store, bn, x
+
+    def test_each_group_matches_per_group_loop(self):
+        store, bn, x = self.make()
+        out = bn(Tensor(x), self.offsets, training=True).data
+        expected = per_group_reference(x, self.offsets, bn.gamma.data, bn.beta.data, bn.eps)
+        assert np.array_equal(out, expected)
+
+    def test_one_row_group_outputs_its_beta(self):
+        store, bn, x = self.make(1)
+        out = bn(Tensor(x), self.offsets, training=True).data
+        assert np.array_equal(out[3], bn.beta.data[2])
+
+    def test_absent_group_running_stats_unchanged(self):
+        store, bn, x = self.make(2)
+        rmean, rvar = store.buffer("bn.running_mean"), store.buffer("bn.running_var")
+        rmean[:] = np.random.default_rng(3).normal(size=rmean.shape)
+        before_mean, before_var = rmean.copy(), rvar.copy()
+        bn(Tensor(x), self.offsets, training=True)
+        assert np.array_equal(rmean[1], before_mean[1])
+        assert np.array_equal(rvar[1], before_var[1])
+        for g, (lo, hi) in ((0, (0, 3)), (3, (4, 8))):
+            mu = x[lo:hi].mean(axis=0)
+            assert np.array_equal(rmean[g], before_mean[g] * 0.9 + (1.0 - 0.9) * mu)
+
+    def test_gradients_match_finite_differences(self):
+        store, bn, x0 = self.make(5)
+        store.buffer("bn.running_mean")[:] = np.random.default_rng(6).normal(size=(4, 3))
+        x = Tensor(x0, requires_grad=True)
+        for training in (True, False):
+            def build():
+                out = bn(x, self.offsets, training=training, update_running=False)
+                return sum_all(out * out)
+
+            assert gradcheck(build, {"x": x, "gamma": bn.gamma, "beta": bn.beta}) == [], training
+
+    def test_inference_uses_each_groups_running_stats(self):
+        store, bn, x = self.make(4)
+        rmean, rvar = store.buffer("bn.running_mean"), store.buffer("bn.running_var")
+        rmean[:] = np.arange(12.0).reshape(4, 3)
+        rvar[:] = 1.0 + np.arange(12.0).reshape(4, 3)
+        out = bn(Tensor(x), self.offsets, training=False).data
+        for g, (lo, hi) in enumerate(zip(self.offsets[:-1], self.offsets[1:])):
+            ref = (x[lo:hi] - rmean[g]) / np.sqrt(rvar[g] + bn.eps) * bn.gamma.data[g] + bn.beta.data[g]
+            assert np.allclose(out[lo:hi], ref, rtol=1e-12, atol=1e-12)
 
 
 class TestCheckpoint:
@@ -156,9 +232,11 @@ class TestCheckpoint:
         assert np.array_equal(loaded.param("w").data, w.data)
         assert np.array_equal(loaded.param("b").data, b.data)
         assert np.array_equal(loaded.buffer("running"), store.buffer("running"))
-        assert loaded._adam["w"]["t"] == 1
-        assert np.array_equal(loaded._adam["w"]["m"], store._adam["w"]["m"])
-        assert np.array_equal(loaded._adam["w"]["v"], store._adam["w"]["v"])
+        assert loaded.adam_t == 1
+        for got, want in zip(loaded._moments["w"], store._moments["w"]):
+            assert np.array_equal(got, want)
+            assert got.base is None and got.flags.writeable  # its own copy
+        assert loaded.param("w").data.base is None
 
     def test_resume_continues_identically(self, tmp_path):
         def run(store, grads):
@@ -179,3 +257,37 @@ class TestCheckpoint:
         resumed, _ = load_checkpoint(tmp_path / "mid")
         final_b = run(resumed, [0.125, 1.0])
         assert np.array_equal(final_a, final_b)
+
+
+def test_one_adam_step_count_for_all_parameters():
+    store = ParamStore()
+    store.add_param("w", np.zeros(2))
+    store.add_param("b", np.zeros(1))
+    adam_step(store, epoch=0)
+    adam_step(store, epoch=0)
+    assert store.adam_t == 2
+
+
+def test_per_tensor_step_counts_are_rejected(tmp_path):
+    # the manifest layout written before one store-wide Adam step count
+    store = ParamStore()
+    store.add_param("A.head.r0.l0", np.eye(2))
+    save_checkpoint(store, tmp_path / "old")
+    manifest_path = tmp_path / "old" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["adam_steps"] = {"A.head.r0.l0": manifest.pop("adam_step")}
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="'A.head.r0.l0'.*retrain"):
+        load_checkpoint(tmp_path / "old")
+
+
+def test_check_layout_names_the_tensor():
+    store = ParamStore()
+    store.add_param("w", np.zeros((2, 3)))
+    store.check_layout({"w": np.zeros((2, 3))}, {})
+    with pytest.raises(CheckpointError, match=r"'w' has shape \(2, 3\).*\(3, 3\)"):
+        store.check_layout({"w": np.zeros((3, 3))}, {})
+    with pytest.raises(CheckpointError, match="no tensor 'b'"):
+        store.check_layout({"w": np.zeros((2, 3)), "b": np.zeros(3)}, {})
+    with pytest.raises(CheckpointError, match="'w' is not one of the model's tensors"):
+        store.check_layout({}, {})
