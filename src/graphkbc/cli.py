@@ -22,6 +22,8 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
+BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 class ConfigError(ValueError):
     pass
@@ -381,9 +383,7 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .checks import gradient_check_report
 
-    ok, failures = gradient_check_report(
-        tolerance=args.tolerance, seed=args.seed, corrupt_hook=args.corrupt_gradient
-    )
+    ok, failures = gradient_check_report(tolerance=args.tolerance, seed=args.seed)
     if ok:
         print(f"gradcheck passed at tolerance {args.tolerance:g}")
         return EXIT_OK
@@ -398,7 +398,8 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphkbc", description=__doc__)
     parser.add_argument("--workers", type=int, default=None,
-                        help="cap numeric-library threads (default: all cores)")
+                        help="cap numeric-library threads (default: all cores); a usage "
+                             "error once numpy is imported, as in an in-process main() call")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ookb", help="construct out-of-KB splits from benchmark files")
@@ -454,7 +455,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--corrupt-gradient", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_gradcheck)
     return parser
 
@@ -466,7 +466,10 @@ def main(argv=None) -> int:
         if args.workers is not None:
             if args.workers < 1:
                 raise UsageError("--workers must be positive")
-            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+            if "numpy" in sys.modules:  # its thread pools are already sized
+                raise UsageError(f"--workers cannot take effect once numpy is imported; "
+                                 f"set {', '.join(BLAS_VARS)} before starting Python instead")
+            for var in BLAS_VARS:
                 os.environ[var] = str(args.workers)
         return args.func(args)
     except UsageError as exc:

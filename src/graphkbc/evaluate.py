@@ -116,15 +116,16 @@ def classify(triplets, thresholds: ThresholdTable, scores) -> np.ndarray:
 
 @dataclass
 class OokbContext:
-    """The neighbor table and sampler that every vector resolution runs on.
+    """The capped neighbor table that every vector resolution runs on.
 
-    The table spans training plus auxiliary triplets, with embedding-less
-    entities (the OOKB set and anything beyond the trained vocabulary)
-    excluded from neighbor lists so that intermediate propagation steps only
-    ever touch entities that have base vectors. Standard evaluation passes
-    no auxiliary triplets and an empty OOKB set; a model without propagation
-    then reads base rows only, and no table is built. ``name_of`` turns an
-    entity id into the name that error messages show.
+    The table spans training plus auxiliary triplets, capped at the model's
+    neighbor cap (a ``NeighborSampler`` seeded with ``sampler_seed``), with
+    embedding-less entities (the OOKB set and anything beyond the trained
+    vocabulary) excluded from neighbor lists so that intermediate propagation
+    steps only ever touch entities that have base vectors. Standard
+    evaluation passes no auxiliary triplets and an empty OOKB set; a model
+    without propagation then reads base rows only, and no table is built.
+    ``name_of`` turns an entity id into the name that error messages show.
     """
 
     train: KnowledgeGraph
@@ -133,8 +134,7 @@ class OokbContext:
     model: GraphModel
     sampler_seed: int = 0
     name_of: Callable[[int], object] = int
-    table: NeighborTable | None = field(init=False)
-    sampler: NeighborSampler | None = field(init=False)
+    table: NeighborSampler | None = field(init=False)
 
     def __post_init__(self):
         self.ookb_entities = frozenset(self.ookb_entities)
@@ -148,17 +148,14 @@ class OokbContext:
                 f"{self.name_of(int(aux[i, 1]))!r}) links {int(ookb[i].sum())} out-of-KB "
                 "entities; it must link exactly one to a known entity"
             )
-        self.table = self.sampler = None
+        self.table = None
         if self.model.cfg.depth == 0 and not self.ookb_entities:
             return
         exclude = np.concatenate([np.fromiter(self.ookb_entities, dtype=np.intp),
                                   aux[aux >= self.model.n_entities]])
-        self.table = NeighborTable(
-            self.model.n_entities, self.train.triplets, extra=self.aux, exclude=exclude
-        )
-        self.sampler = NeighborSampler(
-            self.table, self.model.cfg.neighbor_cap, seed=[self.sampler_seed]
-        )
+        table = NeighborTable(self.model.n_entities, self.train.triplets, extra=self.aux,
+                              exclude=exclude)
+        self.table = NeighborSampler(table, self.model.cfg.neighbor_cap, seed=[self.sampler_seed])
 
 
 def _require_aux(ids: np.ndarray, ctx: OokbContext) -> None:
@@ -181,7 +178,7 @@ def ookb_vector(ids: np.ndarray, ctx: OokbContext) -> np.ndarray:
             "the trained model has no propagation step; use the pooled baseline"
         )
     _require_aux(ids, ctx)
-    return ctx.model.propagate_batch(ids, ctx.table, training=False, sampler=ctx.sampler).data
+    return ctx.model.propagate_batch(ids, ctx.table).data
 
 
 def baseline_ookb_vector(
@@ -196,10 +193,10 @@ def baseline_ookb_vector(
     position the translation geometry implies for u); a neighbor arriving as
     the tail of (u, r, t) contributes v_t - v_r. ``raw_neighbors`` pools the
     neighbors' own vectors instead. Neighborhoods over the cap are pooled
-    over the sampler's subset, as in propagation.
+    over the capped table's subset, as in propagation.
     """
     _require_aux(ids, ctx)
-    nbr, rel, dirs, seg = ctx.model.neighbor_records(ids, ctx.table, ctx.sampler)
+    nbr, rel, dirs, seg = ctx.model.neighbor_records(ids, ctx.table)
     contributions = ctx.model.entities.data[nbr]
     if not raw_neighbors:
         signs = np.where(dirs == DIR_HEAD, 1.0, -1.0)[:, None]
@@ -207,14 +204,10 @@ def baseline_ookb_vector(
     return _SEGMENT_POOL[pooling](contributions, seg, len(ids)).data
 
 
-def propagated_vectors(ids: np.ndarray, ctx: OokbContext, batch_size: int = 1024) -> np.ndarray:
-    """Inference-mode vectors of sorted unique ``ids`` in batches, one row per id."""
-    chunks = [
-        ctx.model.propagate_batch(
-            ids[start:start + batch_size], ctx.table, training=False, sampler=ctx.sampler
-        ).data
-        for start in range(0, len(ids), batch_size)
-    ]
+def propagated_vectors(ids: np.ndarray, ctx: OokbContext) -> np.ndarray:
+    """Inference-mode vectors of sorted unique ``ids`` in 1024-id batches, one row per id."""
+    chunks = [ctx.model.propagate_batch(ids[start:start + 1024], ctx.table).data
+              for start in range(0, len(ids), 1024)]
     return np.concatenate(chunks) if chunks else np.empty((0, ctx.model.cfg.dim))
 
 

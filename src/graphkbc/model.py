@@ -144,14 +144,13 @@ class NeighborTable:
         return _rows_of(self.indptr, ids)[1]
 
 
-class NeighborSampler:
-    """Capped uniform neighbor subsampling, fixed for one epoch.
+class NeighborSampler(NeighborTable):
+    """A table's records capped per entity, fixed for one epoch: a CSR like the table's.
 
-    A CSR over the table's entities whose ``index`` holds positions into the
-    table's record arrays. Every entity whose degree exceeds the cap gets a
-    without-replacement subset of its records, drawn once in ascending id
-    order and kept in record order; entities at or under the cap keep their
-    full neighborhoods, so the choice of seed is irrelevant for them.
+    Every entity whose degree exceeds the cap keeps a without-replacement
+    subset of its records, drawn once in ascending id order and kept in
+    record order; entities at or under the cap keep their full
+    neighborhoods, so the choice of seed is irrelevant for them.
     """
 
     def __init__(self, table: NeighborTable, cap: int, seed):
@@ -160,11 +159,12 @@ class NeighborSampler:
         kept = np.minimum(degree, cap)
         self.indptr = np.zeros(len(table.indptr), dtype=np.intp)
         np.cumsum(kept, out=self.indptr[1:])
-        self.index = np.arange(self.indptr[-1]) + np.repeat(table.indptr[:-1] - self.indptr[:-1], kept)
+        pos = np.arange(self.indptr[-1]) + np.repeat(table.indptr[:-1] - self.indptr[:-1], kept)
         for e in np.flatnonzero(degree > cap).tolist():
             picked = rng.choice(int(degree[e]), size=cap, replace=False)
             picked.sort()
-            self.index[self.indptr[e]:self.indptr[e + 1]] = table.indptr[e] + picked
+            pos[self.indptr[e]:self.indptr[e + 1]] = table.indptr[e] + picked
+        self.nbr, self.rel, self.dir = table.nbr[pos], table.rel[pos], table.dir[pos]
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +239,12 @@ class GraphModel:
         self,
         ids: np.ndarray,
         table: NeighborTable,
-        sampler: NeighborSampler | None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Capped (neighbor, relation, direction, segment) records of ``ids``.
+        """(neighbor, relation, direction, segment) records of ``ids``.
 
         Records come in the order of ``ids``; ``segment`` is the position in
-        ``ids``. An entity over the neighbor cap keeps the sampler's subset.
+        ``ids``. No entity may have more records than the neighbor cap, so a
+        table with larger neighborhoods comes capped, as a ``NeighborSampler``.
         An entity without records gets one self record: singleton pooling of
         its own vector is the identity for all poolings, realizing the
         base-embedding fallback.
@@ -252,20 +252,16 @@ class GraphModel:
         ids = np.asarray(ids, dtype=np.intp)
         start, count = _rows_of(table.indptr, ids)
         over = count > self.cfg.neighbor_cap
-        if sampler is None and over.any():
+        if over.any():
             i = int(np.argmax(over))
             raise ValueError(
                 f"entity {ids[i]} has {count[i]} neighbors, above the cap "
                 f"{self.cfg.neighbor_cap}; pass a NeighborSampler"
             )
-        if sampler is not None:
-            start, count = _rows_of(sampler.indptr, ids)
         n_rows = np.maximum(count, 1)  # an entity without records gets its self record
         seg = np.repeat(np.arange(len(ids)), n_rows)
         real = np.repeat(count > 0, n_rows)
         pos = (np.arange(len(seg)) + np.repeat(start + n_rows - np.cumsum(n_rows), n_rows))[real]
-        if sampler is not None:
-            pos = sampler.index[pos]
         nbr = ids[seg]
         nbr[real] = table.nbr[pos]
         rel = np.full(len(seg), -1, dtype=np.intp)
@@ -280,8 +276,6 @@ class GraphModel:
         table: NeighborTable | None,
         *,
         training: bool = False,
-        sampler: NeighborSampler | None = None,
-        update_running: bool | None = None,
     ) -> Tensor:
         """Vectors after ``depth`` propagation steps for a batch of entities.
 
@@ -291,8 +285,6 @@ class GraphModel:
         With ``depth == 0`` the table is ignored and base embeddings are
         returned directly.
         """
-        if update_running is None:
-            update_running = training
         ids = np.asarray(entity_ids, dtype=np.intp)
         if self.cfg.depth == 0:
             bad = ids[ids >= self.n_entities]
@@ -307,7 +299,7 @@ class GraphModel:
         need = ids
         for _ in range(self.cfg.depth, 0, -1):
             uniq = np.unique(need)
-            nbr, rel, dirs, seg = self.neighbor_records(uniq, table, sampler)
+            nbr, rel, dirs, seg = self.neighbor_records(uniq, table)
             plan.append((uniq, nbr, rel, dirs, seg))
             need = nbr
 
@@ -326,7 +318,7 @@ class GraphModel:
             nbr_pos = np.searchsorted(prev_ids, nbr)
             prev_vecs = self._propagate_step(
                 prev_vecs, nbr_pos, rel, dirs, seg, len(uniq),
-                self.cfg.layer_of(step), training, update_running,
+                self.cfg.layer_of(step), training,
             )
             prev_ids = uniq
 
@@ -342,7 +334,6 @@ class GraphModel:
         n_targets: int,
         layer: int,
         training: bool,
-        update_running: bool,
     ) -> Tensor:
         """One pooled propagation step over neighbor records.
 
@@ -365,7 +356,7 @@ class GraphModel:
                 offsets = np.searchsorted(key[n_self:], np.arange(self.n_groups + 1))
                 rows = ad.affine_rows(rows, self.A, offsets)
                 if self.bn is not None:
-                    rows = self.bn(rows, offsets, training=training, update_running=update_running)
+                    rows = self.bn(rows, offsets, training=training)
                 rows = ad.tanh(rows) if self.cfg.transition == "tanh-layer" else ad.relu(rows)
             parts.append(rows)
         combined = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
@@ -381,8 +372,6 @@ class GraphModel:
         table: NeighborTable | None,
         *,
         training: bool = False,
-        sampler: NeighborSampler | None = None,
-        update_running: bool | None = None,
     ) -> Tensor:
         """Implausibility scores for parallel id arrays (one per triplet)."""
         heads = np.asarray(heads, dtype=np.intp)
@@ -390,9 +379,7 @@ class GraphModel:
         relations = np.asarray(relations, dtype=np.intp)
         endpoints = np.concatenate([heads, tails])
         uniq, inverse = np.unique(endpoints, return_inverse=True)
-        vecs = self.propagate_batch(
-            uniq, table, training=training, sampler=sampler, update_running=update_running
-        )
+        vecs = self.propagate_batch(uniq, table, training=training)
         n = len(heads)
         vh = ad.gather_rows(vecs, inverse[:n])
         vt = ad.gather_rows(vecs, inverse[n:])

@@ -41,14 +41,13 @@ class ParamStore:
             self.add_buffer(name, value)
 
     # parameters --------------------------------------------------------
-    def add_param(self, name: str, value, moments=None) -> Tensor:
-        """Add a copy of ``value``; ``moments`` (m, v) resume Adam, else both are zero."""
+    def add_param(self, name: str, value) -> Tensor:
+        """Add a copy of ``value`` with zero Adam moments."""
         if name in self._params:
             raise ValueError(f"duplicate parameter name {name!r}")
         t = Tensor(np.array(value, dtype=DTYPE, order="C"), requires_grad=True)
         self._params[name] = t
-        self._moments[name] = moments if moments is not None else (
-            np.zeros_like(t.data), np.zeros_like(t.data))
+        self._moments[name] = (np.zeros_like(t.data), np.zeros_like(t.data))
         return t
 
     def param(self, name: str) -> Tensor:
@@ -158,16 +157,15 @@ class BatchNorm:
         return ({f"{name}.gamma": one, f"{name}.beta": zero},
                 {f"{name}.running_mean": zero, f"{name}.running_var": one})
 
-    def __call__(self, x: Tensor, offsets, training: bool, update_running: bool = True) -> Tensor:
+    def __call__(self, x: Tensor, offsets, training: bool) -> Tensor:
         if not training:
             fixed = (self.running_mean, 1.0 / np.sqrt(self.running_var + self.eps))
             return batch_norm_rows(x, offsets, self.gamma, self.beta, self.eps, fixed)[0]
         out, mean, var = batch_norm_rows(x, offsets, self.gamma, self.beta, self.eps)
-        if update_running:
-            present = np.diff(offsets) > 0
-            m = self.momentum
-            self.running_mean[present] = self.running_mean[present] * m + (1.0 - m) * mean[present]
-            self.running_var[present] = self.running_var[present] * m + (1.0 - m) * var[present]
+        present = np.diff(offsets) > 0
+        m = self.momentum
+        self.running_mean[present] = self.running_mean[present] * m + (1.0 - m) * mean[present]
+        self.running_var[present] = self.running_var[present] * m + (1.0 - m) * var[present]
         return out
 
 
@@ -198,7 +196,10 @@ def save_checkpoint(store: ParamStore, directory, extra: dict | None = None) -> 
 
 
 def load_checkpoint(directory) -> tuple[ParamStore, dict]:
-    """Rebuild a ParamStore from a checkpoint directory; returns (store, extra)."""
+    """Rebuild a ParamStore from a checkpoint directory; returns (store, extra).
+
+    Each tensor is read at its offset straight into the array the store keeps.
+    """
     manifest_path = os.path.join(directory, _MANIFEST)
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
@@ -207,24 +208,30 @@ def load_checkpoint(directory) -> tuple[ParamStore, dict]:
         raise CheckpointError(f"{manifest_path} has per-tensor Adam counts ({named}, ...): it "
                               "predates the stacked transition tensors; retrain the model")
     blob_path = os.path.join(directory, _BLOB)
-    with open(blob_path, "rb") as fh:
-        blob = fh.read()
     expected = max((e["offset"] + np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"]))
                     for e in manifest["tensors"]), default=0)
-    if len(blob) != expected:
-        raise CheckpointError(f"{blob_path} holds {len(blob)} bytes, its manifest describes {expected}")
-    views = {(e["name"], e["kind"]): np.frombuffer(blob, e["dtype"], int(np.prod(e["shape"])),
-                                                   e["offset"]).reshape(e["shape"])
-             for e in manifest["tensors"]}
-
-    def copy(name, kind):
-        if (name, kind) not in views:
-            raise CheckpointError(f"checkpoint tensor {name!r} has no {kind} entry")
-        return np.array(views[(name, kind)], dtype=DTYPE)
-
-    store = ParamStore(buffers={name: view for (name, kind), view in views.items() if kind == "buffer"})
+    arrays = {}
+    with open(blob_path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise CheckpointError(f"{blob_path} holds {size} bytes, its manifest describes {expected}")
+        for e in manifest["tensors"]:
+            array = np.empty(e["shape"], dtype=e["dtype"])
+            fh.seek(e["offset"])
+            fh.readinto(array)
+            if not np.isfinite(array).all():
+                raise CheckpointError(f"checkpoint tensor {e['name']!r} ({e['kind']}) "
+                                      "holds a NaN or Inf")
+            arrays[(e["name"], e["kind"])] = array.astype(DTYPE, copy=False)
+    store = ParamStore()  # filled directly: add_param and add_buffer would copy
     store.adam_t = int(manifest["adam_step"])
-    for (name, kind), view in views.items():
-        if kind == "param":
-            store.add_param(name, view, moments=(copy(name, "adam_m"), copy(name, "adam_v")))
+    for (name, kind), array in arrays.items():
+        if kind == "buffer":
+            store._buffers[name] = array
+        elif kind == "param":
+            for moment in ("adam_m", "adam_v"):
+                if (name, moment) not in arrays:
+                    raise CheckpointError(f"checkpoint tensor {name!r} has no {moment} entry")
+            store._params[name] = Tensor(array, requires_grad=True)
+            store._moments[name] = (arrays[(name, "adam_m")], arrays[(name, "adam_v")])
     return store, manifest.get("extra", {})

@@ -37,7 +37,8 @@ from .kg import (
 
 def _endpoints_in(triplets, entities) -> np.ndarray:
     """(n, 2) mask: whether each triplet's head and tail lie in ``entities``."""
-    return np.isin(triplet_array(triplets)[:, ::2], np.fromiter(entities, dtype=np.intp))
+    # a lookup table over the entities' id range: ids are dense vocabulary indices
+    return np.isin(triplet_array(triplets)[:, ::2], np.fromiter(entities, dtype=np.intp), kind="table")
 
 
 class OokbPosition(str, Enum):
@@ -79,22 +80,20 @@ class OokbSplit:
 
     def check(self) -> list[str]:
         """Machine-check the split invariants; returns violation messages."""
-        problems = []
-        touching = _endpoints_in(self.train.triplets, self.ookb_entities).any(axis=1)
-        for row in self.train.triplets[touching].tolist():
-            problems.append(f"training triplet touches OOKB entity: {Triplet(*row)}")
-        for t in self.aux:
-            n_ookb = (t.head in self.ookb_entities) + (t.tail in self.ookb_entities)
-            if n_ookb != 1:
-                problems.append(f"aux triplet has {n_ookb} OOKB endpoints: {t}")
-        for lt in self.test:
-            t = lt.triplet
-            if t.head not in self.ookb_entities and t.tail not in self.ookb_entities:
-                problems.append(f"test triplet has no OOKB endpoint: {t}")
-        for lt in self.validation:
-            t = lt.triplet
-            if t.head in self.ookb_entities or t.tail in self.ookb_entities:
-                problems.append(f"validation triplet touches OOKB entity: {t}")
+        ookb = self.ookb_entities
+        train = self.train.triplets
+        aux = triplet_array(self.aux)
+        test = triplet_array([lt.triplet for lt in self.test])
+        valid = triplet_array([lt.triplet for lt in self.validation])
+        n_aux = _endpoints_in(aux, ookb).sum(axis=1)
+        problems = [f"training triplet touches OOKB entity: {Triplet(*row)}"
+                    for row in train[_endpoints_in(train, ookb).any(axis=1)].tolist()]
+        problems += [f"aux triplet has {n} OOKB endpoints: {Triplet(*row)}"
+                     for row, n in zip(aux.tolist(), n_aux.tolist()) if n != 1]
+        problems += [f"test triplet has no OOKB endpoint: {Triplet(*row)}"
+                     for row in test[~_endpoints_in(test, ookb).any(axis=1)].tolist()]
+        problems += [f"validation triplet touches OOKB entity: {Triplet(*row)}"
+                     for row in valid[_endpoints_in(valid, ookb).any(axis=1)].tolist()]
         return problems
 
 
@@ -207,9 +206,9 @@ def generate(
         test=test,
         stats=stats,
     )
-    hard = [p for p in split.check() if "aux triplet" in p or "training triplet" in p]
-    if hard:
-        raise AssertionError("split construction violated invariants: " + hard[0])
+    problems = split.check()
+    if problems:
+        raise AssertionError("split construction violated invariants: " + problems[0])
     return split
 
 

@@ -148,9 +148,8 @@ def train(
         wall_start = time.perf_counter()
         perm = _epoch_rng(cfg.seed, epoch, _STREAM_SHUFFLE).permutation(n)
         rng_corrupt = _epoch_rng(cfg.seed, epoch, _STREAM_CORRUPT)
-        sampler = NeighborSampler(
-            table, model.cfg.neighbor_cap, seed=[cfg.seed, epoch, _STREAM_SAMPLE]
-        )
+        capped = NeighborSampler(table, model.cfg.neighbor_cap,
+                                 seed=[cfg.seed, epoch, _STREAM_SAMPLE])
         lr = step_size(epoch, cfg.alpha1, cfg.alpha2)
         total_loss = 0.0
         total_pos = 0.0
@@ -163,9 +162,8 @@ def train(
                 np.concatenate([pos[:, 0], neg[:, 0]]),
                 np.concatenate([pos[:, 1], neg[:, 1]]),
                 np.concatenate([pos[:, 2], neg[:, 2]]),
-                table,
+                capped,
                 training=True,
-                sampler=sampler,
             )
             b = len(pos)
             pos_s = ad.gather_rows(scores, np.arange(b))

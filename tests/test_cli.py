@@ -1,6 +1,11 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphkbc.cli import (
@@ -263,6 +268,36 @@ class TestEvalAndPredict:
         err = capsys.readouterr().err
         assert "data error" in err and "params.bin" in err
 
+    @pytest.mark.parametrize("fault, command", [
+        ("nan", "predict"), ("nan", "eval"), ("truncated", "eval"),
+    ], ids=["nan-predict", "nan-eval", "truncated-eval"])
+    def test_damaged_checkpoint_is_data_error(self, trained, capsys, fault, command):
+        tmp_path, paths, checkpoint = trained
+        blob = checkpoint / "params.bin"
+        data = blob.read_bytes()
+        if fault == "truncated":
+            blob.write_bytes(data[:-8])
+            message = "params.bin holds"
+        else:
+            manifest = json.loads((checkpoint / "manifest.json").read_text())
+            at = next(e["offset"] for e in manifest["tensors"]
+                      if e["name"] == "entities" and e["kind"] == "param") + 16
+            blob.write_bytes(data[:at] + np.float64(np.nan).tobytes() + data[at + 8:])
+            message = "tensor 'entities' (param) holds a NaN or Inf"
+        if command == "predict":
+            queries = tmp_path / "queries.txt"
+            queries.write_text("e0\tnext\te1\n")
+            argv = ["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--valid", paths["valid"]]
+        else:
+            argv = ["eval", "--checkpoint", checkpoint, "--mode", "standard",
+                    "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--out", tmp_path / "eval"]
+        assert run(argv) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error" in captured.err and message in captured.err
+
     @pytest.mark.parametrize("edit, message", [
         ("drop", "checkpoint has no tensor 'A'"),
         ("rename", "checkpoint has no tensor 'A'; checkpoint tensor 'A.head.r0.l0' is not one"),
@@ -339,13 +374,42 @@ class TestGradcheckCommand:
         assert run(["gradcheck"]) == EXIT_OK
         assert "passed" in capsys.readouterr().out
 
-    def test_injected_wrong_gradient_fails(self, capsys):
-        assert run(["gradcheck", "--corrupt-gradient"]) == EXIT_NUMERIC
+    def test_injected_wrong_gradient_fails(self, capsys, monkeypatch):
+        from graphkbc import autodiff as ad
+
+        rows_norm = ad.rows_norm
+
+        def doubled_gradient(x, p):  # the right norm with twice its gradient
+            out = rows_norm(x, p)
+            if out._backward is not None:
+                right = out._backward
+                out._backward = lambda g: right(2.0 * g)
+            return out
+
+        monkeypatch.setattr(ad, "rows_norm", doubled_gradient)
+        assert run(["gradcheck"]) == EXIT_NUMERIC
         assert "beyond tolerance" in capsys.readouterr().err
 
     def test_tolerance_flag_respected(self, capsys):
         # an absurdly tight tolerance must flag finite-difference noise
         assert run(["gradcheck", "--tolerance", "1e-14"]) == EXIT_NUMERIC
+
+
+class TestWorkers:
+    def test_in_process_after_numpy_import_is_usage_error(self, capsys):
+        assert "numpy" in sys.modules  # imported by this module
+        assert run(["--workers", "1", "gradcheck"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "usage error" in err and "OMP_NUM_THREADS" in err
+
+    def test_command_line_run_takes_effect(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "graphkbc.cli", "--workers", "1", "gradcheck"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "passed" in done.stdout
 
 
 class TestConfigHelpers:

@@ -349,8 +349,17 @@ class TestEvaluateFlows:
         ids, vectors = resolve_vectors([0, 2, 2, 3], ctx)
         assert ids.tolist() == [0, 2, 3]
         assert np.array_equal(vectors, m.entities.data[[0, 2, 3]])
-        assert np.array_equal(propagated_vectors(ids, ctx, batch_size=2), vectors)
         scorer = make_scorer(m, ids, vectors)
         scores = scorer([Triplet(0, R, 2), Triplet(3, R, 3)])
         assert scores.shape == (2,)
         assert scores[1] == np.abs(m.relations.data[R]).sum()
+
+    def test_propagated_vectors_span_batches(self):
+        # 1,500 ids take two 1024-id batches; each row is its entity's vector
+        n = 1500
+        m = make_model(n, 2, seed=5, dim=4, pooling="avg")
+        ring = [Triplet(e, e % 2, (e + 1) % n) for e in range(n)]
+        ctx = OokbContext(build_graph(ring), [], frozenset(), m)
+        ids = np.arange(n)
+        whole = m.propagate_batch(ids, ctx.table).data
+        assert np.allclose(propagated_vectors(ids, ctx), whole, rtol=1e-12, atol=1e-12)

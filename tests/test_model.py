@@ -72,7 +72,7 @@ def transition(m, v, relation, direction=DIR_HEAD):
     batch = Tensor(np.asarray(v, dtype=float)[None, :])
     one = np.zeros(1, dtype=np.intp)
     return m._propagate_step(batch, one, np.array([relation]), np.array([direction]), one, 1,
-                             0, training=False, update_running=False).data[0]
+                             0, training=False).data[0]
 
 
 def matrix(m, layer, direction, relation=0):
@@ -275,8 +275,8 @@ class TestPropagation:
         graph = build_graph([Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D)])
         m = make_model(5, 2, dim=4, neighbor_cap=64)
         table = NeighborTable(5, graph.triplets)
-        a = propagate(m, C, table, sampler=NeighborSampler(table, 64, seed=1))
-        b = propagate(m, C, table, sampler=NeighborSampler(table, 64, seed=2))
+        a = propagate(m, C, NeighborSampler(table, 64, seed=1))
+        b = propagate(m, C, NeighborSampler(table, 64, seed=2))
         assert np.array_equal(a, b)
 
     def test_cap_subsamples_without_replacement(self):
@@ -284,13 +284,20 @@ class TestPropagation:
         graph = build_graph(triplets)
         table = NeighborTable(10, graph.triplets)
         sampler = NeighborSampler(table, 4, seed=3)
-        picked = sampler.index[sampler.indptr[9]:sampler.indptr[10]] - table.indptr[9]
-        assert len(picked) == 4
-        assert len(set(picked.tolist())) == 4
+        # the same draw, made independently: record i of entity 9 is neighbor i
+        picked = np.sort(np.random.default_rng(3).choice(9, size=4, replace=False))
+        assert csr_records(sampler, 9) == [(i, R, DIR_HEAD) for i in picked.tolist()]
+        assert all(csr_records(sampler, e) == [(9, R, DIR_TAIL)] for e in range(9))
         m = make_model(10, 1, dim=3, transition="identity", pooling="sum", neighbor_cap=4)
-        out = propagate(m, 9, table, sampler=sampler)
-        expected = m.entities.data[picked].sum(axis=0)  # neighbor i sits at record i
-        assert np.allclose(out, expected)
+        out = propagate(m, 9, sampler)
+        assert np.allclose(out, m.entities.data[picked].sum(axis=0))
+
+    def test_sampler_within_cap_equals_its_table(self):
+        triplets = [Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D), Triplet(D, S, D)]
+        table = NeighborTable(5, triplets)
+        sampler = NeighborSampler(table, 3, seed=4)
+        for name in ("indptr", "nbr", "rel", "dir"):
+            assert np.array_equal(getattr(sampler, name), getattr(table, name)), name
 
     def test_over_cap_without_sampler_is_an_error(self):
         triplets = [Triplet(i, R, 9) for i in range(9)]
@@ -338,13 +345,14 @@ def test_neighbor_records_match_per_entity_loop():
         for e in sorted(records):
             if len(records[e]) > cap:
                 picks[e] = np.sort(draws.choice(len(records[e]), size=cap, replace=False))
+        capped = {e: [recs[i] for i in picks[e]] if e in picks else recs
+                  for e, recs in records.items()}
+        for e in range(n):
+            assert csr_records(sampler, e) == capped.get(e, []), (trial, e)
         expected = []
         for seg, e in enumerate(ids.tolist()):
-            recs = records.get(e, [(e, -1, DIR_SELF)])
-            if e in picks:
-                recs = [recs[i] for i in picks[e]]
-            expected += [(*rec, seg) for rec in recs]
-        got = m.neighbor_records(ids, table, sampler)
+            expected += [(*rec, seg) for rec in capped.get(e, [(e, -1, DIR_SELF)])]
+        got = m.neighbor_records(ids, sampler)
         assert list(zip(*(col.tolist() for col in got))) == expected, trial
 
 
@@ -454,8 +462,7 @@ class TestFullModelGradients:
 
         def build_loss():
             from graphkbc import autodiff as ad
-            scores = m.score_ids(both[:, 0], both[:, 1], both[:, 2], table,
-                                 training=True, update_running=False)
+            scores = m.score_ids(both[:, 0], both[:, 1], both[:, 2], table, training=True)
             pos_s = ad.gather_rows(scores, np.arange(3))
             neg_s = ad.gather_rows(scores, np.arange(3, 6))
             return loss_absolute(pos_s, neg_s, margin=1.0)

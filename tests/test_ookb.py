@@ -1,9 +1,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphkbc.kg import LabeledTriplet, Triplet, Vocabulary, load_triplet_file
+from graphkbc.kg import LabeledTriplet, Triplet, Vocabulary, build_graph, load_triplet_file
 from graphkbc.ookb import (
     OokbPosition,
+    OokbSplit,
     choose_candidates,
     filter_eval_sets,
     finalize_ookb,
@@ -167,3 +168,23 @@ def test_write_split_round_trips(tmp_path):
     assert "ookb_entities=2" in stats_text
     ookb_names = open(paths["ookb"]).read().split()
     assert ookb_names == ["a", "d"]
+
+
+def test_check_reports_each_kind_of_violation():
+    # A and D are out of the KB; every part of the split breaks its invariant
+    # once, next to a row that keeps it
+    split = OokbSplit(
+        train=build_graph([Triplet(B, R, C), Triplet(C, S, A)]),
+        aux=[Triplet(A, R, B), Triplet(B, R, C), Triplet(A, S, D)],
+        ookb_entities={A, D},
+        validation=[lt(B, R, C), lt(D, R, C, label=False)],
+        test=[lt(A, R, B), lt(B, S, C)],
+        stats=None,
+    )
+    assert split.check() == [
+        f"training triplet touches OOKB entity: {Triplet(C, S, A)}",
+        f"aux triplet has 0 OOKB endpoints: {Triplet(B, R, C)}",
+        f"aux triplet has 2 OOKB endpoints: {Triplet(A, S, D)}",
+        f"test triplet has no OOKB endpoint: {Triplet(B, S, C)}",
+        f"validation triplet touches OOKB entity: {Triplet(D, R, C)}",
+    ]
