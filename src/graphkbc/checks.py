@@ -6,7 +6,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, gradcheck
-from .kg import Triplet
 from .model import GraphModel, NeighborSampler, NeighborTable, PropagationConfig, loss_absolute
 from .nn import BatchNorm, ParamStore
 
@@ -38,14 +37,8 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
 
 
 def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
-    triplets = [
-        Triplet(0, 0, 1),
-        Triplet(1, 1, 2),
-        Triplet(2, 0, 3),
-        Triplet(3, 1, 4),
-        Triplet(4, 0, 0),
-        Triplet(5, 1, 0),  # entity 0 has 3 records, one above the cap
-    ]
+    # entity 0 has 3 records, one above the cap
+    triplets = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3], [3, 1, 4], [4, 0, 0], [5, 1, 0]])
     table = NeighborSampler(NeighborTable(6, triplets), 2, seed=0)
     pos = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3]])
     neg = np.array([[0, 0, 2], [4, 1, 2], [2, 0, 0]])

@@ -105,11 +105,18 @@ def _echo_config(out_dir, command: str, merged: dict) -> None:
         fh.write("\n")
 
 
+def _read_rows(path, ev, rv):
+    """The (n, 3) id array of an unlabeled triplet file."""
+    from .kg import labeled_arrays, load_triplet_file
+
+    return labeled_arrays(load_triplet_file(path, ev, rv))[0]
+
+
 # ---------------------------------------------------------------------------
 # gen-ookb
 
 def cmd_gen_ookb(args) -> int:
-    from .kg import Vocabulary, load_triplet_file, positives
+    from .kg import Vocabulary, load_triplet_file
     from .ookb import OokbPosition, generate, split_name, write_split
 
     sizes = [int(x) for x in str(args.n).split(",")]
@@ -121,7 +128,7 @@ def cmd_gen_ookb(args) -> int:
         poss = [OokbPosition(p) for p in args.position.split(",")]
 
     ev, rv = Vocabulary(), Vocabulary()
-    train = positives(load_triplet_file(args.train, ev, rv))
+    train = _read_rows(args.train, ev, rv)
     valid = load_triplet_file(args.valid, ev, rv, labeled=True)
     test = load_triplet_file(args.test, ev, rv, labeled=True)
 
@@ -189,7 +196,7 @@ def _configs_from(merged: dict):
 
 
 def cmd_train(args) -> int:
-    from .kg import Vocabulary, build_graph, load_triplet_file, positives
+    from .kg import Vocabulary, build_graph
     from .model import load_model, save_model
     from .trainer import init_model, run_training
 
@@ -203,7 +210,7 @@ def cmd_train(args) -> int:
     if args.resume:
         model, ev, rv, extra = load_model(args.resume)
         start_epoch = int(extra.get("completed_epochs", 0))
-        graph = build_graph(positives(load_triplet_file(args.train, ev, rv)))
+        graph = build_graph(_read_rows(args.train, ev, rv))
         if len(ev) != model.n_entities:
             raise ConfigError(
                 "training file contains entities unknown to the checkpoint; "
@@ -216,7 +223,7 @@ def cmd_train(args) -> int:
             rv = Vocabulary.load(rv_path) if os.path.exists(rv_path) else Vocabulary()
         else:
             ev, rv = Vocabulary(), Vocabulary()
-        graph = build_graph(positives(load_triplet_file(args.train, ev, rv)))
+        graph = build_graph(_read_rows(args.train, ev, rv))
         model = init_model(len(ev), len(rv), prop_cfg, cfg.seed)
 
     merged_echo = dict(merged)
@@ -250,15 +257,17 @@ def cmd_train(args) -> int:
 
 def _load_split_files(prefix, ev, rv):
     """Assemble an OOKB split from the files written by gen-ookb."""
-    from .kg import build_graph, load_triplet_file, positives
+    import numpy as np
+
+    from .kg import build_graph, load_triplet_file
     from .ookb import OokbSplit, SplitStats
 
-    train = build_graph(positives(load_triplet_file(f"{prefix}.train.txt", ev, rv)))
-    aux = positives(load_triplet_file(f"{prefix}.aux.txt", ev, rv))
+    train = build_graph(_read_rows(f"{prefix}.train.txt", ev, rv))
+    aux = _read_rows(f"{prefix}.aux.txt", ev, rv)
     valid = load_triplet_file(f"{prefix}.valid.txt", ev, rv, labeled=True)
     test = load_triplet_file(f"{prefix}.test.txt", ev, rv, labeled=True)
     with open(f"{prefix}.ookb.txt", encoding="utf-8") as fh:
-        ookb = {ev.add(line.rstrip("\n")) for line in fh if line.rstrip("\n")}
+        ookb = np.unique(np.fromiter((ev.add(e) for e in fh.read().split("\n") if e), np.intp))
     with open(f"{prefix}.stats.json", encoding="utf-8") as fh:
         stats = SplitStats(**json.load(fh))
     return OokbSplit(train=train, aux=aux, ookb_entities=ookb,
@@ -281,7 +290,7 @@ def _write_eval_outputs(out_dir, report: dict, thresholds, rv) -> None:
 
 def cmd_eval(args) -> int:
     from .evaluate import evaluate_ookb, evaluate_standard
-    from .kg import build_graph, load_triplet_file, positives
+    from .kg import build_graph, load_triplet_file
     from .model import load_model
 
     model, ev, rv, extra = load_model(args.checkpoint)
@@ -292,7 +301,7 @@ def cmd_eval(args) -> int:
             raise UsageError("standard eval needs --train, --valid and --test")
         echo.update({"train": args.train, "valid": args.valid, "test": args.test})
         _echo_config(args.out, "eval", echo)
-        graph = build_graph(positives(load_triplet_file(args.train, ev, rv)))
+        graph = build_graph(_read_rows(args.train, ev, rv))
         valid = load_triplet_file(args.valid, ev, rv, labeled=True)
         test = load_triplet_file(args.test, ev, rv, labeled=True)
         report, thresholds = evaluate_standard(
@@ -326,22 +335,22 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     import numpy as np
 
-    from .evaluate import OokbContext, ThresholdTable, classify, labeled_arrays, \
-        make_scorer, resolve_vectors, tune_thresholds
-    from .kg import build_graph, load_triplet_file, positives, triplet_array
+    from .evaluate import OokbContext, ThresholdTable, classify, make_scorer, \
+        resolve_vectors, tune_thresholds
+    from .kg import build_graph, labeled_arrays, load_triplet_file
     from .model import InferenceError, load_model
 
     model, ev, rv, extra = load_model(args.checkpoint)
-    graph = build_graph(positives(load_triplet_file(args.train, ev, rv)))
-    queries = labeled_arrays(load_triplet_file(args.triplets, ev, rv))[0]
-    aux = positives(load_triplet_file(args.aux, ev, rv)) if args.aux else []
+    graph = build_graph(_read_rows(args.train, ev, rv))
+    queries = _read_rows(args.triplets, ev, rv)
+    aux = _read_rows(args.aux, ev, rv) if args.aux else np.empty((0, 3), dtype=np.intp)
     if args.thresholds:
         with open(args.thresholds, encoding="utf-8") as fh:
             data = json.load(fh)
         per = {rv.id_of(name): t for name, t in data["relations"].items() if name in rv}
         thresholds = ThresholdTable(per, data["global"])
     elif args.valid:
-        valid = load_triplet_file(args.valid, ev, rv, labeled=True)
+        valid, valid_labels = labeled_arrays(load_triplet_file(args.valid, ev, rv, labeled=True))
         thresholds = None
     else:
         raise UsageError("predict needs --thresholds or --valid to tune on")
@@ -351,15 +360,14 @@ def cmd_predict(args) -> int:
         raise InferenceError(f"relation {rv.name_of(model.n_relations)!r} is not in the checkpoint")
     # an entity outside the trained graph never received updates (it may
     # still own an untouched embedding row); resolve it through aux triplets
-    ends = np.concatenate([queries[:, ::2].ravel(), triplet_array(aux)[:, ::2].ravel()])
+    ends = np.concatenate([queries[:, ::2].ravel(), aux[:, ::2].ravel()])
     outside = np.setdiff1d(ends, graph.triplets[:, ::2])
-    ctx = OokbContext(graph, aux, frozenset(outside.tolist()), model, sampler_seed=args.seed,
-                      name_of=ev.name_of)
+    ctx = OokbContext(graph, aux, outside, model, sampler_seed=args.seed, name_of=ev.name_of)
     if thresholds is None:
         # tuned on the training graph alone, as the standard protocol does
-        known = OokbContext(graph, [], frozenset(), model, sampler_seed=args.seed)
-        resolved = resolve_vectors(labeled_arrays(valid)[0][:, ::2], known)
-        thresholds = tune_thresholds(valid, make_scorer(model, *resolved))
+        known = OokbContext(graph, [], [], model, sampler_seed=args.seed)
+        resolved = resolve_vectors(valid[:, ::2], known)
+        thresholds = tune_thresholds(valid, valid_labels, make_scorer(model, *resolved))
 
     scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
     cutoffs = thresholds.threshold_of(queries[:, 1])

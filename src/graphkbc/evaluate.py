@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .kg import KnowledgeGraph, LabeledTriplet, Triplet, triplet_array
+from .kg import KnowledgeGraph, LabeledTriplet, labeled_arrays, triplet_array
 from .model import (
     _SEGMENT_POOL,
     DIR_HEAD,
@@ -51,12 +51,6 @@ class ThresholdTable:
         return hashlib.sha256(payload.encode()).hexdigest()[:12]
 
 
-def labeled_arrays(labeled: Sequence[LabeledTriplet]) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 3) id array and the (n,) boolean labels of labeled triplets."""
-    triplets, labels = zip(*labeled) if labeled else ((), ())
-    return np.array(triplets, dtype=np.intp).reshape(-1, 3), np.array(labels, dtype=bool)
-
-
 def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     """Smallest threshold maximizing accuracy of ``score < threshold``.
 
@@ -81,17 +75,17 @@ def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> tuple[float, floa
 
 
 def tune_thresholds(
-    validation: Sequence[LabeledTriplet],
+    triplets: np.ndarray,
+    labels: np.ndarray,
     scorer: Callable[[np.ndarray], np.ndarray],
 ) -> ThresholdTable:
-    """Per-relation thresholds maximizing validation accuracy.
+    """Per-relation thresholds maximizing accuracy on labeled (n, 3) id rows.
 
-    Relations absent from the validation set fall back to the single
-    threshold that is optimal over the pooled validation scores.
+    Relations absent from the rows fall back to the single threshold that
+    is optimal over all their scores pooled.
     """
-    if not validation:
+    if not len(triplets):
         raise ValueError("cannot tune thresholds on an empty validation set")
-    triplets, labels = labeled_arrays(validation)
     scores = np.asarray(scorer(triplets), dtype=float)
     global_thr, _ = _best_threshold(scores, labels)
     relations = triplets[:, 1]
@@ -126,20 +120,23 @@ class OokbContext:
     evaluation passes no auxiliary triplets and an empty OOKB set; a model
     without propagation then reads base rows only, and no table is built.
     ``name_of`` turns an entity id into the name that error messages show.
+    ``aux`` (anything ``triplet_array`` takes) and ``ookb_entities`` (ids)
+    become an (n, 3) intp array and a sorted intp array.
     """
 
     train: KnowledgeGraph
-    aux: list[Triplet]
-    ookb_entities: frozenset[int]
+    aux: np.ndarray
+    ookb_entities: np.ndarray
     model: GraphModel
     sampler_seed: int = 0
     name_of: Callable[[int], object] = int
     table: NeighborSampler | None = field(init=False)
 
     def __post_init__(self):
-        self.ookb_entities = frozenset(self.ookb_entities)
-        aux = triplet_array(self.aux)[:, ::2]
-        ookb = np.isin(aux, np.fromiter(self.ookb_entities, dtype=np.intp))
+        self.aux = triplet_array(self.aux)
+        self.ookb_entities = np.unique(np.asarray(self.ookb_entities, dtype=np.intp))
+        aux = self.aux[:, ::2]
+        ookb = np.isin(aux, self.ookb_entities)
         bad = ookb.sum(axis=1) != 1
         if bad.any():
             i = int(np.argmax(bad))
@@ -149,10 +146,9 @@ class OokbContext:
                 "entities; it must link exactly one to a known entity"
             )
         self.table = None
-        if self.model.cfg.depth == 0 and not self.ookb_entities:
+        if self.model.cfg.depth == 0 and not len(self.ookb_entities):
             return
-        exclude = np.concatenate([np.fromiter(self.ookb_entities, dtype=np.intp),
-                                  aux[aux >= self.model.n_entities]])
+        exclude = np.concatenate([self.ookb_entities, aux[aux >= self.model.n_entities]])
         table = NeighborTable(self.model.n_entities, self.train.triplets, extra=self.aux,
                               exclude=exclude)
         self.table = NeighborSampler(table, self.model.cfg.neighbor_cap, seed=[self.sampler_seed])
@@ -225,7 +221,7 @@ def resolve_vectors(
     propagation step (``method="proposed"``) or by the pooled baseline.
     """
     ids = np.unique(np.asarray(ids, dtype=np.intp))
-    ookb = np.isin(ids, np.fromiter(ctx.ookb_entities, dtype=np.intp))
+    ookb = np.isin(ids, ctx.ookb_entities)
     vectors = np.empty((len(ids), ctx.model.cfg.dim))
     vectors[~ookb] = propagated_vectors(ids[~ookb], ctx)
     if ookb.any():
@@ -266,12 +262,12 @@ def _classification_report(
     **resolve,
 ) -> tuple[dict, ThresholdTable]:
     """Resolve every entity once, tune thresholds unless given, score the test set."""
-    valid_triplets, _ = labeled_arrays(validation)
+    valid_triplets, valid_labels = labeled_arrays(validation)
     test_triplets, labels = labeled_arrays(test)
     needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
     scorer = make_scorer(ctx.model, *resolve_vectors(needed, ctx, **resolve))
     if thresholds is None:
-        thresholds = tune_thresholds(validation, scorer)
+        thresholds = tune_thresholds(valid_triplets, valid_labels, scorer)
         if not per_relation:
             thresholds = ThresholdTable({}, thresholds.global_threshold)
     correct = classify(test_triplets, thresholds, scorer(test_triplets)) == labels
@@ -297,7 +293,7 @@ def evaluate_standard(
     """Threshold tuning on validation followed by test accuracy."""
     if not test:
         raise ValueError("empty test set")
-    ctx = OokbContext(train_graph, [], frozenset(), model, sampler_seed=sampler_seed)
+    ctx = OokbContext(train_graph, [], [], model, sampler_seed=sampler_seed)
     report = {
         "dataset": dataset_name,
         "method": "standard",
@@ -332,8 +328,8 @@ def evaluate_ookb(
         raise ValueError("OOKB split has an empty test set")
     if method == "baseline" and pooling not in _SEGMENT_POOL:
         raise ValueError(f"baseline evaluation needs a pooling out of {sorted(_SEGMENT_POOL)}")
-    ctx = OokbContext(split.train, list(split.aux), frozenset(split.ookb_entities),
-                      model, sampler_seed=sampler_seed)
+    ctx = OokbContext(split.train, split.aux, split.ookb_entities, model,
+                      sampler_seed=sampler_seed)
     report = {
         "dataset": dataset_name,
         "method": method,

@@ -9,7 +9,7 @@ into dense 0-based ids so that the rest of the pipeline works on integers.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,6 +86,12 @@ def triplet_array(triplets) -> np.ndarray:
     return np.fromiter(chain.from_iterable(triplets), dtype=np.intp).reshape(-1, 3)
 
 
+def labeled_arrays(labeled: Sequence[LabeledTriplet]) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) intp id array and the (n,) boolean labels of labeled triplets."""
+    rows = triplet_array(lt.triplet for lt in labeled)
+    return rows, np.fromiter((lt.label for lt in labeled), dtype=bool, count=len(rows))
+
+
 class KnowledgeGraph:
     """Immutable triplet array with a sorted key index for membership.
 
@@ -125,9 +131,6 @@ class KnowledgeGraph:
             pos = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
             found[found] = self.keys[pos] == keys
         return found
-
-    def __contains__(self, t: Triplet) -> bool:
-        return bool(self.contains(t)[0])
 
 
 def build_graph(triplets: Iterable[Triplet]) -> KnowledgeGraph:
@@ -186,22 +189,24 @@ def load_triplet_file(
 
 def save_triplet_file(
     path,
-    triplets: Iterable,
+    triplets,
     entity_vocab: Vocabulary,
     relation_vocab: Vocabulary,
-    labeled: bool = False,
+    labels=None,
 ) -> None:
-    """Write triplets (or rows of ids) in the tab-separated dataset format (inverse of load)."""
+    """Write triplets in the tab-separated dataset format (inverse of load).
+
+    ``triplets`` is anything ``triplet_array`` takes; ``labels``, when given,
+    adds the ``1``/``-1`` column of a labeled file.
+    """
+    rows = triplet_array(triplets)
+    entities = np.array(entity_vocab.names, dtype=object)
+    columns = [entities[rows[:, 0]], np.array(relation_vocab.names, dtype=object)[rows[:, 1]],
+               entities[rows[:, 2]]]
+    if labels is not None:
+        columns.append(np.where(labels, "1", "-1"))
     with open(path, "w", encoding="utf-8") as fh:
-        for item in triplets:
-            if isinstance(item, LabeledTriplet):
-                (h, r, t), label = item
-            else:
-                (h, r, t), label = item, True
-            fields = [entity_vocab.name_of(h), relation_vocab.name_of(r), entity_vocab.name_of(t)]
-            if labeled:
-                fields.append("1" if label else "-1")
-            fh.write("\t".join(fields) + "\n")
+        fh.writelines(line + "\n" for line in map("\t".join, zip(*columns)))
 
 
 def positives(labeled: Iterable[LabeledTriplet]) -> list[Triplet]:

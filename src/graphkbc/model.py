@@ -16,6 +16,7 @@ implausibility ``|| v_h + v_r - v_t ||``; smaller means more plausible.
 from __future__ import annotations
 
 import os
+import shutil
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -131,7 +132,7 @@ class NeighborTable:
         rows = np.concatenate([triplet_array(triplets), triplet_array(extra)])
         owner = rows[:, [2, 0]].ravel()
         nbr = rows[:, [0, 2]].ravel()
-        keep = ~np.isin(nbr, np.fromiter(exclude, dtype=np.intp))
+        keep = ~np.isin(nbr, np.asarray(exclude, dtype=np.intp))
         order = np.argsort(owner[keep], kind="stable")
         self.nbr = nbr[keep][order]
         self.rel = np.repeat(rows[:, 1], 2)[keep][order]
@@ -422,13 +423,30 @@ def save_model(
     relation_vocab,
     extra: dict | None = None,
 ) -> None:
-    os.makedirs(directory, exist_ok=True)
+    """Write the bundle into a sibling ``.partial`` directory, then move it into place.
+
+    An existing bundle is renamed aside to ``.old`` first and removed after
+    the move. An interrupted save leaves the old bundle whole, or no bundle
+    (loading it is then a data error), never a mix of two states.
+    """
+    directory = os.path.normpath(directory)
+    partial, aside = directory + ".partial", directory + ".old"
+    shutil.rmtree(partial, ignore_errors=True)
     payload = {"propagation": model.cfg.to_dict()}
     if extra:
         payload.update(extra)
-    save_checkpoint(model.store, directory, extra=payload)
-    entity_vocab.save(os.path.join(directory, "entities.txt"))
-    relation_vocab.save(os.path.join(directory, "relations.txt"))
+    try:
+        save_checkpoint(model.store, partial, extra=payload)
+        entity_vocab.save(os.path.join(partial, "entities.txt"))
+        relation_vocab.save(os.path.join(partial, "relations.txt"))
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
+    if os.path.exists(directory):
+        shutil.rmtree(aside, ignore_errors=True)
+        os.replace(directory, aside)
+    os.replace(partial, directory)
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def load_model(directory):

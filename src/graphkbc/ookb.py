@@ -16,10 +16,11 @@ identical splits.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from enum import Enum
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,16 +30,16 @@ from .kg import (
     Triplet,
     Vocabulary,
     build_graph,
-    entities_of,
+    labeled_arrays,
     save_triplet_file,
     triplet_array,
 )
 
 
-def _endpoints_in(triplets, entities) -> np.ndarray:
-    """(n, 2) mask: whether each triplet's head and tail lie in ``entities``."""
+def _endpoints_in(rows: np.ndarray, entities: np.ndarray) -> np.ndarray:
+    """(n, 2) mask: whether each row's head and tail lie in the id array ``entities``."""
     # a lookup table over the entities' id range: ids are dense vocabulary indices
-    return np.isin(triplet_array(triplets)[:, ::2], np.fromiter(entities, dtype=np.intp), kind="table")
+    return np.isin(rows[:, ::2], entities, kind="table")
 
 
 class OokbPosition(str, Enum):
@@ -69,11 +70,14 @@ class SplitStats:
 
 @dataclass
 class OokbSplit:
-    """The full bundle produced for one (position, n) setting."""
+    """The full bundle produced for one (position, n) setting.
+
+    ``ookb_entities`` is a sorted intp array; ``aux`` is an id array when read from files.
+    """
 
     train: KnowledgeGraph
-    aux: list[Triplet]
-    ookb_entities: set[int]
+    aux: list[Triplet] | np.ndarray
+    ookb_entities: np.ndarray
     validation: list[LabeledTriplet]
     test: list[LabeledTriplet]
     stats: SplitStats
@@ -83,8 +87,8 @@ class OokbSplit:
         ookb = self.ookb_entities
         train = self.train.triplets
         aux = triplet_array(self.aux)
-        test = triplet_array([lt.triplet for lt in self.test])
-        valid = triplet_array([lt.triplet for lt in self.validation])
+        test = labeled_arrays(self.test)[0]
+        valid = labeled_arrays(self.validation)[0]
         n_aux = _endpoints_in(aux, ookb).sum(axis=1)
         problems = [f"training triplet touches OOKB entity: {Triplet(*row)}"
                     for row in train[_endpoints_in(train, ookb).any(axis=1)].tolist()]
@@ -97,74 +101,52 @@ class OokbSplit:
         return problems
 
 
-def choose_candidates(
-    test_file: Sequence[LabeledTriplet], n: int, position: OokbPosition
-) -> set[int]:
-    """Candidate entities from the first ``n`` test triplets, in file order.
+def choose_candidates(test_rows: np.ndarray, n: int, position: OokbPosition) -> np.ndarray:
+    """Sorted candidate entity ids from the first ``n`` test rows.
 
     Both positive and negative test lines count toward ``n``.
     """
-    if n > len(test_file):
-        raise ValueError(f"requested first {n} triplets but file has {len(test_file)}")
-    position = OokbPosition(position)
-    candidates: set[int] = set()
-    for lt in test_file[:n]:
-        t = lt.triplet
-        if position in (OokbPosition.HEAD, OokbPosition.BOTH):
-            candidates.add(t.head)
-        if position in (OokbPosition.TAIL, OokbPosition.BOTH):
-            candidates.add(t.tail)
-    return candidates
+    if n > len(test_rows):
+        raise ValueError(f"requested first {n} triplets but file has {len(test_rows)}")
+    columns = {OokbPosition.HEAD: [0], OokbPosition.TAIL: [2], OokbPosition.BOTH: [0, 2]}
+    return np.unique(test_rows[:n, columns[OokbPosition(position)]])
 
 
-def finalize_ookb(candidates: set[int], train: Iterable[Triplet]) -> set[int]:
+def finalize_ookb(candidates: np.ndarray, train: np.ndarray) -> np.ndarray:
     """Keep the candidates linked to at least one non-candidate in training.
 
-    A candidate survives when some training triplet pairs it with an entity
+    A candidate survives when some training row pairs it with an entity
     outside the candidate set; candidates connected only to other candidates
-    (or only to themselves) are dropped.
+    (or only to themselves) are dropped. Returns sorted ids.
     """
-    rows = triplet_array(train)
-    candidate = _endpoints_in(rows, candidates)
-    return set(rows[:, ::2][candidate & ~candidate[:, ::-1]].tolist())
+    candidate = _endpoints_in(train, candidates)
+    return np.unique(train[:, ::2][candidate & ~candidate[:, ::-1]])
 
 
 def split_training(
-    train: Sequence[Triplet], ookb: set[int]
-) -> tuple[list[Triplet], list[Triplet], list[Triplet]]:
-    """Three-way partition of training triplets by OOKB endpoint count.
+    train: np.ndarray, ookb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three-way partition of training rows by OOKB endpoint count.
 
     0 endpoints -> kept training set, 1 -> auxiliary set, 2 -> discarded.
     Input order is preserved within each part.
     """
     n_ookb = _endpoints_in(train, ookb).sum(axis=1)
-    return tuple(list(compress(train, (n_ookb == n).tolist())) for n in (0, 1, 2))
+    return tuple(train[n_ookb == n] for n in (0, 1, 2))
 
 
 def filter_eval_sets(
-    test_file: Sequence[LabeledTriplet],
-    valid_file: Sequence[LabeledTriplet],
-    n: int,
-    ookb: set[int],
-) -> tuple[list[LabeledTriplet], list[LabeledTriplet]]:
-    """Test = first-n triplets touching an OOKB entity; validation = the rest.
+    test_rows: np.ndarray, valid_rows: np.ndarray, n: int, ookb: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks choosing the test rows among the first ``n`` and the validation rows.
 
-    Validation keeps only triplets touching no OOKB entity, over the whole
-    validation file. Labels are preserved on both sides.
+    Test keeps the first-n rows touching an OOKB entity; validation keeps the
+    rows touching none, over the whole validation file.
     """
-    if n > len(test_file):
-        raise ValueError(f"requested first {n} triplets but file has {len(test_file)}")
-    test = [
-        lt
-        for lt in test_file[:n]
-        if lt.triplet.head in ookb or lt.triplet.tail in ookb
-    ]
-    validation = [
-        lt
-        for lt in valid_file
-        if lt.triplet.head not in ookb and lt.triplet.tail not in ookb
-    ]
-    return test, validation
+    if n > len(test_rows):
+        raise ValueError(f"requested first {n} triplets but file has {len(test_rows)}")
+    return (_endpoints_in(test_rows[:n], ookb).any(axis=1),
+            ~_endpoints_in(valid_rows, ookb).any(axis=1))
 
 
 def generate(
@@ -174,36 +156,39 @@ def generate(
     n: int,
     position: OokbPosition,
 ) -> OokbSplit:
-    """Compose the full split for one (position, n) setting."""
-    candidates = choose_candidates(test_file, n, position)
-    ookb_entities = finalize_ookb(candidates, train)
-    kept, aux, discarded = split_training(train, ookb_entities)
-    test, validation = filter_eval_sets(test_file, valid_file, n, ookb_entities)
+    """Compose the full split for one (position, n) setting.
+
+    Each input (``train``: anything ``triplet_array`` takes) becomes an id array once.
+    """
+    rows = triplet_array(train)
+    valid_rows, _ = labeled_arrays(valid_file)
+    test_rows, _ = labeled_arrays(test_file)
+    ookb = finalize_ookb(choose_candidates(test_rows, n, position), rows)
+    kept, aux, discarded = split_training(rows, ookb)
+    test_keep, valid_keep = filter_eval_sets(test_rows, valid_rows, n, ookb)
 
     graph = build_graph(kept)
-    aux_entities_all = entities_of(aux)
-    aux_known = aux_entities_all - ookb_entities
-    aux_rows = triplet_array(aux)
-    known_ends = aux_rows[:, ::2][~_endpoints_in(aux_rows, ookb_entities)]
+    aux_entities = np.unique(aux[:, ::2])
+    known_ends = aux[:, ::2][~_endpoints_in(aux, ookb)]
     outside = int((~np.isin(known_ends, graph.triplets[:, ::2])).sum())
 
     stats = SplitStats(
         training_triplets=len(graph),
-        validation_triplets=len(validation),
-        test_triplets=len(test),
+        validation_triplets=int(valid_keep.sum()),
+        test_triplets=int(test_keep.sum()),
         auxiliary_triplets=len(aux),
-        ookb_entities=len(ookb_entities),
-        auxiliary_entities=len(aux_known),
-        auxiliary_entities_total=len(aux_entities_all),
+        ookb_entities=len(ookb),
+        auxiliary_entities=len(np.setdiff1d(aux_entities, ookb)),
+        auxiliary_entities_total=len(aux_entities),
         discarded_triplets=len(discarded),
         aux_known_endpoint_outside_training=outside,
     )
     split = OokbSplit(
         train=graph,
-        aux=aux,
-        ookb_entities=ookb_entities,
-        validation=validation,
-        test=test,
+        aux=[Triplet(*row) for row in aux.tolist()],
+        ookb_entities=ookb,
+        validation=list(compress(valid_file, valid_keep.tolist())),
+        test=list(compress(test_file, test_keep.tolist())),
         stats=stats,
     )
     problems = split.check()
@@ -229,27 +214,20 @@ def write_split(
     ``.test.txt`` (labeled), ``.ookb.txt`` (one OOKB entity name per line),
     and the stats in both key=value text and JSON form.
     """
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-
-    def path_of(key, part):
-        p = os.path.join(out_dir, f"{name}.{part}")
-        paths[key] = p
-        return p
-
-    save_triplet_file(path_of("train", "train.txt"), split.train.triplets.tolist(),
-                      entity_vocab, relation_vocab)
-    save_triplet_file(path_of("aux", "aux.txt"), split.aux, entity_vocab, relation_vocab)
-    save_triplet_file(path_of("valid", "valid.txt"), split.validation, entity_vocab, relation_vocab, labeled=True)
-    save_triplet_file(path_of("test", "test.txt"), split.test, entity_vocab, relation_vocab, labeled=True)
-    with open(path_of("ookb", "ookb.txt"), "w", encoding="utf-8") as fh:
-        for e in sorted(split.ookb_entities):
-            fh.write(entity_vocab.name_of(e) + "\n")
-    with open(path_of("stats", "stats.txt"), "w", encoding="utf-8") as fh:
+    paths = {key: os.path.join(out_dir, f"{name}.{part}") for key, part in (
+        ("train", "train.txt"), ("aux", "aux.txt"), ("valid", "valid.txt"), ("test", "test.txt"),
+        ("ookb", "ookb.txt"), ("stats", "stats.txt"), ("stats_json", "stats.json"))}
+    save_triplet_file(paths["train"], split.train.triplets, entity_vocab, relation_vocab)
+    save_triplet_file(paths["aux"], split.aux, entity_vocab, relation_vocab)
+    for key, part in (("valid", split.validation), ("test", split.test)):
+        rows, labels = labeled_arrays(part)
+        save_triplet_file(paths[key], rows, entity_vocab, relation_vocab, labels)
+    with open(paths["ookb"], "w", encoding="utf-8") as fh:
+        fh.writelines(entity_vocab.name_of(e) + "\n" for e in split.ookb_entities.tolist())
+    with open(paths["stats"], "w", encoding="utf-8") as fh:
         fh.write(split.stats.as_text())
-    with open(path_of("stats_json", "stats.json"), "w", encoding="utf-8") as fh:
+    with open(paths["stats_json"], "w", encoding="utf-8") as fh:
         json.dump(asdict(split.stats), fh, indent=2)
         fh.write("\n")
     return paths

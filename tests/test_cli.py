@@ -63,18 +63,20 @@ class TestGenOokb:
 
     def test_loaded_split_keeps_written_stats(self, corpus):
         from graphkbc.cli import _load_split_files
-        from graphkbc.kg import Vocabulary, load_triplet_file, positives
+        from graphkbc.kg import Vocabulary, labeled_arrays, load_triplet_file
         from graphkbc.ookb import generate, write_split
 
         tmp_path, paths = corpus
         ev, rv = Vocabulary(), Vocabulary()
-        train = positives(load_triplet_file(paths["train"], ev, rv))
+        train = labeled_arrays(load_triplet_file(paths["train"], ev, rv))[0]
         valid = load_triplet_file(paths["valid"], ev, rv, labeled=True)
         test = load_triplet_file(paths["test"], ev, rv, labeled=True)
         split = generate(train, valid, test, 2, "tail")
         write_split(split, tmp_path / "s", "tail-2", ev, rv)
         loaded = _load_split_files(tmp_path / "s" / "tail-2", ev, rv)
         assert loaded.stats == split.stats
+        assert loaded.ookb_entities.tolist() == split.ookb_entities.tolist()
+        assert loaded.aux.tolist() == [list(t) for t in split.aux]
         assert split.stats.auxiliary_entities > 0  # not a zero placeholder
 
     def test_zero_n_is_usage_error(self, corpus):
@@ -182,6 +184,21 @@ class TestEvalAndPredict:
         thresholds = json.loads((out / "thresholds.json").read_text())
         assert set(thresholds["relations"]) <= {"next", "jump"}
         assert "accuracy" in (out / "summary.txt").read_text()
+
+    def test_global_threshold_eval(self, trained, capsys):
+        from graphkbc.evaluate import ThresholdTable
+
+        tmp_path, paths, checkpoint = trained
+        out = tmp_path / "eval-global"
+        code = run(["eval", "--checkpoint", checkpoint, "--mode", "standard",
+                    "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--global-threshold", "--out", out])
+        assert code == EXIT_OK
+        assert json.loads((out / "config.json").read_text())["per_relation"] is False
+        thresholds = json.loads((out / "thresholds.json").read_text())
+        assert thresholds["relations"] == {}
+        report = json.loads((out / "report.jsonl").read_text().splitlines()[0])
+        assert report["threshold_digest"] == ThresholdTable({}, thresholds["global"]).digest()
 
     def test_ookb_eval_both_methods(self, corpus, capsys):
         tmp_path, paths = corpus

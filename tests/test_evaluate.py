@@ -14,7 +14,7 @@ from graphkbc.evaluate import (
     resolve_vectors,
     tune_thresholds,
 )
-from graphkbc.kg import LabeledTriplet, Triplet, build_graph
+from graphkbc.kg import LabeledTriplet, Triplet, build_graph, labeled_arrays
 from graphkbc.model import DIR_HEAD, DIR_TAIL, GraphModel, InferenceError, PropagationConfig
 from graphkbc.ookb import generate
 
@@ -49,7 +49,7 @@ class TestTuneThresholds:
         validation = [lt(A, R, B), lt(B, R, C), lt(C, R, D, False), lt(D, R, E, False)]
         scores = {Triplet(A, R, B): 1.0, Triplet(B, R, C): 2.0,
                   Triplet(C, R, D): 5.0, Triplet(D, R, E): 6.0}
-        table = tune_thresholds(validation, fixed_scorer(scores))
+        table = tune_thresholds(*labeled_arrays(validation), fixed_scorer(scores))
         thr = table.per_relation[R]
         assert 2.0 < thr <= 5.0
         preds = [classify(lt_.triplet, table, scores[lt_.triplet]) for lt_ in validation]
@@ -58,7 +58,7 @@ class TestTuneThresholds:
     def test_all_positive_relation_gets_infinity(self):
         validation = [lt(A, R, B), lt(B, R, C), lt(A, S, C, False)]
         scores = {Triplet(A, R, B): 3.0, Triplet(B, R, C): 9.0, Triplet(A, S, C): 1.0}
-        table = tune_thresholds(validation, fixed_scorer(scores))
+        table = tune_thresholds(*labeled_arrays(validation), fixed_scorer(scores))
         assert table.per_relation[R] == np.inf
 
     def test_matches_brute_force_scan(self):
@@ -75,7 +75,7 @@ class TestTuneThresholds:
             def scorer(triplets):
                 return scores
 
-            table = tune_thresholds(validation, scorer)
+            table = tune_thresholds(*labeled_arrays(validation), scorer)
             _, oracle_acc = brute_force_threshold(scores.tolist(), labels.tolist())
             got_acc = np.mean((scores < table.per_relation[R]) == labels)
             assert got_acc == pytest.approx(oracle_acc), trial
@@ -84,19 +84,19 @@ class TestTuneThresholds:
         # both midpoints reach the same accuracy; take the smaller one
         validation = [lt(A, R, B), lt(B, R, C, False), lt(C, R, D)]
         scores = {Triplet(A, R, B): 1.0, Triplet(B, R, C): 2.0, Triplet(C, R, D): 3.0}
-        table = tune_thresholds(validation, fixed_scorer(scores))
+        table = tune_thresholds(*labeled_arrays(validation), fixed_scorer(scores))
         oracle_thr, oracle_acc = brute_force_threshold([1.0, 2.0, 3.0], [True, False, True])
         assert table.per_relation[R] == oracle_thr
 
     def test_unseen_relation_falls_back_to_global(self):
         validation = [lt(A, R, B), lt(C, R, D, False)]
         scores = {Triplet(A, R, B): 1.0, Triplet(C, R, D): 3.0}
-        table = tune_thresholds(validation, fixed_scorer(scores))
+        table = tune_thresholds(*labeled_arrays(validation), fixed_scorer(scores))
         assert table.threshold_of(S) == table.global_threshold
 
     def test_empty_validation_rejected(self):
         with pytest.raises(ValueError):
-            tune_thresholds([], fixed_scorer({}))
+            tune_thresholds(*labeled_arrays([]), fixed_scorer({}))
 
     def test_beats_every_global_candidate(self):
         rng = np.random.default_rng(5)
@@ -110,7 +110,7 @@ class TestTuneThresholds:
         def scorer(triplets):
             return all_scores
 
-        table = tune_thresholds(validation, scorer)
+        table = tune_thresholds(*labeled_arrays(validation), scorer)
         per_rel_acc = np.mean(
             [
                 (s < table.threshold_of(v.triplet.relation)) == v.label
@@ -159,18 +159,18 @@ def make_model(n_entities, n_relations, seed=0, **cfg_kw):
 
 class TestOokbVector:
     def make_ctx(self, model, train_triplets, aux, ookb):
-        return OokbContext(build_graph(train_triplets), aux, frozenset(ookb), model)
+        return OokbContext(build_graph(train_triplets), aux, ookb, model)
 
     def test_single_aux_identity_avg(self):
         u = 4  # beyond the 4 trained rows: no base embedding exists for u
         m = make_model(4, 2, dim=3, transition="identity", pooling="avg")
-        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], {u})
+        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], [u])
         assert np.array_equal(ookb_vector(np.array([u]), ctx), m.entities.data[[B]])
 
     def test_two_aux_identity_avg_is_mean(self):
         u = 4
         m = make_model(4, 2, dim=3, transition="identity", pooling="avg")
-        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u), Triplet(u, S, C)], {u})
+        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u), Triplet(u, S, C)], [u])
         expected = (m.entities.data[B] + m.entities.data[C]) / 2.0
         assert np.allclose(ookb_vector(np.array([u]), ctx)[0], expected)
 
@@ -188,7 +188,7 @@ class TestOokbVector:
                 rmean[g] = stats_rng.normal(size=5) * 0.1
                 rvar[g] = 1.0 + stats_rng.random(5)
         aux = [Triplet(B, R, u), Triplet(u, S, C), Triplet(A, R, u)]
-        ctx = self.make_ctx(m, [Triplet(A, R, B)], aux, {u})
+        ctx = self.make_ctx(m, [Triplet(A, R, B)], aux, [u])
 
         def reference():
             contribs = []
@@ -212,21 +212,21 @@ class TestOokbVector:
         u = 4
         m = make_model(4, 2, dim=3, transition="relation-relu-bn", pooling="max")
         before = m.entities.data.copy()
-        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], {u})
+        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], [u])
         ookb_vector(np.array([u]), ctx)
         assert np.array_equal(m.entities.data, before)
 
     def test_no_aux_is_an_error(self):
         u = 4
         m = make_model(4, 2, dim=3)
-        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], {u, 5})
+        ctx = self.make_ctx(m, [Triplet(A, R, B)], [Triplet(B, R, u)], [u, 5])
         with pytest.raises(InferenceError, match="no auxiliary"):
             ookb_vector(np.array([u, 5]), ctx)
 
     def test_aux_rule_validated(self):
         m = make_model(4, 2, dim=3)
         with pytest.raises(InferenceError, match="exactly one"):
-            self.make_ctx(m, [Triplet(A, R, B)], [Triplet(A, R, B)], {4})
+            self.make_ctx(m, [Triplet(A, R, B)], [Triplet(A, R, B)], [4])
 
     def test_batch_matches_single_entities(self):
         # composing several OOKB entities in one batch (depth 2, shared
@@ -235,7 +235,7 @@ class TestOokbVector:
         train = [Triplet(A, R, B), Triplet(B, S, C), Triplet(C, R, D), Triplet(D, S, A)]
         aux = [Triplet(B, R, 4), Triplet(4, S, C), Triplet(C, R, 5), Triplet(5, R, A),
                Triplet(D, S, 5)]
-        ctx = self.make_ctx(m, train, aux, {4, 5})
+        ctx = self.make_ctx(m, train, aux, [4, 5])
         batch = ookb_vector(np.array([4, 5]), ctx)
         for row, u in zip(batch, (4, 5)):
             assert np.allclose(row, ookb_vector(np.array([u]), ctx)[0], rtol=0, atol=1e-12)
@@ -246,7 +246,7 @@ class TestBaselineVector:
         u = 4
         m = make_model(4, 2, dim=3, mode="none")
         ctx = OokbContext(build_graph([Triplet(A, R, B)]), [Triplet(B, R, u)],
-                          frozenset({u}), m)
+                          [u], m)
         expected = m.entities.data[B] + m.relations.data[R]
         for pooling in ("sum", "avg", "max"):
             assert np.allclose(baseline_ookb_vector(np.array([u]), ctx, pooling)[0], expected)
@@ -255,7 +255,7 @@ class TestBaselineVector:
         u = 4
         m = make_model(4, 2, dim=3, mode="none")
         aux = [Triplet(B, R, u), Triplet(u, S, C)]
-        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, frozenset({u}), m)
+        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, [u], m)
         expected = (
             (m.entities.data[B] + m.relations.data[R])
             + (m.entities.data[C] - m.relations.data[S])
@@ -266,7 +266,7 @@ class TestBaselineVector:
         u = 4
         m = make_model(4, 2, dim=3, mode="none")
         aux = [Triplet(B, R, u), Triplet(u, S, C)]
-        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, frozenset({u}), m)
+        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, [u], m)
         expected = (m.entities.data[B] + m.entities.data[C]) / 2.0
         got = baseline_ookb_vector(np.array([u]), ctx, "avg", raw_neighbors=True)
         assert np.allclose(got[0], expected)
@@ -275,7 +275,7 @@ class TestBaselineVector:
         u, w = 4, 5
         m = make_model(4, 2, dim=3, mode="none")
         aux = [Triplet(B, R, u), Triplet(u, S, C), Triplet(A, S, w)]
-        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, frozenset({u, w}), m)
+        ctx = OokbContext(build_graph([Triplet(A, R, B)]), aux, [u, w], m)
         ent, rel = m.entities.data, m.relations.data
         expected = [np.maximum(ent[B] + rel[R], ent[C] - rel[S]), ent[A] + rel[S]]
         assert np.array_equal(baseline_ookb_vector(np.array([u, w]), ctx, "max"), expected)
@@ -289,7 +289,7 @@ class TestBaselineVector:
         m.relations.data[:] = 0.0
         m.relations.data[0, 0] = 1.0
         aux = [Triplet(3, R, u)]  # implies v_u = 4 * e1
-        ctx = OokbContext(build_graph([Triplet(0, R, 1)]), aux, frozenset({u}), m)
+        ctx = OokbContext(build_graph([Triplet(0, R, 1)]), aux, [u], m)
         ids, vectors = resolve_vectors([3, u], ctx, method="baseline", pooling="avg")
         assert make_scorer(m, ids, vectors)([Triplet(3, R, u)]).tolist() == [0.0]
 
@@ -320,7 +320,7 @@ class TestEvaluateFlows:
         test_file = [lt(4, R, 5), lt(2, R, 5, False)]
         valid_file = [lt(0, R, 1), lt(2, R, 1, False)]
         split = generate(train + [Triplet(4, R, 5)], valid_file, test_file, 2, "tail")
-        assert split.ookb_entities == {5}
+        assert split.ookb_entities.tolist() == [5]
 
         baseline_model = self.exact_line_model()
         report, _ = evaluate_ookb(split, baseline_model, method="baseline", pooling="avg")
@@ -345,7 +345,7 @@ class TestEvaluateFlows:
 
     def test_propagated_vectors_cover_requested_ids(self):
         m = make_model(4, 1, dim=3, mode="none")
-        ctx = OokbContext(build_graph([Triplet(0, R, 1)]), [], frozenset(), m)
+        ctx = OokbContext(build_graph([Triplet(0, R, 1)]), [], [], m)
         ids, vectors = resolve_vectors([0, 2, 2, 3], ctx)
         assert ids.tolist() == [0, 2, 3]
         assert np.array_equal(vectors, m.entities.data[[0, 2, 3]])
@@ -359,7 +359,7 @@ class TestEvaluateFlows:
         n = 1500
         m = make_model(n, 2, seed=5, dim=4, pooling="avg")
         ring = [Triplet(e, e % 2, (e + 1) % n) for e in range(n)]
-        ctx = OokbContext(build_graph(ring), [], frozenset(), m)
+        ctx = OokbContext(build_graph(ring), [], [], m)
         ids = np.arange(n)
         whole = m.propagate_batch(ids, ctx.table).data
         assert np.allclose(propagated_vectors(ids, ctx), whole, rtol=1e-12, atol=1e-12)

@@ -9,6 +9,7 @@ from graphkbc.kg import (
     Vocabulary,
     build_graph,
     entities_of,
+    labeled_arrays,
     load_triplet_file,
     positives,
     save_triplet_file,
@@ -85,10 +86,19 @@ class TestLoad:
         src = tmp_path / "in.txt"
         src.write_text(content)
         ev, rv = make_vocabs()
-        triples = load_triplet_file(src, ev, rv, labeled=True)
+        rows, labels = labeled_arrays(load_triplet_file(src, ev, rv, labeled=True))
         dst = tmp_path / "out.txt"
-        save_triplet_file(dst, triples, ev, rv, labeled=True)
+        save_triplet_file(dst, rows, ev, rv, labels)
         assert dst.read_bytes() == src.read_bytes()
+
+    def test_save_takes_triplets_or_id_rows(self, tmp_path):
+        ev, rv = Vocabulary(["a", "b"]), Vocabulary(["r"])
+        save_triplet_file(tmp_path / "t.txt", [Triplet(0, 0, 1), Triplet(1, 0, 0)], ev, rv)
+        save_triplet_file(tmp_path / "a.txt", np.array([[0, 0, 1], [1, 0, 0]]), ev, rv)
+        assert (tmp_path / "t.txt").read_text() == "a\tr\tb\nb\tr\ta\n"
+        assert (tmp_path / "a.txt").read_text() == "a\tr\tb\nb\tr\ta\n"
+        save_triplet_file(tmp_path / "e.txt", [], ev, rv, labels=[])
+        assert (tmp_path / "e.txt").read_bytes() == b""
 
     def test_positives_helper(self):
         lts = [
@@ -104,8 +114,8 @@ class TestGraph:
         g = build_graph([Triplet(a, r, b)])
         assert g.triplets.tolist() == [[a, r, b]]
         assert g.triplets.dtype == np.intp
-        assert Triplet(a, r, b) in g
-        assert Triplet(b, r, a) not in g
+        assert g.contains(Triplet(a, r, b)).tolist() == [True]
+        assert g.contains(Triplet(b, r, a)).tolist() == [False]
 
     def test_duplicates_collapse(self):
         t = Triplet(0, 0, 1)

@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from graphkbc.autodiff import Tensor, gradcheck
-from graphkbc.kg import Triplet, build_graph
+from graphkbc.kg import Triplet, Vocabulary, build_graph
 from graphkbc.model import (
     _SEGMENT_POOL,
     DIR_HEAD,
@@ -15,8 +17,10 @@ from graphkbc.model import (
     NeighborTable,
     ObjectiveConfig,
     PropagationConfig,
+    load_model,
     loss_absolute,
     loss_pairwise,
+    save_model,
 )
 
 A, B, C, D, E = range(5)
@@ -312,7 +316,7 @@ class TestPropagation:
                       max_size=25),
     extra=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 2), st.integers(0, 9)),
                    max_size=10),
-    exclude=st.frozensets(st.integers(0, 9), max_size=4),
+    exclude=st.lists(st.integers(0, 9), max_size=4, unique=True).map(sorted),
 )
 def test_neighbor_table_matches_per_triplet_loop(triplets, extra, exclude):
     # duplicates and self-loops stay in the table; ids 6..9 lie past n_entities
@@ -484,3 +488,57 @@ class TestFullModelGradients:
         m, build_loss = self.build_fixture(pooling="max", seed=5)
         failures = gradcheck(build_loss, m.store.parameters())
         assert failures == [], failures[:5]
+
+
+def _filled_model(seed, adam_t):
+    m = make_model(3, 1, seed=seed, dim=4)
+    rng = np.random.default_rng(seed)
+    for moments in m.store._moments.values():
+        for array in moments:
+            array[...] = rng.random(array.shape)
+    m.store.adam_t = adam_t
+    return m
+
+
+@pytest.mark.parametrize("fault", ["manifest", "swap"])
+def test_interrupted_bundle_overwrite_never_mixes_states(tmp_path, monkeypatch, fault):
+    # both bundles share one layout, so a blob of the new state under the
+    # manifest of the old one would pass the size check; the load must give
+    # the old state bit for bit, or fail as a data error
+    from graphkbc import nn
+    from graphkbc.cli import EXIT_DATA, main
+
+    ev, rv = Vocabulary(["a", "b", "c"]), Vocabulary(["r"])
+    old, new = _filled_model(1, adam_t=7), _filled_model(2, adam_t=9)
+    bundle = tmp_path / "bundle"
+    save_model(old, bundle, ev, rv)
+    if fault == "manifest":  # fail after params.bin is written, before manifest.json
+        def failing_open(path, mode="r", *args, **kwargs):
+            if str(path).endswith("manifest.json") and "w" in mode:
+                raise OSError("no space left on device")
+            return open(path, mode, *args, **kwargs)
+        monkeypatch.setattr(nn, "open", failing_open, raising=False)
+    else:  # fail moving the finished bundle into place
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if str(src).endswith(".partial"):
+                raise OSError("interrupted")
+            return replace(src, dst)
+        monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_model(new, bundle, ev, rv)
+    monkeypatch.undo()
+
+    if fault == "swap":
+        assert main(["eval", "--checkpoint", str(bundle), "--out", str(tmp_path / "e")]) \
+            == EXIT_DATA
+        return
+    loaded = load_model(bundle)[0].store
+    assert loaded.adam_t == 7
+    for name, p in old.store.parameters().items():
+        assert np.array_equal(loaded.param(name).data, p.data), name
+        for got, want in zip(loaded._moments[name], old.store._moments[name]):
+            assert np.array_equal(got, want), name
+    for name, b in old.store.buffers().items():
+        assert np.array_equal(loaded.buffer(name), b), name

@@ -1,7 +1,18 @@
+import tempfile
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from graphkbc.kg import LabeledTriplet, Triplet, Vocabulary, build_graph, load_triplet_file
+from graphkbc.kg import (
+    LabeledTriplet,
+    Triplet,
+    Vocabulary,
+    build_graph,
+    labeled_arrays,
+    load_triplet_file,
+    triplet_array,
+)
 from graphkbc.ookb import (
     OokbPosition,
     OokbSplit,
@@ -22,66 +33,79 @@ def lt(h, r, t, label=True):
     return LabeledTriplet(Triplet(h, r, t), label)
 
 
+def rows(*triplets):
+    return np.array(triplets, dtype=np.intp).reshape(-1, 3)
+
+
 class TestChooseCandidates:
-    TEST_FILE = [lt(A, R, B), lt(C, R, D, label=False)]
+    TEST_ROWS = rows((A, R, B), (C, R, D))
 
     def test_head(self):
-        assert choose_candidates(self.TEST_FILE, 2, OokbPosition.HEAD) == {A, C}
+        assert choose_candidates(self.TEST_ROWS, 2, OokbPosition.HEAD).tolist() == [A, C]
 
     def test_both(self):
-        assert choose_candidates(self.TEST_FILE, 2, OokbPosition.BOTH) == {A, B, C, D}
+        assert choose_candidates(self.TEST_ROWS, 2, OokbPosition.BOTH).tolist() == [A, B, C, D]
 
     def test_prefix_only(self):
-        assert choose_candidates(self.TEST_FILE, 1, OokbPosition.TAIL) == {B}
+        assert choose_candidates(self.TEST_ROWS, 1, OokbPosition.TAIL).tolist() == [B]
 
     def test_n_too_large(self):
         with pytest.raises(ValueError):
-            choose_candidates(self.TEST_FILE, 3, OokbPosition.HEAD)
+            choose_candidates(self.TEST_ROWS, 3, OokbPosition.HEAD)
 
 
 class TestFinalize:
     def test_connected_candidate_kept(self):
-        assert finalize_ookb({A}, [Triplet(A, R, B)]) == {A}
+        assert finalize_ookb(np.array([A]), rows((A, R, B))).tolist() == [A]
 
     def test_candidate_pair_dropped(self):
-        assert finalize_ookb({A, B}, [Triplet(A, R, B)]) == set()
+        assert finalize_ookb(np.array([A, B]), rows((A, R, B))).tolist() == []
 
     def test_self_loop_does_not_qualify(self):
-        assert finalize_ookb({A}, [Triplet(A, R, A)]) == set()
+        assert finalize_ookb(np.array([A]), rows((A, R, A))).tolist() == []
 
 
 class TestSplitTraining:
     def test_empty_ookb_is_identity(self):
-        train = [Triplet(A, R, B), Triplet(B, S, C)]
-        kept, aux, discarded = split_training(train, set())
-        assert (kept, aux, discarded) == (train, [], [])
+        train = rows((A, R, B), (B, S, C))
+        kept, aux, discarded = split_training(train, np.array([], dtype=np.intp))
+        assert (kept.tolist(), aux.tolist(), discarded.tolist()) == (train.tolist(), [], [])
 
     def test_double_ookb_discarded(self):
-        kept, aux, discarded = split_training([Triplet(A, R, B)], {A, B})
-        assert (kept, aux, discarded) == ([], [], [Triplet(A, R, B)])
+        kept, aux, discarded = split_training(rows((A, R, B)), np.array([A, B]))
+        assert (kept.tolist(), aux.tolist(), discarded.tolist()) == ([], [], [[A, R, B]])
 
     def test_three_way_partition(self):
-        train = [Triplet(A, R, B), Triplet(B, S, C), Triplet(A, R, C), Triplet(D, R, E)]
-        kept, aux, discarded = split_training(train, {A, C})
-        assert kept == [Triplet(D, R, E)]
-        assert aux == [Triplet(A, R, B), Triplet(B, S, C)]
-        assert discarded == [Triplet(A, R, C)]
+        train = rows((A, R, B), (B, S, C), (A, R, C), (D, R, E))
+        kept, aux, discarded = split_training(train, np.array([A, C]))
+        assert kept.tolist() == [[D, R, E]]
+        assert aux.tolist() == [[A, R, B], [B, S, C]]
+        assert discarded.tolist() == [[A, R, C]]
 
 
 class TestFilterEvalSets:
     def test_empty_ookb(self):
-        test_file = [lt(A, R, B)]
-        valid_file = [lt(C, R, D, label=False)]
-        test, valid = filter_eval_sets(test_file, valid_file, 1, set())
-        assert test == []
-        assert valid == valid_file
+        test, valid = filter_eval_sets(rows((A, R, B)), rows((C, R, D)), 1,
+                                       np.array([], dtype=np.intp))
+        assert (test.tolist(), valid.tolist()) == ([False], [True])
+
+    def test_masks_over_prefix_and_whole_validation(self):
+        test, valid = filter_eval_sets(rows((A, R, B), (C, R, D), (A, S, C)),
+                                       rows((C, R, D), (A, R, D)), 2, np.array([A]))
+        assert test.tolist() == [True, False]
+        assert valid.tolist() == [True, False]
 
     def test_labels_preserved(self):
+        # generate picks the chosen lines out of the labeled inputs
         test_file = [lt(A, R, B, label=False), lt(C, R, D)]
-        valid_file = [lt(C, R, D), lt(A, R, D, label=False)]
-        test, valid = filter_eval_sets(test_file, valid_file, 2, {A})
-        assert test == [lt(A, R, B, label=False)]
-        assert valid == [lt(C, R, D)]
+        valid_file = [lt(C, R, D), lt(A, R, D, label=False), lt(D, S, C, label=False)]
+        split = generate([Triplet(A, R, B)], valid_file, test_file, 2, OokbPosition.HEAD)
+        assert split.test == [lt(A, R, B, label=False)]
+        assert split.validation == [lt(C, R, D), lt(D, S, C, label=False)]
+
+    def test_n_too_large(self):
+        with pytest.raises(ValueError):
+            filter_eval_sets(rows((A, R, B)), rows(), 2, np.array([A]))
 
 
 class TestGenerate:
@@ -95,7 +119,7 @@ class TestGenerate:
         split = generate(self.TRAIN, self.VALID, self.TEST, 2, OokbPosition.HEAD)
         # candidates {A, D}; (A,R,B) qualifies A; (C,R,D) qualifies D;
         # (A,S,D) qualifies neither (both endpoints are candidates).
-        assert split.ookb_entities == {A, D}
+        assert split.ookb_entities.tolist() == [A, D]
         assert split.train.triplets.tolist() == [[B, S, C]]
         assert split.aux == [Triplet(A, R, B), Triplet(C, R, D)]
         assert split.test == self.TEST  # both touch an OOKB entity
@@ -121,7 +145,7 @@ class TestGenerate:
     def test_determinism(self):
         a = generate(self.TRAIN, self.VALID, self.TEST, 2, OokbPosition.BOTH)
         b = generate(self.TRAIN, self.VALID, self.TEST, 2, OokbPosition.BOTH)
-        assert a.ookb_entities == b.ookb_entities
+        assert a.ookb_entities.tolist() == b.ookb_entities.tolist()
         assert a.aux == b.aux
         assert a.train.triplets.tolist() == b.train.triplets.tolist()
 
@@ -139,15 +163,38 @@ class TestGenerate:
 def test_generate_properties(train, test, position):
     train = [Triplet(*t) for t in train]
     test_file = [lt(h, r, t, label) for h, r, t, label in test]
+    train_rows, test_rows = triplet_array(train), labeled_arrays(test_file)[0]
     sizes = sorted({1, max(1, len(test_file) // 2), len(test_file)})
-    candidate_sets = [choose_candidates(test_file, n, position) for n in sizes]
+    candidate_sets = [choose_candidates(test_rows, n, position) for n in sizes]
     for small, big in zip(candidate_sets, candidate_sets[1:]):
-        assert small <= big  # prefix monotonicity
-    ookb = finalize_ookb(candidate_sets[-1], train)
-    kept, aux, discarded = split_training(train, ookb)
+        assert np.isin(small, big).all()  # prefix monotonicity
+    ookb = finalize_ookb(candidate_sets[-1], train_rows)
+    kept, aux, discarded = split_training(train_rows, ookb)
     assert len(kept) + len(aux) + len(discarded) == len(train)
-    split = generate(train, [], test_file, sizes[-1], position)
+    split = generate(train, test_file[::2], test_file, sizes[-1], position)
     assert split.check() == []
+    assert split.ookb_entities.dtype == np.intp
+    assert np.all(np.diff(split.ookb_entities) > 0)
+
+    # the written files read back to the same rows, labels and OOKB names,
+    # empty parts included
+    ev = Vocabulary(f"e{i}" for i in range(10))
+    rv = Vocabulary(["r", "s"])
+    with tempfile.TemporaryDirectory() as out:
+        paths = write_split(split, out, "p", ev, rv)
+
+        def read(key, labeled=False):
+            return labeled_arrays(load_triplet_file(paths[key], ev, rv, labeled=labeled))
+
+        assert np.array_equal(read("train")[0], split.train.triplets)
+        assert np.array_equal(read("aux")[0], triplet_array(split.aux))
+        for key, part in (("valid", split.validation), ("test", split.test)):
+            got, want = read(key, labeled=True), labeled_arrays(part)
+            assert got[0].dtype == np.intp and got[1].dtype == bool
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        with open(paths["ookb"], encoding="utf-8") as fh:
+            assert fh.read().split() == [ev.names[e] for e in split.ookb_entities]
+    assert len(ev) == 10 and len(rv) == 2  # every name read back was already known
 
 
 def test_write_split_round_trips(tmp_path):
@@ -176,7 +223,7 @@ def test_check_reports_each_kind_of_violation():
     split = OokbSplit(
         train=build_graph([Triplet(B, R, C), Triplet(C, S, A)]),
         aux=[Triplet(A, R, B), Triplet(B, R, C), Triplet(A, S, D)],
-        ookb_entities={A, D},
+        ookb_entities=np.array([A, D]),
         validation=[lt(B, R, C), lt(D, R, C, label=False)],
         test=[lt(A, R, B), lt(B, S, C)],
         stats=None,

@@ -103,32 +103,30 @@ class TestBridgeSanity:
         # so composing them in one batch must reproduce the batched ordinary
         # propagation of the same ids exactly
         split, merged, model = bridged
-        ctx = OokbContext(split.train, list(split.aux),
-                          frozenset(split.ookb_entities), model)
+        ctx = OokbContext(split.train, split.aux, split.ookb_entities, model)
         table = NeighborTable(model.n_entities, merged.triplets)
-        held = np.array(sorted(split.ookb_entities))
+        held = split.ookb_entities
         assert np.array_equal(ookb_vector(held, ctx), model.propagate_batch(held, table).data)
 
     def test_classifications_agree_between_paths(self, bridged):
         # classify the test triplets twice: everything through standard
         # propagation, and with the held entities' vectors swapped for their
         # aux-composed counterparts; predictions must coincide
-        from graphkbc.evaluate import (classify, labeled_arrays, make_scorer,
-                                       resolve_vectors, tune_thresholds)
+        from graphkbc.evaluate import classify, make_scorer, resolve_vectors, tune_thresholds
+        from graphkbc.kg import labeled_arrays
 
         split, merged, model = bridged
-        standard = OokbContext(merged, [], frozenset(), model)
-        valid_triplets, _ = labeled_arrays(split.validation)
+        standard = OokbContext(merged, [], [], model)
+        valid_triplets, valid_labels = labeled_arrays(split.validation)
         test_triplets, _ = labeled_arrays(split.test)
         needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
         ids, vectors = resolve_vectors(needed, standard)
         scorer = make_scorer(model, ids, vectors)
-        thresholds = tune_thresholds(split.validation, scorer)
+        thresholds = tune_thresholds(valid_triplets, valid_labels, scorer)
         standard_preds = classify(test_triplets, thresholds, scorer(test_triplets))
 
-        ctx = OokbContext(split.train, list(split.aux),
-                          frozenset(split.ookb_entities), model)
-        held = np.isin(ids, sorted(split.ookb_entities))
+        ctx = OokbContext(split.train, split.aux, split.ookb_entities, model)
+        held = np.isin(ids, split.ookb_entities)
         swapped = vectors.copy()
         swapped[held] = ookb_vector(ids[held], ctx)
         scorer2 = make_scorer(model, ids, swapped)
