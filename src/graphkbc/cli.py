@@ -29,6 +29,10 @@ class ConfigError(ValueError):
     pass
 
 
+class DataError(ValueError):
+    """A malformed input data file (exit 2)."""
+
+
 class UsageError(Exception):
     pass
 
@@ -98,18 +102,20 @@ def _add_field_flags(parser: argparse.ArgumentParser, fields: dict[str, tuple]) 
             parser.add_argument(flag, default=None, type=kind, help=f"(default {default})")
 
 
+def _read_json(path, parse):
+    """``parse`` of the JSON in ``path``; a malformed file is a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
+
+
 def _echo_config(out_dir, command: str, merged: dict) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as fh:
         json.dump({"command": command, **merged}, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _read_rows(path, ev, rv):
-    """The (n, 3) id array of an unlabeled triplet file."""
-    from .kg import labeled_arrays, load_triplet_file
-
-    return labeled_arrays(load_triplet_file(path, ev, rv))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +134,7 @@ def cmd_gen_ookb(args) -> int:
         poss = [OokbPosition(p) for p in args.position.split(",")]
 
     ev, rv = Vocabulary(), Vocabulary()
-    train = _read_rows(args.train, ev, rv)
+    train, _ = load_triplet_file(args.train, ev, rv)
     valid = load_triplet_file(args.valid, ev, rv, labeled=True)
     test = load_triplet_file(args.test, ev, rv, labeled=True)
 
@@ -196,7 +202,7 @@ def _configs_from(merged: dict):
 
 
 def cmd_train(args) -> int:
-    from .kg import Vocabulary, build_graph
+    from .kg import Vocabulary, build_graph, load_triplet_file
     from .model import load_model, save_model
     from .trainer import init_model, run_training
 
@@ -210,11 +216,16 @@ def cmd_train(args) -> int:
     if args.resume:
         model, ev, rv, extra = load_model(args.resume)
         start_epoch = int(extra.get("completed_epochs", 0))
-        graph = build_graph(_read_rows(args.train, ev, rv))
+        graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
         if len(ev) != model.n_entities:
             raise ConfigError(
                 "training file contains entities unknown to the checkpoint; "
                 "resume must use the original training file"
+            )
+        if len(rv) > model.n_relations:
+            raise ConfigError(
+                f"training file contains relation {rv.name_of(model.n_relations)!r}, unknown to "
+                "the checkpoint; resume must use the original training file"
             )
     else:
         if args.vocab:
@@ -223,7 +234,7 @@ def cmd_train(args) -> int:
             rv = Vocabulary.load(rv_path) if os.path.exists(rv_path) else Vocabulary()
         else:
             ev, rv = Vocabulary(), Vocabulary()
-        graph = build_graph(_read_rows(args.train, ev, rv))
+        graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
         model = init_model(len(ev), len(rv), prop_cfg, cfg.seed)
 
     merged_echo = dict(merged)
@@ -262,14 +273,13 @@ def _load_split_files(prefix, ev, rv):
     from .kg import build_graph, load_triplet_file
     from .ookb import OokbSplit, SplitStats
 
-    train = build_graph(_read_rows(f"{prefix}.train.txt", ev, rv))
-    aux = _read_rows(f"{prefix}.aux.txt", ev, rv)
+    train = build_graph(load_triplet_file(f"{prefix}.train.txt", ev, rv)[0])
+    aux, _ = load_triplet_file(f"{prefix}.aux.txt", ev, rv)
     valid = load_triplet_file(f"{prefix}.valid.txt", ev, rv, labeled=True)
     test = load_triplet_file(f"{prefix}.test.txt", ev, rv, labeled=True)
     with open(f"{prefix}.ookb.txt", encoding="utf-8") as fh:
-        ookb = np.unique(np.fromiter((ev.add(e) for e in fh.read().split("\n") if e), np.intp))
-    with open(f"{prefix}.stats.json", encoding="utf-8") as fh:
-        stats = SplitStats(**json.load(fh))
+        ookb = np.unique(ev.intern([e for e in fh.read().split("\n") if e]))
+    stats = _read_json(f"{prefix}.stats.json", lambda fields: SplitStats(**fields))
     return OokbSplit(train=train, aux=aux, ookb_entities=ookb,
                      validation=valid, test=test, stats=stats)
 
@@ -301,7 +311,7 @@ def cmd_eval(args) -> int:
             raise UsageError("standard eval needs --train, --valid and --test")
         echo.update({"train": args.train, "valid": args.valid, "test": args.test})
         _echo_config(args.out, "eval", echo)
-        graph = build_graph(_read_rows(args.train, ev, rv))
+        graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
         valid = load_triplet_file(args.valid, ev, rv, labeled=True)
         test = load_triplet_file(args.test, ev, rv, labeled=True)
         report, thresholds = evaluate_standard(
@@ -337,20 +347,21 @@ def cmd_predict(args) -> int:
 
     from .evaluate import OokbContext, ThresholdTable, classify, make_scorer, \
         resolve_vectors, tune_thresholds
-    from .kg import build_graph, labeled_arrays, load_triplet_file
+    from .kg import build_graph, load_triplet_file
     from .model import InferenceError, load_model
 
     model, ev, rv, extra = load_model(args.checkpoint)
-    graph = build_graph(_read_rows(args.train, ev, rv))
-    queries = _read_rows(args.triplets, ev, rv)
-    aux = _read_rows(args.aux, ev, rv) if args.aux else np.empty((0, 3), dtype=np.intp)
+    graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
+    queries, _ = load_triplet_file(args.triplets, ev, rv)
+    aux = load_triplet_file(args.aux, ev, rv)[0] if args.aux else np.empty((0, 3), dtype=np.intp)
     if args.thresholds:
-        with open(args.thresholds, encoding="utf-8") as fh:
-            data = json.load(fh)
-        per = {rv.id_of(name): t for name, t in data["relations"].items() if name in rv}
-        thresholds = ThresholdTable(per, data["global"])
+        def parse(data):
+            per = {rv.id_of(name): float(t) for name, t in data["relations"].items() if name in rv}
+            return ThresholdTable(per, float(data["global"]))
+
+        thresholds = _read_json(args.thresholds, parse)
     elif args.valid:
-        valid, valid_labels = labeled_arrays(load_triplet_file(args.valid, ev, rv, labeled=True))
+        valid, valid_labels = load_triplet_file(args.valid, ev, rv, labeled=True)
         thresholds = None
     else:
         raise UsageError("predict needs --thresholds or --valid to tune on")
@@ -486,7 +497,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, OSError) as exc:
+    except (OSError, DataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # late imports: dispatch on exception name

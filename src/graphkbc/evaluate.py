@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .kg import KnowledgeGraph, LabeledTriplet, labeled_arrays, triplet_array
+from .kg import KnowledgeGraph, labeled_arrays, triplet_array
 from .model import (
     _SEGMENT_POOL,
     DIR_HEAD,
@@ -254,8 +254,8 @@ def make_scorer(
 
 def _classification_report(
     ctx: OokbContext,
-    validation: Sequence[LabeledTriplet],
-    test: Sequence[LabeledTriplet],
+    validation,
+    test,
     report: dict,
     thresholds: ThresholdTable | None,
     per_relation: bool,
@@ -264,6 +264,8 @@ def _classification_report(
     """Resolve every entity once, tune thresholds unless given, score the test set."""
     valid_triplets, valid_labels = labeled_arrays(validation)
     test_triplets, labels = labeled_arrays(test)
+    if not len(test_triplets):
+        raise ValueError(f"{report['dataset']}: empty test set")
     needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
     scorer = make_scorer(ctx.model, *resolve_vectors(needed, ctx, **resolve))
     if thresholds is None:
@@ -272,8 +274,8 @@ def _classification_report(
             thresholds = ThresholdTable({}, thresholds.global_threshold)
     correct = classify(test_triplets, thresholds, scorer(test_triplets)) == labels
     report.update(
-        accuracy=int(correct.sum()) / len(test),
-        n_test=len(test),
+        accuracy=int(correct.sum()) / len(test_triplets),
+        n_test=len(test_triplets),
         threshold_digest=thresholds.digest(),
     )
     return report, thresholds
@@ -281,8 +283,8 @@ def _classification_report(
 
 def evaluate_standard(
     train_graph: KnowledgeGraph,
-    validation: Sequence[LabeledTriplet],
-    test: Sequence[LabeledTriplet],
+    validation,
+    test,
     model: GraphModel,
     *,
     per_relation: bool = True,
@@ -290,9 +292,7 @@ def evaluate_standard(
     dataset_name: str = "standard",
     thresholds: ThresholdTable | None = None,
 ) -> tuple[dict, ThresholdTable]:
-    """Threshold tuning on validation followed by test accuracy."""
-    if not test:
-        raise ValueError("empty test set")
+    """Threshold tuning on validation, then test accuracy (anything ``labeled_arrays`` takes)."""
     ctx = OokbContext(train_graph, [], [], model, sampler_seed=sampler_seed)
     report = {
         "dataset": dataset_name,
@@ -324,8 +324,6 @@ def evaluate_ookb(
     """
     if method not in ("proposed", "baseline"):
         raise ValueError(f"unknown method {method!r}")
-    if not split.test:
-        raise ValueError("OOKB split has an empty test set")
     if method == "baseline" and pooling not in _SEGMENT_POOL:
         raise ValueError(f"baseline evaluation needs a pooling out of {sorted(_SEGMENT_POOL)}")
     ctx = OokbContext(split.train, split.aux, split.ookb_entities, model,

@@ -8,8 +8,8 @@ into dense 0-based ids so that the rest of the pipeline works on integers.
 
 from __future__ import annotations
 
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import chain, filterfalse, repeat
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,17 +29,14 @@ class Vocabulary:
     def __init__(self, names: Iterable[str] = ()):
         self.names: list[str] = []
         self.index: dict[str, int] = {}
-        for name in names:
-            self.add(name)
+        self.intern(list(names))
 
-    def add(self, name: str) -> int:
-        """Return the id of ``name``, interning it on first sight."""
-        ident = self.index.get(name)
-        if ident is None:
-            ident = len(self.names)
-            self.index[name] = ident
-            self.names.append(name)
-        return ident
+    def intern(self, names: Sequence[str]) -> np.ndarray:
+        """The intp ids of ``names``, interning unseen ones in first-seen order."""
+        fresh = dict.fromkeys(filterfalse(self.index.__contains__, names))
+        self.index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
+        self.names.extend(fresh)
+        return np.fromiter(map(self.index.__getitem__, names), np.intp, len(names))
 
     def id_of(self, name: str) -> int:
         return self.index[name]
@@ -53,9 +50,6 @@ class Vocabulary:
     def __contains__(self, name: str) -> bool:
         return name in self.index
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
     def save(self, path) -> None:
         """Persist as a newline-delimited name list; the line number is the id."""
         with open(path, "w", encoding="utf-8") as fh:
@@ -64,8 +58,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
-        with open(path, encoding="utf-8") as fh:
-            return cls(line.rstrip("\n") for line in fh)
+        return cls(_read_lines(path))
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file without their ends, split as iterating it splits them."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 class Triplet(NamedTuple):
@@ -86,8 +88,13 @@ def triplet_array(triplets) -> np.ndarray:
     return np.fromiter(chain.from_iterable(triplets), dtype=np.intp).reshape(-1, 3)
 
 
-def labeled_arrays(labeled: Sequence[LabeledTriplet]) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, 3) intp id array and the (n,) boolean labels of labeled triplets."""
+def labeled_arrays(labeled) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, 3) intp id array and the (n,) boolean labels of labeled triplets.
+
+    ``labeled`` is a ``LabeledTriplet`` sequence or a ``(rows, labels)`` array pair.
+    """
+    if isinstance(labeled, tuple) and len(labeled) == 2 and isinstance(labeled[1], np.ndarray):
+        return triplet_array(labeled[0]), labeled[1].astype(bool, copy=False)
     rows = triplet_array(lt.triplet for lt in labeled)
     return rows, np.fromiter((lt.label for lt in labeled), dtype=bool, count=len(rows))
 
@@ -148,43 +155,39 @@ def load_triplet_file(
     entity_vocab: Vocabulary,
     relation_vocab: Vocabulary,
     labeled: bool = False,
-) -> list[LabeledTriplet]:
-    """Read a triplet file, interning names into the given vocabularies.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read a triplet file as an (n, 3) intp id array and an (n,) boolean label array.
 
-    Unlabeled files yield positive labels. Labeled files must carry a fourth
-    tab-separated column holding ``1`` or ``-1``. Blank lines are rejected:
-    the distributed benchmark files contain none, so one is a corruption sign.
+    Names are interned into the given vocabularies in first-seen order, head
+    then tail on each line. Unlabeled files yield positive labels. Labeled
+    files must carry a fourth tab-separated column holding ``1`` or ``-1``.
+    Blank lines are rejected: the distributed benchmark files contain none,
+    so one is a corruption sign. A file that fails to parse interns nothing.
     """
-    expected = 4 if labeled else 3
-    out: list[LabeledTriplet] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line:
-                raise TripletParseError(path, line_no, "blank line")
-            fields = line.split("\t")
-            if len(fields) != expected:
-                raise TripletParseError(
-                    path,
-                    line_no,
-                    f"expected {expected} tab-separated fields, got {len(fields)}",
-                )
-            h = entity_vocab.add(fields[0])
-            r = relation_vocab.add(fields[1])
-            t = entity_vocab.add(fields[2])
-            if labeled:
-                if fields[3] == "1":
-                    label = True
-                elif fields[3] == "-1":
-                    label = False
-                else:
-                    raise TripletParseError(
-                        path, line_no, f"bad label {fields[3]!r} (expected 1 or -1)"
-                    )
-            else:
-                label = True
-            out.append(LabeledTriplet(Triplet(h, r, t), label))
-    return out
+    width = 4 if labeled else 3
+    lines = _read_lines(path)
+    tabs = np.fromiter(map(str.count, lines, repeat("\t")), np.intp, len(lines))
+    misshapen = np.flatnonzero(tabs != width - 1)
+    n = int(misshapen[0]) if len(misshapen) else len(lines)  # the leading well-shaped lines
+    fields = "\t".join(lines[:n]).split("\t") if n else []
+    labels = np.ones(n, dtype=bool)
+    if labeled:
+        tokens = np.array(fields[3::4], dtype=object)
+        labels = tokens == "1"
+        bad = np.flatnonzero(~labels & (tokens != "-1"))
+        if len(bad):
+            raise TripletParseError(path, int(bad[0]) + 1,
+                                    f"bad label {tokens[bad[0]]!r} (expected 1 or -1)")
+    if n < len(lines):
+        message = (f"expected {width} tab-separated fields, got {tabs[n] + 1}" if lines[n]
+                   else "blank line")
+        raise TripletParseError(path, n + 1, message)
+    ends = [None] * (2 * n)
+    ends[0::2], ends[1::2] = fields[0::width], fields[2::width]
+    rows = np.empty((n, 3), dtype=np.intp)
+    rows[:, ::2] = entity_vocab.intern(ends).reshape(n, 2)
+    rows[:, 1] = relation_vocab.intern(fields[1::width])
+    return rows, labels
 
 
 def save_triplet_file(
@@ -208,7 +211,3 @@ def save_triplet_file(
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(line + "\n" for line in map("\t".join, zip(*columns)))
 
-
-def positives(labeled: Iterable[LabeledTriplet]) -> list[Triplet]:
-    """The triplets carrying a positive label."""
-    return [lt.triplet for lt in labeled if lt.label]

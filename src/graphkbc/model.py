@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .kg import Vocabulary, triplet_array
-from .nn import BatchNorm, ParamStore, load_checkpoint, save_checkpoint
+from .nn import BatchNorm, CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 
 TRANSITIONS = ("identity", "tanh-layer", "relu-layer", "relation-relu-bn")
 POOLINGS = ("sum", "avg", "max")
@@ -454,6 +454,10 @@ def load_model(directory):
     store, extra = load_checkpoint(directory)
     entity_vocab = Vocabulary.load(os.path.join(directory, "entities.txt"))
     relation_vocab = Vocabulary.load(os.path.join(directory, "relations.txt"))
-    cfg = PropagationConfig(**extra.pop("propagation"))
+    try:
+        cfg = PropagationConfig(**extra.pop("propagation"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{os.path.join(directory, 'manifest.json')} holds no valid "
+                              f"propagation config ({type(exc).__name__}: {exc})") from exc
     model = GraphModel(len(entity_vocab), len(relation_vocab), cfg, store=store)
     return model, entity_vocab, relation_vocab, extra

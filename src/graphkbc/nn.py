@@ -201,28 +201,33 @@ def load_checkpoint(directory) -> tuple[ParamStore, dict]:
     Each tensor is read at its offset straight into the array the store keeps.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        entries = [(e["name"], e["kind"], tuple(e["shape"]), np.dtype(e["dtype"]), int(e["offset"]))
+                   for e in manifest["tensors"]]
+    except (KeyError, TypeError, ValueError) as exc:  # torn, or not a manifest
+        raise CheckpointError(f"{manifest_path} is not a checkpoint manifest "
+                              f"({type(exc).__name__}: {exc})") from exc
     if "adam_step" not in manifest:  # bundles before the stacked layout count per tensor
         named = ", ".join(repr(name) for name in list(manifest.get("adam_steps", {}))[:3])
         raise CheckpointError(f"{manifest_path} has per-tensor Adam counts ({named}, ...): it "
                               "predates the stacked transition tensors; retrain the model")
     blob_path = os.path.join(directory, _BLOB)
-    expected = max((e["offset"] + np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"]))
-                    for e in manifest["tensors"]), default=0)
+    expected = max((offset + dtype.itemsize * int(np.prod(shape))
+                    for _, _, shape, dtype, offset in entries), default=0)
     arrays = {}
     with open(blob_path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise CheckpointError(f"{blob_path} holds {size} bytes, its manifest describes {expected}")
-        for e in manifest["tensors"]:
-            array = np.empty(e["shape"], dtype=e["dtype"])
-            fh.seek(e["offset"])
+        for name, kind, shape, dtype, offset in entries:
+            array = np.empty(shape, dtype=dtype)
+            fh.seek(offset)
             fh.readinto(array)
             if not np.isfinite(array).all():
-                raise CheckpointError(f"checkpoint tensor {e['name']!r} ({e['kind']}) "
-                                      "holds a NaN or Inf")
-            arrays[(e["name"], e["kind"])] = array.astype(DTYPE, copy=False)
+                raise CheckpointError(f"checkpoint tensor {name!r} ({kind}) holds a NaN or Inf")
+            arrays[(name, kind)] = array.astype(DTYPE, copy=False)
     store = ParamStore()  # filled directly: add_param and add_buffer would copy
     store.adam_t = int(manifest["adam_step"])
     for (name, kind), array in arrays.items():

@@ -19,8 +19,6 @@ import json
 import os
 from dataclasses import asdict, dataclass
 from enum import Enum
-from itertools import compress
-from typing import Sequence
 
 import numpy as np
 
@@ -72,14 +70,15 @@ class SplitStats:
 class OokbSplit:
     """The full bundle produced for one (position, n) setting.
 
-    ``ookb_entities`` is a sorted intp array; ``aux`` is an id array when read from files.
+    ``ookb_entities`` is a sorted intp array. Read from files, ``aux`` is an
+    id array and ``validation``/``test`` are ``(rows, labels)`` array pairs.
     """
 
     train: KnowledgeGraph
     aux: list[Triplet] | np.ndarray
     ookb_entities: np.ndarray
-    validation: list[LabeledTriplet]
-    test: list[LabeledTriplet]
+    validation: list[LabeledTriplet] | tuple[np.ndarray, np.ndarray]
+    test: list[LabeledTriplet] | tuple[np.ndarray, np.ndarray]
     stats: SplitStats
 
     def check(self) -> list[str]:
@@ -150,19 +149,20 @@ def filter_eval_sets(
 
 
 def generate(
-    train: Sequence[Triplet],
-    valid_file: Sequence[LabeledTriplet],
-    test_file: Sequence[LabeledTriplet],
+    train,
+    valid_file,
+    test_file,
     n: int,
     position: OokbPosition,
 ) -> OokbSplit:
     """Compose the full split for one (position, n) setting.
 
-    Each input (``train``: anything ``triplet_array`` takes) becomes an id array once.
+    Each input (``train``: anything ``triplet_array`` takes, the others anything
+    ``labeled_arrays`` takes) becomes an id array once.
     """
     rows = triplet_array(train)
-    valid_rows, _ = labeled_arrays(valid_file)
-    test_rows, _ = labeled_arrays(test_file)
+    valid_rows, valid_labels = labeled_arrays(valid_file)
+    test_rows, test_labels = labeled_arrays(test_file)
     ookb = finalize_ookb(choose_candidates(test_rows, n, position), rows)
     kept, aux, discarded = split_training(rows, ookb)
     test_keep, valid_keep = filter_eval_sets(test_rows, valid_rows, n, ookb)
@@ -187,14 +187,18 @@ def generate(
         train=graph,
         aux=[Triplet(*row) for row in aux.tolist()],
         ookb_entities=ookb,
-        validation=list(compress(valid_file, valid_keep.tolist())),
-        test=list(compress(test_file, test_keep.tolist())),
+        validation=_labeled_triplets(valid_rows[valid_keep], valid_labels[valid_keep]),
+        test=_labeled_triplets(test_rows[:n][test_keep], test_labels[:n][test_keep]),
         stats=stats,
     )
     problems = split.check()
     if problems:
         raise AssertionError("split construction violated invariants: " + problems[0])
     return split
+
+
+def _labeled_triplets(rows: np.ndarray, labels: np.ndarray) -> list[LabeledTriplet]:
+    return [LabeledTriplet(Triplet(*row), label) for row, label in zip(rows.tolist(), labels.tolist())]
 
 
 def split_name(position: OokbPosition, n: int) -> str:

@@ -25,10 +25,10 @@ HELD = [(3, 1), (3, 3)]
 
 def grid_corpus(seed=0):
     ev, rv = Vocabulary(), Vocabulary()
-    right, up, jump = rv.add("right"), rv.add("up"), rv.add("jump")
+    right, up, jump = rv.intern(["right", "up", "jump"]).tolist()
 
     def ent(i, j):
-        return ev.add(f"g{i}_{j}")
+        return int(ev.intern([f"g{i}_{j}"])[0])
 
     train = []
     for i in range(WIDTH):

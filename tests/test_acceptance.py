@@ -22,7 +22,6 @@ from graphkbc.kg import (
     build_graph,
     entities_of,
     load_triplet_file,
-    positives,
 )
 from graphkbc.model import (
     _SEGMENT_POOL,
@@ -50,11 +49,11 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WN11_DIR = os.environ.get("GRAPHKBC_WN11_DIR", os.path.join(_REPO_ROOT, "data", "wordnet11"))
 
 
-def _wn11_files():
-    train = os.path.join(WN11_DIR, "train.txt")
-    test = os.path.join(WN11_DIR, "test.txt")
+def _wn11_files(directory=WN11_DIR):
+    train = os.path.join(directory, "train.txt")
+    test = os.path.join(directory, "test.txt")
     for dev_name in ("dev.txt", "valid.txt"):
-        dev = os.path.join(WN11_DIR, dev_name)
+        dev = os.path.join(directory, dev_name)
         if os.path.exists(dev):
             break
     return train, dev, test
@@ -73,13 +72,30 @@ requires_wn11 = pytest.mark.skipif(
 )
 
 
-@pytest.fixture(scope="module")
-def wn11():
-    train_path, dev_path, test_path = _wn11_files()
+def load_wn11(directory):
+    """(train rows, (valid rows, labels), (test rows, labels), ev, rv) of a WN11 directory."""
+    train_path, dev_path, test_path = _wn11_files(directory)
     ev, rv = Vocabulary(), Vocabulary()
-    train = positives(load_triplet_file(train_path, ev, rv))
+    train, _ = load_triplet_file(train_path, ev, rv)
     valid = load_triplet_file(dev_path, ev, rv, labeled=True)
     test = load_triplet_file(test_path, ev, rv, labeled=True)
+    return train, valid, test, ev, rv
+
+
+def test_load_wn11_reads_the_distribution_layout(tmp_path):
+    (tmp_path / "train.txt").write_text("a\tr\tb\nb\ts\tc\n")
+    (tmp_path / "valid.txt").write_text("c\tr\ta\t-1\n")  # the dev file's other name
+    (tmp_path / "test.txt").write_text("a\ts\td\t1\nd\tr\tb\t-1\n")
+    train, valid, test, ev, rv = load_wn11(tmp_path)
+    assert train.tolist() == [[0, 0, 1], [1, 1, 2]]
+    assert valid[0].tolist() == [[2, 0, 0]] and valid[1].tolist() == [False]
+    assert test[0].tolist() == [[0, 1, 3], [3, 0, 1]] and test[1].tolist() == [True, False]
+    assert ev.names == ["a", "b", "c", "d"] and rv.names == ["r", "s"]
+
+
+@pytest.fixture(scope="module")
+def wn11():
+    train, valid, test, ev, rv = load_wn11(WN11_DIR)
     # dataset shape advertised by the distribution
     assert len(train) == 112_581
     graph = build_graph(train)
@@ -280,11 +296,12 @@ def test_criterion_6_standard_kbc_substitute(wn11):
 def test_criterion_7_depth_study(wn11):
     train_triplets, valid, test, ev, rv = wn11
     subsample = build_graph(train_triplets[: len(train_triplets) // 10])
-    kept_entities = entities_of(subsample)
-    valid_sub = [lt for lt in valid
-                 if lt.triplet.head in kept_entities and lt.triplet.tail in kept_entities]
-    test_sub = [lt for lt in test
-                if lt.triplet.head in kept_entities and lt.triplet.tail in kept_entities]
+
+    def within_subsample(rows, labels):
+        keep = np.isin(rows[:, ::2], subsample.triplets[:, ::2]).all(axis=1)
+        return rows[keep], labels[keep]
+
+    valid_sub, test_sub = within_subsample(*valid), within_subsample(*test)
 
     objective = ObjectiveConfig(objective="absolute", margin=300.0)
     accuracies = {}

@@ -63,12 +63,12 @@ class TestGenOokb:
 
     def test_loaded_split_keeps_written_stats(self, corpus):
         from graphkbc.cli import _load_split_files
-        from graphkbc.kg import Vocabulary, labeled_arrays, load_triplet_file
+        from graphkbc.kg import Vocabulary, load_triplet_file
         from graphkbc.ookb import generate, write_split
 
         tmp_path, paths = corpus
         ev, rv = Vocabulary(), Vocabulary()
-        train = labeled_arrays(load_triplet_file(paths["train"], ev, rv))[0]
+        train, _ = load_triplet_file(paths["train"], ev, rv)
         valid = load_triplet_file(paths["valid"], ev, rv, labeled=True)
         test = load_triplet_file(paths["test"], ev, rv, labeled=True)
         split = generate(train, valid, test, 2, "tail")
@@ -160,6 +160,18 @@ class TestTrain:
             ra, rb = json.loads(a), json.loads(b)
             ra.pop("wall_time"), rb.pop("wall_time")
             assert ra == rb
+
+    def test_resume_with_unknown_relation_is_config_error(self, corpus, capsys):
+        tmp_path, paths = corpus
+        half = tmp_path / "half"
+        assert run(["train", "--train", paths["train"], "--out", half] + TRAIN_ARGS) == EXIT_OK
+        grown = tmp_path / "grown.txt"
+        grown.write_text(Path(paths["train"]).read_text() + "e0\tsideways\te1\n")
+        code = run(["train", "--train", grown, "--out", tmp_path / "resumed",
+                    "--resume", half / "checkpoint-final"] + TRAIN_ARGS)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "'sideways'" in err
 
 
 class TestEvalAndPredict:
@@ -314,6 +326,64 @@ class TestEvalAndPredict:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "data error" in captured.err and message in captured.err
+
+    @pytest.mark.parametrize("fault, message", [
+        ("torn", "is not a checkpoint manifest"),
+        ("no-tensors", "is not a checkpoint manifest"),
+        ("no-propagation", "holds no valid propagation config"),
+    ])
+    def test_malformed_manifest_is_data_error(self, trained, capsys, fault, message):
+        tmp_path, paths, checkpoint = trained
+        manifest_path = checkpoint / "manifest.json"
+        text = manifest_path.read_text()
+        manifest = json.loads(text)
+        if fault == "torn":
+            manifest_path.write_text(text[: len(text) // 2])
+        elif fault == "no-tensors":
+            del manifest["tensors"]
+            manifest_path.write_text(json.dumps(manifest))
+        else:
+            del manifest["extra"]["propagation"]
+            manifest_path.write_text(json.dumps(manifest))
+        code = run(["eval", "--checkpoint", checkpoint, "--mode", "standard",
+                    "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--out", tmp_path / "eval"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and f"manifest.json {message}" in err
+
+    @pytest.mark.parametrize("content, message", [
+        ('{"global": 1.5}', "KeyError: 'relations'"),
+        ('{"global": 1.5, "relations": {"ne', "JSONDecodeError"),
+        ('{"global": 1.5, "relations": {"next": "high"}}', "could not convert"),
+    ], ids=["no-relations", "torn", "non-numeric"])
+    def test_malformed_thresholds_file_is_data_error(self, trained, capsys, content, message):
+        tmp_path, paths, checkpoint = trained
+        thresholds = tmp_path / "thresholds.json"
+        thresholds.write_text(content)
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e0\tnext\te1\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--thresholds", thresholds])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "thresholds.json: malformed" in err and message in err
+
+    def test_split_stats_missing_keys_is_data_error(self, trained, capsys):
+        tmp_path, paths, checkpoint = trained
+        splits = tmp_path / "splits"
+        assert run(["gen-ookb", "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--n", "2", "--position", "tail",
+                    "--out", splits]) == EXIT_OK
+        stats_path = splits / "tail-2.stats.json"
+        stats = json.loads(stats_path.read_text())
+        del stats["ookb_entities"]
+        stats_path.write_text(json.dumps(stats))
+        code = run(["eval", "--checkpoint", checkpoint, "--mode", "ookb",
+                    "--split-prefix", splits / "tail-2", "--out", tmp_path / "eval"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "tail-2.stats.json: malformed" in err
 
     @pytest.mark.parametrize("edit, message", [
         ("drop", "checkpoint has no tensor 'A'"),

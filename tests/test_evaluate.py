@@ -343,6 +343,13 @@ class TestEvaluateFlows:
         with pytest.raises(ValueError, match="empty test"):
             evaluate_ookb(split, m, method="baseline", pooling="avg")
 
+    def test_empty_test_array_pair_is_an_error(self):
+        m = self.exact_line_model()
+        valid = (np.array([[0, R, 1]]), np.array([True]))
+        empty = (np.empty((0, 3), dtype=np.intp), np.empty(0, dtype=bool))
+        with pytest.raises(ValueError, match="empty test"):
+            evaluate_standard(build_graph([Triplet(0, R, 1)]), valid, empty, m)
+
     def test_propagated_vectors_cover_requested_ids(self):
         m = make_model(4, 1, dim=3, mode="none")
         ctx = OokbContext(build_graph([Triplet(0, R, 1)]), [], [], m)

@@ -1,6 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphkbc.kg import (
     LabeledTriplet,
@@ -11,7 +14,6 @@ from graphkbc.kg import (
     entities_of,
     labeled_arrays,
     load_triplet_file,
-    positives,
     save_triplet_file,
 )
 
@@ -23,10 +25,12 @@ def make_vocabs():
 class TestVocabulary:
     def test_interning_is_stable_and_contiguous(self):
         v = Vocabulary()
-        assert v.add("a") == 0
-        assert v.add("b") == 1
-        assert v.add("a") == 0
-        assert v.names == ["a", "b"]
+        assert v.intern(["a"]).tolist() == [0]
+        assert v.intern(["b", "a", "c", "b"]).tolist() == [1, 0, 2, 1]
+        assert v.intern([]).dtype == np.intp
+        assert v.names == ["a", "b", "c"]
+        assert v.index == {"a": 0, "b": 1, "c": 2}
+        v = Vocabulary(["a", "b"])
         assert len(v) == 2
         assert "a" in v and "c" not in v
 
@@ -43,15 +47,42 @@ class TestLoad:
         p = tmp_path / "t.txt"
         p.write_text("a\tr\tb\n")
         ev, rv = make_vocabs()
-        out = load_triplet_file(p, ev, rv)
-        assert out == [LabeledTriplet(Triplet(0, 0, 1), True)]
+        rows, labels = load_triplet_file(p, ev, rv)
+        assert rows.dtype == np.intp and labels.dtype == bool
+        assert rows.tolist() == [[0, 0, 1]] and labels.tolist() == [True]
 
     def test_labeled_negative(self, tmp_path):
         p = tmp_path / "t.txt"
         p.write_text("a\tr\tb\t-1\n")
         ev, rv = make_vocabs()
-        out = load_triplet_file(p, ev, rv, labeled=True)
-        assert out == [LabeledTriplet(Triplet(0, 0, 1), False)]
+        rows, labels = load_triplet_file(p, ev, rv, labeled=True)
+        assert rows.tolist() == [[0, 0, 1]] and labels.tolist() == [False]
+
+    def test_empty_file(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("")
+        rows, labels = load_triplet_file(p, *make_vocabs(), labeled=True)
+        assert rows.shape == (0, 3) and rows.dtype == np.intp
+        assert labels.shape == (0,) and labels.dtype == bool
+
+    @pytest.mark.parametrize("content, message", [
+        ("a\tr\tb\t1\nc\tr\td\t0\nc\tr\n", ":2: bad label '0'"),
+        ("a\tr\tb\t1\nc\tr\nc\tr\td\t0\n", ":2: expected 4 tab-separated fields, got 2"),
+        ("a\tr\tb\t-1\n\nc\tr\td\t+1\n", ":2: blank line"),
+    ], ids=["label-first", "field-count-first", "blank-first"])
+    def test_first_bad_line_is_reported(self, tmp_path, content, message):
+        p = tmp_path / "t.txt"
+        p.write_text(content)
+        with pytest.raises(TripletParseError, match=message):
+            load_triplet_file(p, *make_vocabs(), labeled=True)
+
+    def test_failed_parse_interns_nothing(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("x\tq\ty\na\tr\n")
+        ev, rv = Vocabulary(["a"]), Vocabulary()
+        with pytest.raises(TripletParseError):
+            load_triplet_file(p, ev, rv)
+        assert ev.names == ["a"] and rv.names == []
 
     def test_label_column_required_when_labeled(self, tmp_path):
         p = tmp_path / "t.txt"
@@ -86,7 +117,7 @@ class TestLoad:
         src = tmp_path / "in.txt"
         src.write_text(content)
         ev, rv = make_vocabs()
-        rows, labels = labeled_arrays(load_triplet_file(src, ev, rv, labeled=True))
+        rows, labels = load_triplet_file(src, ev, rv, labeled=True)
         dst = tmp_path / "out.txt"
         save_triplet_file(dst, rows, ev, rv, labels)
         assert dst.read_bytes() == src.read_bytes()
@@ -100,12 +131,12 @@ class TestLoad:
         save_triplet_file(tmp_path / "e.txt", [], ev, rv, labels=[])
         assert (tmp_path / "e.txt").read_bytes() == b""
 
-    def test_positives_helper(self):
-        lts = [
-            LabeledTriplet(Triplet(0, 0, 1), True),
-            LabeledTriplet(Triplet(1, 0, 2), False),
-        ]
-        assert positives(lts) == [Triplet(0, 0, 1)]
+    def test_labeled_arrays_takes_triplets_or_an_array_pair(self):
+        lts = [LabeledTriplet(Triplet(0, 0, 1), True), LabeledTriplet(Triplet(1, 0, 2), False)]
+        for given_ in (lts, (np.array([[0, 0, 1], [1, 0, 2]]), np.array([True, False]))):
+            rows, labels = labeled_arrays(given_)
+            assert rows.dtype == np.intp and labels.dtype == bool
+            assert rows.tolist() == [[0, 0, 1], [1, 0, 2]] and labels.tolist() == [True, False]
 
 
 class TestGraph:
@@ -163,3 +194,83 @@ def test_graph_index_invariants(raw):
     assert np.all(np.diff(g.keys) > 0) and len(g.keys) == len(g)
     grid = np.array([[h, r, t] for h in range(-1, 8) for r in range(4) for t in range(8)])
     assert g.contains(grid).tolist() == [Triplet(*row) in set(distinct) for row in grid.tolist()]
+
+
+def reference_load(path, entities: dict, relations: dict, labeled=False):
+    """The per-line loader that the whole-file parse replaced, as the parity reference.
+
+    Interns into ``name -> id`` dicts and returns row and label lists.
+    """
+    expected = 4 if labeled else 3
+    rows, labels = [], []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line:
+                raise TripletParseError(path, line_no, "blank line")
+            fields = line.split("\t")
+            if len(fields) != expected:
+                raise TripletParseError(
+                    path, line_no, f"expected {expected} tab-separated fields, got {len(fields)}"
+                )
+            h = entities.setdefault(fields[0], len(entities))
+            r = relations.setdefault(fields[1], len(relations))
+            t = entities.setdefault(fields[2], len(entities))
+            if labeled:
+                if fields[3] == "1":
+                    label = True
+                elif fields[3] == "-1":
+                    label = False
+                else:
+                    raise TripletParseError(
+                        path, line_no, f"bad label {fields[3]!r} (expected 1 or -1)"
+                    )
+            else:
+                label = True
+            rows.append([h, r, t])
+            labels.append(label)
+    return rows, labels
+
+
+# names include characters that str.splitlines would break on but a file's
+# line iteration does not
+NAME = st.sampled_from(["a", "b", "c", "", "é", "名", "x y", "\x85", "\u2028", "\x0c", "1"])
+LABEL = st.sampled_from(["1", "-1"] * 4 + ["0", "+1", "1 ", ""])
+SHAPE = st.sampled_from(["ok"] * 8 + ["blank", "short", "long"])
+LINE = st.tuples(st.lists(NAME, min_size=3, max_size=3), LABEL, SHAPE,
+                 st.sampled_from(["\n", "\r\n", "\r"]))
+
+
+@settings(max_examples=300)
+@given(lines=st.lists(LINE, max_size=8), labeled=st.booleans(), final_newline=st.booleans(),
+       seed_entities=st.lists(NAME, max_size=4), seed_relations=st.lists(NAME, max_size=3))
+def test_parse_matches_the_per_line_reference(lines, labeled, final_newline,
+                                              seed_entities, seed_relations):
+    text = ""
+    for names, label, shape, end in lines:
+        fields = names + [label] if labeled else names
+        fields = {"ok": fields, "blank": [], "short": fields[:-1], "long": fields + ["z"]}[shape]
+        text += "\t".join(fields) + end
+    if lines and not final_newline:
+        text = text[: -len(lines[-1][3])]
+    ev, rv = Vocabulary(seed_entities), Vocabulary(seed_relations)
+    seeded = (list(ev.names), list(rv.names))
+    ref_e, ref_r = dict(ev.index), dict(rv.index)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.txt")
+        with open(path, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+        try:
+            want = reference_load(path, ref_e, ref_r, labeled)
+        except TripletParseError as exc:
+            with pytest.raises(TripletParseError) as got:
+                load_triplet_file(path, ev, rv, labeled)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+            assert (ev.names, rv.names) == seeded  # a failed parse interns nothing
+            return
+        rows, labels = load_triplet_file(path, ev, rv, labeled)
+    assert rows.dtype == np.intp and rows.shape == (len(want[0]), 3)
+    assert labels.dtype == bool
+    assert rows.tolist() == want[0] and labels.tolist() == want[1]
+    assert ev.index == ref_e and ev.names == list(ref_e)
+    assert rv.index == ref_r and rv.names == list(ref_r)

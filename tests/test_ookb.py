@@ -184,7 +184,7 @@ def test_generate_properties(train, test, position):
         paths = write_split(split, out, "p", ev, rv)
 
         def read(key, labeled=False):
-            return labeled_arrays(load_triplet_file(paths[key], ev, rv, labeled=labeled))
+            return load_triplet_file(paths[key], ev, rv, labeled=labeled)
 
         assert np.array_equal(read("train")[0], split.train.triplets)
         assert np.array_equal(read("aux")[0], triplet_array(split.aux))
@@ -205,12 +205,10 @@ def test_write_split_round_trips(tmp_path):
     assert name == "head-2"
     paths = write_split(split, tmp_path, name, ev, rv)
     ev2, rv2 = Vocabulary(), Vocabulary()
-    train = load_triplet_file(paths["train"], ev2, rv2)
-    assert [x.triplet for x in train] == [
-        Triplet(ev2.id_of("b"), rv2.id_of("s"), ev2.id_of("c"))
-    ]
-    test = load_triplet_file(paths["test"], ev2, rv2, labeled=True)
-    assert [x.label for x in test] == [True, False]
+    train, _ = load_triplet_file(paths["train"], ev2, rv2)
+    assert train.tolist() == [[ev2.id_of("b"), rv2.id_of("s"), ev2.id_of("c")]]
+    _, test_labels = load_triplet_file(paths["test"], ev2, rv2, labeled=True)
+    assert test_labels.tolist() == [True, False]
     stats_text = open(paths["stats"]).read()
     assert "ookb_entities=2" in stats_text
     ookb_names = open(paths["ookb"]).read().split()
