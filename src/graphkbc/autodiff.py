@@ -10,7 +10,7 @@ walks the tape in reverse topological order.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,8 +72,7 @@ def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _make(data: np.ndarray, parents: Iterable[Tensor]) -> Tensor:
-    parents = tuple(p for p in parents if isinstance(p, Tensor))
+def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     needs = any(p.requires_grad for p in parents)
     if CHECK_FINITE and not np.all(np.isfinite(data)):
         raise GradientError("non-finite value produced by an operation")
@@ -81,12 +80,11 @@ def _make(data: np.ndarray, parents: Iterable[Tensor]) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # the first gradient is stored as given, so it may be a sibling's or a view:
+    # nothing writes a stored gradient in place, and later ones add out of place
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.array(g, dtype=DTYPE)  # own the buffer; g may be reused
-    else:
-        t.grad += g
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -218,7 +216,7 @@ def sum_all(a) -> Tensor:
     out = _make(np.asarray(a.data.sum()), (a,))
     if out.requires_grad:
         def backward(g):
-            _accumulate(a, np.broadcast_to(g, a.data.shape).copy())
+            _accumulate(a, np.broadcast_to(g, a.data.shape))
         out._backward = backward
     return out
 
@@ -230,7 +228,7 @@ def mean0(a) -> Tensor:
     out = _make(a.data.mean(axis=0), (a,))
     if out.requires_grad:
         def backward(g):
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape).copy())
+            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
         out._backward = backward
     return out
 
@@ -284,17 +282,19 @@ def gather_rows(a, idx) -> Tensor:
     out = _make(a.data[idx], (a,))
     if out.requires_grad:
         def backward(g):
-            if not a.requires_grad:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
-            scatter_add_rows(a.grad, idx, g)
+            ga = np.zeros_like(a.data)
+            if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
+                ga[idx] += g
+            else:
+                order, sidx, starts = _sorted_segments(idx)
+                ga[sidx[starts]] += np.add.reduceat(g[order], starts, axis=0)
+            _accumulate(a, ga)
         out._backward = backward
     return out
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_ensure(p) for p in parts]
+    parts = tuple(_ensure(p) for p in parts)
     if not parts:
         raise ValueError("nothing to concatenate")
     sizes = [p.data.shape[0] for p in parts]
@@ -315,34 +315,26 @@ def _sorted_segments(seg: np.ndarray):
     return order, sseg, starts
 
 
-def scatter_add_rows(out: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``out[idx] += rows`` with repeated indices accumulated, vectorized."""
-    if len(idx) == 0:
-        return
-    if len(idx) == 1 or np.all(idx[1:] > idx[:-1]):
-        out[idx] += rows  # strictly increasing means no duplicates
-        return
-    order, sidx, starts = _sorted_segments(idx)
-    sums = np.add.reduceat(rows[order], starts, axis=0)
-    out[sidx[starts]] += sums
-
-
-def _check_segments(seg: np.ndarray, n_segments: int) -> None:
+def _segment_reduce(ufunc, x, seg, n_segments: int):
+    """The checked inputs, the segment sizes and ``ufunc.reduceat`` over each segment's rows."""
+    x = _ensure(x)
+    seg = np.asarray(seg, dtype=np.intp)
     if n_segments <= 0:
         raise ValueError("need at least one segment")
     counts = np.bincount(seg, minlength=n_segments)
+    if len(counts) > n_segments:
+        raise ValueError(f"segment id {len(counts) - 1} is out of range for {n_segments} segments")
     if counts.min() == 0:
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"segment {empty} is empty; pooling an empty set is undefined")
+    order, _, starts = _sorted_segments(seg)
+    return x, seg, counts, ufunc.reduceat(x.data[order], starts, axis=0)
 
 
 def segment_sum(x, seg, n_segments: int) -> Tensor:
     """Per-segment row sums; every segment must be nonempty."""
-    x = _ensure(x)
-    seg = np.asarray(seg, dtype=np.intp)
-    _check_segments(seg, n_segments)
-    data = np.zeros((n_segments,) + x.data.shape[1:], dtype=DTYPE)
-    scatter_add_rows(data, seg, x.data)
+    x, seg, _, data = _segment_reduce(np.add, x, seg, n_segments)
+    data += 0.0  # a segment of -0.0 rows sums to +0.0, as when adding into zeros
     out = _make(data, (x,))
     if out.requires_grad:
         def backward(g):
@@ -352,12 +344,9 @@ def segment_sum(x, seg, n_segments: int) -> Tensor:
 
 
 def segment_mean(x, seg, n_segments: int) -> Tensor:
-    x = _ensure(x)
-    seg = np.asarray(seg, dtype=np.intp)
-    _check_segments(seg, n_segments)
-    counts = np.bincount(seg, minlength=n_segments).astype(DTYPE)
-    data = np.zeros((n_segments,) + x.data.shape[1:], dtype=DTYPE)
-    scatter_add_rows(data, seg, x.data)
+    x, seg, counts, data = _segment_reduce(np.add, x, seg, n_segments)
+    counts = counts.astype(DTYPE)
+    data += 0.0
     data /= counts[:, None]
     out = _make(data, (x,))
     if out.requires_grad:
@@ -373,13 +362,7 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
     Gradient flows to every row attaining the maximum (ties share the full
     gradient; tests use inputs without exact ties).
     """
-    x = _ensure(x)
-    seg = np.asarray(seg, dtype=np.intp)
-    _check_segments(seg, n_segments)
-    order, sseg, starts = _sorted_segments(seg)
-    maxima = np.maximum.reduceat(x.data[order], starts, axis=0)
-    data = np.empty((n_segments,) + x.data.shape[1:], dtype=DTYPE)
-    data[sseg[starts]] = maxima
+    x, seg, _, data = _segment_reduce(np.maximum, x, seg, n_segments)
     out = _make(data, (x,))
     if out.requires_grad:
         def backward(g):

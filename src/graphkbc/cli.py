@@ -29,10 +29,6 @@ class ConfigError(ValueError):
     pass
 
 
-class DataError(ValueError):
-    """A malformed input data file (exit 2)."""
-
-
 class UsageError(Exception):
     pass
 
@@ -100,15 +96,6 @@ def _add_field_flags(parser: argparse.ArgumentParser, fields: dict[str, tuple]) 
                                 help=f"(default {default})")
         else:
             parser.add_argument(flag, default=None, type=kind, help=f"(default {default})")
-
-
-def _read_json(path, parse):
-    """``parse`` of the JSON in ``path``; a malformed file is a DataError naming it."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse(json.load(fh))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
 def _echo_config(out_dir, command: str, merged: dict) -> None:
@@ -266,24 +253,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _load_split_files(prefix, ev, rv):
-    """Assemble an OOKB split from the files written by gen-ookb."""
-    import numpy as np
-
-    from .kg import build_graph, load_triplet_file
-    from .ookb import OokbSplit, SplitStats
-
-    train = build_graph(load_triplet_file(f"{prefix}.train.txt", ev, rv)[0])
-    aux, _ = load_triplet_file(f"{prefix}.aux.txt", ev, rv)
-    valid = load_triplet_file(f"{prefix}.valid.txt", ev, rv, labeled=True)
-    test = load_triplet_file(f"{prefix}.test.txt", ev, rv, labeled=True)
-    with open(f"{prefix}.ookb.txt", encoding="utf-8") as fh:
-        ookb = np.unique(ev.intern([e for e in fh.read().split("\n") if e]))
-    stats = _read_json(f"{prefix}.stats.json", lambda fields: SplitStats(**fields))
-    return OokbSplit(train=train, aux=aux, ookb_entities=ookb,
-                     validation=valid, test=test, stats=stats)
-
-
 def _write_eval_outputs(out_dir, report: dict, thresholds, rv) -> None:
     with open(os.path.join(out_dir, "report.jsonl"), "a", encoding="utf-8") as fh:
         fh.write(json.dumps(report) + "\n")
@@ -302,6 +271,7 @@ def cmd_eval(args) -> int:
     from .evaluate import evaluate_ookb, evaluate_standard
     from .kg import build_graph, load_triplet_file
     from .model import load_model
+    from .ookb import read_split
 
     model, ev, rv, extra = load_model(args.checkpoint)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,
@@ -327,7 +297,7 @@ def cmd_eval(args) -> int:
         echo.update({"split_prefix": args.split_prefix, "method": args.method,
                      "pooling": args.pooling or "", "raw_neighbors": args.raw_neighbors})
         _echo_config(args.out, "eval", echo)
-        split = _load_split_files(args.split_prefix, ev, rv)
+        split = read_split(args.split_prefix, ev, rv)
         report, thresholds = evaluate_ookb(
             split, model, method=args.method, pooling=args.pooling,
             raw_neighbors=args.raw_neighbors,
@@ -347,7 +317,7 @@ def cmd_predict(args) -> int:
 
     from .evaluate import OokbContext, ThresholdTable, classify, make_scorer, \
         resolve_vectors, tune_thresholds
-    from .kg import build_graph, load_triplet_file
+    from .kg import build_graph, load_triplet_file, read_json
     from .model import InferenceError, load_model
 
     model, ev, rv, extra = load_model(args.checkpoint)
@@ -359,7 +329,7 @@ def cmd_predict(args) -> int:
             per = {rv.id_of(name): float(t) for name, t in data["relations"].items() if name in rv}
             return ThresholdTable(per, float(data["global"]))
 
-        thresholds = _read_json(args.thresholds, parse)
+        thresholds = read_json(args.thresholds, parse)
     elif args.valid:
         valid, valid_labels = load_triplet_file(args.valid, ev, rv, labeled=True)
         thresholds = None
@@ -497,12 +467,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, DataError) as exc:
+    except OSError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # late imports: dispatch on exception name
         kind = type(exc).__name__
-        if kind in ("TripletParseError", "InferenceError", "CheckpointError"):
+        if kind in ("DataError", "TripletParseError", "InferenceError", "CheckpointError"):
             print(f"data error: {exc}", file=sys.stderr)
             return EXIT_DATA
         if kind == "GradientError":

@@ -166,15 +166,16 @@ def _require_aux(ids: np.ndarray, ctx: OokbContext) -> None:
 def ookb_vector(ids: np.ndarray, ctx: OokbContext) -> np.ndarray:
     """Vectors of OOKB entities from their auxiliary neighborhoods, no retraining.
 
-    One batched run of the trained propagation step over the combined graph,
-    one row per id; the entities' own base rows are never touched.
+    The trained propagation step over the combined graph in the batches of
+    ``propagated_vectors``, one row per id; the entities' own base rows are
+    never touched.
     """
     if ctx.model.cfg.depth == 0:
         raise InferenceError(
             "the trained model has no propagation step; use the pooled baseline"
         )
     _require_aux(ids, ctx)
-    return ctx.model.propagate_batch(ids, ctx.table).data
+    return propagated_vectors(ids, ctx)
 
 
 def baseline_ookb_vector(
@@ -217,8 +218,8 @@ def resolve_vectors(
     """The sorted unique ``ids`` and their (n, d) vectors.
 
     Known entities are propagated over the context's table. The OOKB ones
-    are composed from their auxiliary triplets in one batch: by the trained
-    propagation step (``method="proposed"``) or by the pooled baseline.
+    are composed from their auxiliary triplets: by the trained propagation
+    step (``method="proposed"``) or, in one batch, by the pooled baseline.
     """
     ids = np.unique(np.asarray(ids, dtype=np.intp))
     ookb = np.isin(ids, ctx.ookb_entities)

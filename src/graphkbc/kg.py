@@ -8,10 +8,16 @@ into dense 0-based ids so that the rest of the pipeline works on integers.
 
 from __future__ import annotations
 
+import json
+import re
 from itertools import chain, filterfalse, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+
+
+class DataError(ValueError):
+    """A malformed input data file (exit 2)."""
 
 
 class TripletParseError(ValueError):
@@ -62,12 +68,32 @@ class Vocabulary:
 
 
 def _read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file without their ends, split as iterating it splits them."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    """The lines of a UTF-8 text file without their ends, split as iterating it splits them.
+
+    A byte that is not UTF-8 raises ``TripletParseError`` naming its line.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            escaped = fh.read().split("\n")  # a byte that is not UTF-8 reads as U+DC80..U+DCFF
+        line_no = next(i for i, line in enumerate(escaped, 1)
+                       if re.search("[\udc80-\udcff]", line))
+        raise TripletParseError(path, line_no,
+                                f"byte {exc.object[exc.start]:#04x} is not UTF-8") from None
     if lines[-1] == "":
         lines.pop()
     return lines
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON in ``path``; a malformed file is a DataError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed ({type(exc).__name__}: {exc})") from exc
 
 
 class Triplet(NamedTuple):

@@ -27,8 +27,11 @@ from .kg import (
     LabeledTriplet,
     Triplet,
     Vocabulary,
+    _read_lines,
     build_graph,
     labeled_arrays,
+    load_triplet_file,
+    read_json,
     save_triplet_file,
     triplet_array,
 )
@@ -235,3 +238,21 @@ def write_split(
         json.dump(asdict(split.stats), fh, indent=2)
         fh.write("\n")
     return paths
+
+
+def read_split(prefix, entity_vocab: Vocabulary, relation_vocab: Vocabulary) -> OokbSplit:
+    """The split ``write_split`` wrote as ``{out_dir}/{name}``, read back into the vocabularies.
+
+    Names are interned in file order: train, aux, valid, test, then the OOKB
+    list. A malformed ``stats.json`` is a ``DataError`` naming it.
+    """
+    def load(part, labeled=False):
+        return load_triplet_file(f"{prefix}.{part}.txt", entity_vocab, relation_vocab, labeled)
+
+    train = build_graph(load("train")[0])
+    aux, _ = load("aux")
+    valid, test = load("valid", labeled=True), load("test", labeled=True)
+    ookb = np.unique(entity_vocab.intern([e for e in _read_lines(f"{prefix}.ookb.txt") if e]))
+    stats = read_json(f"{prefix}.stats.json", lambda fields: SplitStats(**fields))
+    return OokbSplit(train=train, aux=aux, ookb_entities=ookb,
+                     validation=valid, test=test, stats=stats)

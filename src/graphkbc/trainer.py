@@ -83,14 +83,13 @@ def corrupt_batch(
 
     Each row's head (with probability ``p_head`` of its relation) or tail is
     redrawn from the pool until it differs from the original and, when
-    ``forbidden`` is given, the row is not one of that graph's triplets.
+    ``forbidden`` is given, the row is not one of that graph's triplets. A
+    row without any such replacement raises ``ValueError`` before any
+    entity is drawn.
     """
     out = pos.copy()
     cols = np.where(rng.random(len(pos)) < p_head[pos[:, 1]], 0, 2)
-    if entity_pool.min() == entity_pool.max() and np.any(
-        pos[np.arange(len(pos)), cols] == entity_pool[0]
-    ):
-        raise ValueError("entity pool too small to produce a differing corruption")
+    _check_replaceable(pos, cols, np.flatnonzero(np.bincount(entity_pool)), forbidden)
     pending = np.arange(len(pos))
     while pending.size:
         cand = entity_pool[rng.integers(0, len(entity_pool), size=pending.size)]
@@ -103,6 +102,32 @@ def corrupt_batch(
         out[rows, cols[rows]] = cand[ok]
         pending = pending[~ok]
     return out
+
+
+def _check_replaceable(pos, cols, pool, forbidden) -> None:
+    """Raise unless every row's column ``cols`` has a replacement in the distinct ids
+    ``pool`` that differs from it and, given ``forbidden``, leaves that graph's triplets.
+    """
+    # a row rules out its own entity, and at most one more per forbidden triplet
+    # sharing its relation and its kept entity; only a row ruling out as many
+    # entities as the pool holds can be left without a replacement
+    ruled_out = np.ones(len(pos), dtype=np.intp)
+    if forbidden is not None and len(forbidden):
+        f = forbidden.triplets
+        n = max(int(f.max()), int(pos.max(initial=0))) + 1
+        sharing_kept = np.where(cols == 0, np.bincount(f[:, 2], minlength=n)[pos[:, 2]],
+                                np.bincount(f[:, 0], minlength=n)[pos[:, 0]])
+        ruled_out += np.minimum(sharing_kept, np.bincount(f[:, 1], minlength=n)[pos[:, 1]])
+    for i in np.flatnonzero(ruled_out >= len(pool)).tolist():
+        trial = np.repeat(pos[i:i + 1], len(pool), axis=0)
+        trial[:, cols[i]] = pool
+        allowed = pool != pos[i, cols[i]]
+        if forbidden is not None:
+            allowed &= ~forbidden.contains(trial)
+        if not allowed.any():
+            side = "head" if cols[i] == 0 else "tail"
+            raise ValueError(f"entity pool too small to produce a differing corruption: no "
+                             f"allowed {side} for triplet ids {tuple(pos[i].tolist())}")
 
 
 def _epoch_rng(seed: int, epoch: int, stream: int) -> np.random.Generator:

@@ -159,7 +159,7 @@ class TestBackward:
 
         loss = build()
         backward(loss)
-        x.grad *= -1.0  # corrupt analytic gradient
+        x.grad = -x.grad  # corrupt analytic gradient
         analytic = x.grad.copy()
         num = []
         eps = 1e-5
@@ -201,3 +201,48 @@ def test_repeated_gather_accumulates():
     picked = gather_rows(x, np.array([0, 0, 1]))
     backward(sum_all(picked))
     assert np.array_equal(x.grad, [[2.0, 2.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("gather_first", [False, True])
+def test_fan_in_leaves_sibling_gradient_alone(gather_first):
+    # add hands one gradient array to both parents; x then also gets a
+    # gather gradient, which must not land in y's gradient
+    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+    y = Tensor(np.array([[0.5, 0.5], [0.5, 0.5]]), requires_grad=True)
+    w = np.array([[1.0, 2.0], [3.0, 4.0]])
+    v = np.array([[10.0, 20.0], [30.0, 40.0], [50.0, 60.0]])
+    terms = [sum_all((x + y) * w), sum_all(gather_rows(x, np.array([1, 1, 0])) * v)]
+    if gather_first:
+        terms.reverse()
+    backward(terms[0] + terms[1])
+    assert np.array_equal(y.grad, w)
+    assert np.array_equal(x.grad, w + [[50.0, 60.0], [40.0, 60.0]])
+
+
+def test_no_backward_writes_a_stored_gradient(monkeypatch):
+    # every stored gradient is made read-only: a backward (or the optimizer)
+    # that wrote one in place would raise
+    from graphkbc.checks import gradient_check_report
+    from graphkbc.kg import build_graph
+    from graphkbc.model import ObjectiveConfig, PropagationConfig
+    from graphkbc.trainer import TrainConfig, init_model, train
+    from synthetic_corpus import grid_corpus
+
+    accumulate = ad._accumulate
+    stored = []
+
+    def read_only(t, g):
+        accumulate(t, g)
+        if t.grad is not None:
+            t.grad.flags.writeable = False
+            stored.append(t.grad)
+
+    monkeypatch.setattr(ad, "_accumulate", read_only)
+    ok, failures = gradient_check_report()
+    assert ok, failures
+    train_triplets, _, _, ev, rv = grid_corpus()
+    model = init_model(len(ev), len(rv), PropagationConfig(dim=4, depth=2, mode="stacked"), 0)
+    cfg = TrainConfig(epochs=1, minibatch_size=32, filter_false_negatives=True)
+    [metrics] = train(build_graph(train_triplets), model, cfg, ObjectiveConfig())
+    assert np.isfinite(metrics["loss"]) and stored
+    assert not model.entities.grad.flags.writeable

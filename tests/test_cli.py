@@ -62,9 +62,8 @@ class TestGenOokb:
         assert (out / "config.json").exists()
 
     def test_loaded_split_keeps_written_stats(self, corpus):
-        from graphkbc.cli import _load_split_files
         from graphkbc.kg import Vocabulary, load_triplet_file
-        from graphkbc.ookb import generate, write_split
+        from graphkbc.ookb import generate, read_split, write_split
 
         tmp_path, paths = corpus
         ev, rv = Vocabulary(), Vocabulary()
@@ -73,7 +72,7 @@ class TestGenOokb:
         test = load_triplet_file(paths["test"], ev, rv, labeled=True)
         split = generate(train, valid, test, 2, "tail")
         write_split(split, tmp_path / "s", "tail-2", ev, rv)
-        loaded = _load_split_files(tmp_path / "s" / "tail-2", ev, rv)
+        loaded = read_split(tmp_path / "s" / "tail-2", ev, rv)
         assert loaded.stats == split.stats
         assert loaded.ookb_entities.tolist() == split.ookb_entities.tolist()
         assert loaded.aux.tolist() == [list(t) for t in split.aux]
@@ -160,6 +159,37 @@ class TestTrain:
             ra, rb = json.loads(a), json.loads(b)
             ra.pop("wall_time"), rb.pop("wall_time")
             assert ra == rb
+
+    @pytest.mark.parametrize("command", ["gen-ookb", "train"])
+    def test_non_utf8_train_file_is_data_error(self, corpus, capsys, command):
+        tmp_path, paths = corpus
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(Path(paths["train"]).read_bytes() + b"e0\tnext\tcaf\xe9\n")
+        extra = (["--valid", paths["valid"], "--test", paths["test"], "--n", "1",
+                  "--position", "tail"] if command == "gen-ookb" else TRAIN_ARGS)
+        code = run([command, "--train", bad, "--out", tmp_path / "r"] + extra)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"data error: {bad}:24: byte 0xe9 is not UTF-8" in err
+
+    def test_non_utf8_vocab_file_is_data_error(self, corpus, capsys):
+        tmp_path, paths = corpus
+        vocab = tmp_path / "entities.txt"
+        vocab.write_bytes(b"e0\ne1\n\xff\n")
+        code = run(["train", "--train", paths["train"], "--vocab", vocab,
+                    "--out", tmp_path / "r"] + TRAIN_ARGS)
+        assert code == EXIT_DATA
+        assert f"data error: {vocab}:3: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+    def test_filter_without_any_allowed_corruption_is_config_error(self, tmp_path, capsys):
+        # the complete graph over {a, b}: every corruption is a training triplet
+        train = tmp_path / "complete.txt"
+        train.write_text("a\tr\ta\na\tr\tb\nb\tr\ta\nb\tr\tb\n")
+        code = run(["train", "--train", train, "--out", tmp_path / "r",
+                    "--filter-false-negatives", "--epochs", "1", "--dim", "4"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and "pool too small" in err and "triplet ids" in err
 
     def test_resume_with_unknown_relation_is_config_error(self, corpus, capsys):
         tmp_path, paths = corpus

@@ -76,6 +76,22 @@ class TestCorrupt:
         for row in neg.tolist():
             assert row[0] in (B, D)  # A is the original, (C,R,B) is a positive
 
+    def test_filter_leaving_no_replacement_raises_instead_of_hanging(self):
+        # over {A, B} every head and every tail completes a triplet of the graph
+        graph = build_graph([Triplet(h, R, t) for h in (A, B) for t in (A, B)])
+        pos = np.array([[A, R, B]], dtype=np.intp)
+        with pytest.raises(ValueError, match=r"pool too small.*triplet ids \(0, 0, 1\)"):
+            corrupt_batch(pos, np.array([0.5]), np.array([A, B]), np.random.default_rng(0),
+                          forbidden=graph)
+
+    def test_filter_leaving_one_replacement_finds_it(self):
+        # (A, R, B) and (C, R, B) rule out two of the three heads
+        graph = build_graph([Triplet(A, R, B), Triplet(C, R, B)])
+        pos = np.tile(np.array([[A, R, B]], dtype=np.intp), (20, 1))
+        neg = corrupt_batch(pos, np.array([1.0]), np.array([A, B, C]),
+                            np.random.default_rng(5), forbidden=graph)
+        assert neg.tolist() == [[B, R, B]] * 20
+
     def test_head_replacement_rate_balanced(self):
         # empirical frequency matches tph/(tph+hpt) = 0.5 within +-0.01
         pos = np.tile(np.array([[2, R, 4]], dtype=np.intp), (100_000, 1))
