@@ -1,11 +1,11 @@
 """Minimal reverse-mode differentiation over dense float64 numpy arrays.
 
 Only the operations the propagation model needs: broadcasting arithmetic,
-affine maps from a stack of matrices over rows sorted by group,
-activations, row gathers and segment reductions (the building blocks of
-neighborhood pooling), per-row norms, axis-0 means, and batch normalization
-of row groups. Each operation records a backward closure; ``backward``
-walks the tape in reverse topological order.
+activations, the fused transition of rows sorted by group (an affine map
+from a stack of matrices, batch normalization, an activation), row gathers
+and segment reductions (the building blocks of neighborhood pooling),
+per-row norms and axis-0 means. Each operation records a backward closure;
+``backward`` walks the tape in reverse topological order.
 """
 
 from __future__ import annotations
@@ -183,6 +183,107 @@ def _group_slices(offsets, n_rows: int, n_groups: int) -> list[tuple[int, int, i
     return [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
 
 
+def group_transition(x, offsets, weight=None, norm=None, activation=None):
+    """Each row group's affine map, batch norm and activation, fused into one op.
+
+    The rows of ``x`` are sorted by group: group ``g`` is rows
+    ``offsets[g]:offsets[g + 1]``. Each stage is optional, and each runs on
+    one group's rows at a time:
+
+    * ``weight``, a (G, d, d) stack: ``y[i] = weight[g] @ x[i]``;
+    * ``norm = (gamma, beta, eps, fixed)``, with (G, d) ``gamma`` and
+      ``beta``: ``(y[i] - mean[g]) * inv[g] * gamma[g] + beta[g]``. Without
+      ``fixed``, each group uses its batch mean and variance,
+      ``inv = (var + eps) ** -0.5`` (a one-row group outputs its beta);
+      ``fixed = (mean, inv)`` gives them;
+    * ``activation``, ``"relu"`` or ``"tanh"``.
+
+    Returns the output and the (G, d) batch mean and variance (None unless
+    ``norm`` uses batch statistics).
+    """
+    x = _ensure(x)
+    if x.data.ndim != 2:
+        raise ValueError(f"group_transition wants (n,d) rows, got {x.shape}")
+    n, d = x.data.shape
+    parents, n_groups = [x], len(offsets) - 1
+    if weight is not None:
+        weight = _ensure(weight)
+        if weight.data.ndim != 3 or weight.data.shape[1:] != (d, d):
+            raise ValueError(f"group_transition wants a (G,d,d) stack for (n,d) rows, "
+                             f"got {weight.shape} and {x.shape}")
+        parents.append(weight)
+        n_groups = weight.data.shape[0]
+    batch, mean, var = False, None, None
+    if norm is not None:
+        gamma, beta, eps, fixed = norm
+        gamma, beta = _ensure(gamma), _ensure(beta)
+        parents += [gamma, beta]
+        n_groups = gamma.data.shape[0]
+        batch = fixed is None
+        mean, inv = (np.zeros_like(gamma.data), np.zeros_like(gamma.data)) if batch else fixed
+        var = np.zeros_like(gamma.data) if batch else None
+        centered = np.empty_like(x.data)
+    if activation not in (None, "relu", "tanh"):
+        raise ValueError(f"unknown activation {activation!r}")
+    groups = _group_slices(offsets, n, n_groups)
+    data = np.empty_like(x.data)
+    for g, lo, hi in groups:
+        y = data[lo:hi]
+        if weight is None:
+            y[...] = x.data[lo:hi]
+        else:
+            np.matmul(x.data[lo:hi], weight.data[g].T, out=y)
+        if norm is not None:
+            if batch:
+                mean[g] = y.mean(axis=0)
+            c = np.subtract(y, mean[g], out=centered[lo:hi])
+            if batch:
+                var[g] = (c * c).mean(axis=0)
+                inv[g] = (var[g] + eps) ** -0.5
+            np.multiply(c, inv[g], out=y)
+            y *= gamma.data[g]
+            y += beta.data[g]
+        if activation == "relu":
+            np.maximum(y, 0.0, out=y)
+        elif activation == "tanh":
+            np.tanh(y, out=y)
+    out = _make(data, tuple(parents))
+    if out.requires_grad:
+        def backward(grad):
+            gx = np.empty_like(x.data)
+            if weight is not None:
+                gw = np.zeros_like(weight.data)
+            if norm is not None:
+                g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
+            for g, lo, hi in groups:
+                dz, y = grad[lo:hi], data[lo:hi]
+                if activation == "relu":
+                    dz = dz * (y > 0.0)  # subgradient at 0 is 0
+                elif activation == "tanh":
+                    dz = dz * (1.0 - y * y)
+                if norm is not None:
+                    xhat = centered[lo:hi] * inv[g]
+                    g_beta[g] = dz.sum(axis=0)
+                    g_gamma[g] = (dz * xhat).sum(axis=0)
+                    dz = dz * gamma.data[g]
+                    if batch:  # the batch statistics depend on the rows as well
+                        dz -= dz.mean(axis=0) + xhat * (dz * xhat).mean(axis=0)
+                    dz *= inv[g]
+                if weight is None:
+                    gx[lo:hi] = dz
+                else:
+                    np.matmul(dz, weight.data[g], out=gx[lo:hi])
+                    gw[g] = dz.T @ x.data[lo:hi]
+            _accumulate(x, gx)
+            if weight is not None:
+                _accumulate(weight, gw)
+            if norm is not None:
+                _accumulate(gamma, g_gamma)
+                _accumulate(beta, g_beta)
+        out._backward = backward
+    return out, (mean if batch else None), var
+
+
 def affine_rows(x, weight, offsets) -> Tensor:
     """Apply one of G square matrices to each group of rows.
 
@@ -190,25 +291,7 @@ def affine_rows(x, weight, offsets) -> Tensor:
     group: ``out[i] = weight[g] @ x[i]`` for ``offsets[g] <= i < offsets[g + 1]``.
     A single matrix is the stack of one, with offsets ``[0, n]``.
     """
-    x, weight = _ensure(x), _ensure(weight)
-    if x.data.ndim != 2 or weight.data.ndim != 3 or weight.data.shape[1:] != (x.data.shape[1],) * 2:
-        raise ValueError(f"affine_rows wants (n,d) rows and a (G,d,d) stack, got {x.shape} and {weight.shape}")
-    groups = _group_slices(offsets, x.data.shape[0], weight.data.shape[0])
-    data = np.empty_like(x.data)
-    for g, lo, hi in groups:
-        np.matmul(x.data[lo:hi], weight.data[g].T, out=data[lo:hi])
-    out = _make(data, (x, weight))
-    if out.requires_grad:
-        def backward(grad):
-            gx = np.empty_like(x.data)
-            gw = np.zeros_like(weight.data)
-            for g, lo, hi in groups:
-                np.matmul(grad[lo:hi], weight.data[g], out=gx[lo:hi])
-                gw[g] = grad[lo:hi].T @ x.data[lo:hi]
-            _accumulate(x, gx)
-            _accumulate(weight, gw)
-        out._backward = backward
-    return out
+    return group_transition(x, offsets, weight)[0]
 
 
 def sum_all(a) -> Tensor:
@@ -233,50 +316,29 @@ def mean0(a) -> Tensor:
     return out
 
 
-def batch_norm_rows(x, offsets, gamma, beta, eps: float, fixed=None):
-    """``(x[i] - mean[g]) * inv[g] * gamma[g] + beta[g]`` for the rows of each group ``g``.
+def _rank_plan(seg: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The rows of each nonempty segment, rank by rank.
 
-    Rows are sorted by group as for ``affine_rows``. Without ``fixed``, each
-    group uses its batch mean and variance, ``inv = (var + eps) ** -0.5``
-    (a one-row group outputs its beta); ``fixed = (mean, inv)`` gives them.
-    Returns the output and the (G, d) mean and variance (None when fixed).
+    Returns ``(segments, ranks)``: ``segments`` lists the nonempty segments
+    largest first (ties by id), and ``ranks[k]`` holds the k-th row (in row
+    order) of each of the first ``len(ranks[k])`` of them, the segments with
+    more than k rows. A reduction over the ranks in turn, on prefixes of an
+    array in ``segments`` order, visits each segment's rows in row order.
     """
-    x, gamma, beta = _ensure(x), _ensure(gamma), _ensure(beta)
-    groups = _group_slices(offsets, x.data.shape[0], gamma.data.shape[0])
-    mean, inv = fixed if fixed is not None else (np.zeros_like(gamma.data), np.zeros_like(gamma.data))
-    var = None if fixed is not None else np.zeros_like(gamma.data)
-    centered, data = np.empty_like(x.data), np.empty_like(x.data)
-    for g, lo, hi in groups:
-        if fixed is None:
-            mean[g] = x.data[lo:hi].mean(axis=0)
-        c = np.subtract(x.data[lo:hi], mean[g], out=centered[lo:hi])
-        if fixed is None:
-            var[g] = (c * c).mean(axis=0)
-            inv[g] = (var[g] + eps) ** -0.5
-        y = np.multiply(c, inv[g], out=data[lo:hi])
-        y *= gamma.data[g]
-        y += beta.data[g]
-    out = _make(data, (x, gamma, beta))
-    if out.requires_grad:
-        def backward(grad):
-            gx = np.empty_like(x.data)
-            g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
-            for g, lo, hi in groups:
-                xhat = centered[lo:hi] * inv[g]
-                g_beta[g] = grad[lo:hi].sum(axis=0)
-                g_gamma[g] = (grad[lo:hi] * xhat).sum(axis=0)
-                dxhat = grad[lo:hi] * gamma.data[g]
-                if fixed is None:  # the batch statistics depend on x as well
-                    dxhat -= dxhat.mean(axis=0) + xhat * (dxhat * xhat).mean(axis=0)
-                np.multiply(dxhat, inv[g], out=gx[lo:hi])
-            for t, gt in ((x, gx), (gamma, g_gamma), (beta, g_beta)):
-                _accumulate(t, gt)
-        out._backward = backward
-    return out, mean, var
+    order = np.argsort(seg, kind="stable")
+    segments = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+    sizes = counts[segments]
+    starts = (np.cumsum(counts) - counts)[segments]
+    active = np.searchsorted(-sizes, -np.arange(1, sizes[0] + 1), side="right")
+    return segments, [order[starts[:n] + k] for k, n in enumerate(active.tolist())]
 
 
 def gather_rows(a, idx) -> Tensor:
-    """Select rows by index; backward scatter-adds into the source rows."""
+    """Select rows by index; backward scatter-adds into the source rows.
+
+    A row picked more than once gets its gradients added in index order,
+    as ``np.add.at`` does.
+    """
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
     out = _make(a.data[idx], (a,))
@@ -286,8 +348,11 @@ def gather_rows(a, idx) -> Tensor:
             if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
                 ga[idx] += g
             else:
-                order, sidx, starts = _sorted_segments(idx)
-                ga[sidx[starts]] += np.add.reduceat(g[order], starts, axis=0)
+                segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
+                total = np.zeros((len(segments),) + g.shape[1:])
+                for rows in ranks:
+                    total[:len(rows)] += g[rows]
+                ga[segments] = total
             _accumulate(a, ga)
         out._backward = backward
     return out
@@ -308,15 +373,8 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def _sorted_segments(seg: np.ndarray):
-    order = np.argsort(seg, kind="stable")
-    sseg = seg[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sseg)) + 1))
-    return order, sseg, starts
-
-
-def _segment_reduce(ufunc, x, seg, n_segments: int):
-    """The checked inputs, the segment sizes and ``ufunc.reduceat`` over each segment's rows."""
+def _segments(x, seg, n_segments: int):
+    """The checked inputs and the number of rows of each segment."""
     x = _ensure(x)
     seg = np.asarray(seg, dtype=np.intp)
     if n_segments <= 0:
@@ -327,15 +385,21 @@ def _segment_reduce(ufunc, x, seg, n_segments: int):
     if counts.min() == 0:
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"segment {empty} is empty; pooling an empty set is undefined")
-    order, _, starts = _sorted_segments(seg)
-    return x, seg, counts, ufunc.reduceat(x.data[order], starts, axis=0)
+    return x, seg, counts
+
+
+def _segment_totals(x: Tensor, seg: np.ndarray) -> np.ndarray:
+    order = np.argsort(seg, kind="stable")
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(seg[order])) + 1))
+    data = np.add.reduceat(x.data[order], starts, axis=0)
+    data += 0.0  # a segment of -0.0 rows sums to +0.0, as when adding into zeros
+    return data
 
 
 def segment_sum(x, seg, n_segments: int) -> Tensor:
     """Per-segment row sums; every segment must be nonempty."""
-    x, seg, _, data = _segment_reduce(np.add, x, seg, n_segments)
-    data += 0.0  # a segment of -0.0 rows sums to +0.0, as when adding into zeros
-    out = _make(data, (x,))
+    x, seg, _ = _segments(x, seg, n_segments)
+    out = _make(_segment_totals(x, seg), (x,))
     if out.requires_grad:
         def backward(g):
             _accumulate(x, g[seg])
@@ -344,9 +408,9 @@ def segment_sum(x, seg, n_segments: int) -> Tensor:
 
 
 def segment_mean(x, seg, n_segments: int) -> Tensor:
-    x, seg, counts, data = _segment_reduce(np.add, x, seg, n_segments)
+    x, seg, counts = _segments(x, seg, n_segments)
     counts = counts.astype(DTYPE)
-    data += 0.0
+    data = _segment_totals(x, seg)
     data /= counts[:, None]
     out = _make(data, (x,))
     if out.requires_grad:
@@ -359,15 +423,30 @@ def segment_mean(x, seg, n_segments: int) -> Tensor:
 def segment_max(x, seg, n_segments: int) -> Tensor:
     """Per-segment elementwise maxima.
 
-    Gradient flows to every row attaining the maximum (ties share the full
-    gradient; tests use inputs without exact ties).
+    Each (segment, feature) gradient goes to one row: the lowest-index row
+    that attains the maximum. The rows are found when backward runs.
     """
-    x, seg, _, data = _segment_reduce(np.maximum, x, seg, n_segments)
+    x, seg, counts = _segments(x, seg, n_segments)
+    segments, ranks = _rank_plan(seg, counts)
+    best = x.data[ranks[0]]
+    for rows in ranks[1:]:
+        n = len(rows)
+        np.maximum(best[:n], x.data[rows], out=best[:n])
+    data = np.empty_like(best)
+    data[segments] = best
     out = _make(data, (x,))
     if out.requires_grad:
         def backward(g):
-            mask = x.data == data[seg]
-            _accumulate(x, mask * g[seg])
+            # rank by rank, a row equal to its segment's unclaimed maximum
+            # claims it, and the claimed maximum turns NaN, which equals nothing
+            left, g_seg = data[segments], g[segments]
+            gx = np.empty_like(x.data)
+            for rows in ranks:
+                n = len(rows)
+                hit = x.data[rows] == left[:n]
+                np.copyto(left[:n], np.nan, where=hit)
+                gx[rows] = g_seg[:n] * hit
+            _accumulate(x, gx)
         out._backward = backward
     return out
 

@@ -28,6 +28,11 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
         # group 0 holds one row (its output is its beta), group 1 none
         "batchnorm": lambda: ad.sum_all(
             ad.rows_norm(bn(x, [0, 1, 1, 5], training=True), 2)),
+        # the fused transition: matrix, batch norm and activation per group
+        "transition:training": lambda: ad.sum_all(
+            ad.rows_norm(bn.transition(x, [0, 1, 1, 5], True, A, "relu"), 2)),
+        "transition:inference": lambda: ad.sum_all(
+            ad.rows_norm(bn.transition(x, [0, 2, 2, 5], False, A, "tanh"), 1)),
     }
     failures = []
     params = {"x": x, "W": W, "A": A, "gamma": bn.gamma, "beta": bn.beta}
@@ -44,9 +49,11 @@ def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
     neg = np.array([[0, 0, 2], [4, 1, 2], [2, 0, 0]])
     both = np.concatenate([pos, neg])
     failures = []
-    # transitions per (layer, direction, relation) and per (layer, direction)
-    for transition in ("relation-relu-bn", "tanh-layer"):
-        cfg = PropagationConfig(dim=4, depth=1, mode="stacked", pooling="avg",
+    # transitions per (layer, direction, relation) and per (layer, direction),
+    # and the benchmark's max-pooled relation-relu-bn
+    for transition, pooling in (("relation-relu-bn", "avg"), ("tanh-layer", "avg"),
+                                ("relation-relu-bn", "max")):
+        cfg = PropagationConfig(dim=4, depth=1, mode="stacked", pooling=pooling,
                                 transition=transition, neighbor_cap=2)
         model = GraphModel(6, 2, cfg)
         model.init_params(rng)
@@ -63,7 +70,7 @@ def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
             neg_s = ad.gather_rows(scores, np.arange(len(pos), len(both)))
             return loss_absolute(pos_s, neg_s, margin=1.0)
 
-        failures += [f"model {transition}: {msg}"
+        failures += [f"model {transition}/{pooling}: {msg}"
                      for msg in gradcheck(build_loss, model.store.parameters(), tol=tol)]
     return failures
 

@@ -340,7 +340,7 @@ class GraphModel:
 
         The records are stably sorted by transition group, self records
         first; every group's rows go through its matrix, batch norm and the
-        activation in one call each, the self records keep their vectors.
+        activation in one fused op, the self records keep their vectors.
         """
         real = dirs != DIR_SELF
         key = np.full(len(dirs), -1, dtype=np.intp)
@@ -355,10 +355,11 @@ class GraphModel:
             rows = ad.gather_rows(prev_vecs, pos[n_self:])
             if self.A is not None:
                 offsets = np.searchsorted(key[n_self:], np.arange(self.n_groups + 1))
-                rows = ad.affine_rows(rows, self.A, offsets)
+                activation = "tanh" if self.cfg.transition == "tanh-layer" else "relu"
                 if self.bn is not None:
-                    rows = self.bn(rows, offsets, training=training)
-                rows = ad.tanh(rows) if self.cfg.transition == "tanh-layer" else ad.relu(rows)
+                    rows = self.bn.transition(rows, offsets, training, self.A, activation)
+                else:
+                    rows = ad.group_transition(rows, offsets, self.A, activation=activation)[0]
             parts.append(rows)
         combined = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
         return _SEGMENT_POOL[self.cfg.pooling](combined, seg, n_targets)

@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .autodiff import DTYPE, Tensor, batch_norm_rows
+from .autodiff import DTYPE, Tensor, group_transition
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -98,6 +98,9 @@ def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float
     return alpha1 / (alpha2 * epoch + 1.0)
 
 
+ADAM_BLOCK = 8192  # elements per Adam pass: a few arrays of this size stay in cache
+
+
 def adam_step(
     store: ParamStore,
     epoch: int,
@@ -107,25 +110,33 @@ def adam_step(
     """One bias-corrected Adam update over every parameter in the store.
 
     Parameters without an accumulated gradient are treated as having a zero
-    gradient. Returns the step size used.
+    gradient. Each tensor is updated in blocks of ``ADAM_BLOCK`` elements
+    through two scratch buffers. Returns the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
     for name, p in store._params.items():
+        if p.grad is not None and p.grad.shape != p.data.shape:
+            raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape} for {name!r}")
+    scratch = np.empty((2, ADAM_BLOCK))
+    for name, p in store._params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.data.shape} for {name!r}")
-        m, v = store._moments[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        update = m / (1.0 - ADAM_BETA1 ** t)
-        denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
-        denom += ADAM_EPS
-        update /= denom
-        update *= lr
-        p.data -= update
+        # store arrays are C-contiguous, so the flat arrays are views
+        flat = [a.reshape(-1) for a in (p.data, *store._moments[name], g)]
+        for lo in range(0, p.data.size, ADAM_BLOCK):
+            w, m, v, gb = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            update, denom = scratch[:, :len(w)]
+            m *= ADAM_BETA1
+            m += np.multiply(1.0 - ADAM_BETA1, gb, out=update)
+            v *= ADAM_BETA2
+            np.multiply(gb, gb, out=update)
+            v += np.multiply(1.0 - ADAM_BETA2, update, out=update)
+            np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom), out=denom)
+            denom += ADAM_EPS
+            update /= denom
+            update *= lr
+            w -= update
     store.adam_t = t
     return lr
 
@@ -136,7 +147,7 @@ class BatchNorm:
     Reads the store's (G, d) ``{name}.gamma``/``.beta`` parameters and
     ``.running_mean``/``.running_var`` buffers (``tensors`` gives their
     initial values). Rows are sorted by group and split by ``offsets``, as
-    for ``autodiff.affine_rows``. Training mode normalizes each group by its
+    for ``autodiff.group_transition``. Training mode normalizes each group by its
     batch statistics (a one-row group outputs its beta) and moves the EMA
     running statistics of the groups present; inference mode normalizes by
     the running statistics (mean 0, variance 1 before the first update).
@@ -158,14 +169,18 @@ class BatchNorm:
                 {f"{name}.running_mean": zero, f"{name}.running_var": one})
 
     def __call__(self, x: Tensor, offsets, training: bool) -> Tensor:
-        if not training:
-            fixed = (self.running_mean, 1.0 / np.sqrt(self.running_var + self.eps))
-            return batch_norm_rows(x, offsets, self.gamma, self.beta, self.eps, fixed)[0]
-        out, mean, var = batch_norm_rows(x, offsets, self.gamma, self.beta, self.eps)
-        present = np.diff(offsets) > 0
-        m = self.momentum
-        self.running_mean[present] = self.running_mean[present] * m + (1.0 - m) * mean[present]
-        self.running_var[present] = self.running_var[present] * m + (1.0 - m) * var[present]
+        return self.transition(x, offsets, training)
+
+    def transition(self, x: Tensor, offsets, training: bool, weight=None, activation=None) -> Tensor:
+        """``autodiff.group_transition`` with this batch norm between ``weight`` and ``activation``."""
+        fixed = None if training else (self.running_mean, 1.0 / np.sqrt(self.running_var + self.eps))
+        out, mean, var = group_transition(x, offsets, weight, (self.gamma, self.beta, self.eps, fixed),
+                                          activation)
+        if training:
+            present = np.diff(offsets) > 0
+            m = self.momentum
+            self.running_mean[present] = self.running_mean[present] * m + (1.0 - m) * mean[present]
+            self.running_var[present] = self.running_var[present] * m + (1.0 - m) * var[present]
         return out
 
 

@@ -1,4 +1,7 @@
-"""A small grid-structured corpus for end-to-end tests.
+"""Small synthetic corpora for end-to-end tests.
+
+``grid_corpus`` is grid-structured, ``hub_corpus`` has one-to-many and
+many-to-many relations.
 
 Entities sit on a 7 x 5 grid; relation "right" steps one column east, "up"
 one row north, and "jump" two columns east, so an exact translation
@@ -75,3 +78,25 @@ def grid_corpus(seed=0):
                 Triplet(wrong_head(i + 1, j, right), right, ent(i + 1, j)), False))
 
     return train, valid, test, ev, rv
+
+
+def hub_corpus(n_hubs=3, leaves_per_hub=6):
+    """Hubs that each own a few leaves, as (train triplets, entity vocab, relation vocab).
+
+    ``has`` links a hub to each of its leaves (one-to-many), ``part_of`` a
+    leaf back to its hub (many-to-one) and ``sibling`` every ordered pair of
+    leaves of one hub (many-to-many). Unlike the grid's one-to-one
+    relations, many corruptions of these triplets are themselves training
+    triplets: replacing the tail of ``(h, has, a)`` with another leaf of
+    ``h``, or of ``(a, sibling, b)`` with another sibling of ``a``.
+    """
+    ev, rv = Vocabulary(), Vocabulary()
+    has, part_of, sibling = rv.intern(["has", "part_of", "sibling"]).tolist()
+    train = []
+    for k in range(n_hubs):
+        hub = int(ev.intern([f"hub{k}"])[0])
+        leaves = ev.intern([f"leaf{k}_{i}" for i in range(leaves_per_hub)]).tolist()
+        for a in leaves:
+            train += [Triplet(hub, has, a), Triplet(a, part_of, hub)]
+            train += [Triplet(a, sibling, b) for b in leaves if b != a]
+    return train, ev, rv

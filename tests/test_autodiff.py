@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphkbc import autodiff as ad
 from graphkbc.autodiff import (
@@ -10,6 +11,7 @@ from graphkbc.autodiff import (
     concat_rows,
     gather_rows,
     gradcheck,
+    group_transition,
     mean0,
     relu,
     rows_norm,
@@ -107,6 +109,11 @@ class TestForward:
     def test_segment_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             segment_sum(Tensor(np.ones((2, 2))), np.array([0, 0]), 2)
+
+    def test_segment_out_of_range_rejected(self):
+        for op in (segment_sum, segment_mean, segment_max):
+            with pytest.raises(ValueError, match="segment id 2 is out of range for 2 segments"):
+                op(Tensor(np.ones((2, 2))), np.array([0, 2]), 2)
 
 
 class TestBackward:
@@ -246,3 +253,148 @@ def test_no_backward_writes_a_stored_gradient(monkeypatch):
     [metrics] = train(build_graph(train_triplets), model, cfg, ObjectiveConfig())
     assert np.isfinite(metrics["loss"]) and stored
     assert not model.entities.grad.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# max pooling: reduceat maxima, one winner per (segment, feature)
+
+# few distinct values, signed zeros among them, so that ties are common
+_TIE_VALUES = st.sampled_from([-1.5, -0.0, 0.0, 0.5, 2.0])
+
+
+@st.composite
+def duplicated_records(draw):
+    """(rows, seg, n_segments): records drawn from a few base rows, so rows repeat."""
+    d = draw(st.integers(1, 3))
+    n_base = draw(st.integers(1, 4))
+    base = np.array(draw(st.lists(_TIE_VALUES, min_size=n_base * d, max_size=n_base * d)))
+    n_segments = draw(st.integers(1, 5))
+    extra = draw(st.lists(st.integers(0, n_segments - 1), max_size=12))
+    seg = np.array(draw(st.permutations(list(range(n_segments)) + extra)), dtype=np.intp)
+    picks = draw(st.lists(st.integers(0, n_base - 1), min_size=len(seg), max_size=len(seg)))
+    return base.reshape(n_base, d)[picks], seg, n_segments
+
+
+@settings(max_examples=200, deadline=None)
+@given(duplicated_records())
+def test_segment_max_forward_is_reduceat_and_gradient_has_one_winner(case):
+    rows, seg, n_segments = case
+    x = Tensor(rows, requires_grad=True)
+    out = segment_max(x, seg, n_segments)
+    order = np.argsort(seg, kind="stable")
+    starts = np.flatnonzero(np.diff(seg[order], prepend=-1))
+    expected = np.maximum.reduceat(rows[order], starts, axis=0)
+    assert out.data.tobytes() == expected.tobytes()  # bitwise, signed zeros included
+    upstream = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
+    backward(sum_all(out * upstream))
+    for s in range(n_segments):
+        members = np.flatnonzero(seg == s)
+        for f in range(rows.shape[1]):
+            winner = members[np.flatnonzero(rows[members, f] == out.data[s, f])[0]]
+            assert x.grad[winner, f] == upstream[s, f]
+            assert np.all(x.grad[members[members != winner], f] == 0.0)
+
+
+def test_segment_max_tie_goes_to_lowest_index_row():
+    # rows 1 and 3 repeat one record of segment 0; row 0 is segment 1
+    x = Tensor(np.array([[5.0, 1.0], [2.0, 3.0], [1.0, 3.0], [2.0, 3.0]]), requires_grad=True)
+    backward(sum_all(segment_max(x, np.array([1, 0, 0, 0]), 2)))
+    assert np.array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+
+
+# ---------------------------------------------------------------------------
+# gather: repeated rows add in index order
+
+def test_repeated_gather_gradient_matches_add_at_bitwise():
+    rng = np.random.default_rng(12)
+    for n_source, n_picks in ((7, 40), (300, 200), (3, 500)):
+        x = Tensor(rng.normal(size=(n_source, 5)), requires_grad=True)
+        idx = rng.integers(0, n_source, size=n_picks)
+        upstream = rng.normal(size=(n_picks, 5)) * 10.0 ** rng.integers(-8, 8, size=(n_picks, 1))
+        backward(sum_all(gather_rows(x, idx) * upstream))
+        expected = np.zeros_like(x.data)
+        np.add.at(expected, idx, upstream)
+        assert x.grad.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the fused transition against the unfused chain
+
+def unfused_chain(x, offsets, W, gamma, beta, eps, fixed, activation, upstream):
+    """Affine map, batch norm and activation as three whole-array passes, in numpy.
+
+    Returns the output, the batch statistics and the gradients of x, W,
+    gamma and beta for the upstream gradient.
+    """
+    groups = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(offsets, offsets[1:])) if hi > lo]
+    pre = np.empty_like(x)
+    for g, lo, hi in groups:
+        pre[lo:hi] = x[lo:hi] @ W[g].T
+    mean, inv = fixed if fixed is not None else (np.zeros_like(gamma), np.zeros_like(gamma))
+    var = np.zeros_like(gamma)
+    centered, normed = np.empty_like(x), np.empty_like(x)
+    for g, lo, hi in groups:
+        if fixed is None:
+            mean[g] = pre[lo:hi].mean(axis=0)
+        c = centered[lo:hi] = pre[lo:hi] - mean[g]
+        if fixed is None:
+            var[g] = (c * c).mean(axis=0)
+            inv[g] = (var[g] + eps) ** -0.5
+        normed[lo:hi] = c * inv[g] * gamma[g] + beta[g]
+    out = np.maximum(normed, 0.0) if activation == "relu" else np.tanh(normed)
+
+    d_normed = upstream * (normed > 0.0) if activation == "relu" else upstream * (1.0 - out * out)
+    d_pre, gx = np.empty_like(x), np.empty_like(x)
+    g_W, g_gamma, g_beta = np.zeros_like(W), np.zeros_like(gamma), np.zeros_like(beta)
+    for g, lo, hi in groups:
+        xhat = centered[lo:hi] * inv[g]
+        g_beta[g] = d_normed[lo:hi].sum(axis=0)
+        g_gamma[g] = (d_normed[lo:hi] * xhat).sum(axis=0)
+        dxhat = d_normed[lo:hi] * gamma[g]
+        if fixed is None:
+            dxhat -= dxhat.mean(axis=0) + xhat * (dxhat * xhat).mean(axis=0)
+        d_pre[lo:hi] = dxhat * inv[g]
+    for g, lo, hi in groups:
+        gx[lo:hi] = d_pre[lo:hi] @ W[g]
+        g_W[g] = d_pre[lo:hi].T @ x[lo:hi]
+    return out, mean, var, (gx, g_W, g_gamma, g_beta)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("training", [True, False])
+def test_group_transition_is_the_unfused_chain_bitwise(training, activation):
+    # groups of 5, 0, 1 and 9 rows: an empty group and a one-row group
+    offsets = [0, 5, 5, 6, 15]
+    rng = np.random.default_rng(21)
+    x = Tensor(rng.normal(size=(15, 6)), requires_grad=True)
+    W = Tensor(rng.normal(size=(4, 6, 6)), requires_grad=True)
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=(4, 6)), requires_grad=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, size=(4, 6)), requires_grad=True)
+    eps = 1e-5
+    fixed = None
+    if not training:
+        running_var = rng.uniform(0.5, 2.0, size=(4, 6))
+        fixed = (rng.normal(size=(4, 6)), 1.0 / np.sqrt(running_var + eps))
+    upstream = rng.normal(size=(15, 6))
+
+    out, mean, var = group_transition(x, offsets, W, (gamma, beta, eps, fixed), activation)
+    backward(sum_all(out * upstream))
+    ref_out, ref_mean, ref_var, ref_grads = unfused_chain(
+        x.data, offsets, W.data, gamma.data, beta.data, eps, fixed, activation, upstream)
+
+    assert out.data.tobytes() == ref_out.tobytes()
+    if training:
+        assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+        assert np.array_equal(out.data[5], np.maximum(beta.data[2], 0.0) if activation == "relu"
+                              else np.tanh(beta.data[2]))  # a one-row group outputs its beta
+    else:
+        assert mean is None and var is None
+    for t, ref in zip((x, W, gamma, beta), ref_grads):
+        assert t.grad.tobytes() == ref.tobytes()
+    assert not W.grad[1].any() and not gamma.grad[1].any()  # the empty group
+
+
+def test_group_transition_rejects_unknown_activation():
+    with pytest.raises(ValueError, match="activation"):
+        group_transition(Tensor(np.ones((2, 2))), [0, 2], Tensor(np.ones((1, 2, 2))),
+                         activation="gelu")

@@ -191,6 +191,36 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "config error" in err and "pool too small" in err and "triplet ids" in err
 
+    def test_filtered_negatives_are_never_training_triplets(self, tmp_path, monkeypatch):
+        from graphkbc import trainer
+        from graphkbc.kg import save_triplet_file
+        from synthetic_corpus import hub_corpus
+
+        train, ev, rv = hub_corpus()
+        path = tmp_path / "hubs.txt"
+        save_triplet_file(path, train, ev, rv)
+        corrupt = trainer.corrupt_batch
+        negatives = []
+
+        def recorded(*args, **kwargs):
+            negatives.append(corrupt(*args, **kwargs))
+            return negatives[-1]
+
+        monkeypatch.setattr(trainer, "corrupt_batch", recorded)
+        seen = {}
+        for flags in ([], ["--filter-false-negatives"]):
+            negatives.clear()
+            assert run(["train", "--train", path, "--out", tmp_path / f"r{len(seen)}",
+                        "--epochs", "3", "--minibatch", "32", "--dim", "4"] + flags) == EXIT_OK
+            seen[bool(flags)] = np.concatenate(negatives)
+        # the file keeps the corpus's order, so ids are the same in both runs
+        known = {tuple(t) for t in train}
+        false_negatives = {flag: sum(tuple(t) in known for t in rows.tolist())
+                           for flag, rows in seen.items()}
+        assert false_negatives[True] == 0
+        assert false_negatives[False] > 0
+        assert not np.array_equal(seen[True], seen[False])
+
     def test_resume_with_unknown_relation_is_config_error(self, corpus, capsys):
         tmp_path, paths = corpus
         half = tmp_path / "half"
@@ -484,6 +514,19 @@ class TestEvalAndPredict:
                     "--triplets", queries, "--valid", paths["valid"]])
         assert code == EXIT_DATA
         assert "martian" in capsys.readouterr().err
+
+    def test_predict_ookb_entity_without_aux_triplet_is_data_error(self, trained, capsys):
+        # e98 is resolved through its aux triplet; e99 has none
+        tmp_path, paths, checkpoint = trained
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e98\tnext\te2\ne99\tnext\te2\n")
+        aux = tmp_path / "aux.txt"
+        aux.write_text("e12\tnext\te98\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--aux", aux, "--valid", paths["valid"]])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "e99" in err
 
 
 class TestGradcheckCommand:

@@ -5,6 +5,9 @@ import pytest
 
 from graphkbc.autodiff import Tensor, gradcheck, sum_all
 from graphkbc.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_BLOCK,
     ADAM_EPS,
     BatchNorm,
     CheckpointError,
@@ -72,6 +75,35 @@ class TestAdam:
             p.grad = np.array([g])
             adam_step(store, epoch=0)
         assert p.data[0] == pytest.approx(w, rel=1e-12)
+
+    def test_blocked_update_is_the_whole_array_formula_bitwise(self):
+        # tensors below, at and across the block size, one without a gradient
+        rng = np.random.default_rng(4)
+        shapes = {"small": (3, 5), "block": (ADAM_BLOCK,), "wide": (7, ADAM_BLOCK // 3 + 11),
+                  "idle": (4, 4)}
+        store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        reference = {name: [p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape)]
+                     for name, p in store.parameters().items()}
+        for t, epoch in enumerate((0, 0, 5), start=1):
+            lr = step_size(epoch)
+            for name, p in store.parameters().items():
+                p.grad = None if name == "idle" else rng.normal(size=p.data.shape) * 10.0 ** (t - 2)
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                w, m, v = reference[name]
+                m *= ADAM_BETA1
+                m += (1.0 - ADAM_BETA1) * g
+                v *= ADAM_BETA2
+                v += (1.0 - ADAM_BETA2) * (g * g)
+                update = m / (1.0 - ADAM_BETA1 ** t)
+                denom = np.sqrt(v / (1.0 - ADAM_BETA2 ** t))
+                denom += ADAM_EPS
+                update /= denom
+                update *= lr
+                w -= update
+            adam_step(store, epoch)
+        for name, p in store.parameters().items():
+            for got, want in zip((p.data, *store._moments[name]), reference[name]):
+                assert got.tobytes() == want.tobytes(), name
 
 
 def batch_norm(groups, dim):
