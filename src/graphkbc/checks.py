@@ -33,6 +33,9 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
             ad.rows_norm(bn.transition(x, [0, 1, 1, 5], True, A, "relu"), 2)),
         "transition:inference": lambda: ad.sum_all(
             ad.rows_norm(bn.transition(x, [0, 2, 2, 5], False, A, "tanh"), 1)),
+        # row 0 passes through ahead of the groups, as a self record does
+        "transition:pass-through": lambda: ad.sum_all(
+            ad.rows_norm(bn.transition(x, [1, 3, 3, 5], True, A, "relu"), 2)),
     }
     failures = []
     params = {"x": x, "W": W, "A": A, "gamma": bn.gamma, "beta": bn.beta}

@@ -278,7 +278,7 @@ class GraphModel:
         *,
         training: bool = False,
     ) -> Tensor:
-        """Vectors after ``depth`` propagation steps for a batch of entities.
+        """Vectors after ``depth`` propagation steps, one row per id of ``np.unique(entity_ids)``.
 
         Entities with no (post-exclusion) neighbors fall back to their base
         embedding at every step; an entity with neither neighbors nor a base
@@ -286,44 +286,27 @@ class GraphModel:
         With ``depth == 0`` the table is ignored and base embeddings are
         returned directly.
         """
-        ids = np.asarray(entity_ids, dtype=np.intp)
-        if self.cfg.depth == 0:
-            bad = ids[ids >= self.n_entities]
-            if bad.size:
-                raise InferenceError(f"entity id {int(bad[0])} has no trained embedding")
-            return ad.gather_rows(self.entities, ids)
-        if table is None:
+        if self.cfg.depth and table is None:
             raise ValueError("propagation depth >= 1 requires a neighbor table")
-
         # top-down: discover which vectors each step needs
         plan = []
-        need = ids
-        for _ in range(self.cfg.depth, 0, -1):
-            uniq = np.unique(need)
-            nbr, rel, dirs, seg = self.neighbor_records(uniq, table)
-            plan.append((uniq, nbr, rel, dirs, seg))
-            need = nbr
+        need = np.unique(np.asarray(entity_ids, dtype=np.intp))
+        for _ in range(self.cfg.depth):
+            records = self.neighbor_records(need, table)
+            plan.append((need, records))
+            need = np.unique(records[0])
 
         # bottom of the recursion: base embeddings of the final frontier
-        base_ids = np.unique(need)
-        bad = base_ids[base_ids >= self.n_entities]
+        bad = need[need >= self.n_entities]
         if bad.size:
             raise InferenceError(f"entity id {int(bad[0])} has no trained embedding")
-        prev_ids = base_ids
-        prev_vecs = ad.gather_rows(self.entities, base_ids)
-
-        for step, (uniq, nbr, rel, dirs, seg) in zip(
-            range(1, self.cfg.depth + 1), reversed(plan)
-        ):
+        prev_ids, vecs = need, ad.gather_rows(self.entities, need)
+        for step, (ids, (nbr, rel, dirs, seg)) in enumerate(reversed(plan), 1):
             # prev_ids is sorted and unique, so positions come from bisection
-            nbr_pos = np.searchsorted(prev_ids, nbr)
-            prev_vecs = self._propagate_step(
-                prev_vecs, nbr_pos, rel, dirs, seg, len(uniq),
-                self.cfg.layer_of(step), training,
-            )
-            prev_ids = uniq
-
-        return ad.gather_rows(prev_vecs, np.searchsorted(prev_ids, ids))
+            vecs = self._propagate_step(vecs, np.searchsorted(prev_ids, nbr), rel, dirs, seg,
+                                        len(ids), self.cfg.layer_of(step), training)
+            prev_ids = ids
+        return vecs
 
     def _propagate_step(
         self,
@@ -339,30 +322,23 @@ class GraphModel:
         """One pooled propagation step over neighbor records.
 
         The records are stably sorted by transition group, self records
-        first; every group's rows go through its matrix, batch norm and the
-        activation in one fused op, the self records keep their vectors.
+        first, and gathered once; every group's rows go through its matrix,
+        batch norm and the activation in one fused op, which passes the self
+        records through unchanged.
         """
         real = dirs != DIR_SELF
         key = np.full(len(dirs), -1, dtype=np.intp)
         key[real] = self.group_index(layer, dirs[real], rel[real])
         order = np.argsort(key, kind="stable")
-        key, pos, seg = key[order], nbr_pos[order], seg[order]
-        n_self = int(np.searchsorted(key, 0))
-        parts: list[Tensor] = []
-        if n_self:
-            parts.append(ad.gather_rows(prev_vecs, pos[:n_self]))
-        if n_self < len(key):
-            rows = ad.gather_rows(prev_vecs, pos[n_self:])
-            if self.A is not None:
-                offsets = np.searchsorted(key[n_self:], np.arange(self.n_groups + 1))
-                activation = "tanh" if self.cfg.transition == "tanh-layer" else "relu"
-                if self.bn is not None:
-                    rows = self.bn.transition(rows, offsets, training, self.A, activation)
-                else:
-                    rows = ad.group_transition(rows, offsets, self.A, activation=activation)[0]
-            parts.append(rows)
-        combined = parts[0] if len(parts) == 1 else ad.concat_rows(parts)
-        return _SEGMENT_POOL[self.cfg.pooling](combined, seg, n_targets)
+        rows = ad.gather_rows(prev_vecs, nbr_pos[order])
+        if self.A is not None:
+            offsets = np.searchsorted(key[order], np.arange(self.n_groups + 1))
+            activation = "tanh" if self.cfg.transition == "tanh-layer" else "relu"
+            if self.bn is not None:
+                rows = self.bn.transition(rows, offsets, training, self.A, activation)
+            else:
+                rows = ad.group_transition(rows, offsets, self.A, activation=activation)[0]
+        return _SEGMENT_POOL[self.cfg.pooling](rows, seg[order], n_targets)
 
     # -- scoring ----------------------------------------------------------
 
@@ -457,7 +433,7 @@ def load_model(directory):
     relation_vocab = Vocabulary.load(os.path.join(directory, "relations.txt"))
     try:
         cfg = PropagationConfig(**extra.pop("propagation"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:  # extra may be no dict
         raise CheckpointError(f"{os.path.join(directory, 'manifest.json')} holds no valid "
                               f"propagation config ({type(exc).__name__}: {exc})") from exc
     model = GraphModel(len(entity_vocab), len(relation_vocab), cfg, store=store)

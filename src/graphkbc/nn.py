@@ -12,6 +12,7 @@ training resumes exactly.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -210,17 +211,36 @@ def save_checkpoint(store: ParamStore, directory, extra: dict | None = None) -> 
         fh.write("\n")
 
 
+def _manifest_entries(tensors: list) -> tuple[list[tuple[str, str, tuple]], int]:
+    """(name, kind, shape) of each entry, checked to be as saved, and the blob size."""
+    entries, offset = [], 0
+    for e in tensors:
+        shape = e["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+                and e["dtype"] == "<f8" and e["kind"] in ("param", "adam_m", "adam_v", "buffer")
+                and e["offset"] == offset):
+            raise ValueError(f"entry {e} is not a '<f8' param, adam_m, adam_v or buffer "
+                             f"with nonnegative int sizes at byte {offset}")
+        entries.append((e["name"], e["kind"], tuple(shape)))
+        offset += 8 * math.prod(shape)
+    if len({entry[:2] for entry in entries}) < len(entries):
+        raise ValueError("a (name, kind) entry is repeated")
+    return entries, offset
+
+
 def load_checkpoint(directory) -> tuple[ParamStore, dict]:
     """Rebuild a ParamStore from a checkpoint directory; returns (store, extra).
 
-    Each tensor is read at its offset straight into the array the store keeps.
+    The manifest must be one ``save_checkpoint`` writes: ``<f8`` tensors of
+    nonnegative sizes, back to back in manifest order, each (name, kind)
+    once, and a nonnegative integer step count. The tensors are read in
+    order straight into the arrays the store keeps.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     try:
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        entries = [(e["name"], e["kind"], tuple(e["shape"]), np.dtype(e["dtype"]), int(e["offset"]))
-                   for e in manifest["tensors"]]
+        entries, expected = _manifest_entries(manifest["tensors"])
     except (KeyError, TypeError, ValueError) as exc:  # torn, or not a manifest
         raise CheckpointError(f"{manifest_path} is not a checkpoint manifest "
                               f"({type(exc).__name__}: {exc})") from exc
@@ -228,30 +248,31 @@ def load_checkpoint(directory) -> tuple[ParamStore, dict]:
         named = ", ".join(repr(name) for name in list(manifest.get("adam_steps", {}))[:3])
         raise CheckpointError(f"{manifest_path} has per-tensor Adam counts ({named}, ...): it "
                               "predates the stacked transition tensors; retrain the model")
+    if type(manifest["adam_step"]) is not int or manifest["adam_step"] < 0:
+        raise CheckpointError(f"{manifest_path} has adam_step {manifest['adam_step']!r}, "
+                              "not a step count")
     blob_path = os.path.join(directory, _BLOB)
-    expected = max((offset + dtype.itemsize * int(np.prod(shape))
-                    for _, _, shape, dtype, offset in entries), default=0)
     arrays = {}
     with open(blob_path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size != expected:
             raise CheckpointError(f"{blob_path} holds {size} bytes, its manifest describes {expected}")
-        for name, kind, shape, dtype, offset in entries:
-            array = np.empty(shape, dtype=dtype)
-            fh.seek(offset)
+        for name, kind, shape in entries:
+            array = np.empty(shape, dtype="<f8")
             fh.readinto(array)
             if not np.isfinite(array).all():
                 raise CheckpointError(f"checkpoint tensor {name!r} ({kind}) holds a NaN or Inf")
-            arrays[(name, kind)] = array.astype(DTYPE, copy=False)
+            arrays[(name, kind)] = array
     store = ParamStore()  # filled directly: add_param and add_buffer would copy
-    store.adam_t = int(manifest["adam_step"])
+    store.adam_t = manifest["adam_step"]
     for (name, kind), array in arrays.items():
         if kind == "buffer":
             store._buffers[name] = array
         elif kind == "param":
-            for moment in ("adam_m", "adam_v"):
-                if (name, moment) not in arrays:
-                    raise CheckpointError(f"checkpoint tensor {name!r} has no {moment} entry")
+            moments = tuple(arrays.get((name, moment)) for moment in ("adam_m", "adam_v"))
+            if any(m is None or m.shape != array.shape for m in moments):
+                raise CheckpointError(f"{manifest_path}: tensor {name!r} lacks Adam moments of "
+                                      f"its shape {array.shape}")
             store._params[name] = Tensor(array, requires_grad=True)
-            store._moments[name] = (arrays[(name, "adam_m")], arrays[(name, "adam_v")])
+            store._moments[name] = moments
     return store, manifest.get("extra", {})

@@ -81,6 +81,8 @@ class TestForward:
             affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 3))), [0, 2])
         with pytest.raises(ValueError, match="offsets"):
             affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3, 3))), [0, 3, 2])
+        with pytest.raises(ValueError, match="offsets"):  # a pass-through prefix is >= 0 rows
+            affine_rows(Tensor(np.ones((2, 3))), Tensor(np.ones((1, 3, 3))), [-1, 2])
 
     def test_activations(self):
         assert relu(Tensor([-1.0])).data[0] == 0.0
@@ -363,35 +365,44 @@ def unfused_chain(x, offsets, W, gamma, beta, eps, fixed, activation, upstream):
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("training", [True, False])
 def test_group_transition_is_the_unfused_chain_bitwise(training, activation):
-    # groups of 5, 0, 1 and 9 rows: an empty group and a one-row group
-    offsets = [0, 5, 5, 6, 15]
-    rng = np.random.default_rng(21)
-    x = Tensor(rng.normal(size=(15, 6)), requires_grad=True)
-    W = Tensor(rng.normal(size=(4, 6, 6)), requires_grad=True)
-    gamma = Tensor(rng.uniform(0.5, 1.5, size=(4, 6)), requires_grad=True)
-    beta = Tensor(rng.uniform(-0.5, 0.5, size=(4, 6)), requires_grad=True)
-    eps = 1e-5
-    fixed = None
-    if not training:
-        running_var = rng.uniform(0.5, 2.0, size=(4, 6))
-        fixed = (rng.normal(size=(4, 6)), 1.0 / np.sqrt(running_var + eps))
-    upstream = rng.normal(size=(15, 6))
+    # groups of 5, 0, 1 and 9 rows: an empty group and a one-row group; then
+    # the same behind 3 pass-through rows, which leave the groups' rows, batch
+    # statistics and gradients as they were
+    for n_pass in (0, 3):
+        offsets = [n_pass + o for o in (0, 5, 5, 6, 15)]
+        n = offsets[-1]
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+        W = Tensor(rng.normal(size=(4, 6, 6)), requires_grad=True)
+        gamma = Tensor(rng.uniform(0.5, 1.5, size=(4, 6)), requires_grad=True)
+        beta = Tensor(rng.uniform(-0.5, 0.5, size=(4, 6)), requires_grad=True)
+        eps = 1e-5
+        fixed = None
+        if not training:
+            running_var = rng.uniform(0.5, 2.0, size=(4, 6))
+            fixed = (rng.normal(size=(4, 6)), 1.0 / np.sqrt(running_var + eps))
+        upstream = rng.normal(size=(n, 6))
 
-    out, mean, var = group_transition(x, offsets, W, (gamma, beta, eps, fixed), activation)
-    backward(sum_all(out * upstream))
-    ref_out, ref_mean, ref_var, ref_grads = unfused_chain(
-        x.data, offsets, W.data, gamma.data, beta.data, eps, fixed, activation, upstream)
+        out, mean, var = group_transition(x, offsets, W, (gamma, beta, eps, fixed), activation)
+        backward(sum_all(out * upstream))
+        ref_out, ref_mean, ref_var, ref_grads = unfused_chain(
+            x.data[n_pass:], [o - n_pass for o in offsets], W.data, gamma.data, beta.data, eps,
+            fixed, activation, upstream[n_pass:])
 
-    assert out.data.tobytes() == ref_out.tobytes()
-    if training:
-        assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
-        assert np.array_equal(out.data[5], np.maximum(beta.data[2], 0.0) if activation == "relu"
-                              else np.tanh(beta.data[2]))  # a one-row group outputs its beta
-    else:
-        assert mean is None and var is None
-    for t, ref in zip((x, W, gamma, beta), ref_grads):
-        assert t.grad.tobytes() == ref.tobytes()
-    assert not W.grad[1].any() and not gamma.grad[1].any()  # the empty group
+        assert out.data[:n_pass].tobytes() == x.data[:n_pass].tobytes()
+        assert x.grad[:n_pass].tobytes() == upstream[:n_pass].tobytes()
+        assert out.data[n_pass:].tobytes() == ref_out.tobytes()
+        if training:
+            assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+            assert np.array_equal(out.data[n_pass + 5], np.maximum(beta.data[2], 0.0)
+                                  if activation == "relu"
+                                  else np.tanh(beta.data[2]))  # a one-row group outputs its beta
+        else:
+            assert mean is None and var is None
+        assert x.grad[n_pass:].tobytes() == ref_grads[0].tobytes()
+        for t, ref in zip((W, gamma, beta), ref_grads[1:]):
+            assert t.grad.tobytes() == ref.tobytes()
+        assert not W.grad[1].any() and not gamma.grad[1].any()  # the empty group
 
 
 def test_group_transition_rejects_unknown_activation():

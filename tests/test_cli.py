@@ -391,6 +391,7 @@ class TestEvalAndPredict:
         ("torn", "is not a checkpoint manifest"),
         ("no-tensors", "is not a checkpoint manifest"),
         ("no-propagation", "holds no valid propagation config"),
+        ("extra-not-object", "holds no valid propagation config"),
     ])
     def test_malformed_manifest_is_data_error(self, trained, capsys, fault, message):
         tmp_path, paths, checkpoint = trained
@@ -401,6 +402,9 @@ class TestEvalAndPredict:
             manifest_path.write_text(text[: len(text) // 2])
         elif fault == "no-tensors":
             del manifest["tensors"]
+            manifest_path.write_text(json.dumps(manifest))
+        elif fault == "extra-not-object":
+            manifest["extra"] = "unrolled"
             manifest_path.write_text(json.dumps(manifest))
         else:
             del manifest["extra"]["propagation"]
@@ -459,8 +463,15 @@ class TestEvalAndPredict:
         tmp_path, paths, checkpoint = trained
         manifest_path = checkpoint / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        if edit == "drop":
+        if edit == "drop":  # A's entries and bytes, leaving the layout save_checkpoint writes
+            blob = checkpoint / "params.bin"
+            data, kept, at = blob.read_bytes(), [], 0
             manifest["tensors"] = [e for e in manifest["tensors"] if e["name"] != "A"]
+            for entry in manifest["tensors"]:
+                size = 8 * int(np.prod(entry["shape"]))
+                kept.append(data[entry["offset"]:entry["offset"] + size])
+                entry["offset"], at = at, at + size
+            blob.write_bytes(b"".join(kept))
         elif edit in ("rename", "per_tensor_steps"):  # a per-group name of older bundles
             for entry in manifest["tensors"]:
                 if entry["name"] == "A":
@@ -487,6 +498,67 @@ class TestEvalAndPredict:
         err = capsys.readouterr().err
         assert "data error" in err
         assert re.search(message, err), err
+
+    @pytest.mark.parametrize("edit, message", [
+        # an object dtype would have the reader write file bytes over pointers
+        ("dtype-object", r"entry \{'name': 'entities', .*'dtype': 'O', 'offset': 0\} is not a "
+                         r"'<f8' param, adam_m, adam_v or buffer with nonnegative int sizes"),
+        # these would reinterpret the float64 bytes
+        ("dtype-f4", r"'dtype': '<f4', 'offset': 0\} is not"),
+        ("dtype-i8", r"'dtype': '<i8', 'offset': 0\} is not"),
+        ("negative-shape", r"'shape': \[-1, 6\], .*\} is not"),
+        ("float-shape", r"'shape': \[14.0, 6\], .*\} is not"),
+        ("unknown-kind", r"'kind': 'grad', .*\} is not"),
+        # the parameter and its first moment trade places
+        ("swapped-offsets", r"'offset': 672\} is not .* at byte 0"),
+        # a second copy of the last entry, its bytes appended to the blob
+        ("repeated-entry", r"a \(name, kind\) entry is repeated"),
+        # the same bytes, but not the parameter's shape
+        ("moment-reshaped", r"manifest.json: tensor 'entities' lacks Adam moments of its shape \(14, 6\)"),
+        ("float-step", "has adam_step 2.5, not a step count"),
+        ("string-step", "has adam_step '2', not a step count"),
+        ("negative-step", "has adam_step -1, not a step count"),
+    ], ids=["dtype-object", "dtype-f4", "dtype-i8", "negative-shape", "float-shape",
+            "unknown-kind", "swapped-offsets", "repeated-entry", "moment-reshaped", "float-step",
+            "string-step", "negative-step"])
+    def test_manifest_unlike_a_saved_one_is_data_error(self, trained, capsys, edit, message):
+        tmp_path, paths, checkpoint = trained
+        manifest_path = checkpoint / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        entities = manifest["tensors"][0]
+        assert (entities["name"], entities["kind"], entities["shape"]) == ("entities", "param", [14, 6])
+        if edit.startswith("dtype"):
+            entities["dtype"] = {"dtype-object": "O", "dtype-f4": "<f4", "dtype-i8": "<i8"}[edit]
+        elif edit.endswith("shape"):
+            entities["shape"][0] = -1 if edit == "negative-shape" else 14.0
+        elif edit == "unknown-kind":
+            entities["kind"] = "grad"
+        elif edit == "swapped-offsets":
+            moment = manifest["tensors"][1]
+            entities["offset"], moment["offset"] = moment["offset"], entities["offset"]
+        elif edit == "repeated-entry":
+            last = dict(manifest["tensors"][-1])
+            size = 8 * int(np.prod(last["shape"]))
+            blob = checkpoint / "params.bin"
+            data = blob.read_bytes()
+            assert last["offset"] + size == len(data)
+            blob.write_bytes(data + data[-size:])
+            last["offset"] = len(data)
+            manifest["tensors"].append(last)
+        elif edit == "moment-reshaped":
+            manifest["tensors"][1]["shape"] = [6, 14]
+        else:
+            manifest["adam_step"] = {"float-step": 2.5, "string-step": "2", "negative-step": -1}[edit]
+        manifest_path.write_text(json.dumps(manifest))
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e0\tnext\te1\n")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--valid", paths["valid"]])
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "data error" in captured.err and "manifest.json" in captured.err
+        assert re.search(message, captured.err), captured.err
 
     @pytest.mark.parametrize("where", ["aux", "query"])
     def test_predict_relation_missing_from_checkpoint_is_data_error(self, trained, capsys,

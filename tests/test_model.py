@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from graphkbc.autodiff import Tensor, gradcheck
+from graphkbc.autodiff import Tensor, backward, gradcheck, sum_all
 from graphkbc.kg import Triplet, Vocabulary, build_graph
 from graphkbc.model import (
     _SEGMENT_POOL,
@@ -274,6 +274,35 @@ class TestPropagation:
         table = NeighborTable(3, graph.triplets)
         with pytest.raises(InferenceError, match="7"):
             propagate(m, 7, table)
+
+    def test_depth0_unknown_entity_raises(self):
+        m = make_model(3, 1, dim=4, mode="none")
+        with pytest.raises(InferenceError, match="entity id 5 has no trained embedding"):
+            m.propagate_batch(np.array([1, 5]), None)
+
+    def test_self_record_in_a_training_batch_passes_through(self):
+        # C has no records, so it is no one's neighbor and its self record
+        # passes through each step; the batch without C is the reference
+        graph = build_graph([Triplet(A, R, B), Triplet(B, S, D), Triplet(D, R, A), Triplet(A, S, D)])
+        table = NeighborTable(5, graph.triplets)
+        upstream = np.random.default_rng(4).normal(size=(4, 4))
+        runs = []
+        for ids, rows in (([A, B, D], [0, 1, 3]), ([A, B, C, D], [0, 1, 2, 3])):
+            m = make_model(5, 2, seed=3, dim=4, transition="relation-relu-bn", pooling="max",
+                           depth=2, mode="stacked")
+            out = m.propagate_batch(np.array(ids), table, training=True)
+            backward(sum_all(out * upstream[rows]))
+            runs.append((m, out.data))
+        (ref, ref_out), (m, out) = runs
+        assert out[2].tobytes() == m.entities.data[C].tobytes()
+        assert out[[0, 1, 3]].tobytes() == ref_out.tobytes()
+        assert m.bn.running_mean.tobytes() == ref.bn.running_mean.tobytes()
+        assert m.bn.running_var.tobytes() == ref.bn.running_var.tobytes()
+        assert m.entities.grad[C].tobytes() == upstream[2].tobytes()
+        others = [A, B, D, E]
+        assert m.entities.grad[others].tobytes() == ref.entities.grad[others].tobytes()
+        for name in ("A", "bn.gamma", "bn.beta"):
+            assert m.store.param(name).grad.tobytes() == ref.store.param(name).grad.tobytes()
 
     def test_deterministic_when_cap_covers_degree(self):
         graph = build_graph([Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphkbc import autodiff as ad
 from graphkbc.autodiff import GradientError
 from graphkbc.kg import Triplet, Vocabulary, build_graph
 from graphkbc.model import ObjectiveConfig, PropagationConfig, load_model, save_model
@@ -229,3 +230,18 @@ class TestRunTraining:
                      start_epoch=3)
         assert np.array_equal(full.entities.data, resumed.entities.data)
         assert np.array_equal(full.relations.data, resumed.relations.data)
+
+
+@pytest.mark.parametrize("depth, mode, ops", [(1, "unrolled", 17), (2, "stacked", 20)])
+def test_tape_ops_per_training_minibatch(monkeypatch, depth, mode, ops):
+    # one minibatch of the perfbench workloads' model (relation-relu-bn, max
+    # pooling): base gather, then per step one gather, one fused transition and
+    # one pool, then 13 scoring and loss ops; a change that adds an op per step shows here
+    made = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda data, parents: made.append(1) or make(data, parents))
+    prop_cfg = PropagationConfig(dim=8, depth=depth, mode=mode)
+    model = init_model(4, 1, prop_cfg, seed=0)
+    next(train(build_graph(CHAIN), model, TrainConfig(epochs=1, minibatch_size=len(CHAIN)),
+               ObjectiveConfig(margin=2.0)))
+    assert len(made) == ops
