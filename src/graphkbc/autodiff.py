@@ -4,7 +4,9 @@ Only the operations the propagation model needs: broadcasting arithmetic,
 activations, the fused transition of rows sorted by group (an affine map
 from a stack of matrices, batch normalization, an activation), row gathers
 and segment reductions (the building blocks of neighborhood pooling),
-per-row norms and axis-0 means. Each operation records a backward closure;
+per-row norms and axis-0 means. Each operation hands its output and a
+backward closure to ``_record``, which keeps the closure only when the
+output needs a gradient; a backward computes what it needs when it runs.
 ``backward`` walks the tape in reverse topological order.
 """
 
@@ -79,6 +81,14 @@ def _make(data: np.ndarray, parents: tuple[Tensor, ...]) -> Tensor:
     return Tensor(data, requires_grad=needs, _parents=parents if needs else ())
 
 
+def _record(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
+    """An op's output; it keeps ``backward`` only if it needs a gradient."""
+    out = _make(data, parents)
+    if out.requires_grad:
+        out._backward = backward
+    return out
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # the first gradient is stored as given, so it may be a sibling's or a view:
     # nothing writes a stored gradient in place, and later ones add out of place
@@ -105,46 +115,34 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    out = _make(a.data + b.data, (a, b))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            _accumulate(b, _unbroadcast(g, b.data.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(g, b.data.shape))
+    return _record(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    out = _make(a.data - b.data, (a, b))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, _unbroadcast(g, a.data.shape))
-            _accumulate(b, _unbroadcast(-g, b.data.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, _unbroadcast(g, a.data.shape))
+        _accumulate(b, _unbroadcast(-g, b.data.shape))
+    return _record(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
-    out = _make(a.data * b.data, (a, b))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+    return _record(a.data * b.data, (a, b), backward)
 
 
 def power(a, exponent: float) -> Tensor:
     """Elementwise ``a ** exponent`` for a constant exponent."""
     a = _ensure(a)
-    out = _make(a.data ** exponent, (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, g * exponent * a.data ** (exponent - 1.0))
+    return _record(a.data ** exponent, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -152,24 +150,17 @@ def power(a, exponent: float) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _ensure(a)
-    out = _make(np.maximum(a.data, 0.0), (a,))
-    if out.requires_grad:
-        mask = a.data > 0.0  # subgradient at 0 is 0
-        def backward(g):
-            _accumulate(a, g * mask)
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, g * (a.data > 0.0))  # subgradient at 0 is 0
+    return _record(np.maximum(a.data, 0.0), (a,), backward)
 
 
 def tanh(a) -> Tensor:
     a = _ensure(a)
     y = np.tanh(a.data)
-    out = _make(y, (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, g * (1.0 - y * y))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, g * (1.0 - y * y))
+    return _record(y, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -250,42 +241,39 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
             np.maximum(y, 0.0, out=y)
         elif activation == "tanh":
             np.tanh(y, out=y)
-    out = _make(data, tuple(parents))
-    if out.requires_grad:
-        def backward(grad):
-            gx = np.empty_like(x.data)
-            gx[:n_pass] = grad[:n_pass]
-            if weight is not None:
-                gw = np.zeros_like(weight.data)
+    def backward(grad):
+        gx = np.empty_like(x.data)
+        gx[:n_pass] = grad[:n_pass]
+        if weight is not None:
+            gw = np.zeros_like(weight.data)
+        if norm is not None:
+            g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
+        for g, lo, hi in groups:
+            dz, y = grad[lo:hi], data[lo:hi]
+            if activation == "relu":
+                dz = dz * (y > 0.0)  # subgradient at 0 is 0
+            elif activation == "tanh":
+                dz = dz * (1.0 - y * y)
             if norm is not None:
-                g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
-            for g, lo, hi in groups:
-                dz, y = grad[lo:hi], data[lo:hi]
-                if activation == "relu":
-                    dz = dz * (y > 0.0)  # subgradient at 0 is 0
-                elif activation == "tanh":
-                    dz = dz * (1.0 - y * y)
-                if norm is not None:
-                    xhat = centered[lo:hi] * inv[g]
-                    g_beta[g] = dz.sum(axis=0)
-                    g_gamma[g] = (dz * xhat).sum(axis=0)
-                    dz = dz * gamma.data[g]
-                    if batch:  # the batch statistics depend on the rows as well
-                        dz -= dz.mean(axis=0) + xhat * (dz * xhat).mean(axis=0)
-                    dz *= inv[g]
-                if weight is None:
-                    gx[lo:hi] = dz
-                else:
-                    np.matmul(dz, weight.data[g], out=gx[lo:hi])
-                    gw[g] = dz.T @ x.data[lo:hi]
-            _accumulate(x, gx)
-            if weight is not None:
-                _accumulate(weight, gw)
-            if norm is not None:
-                _accumulate(gamma, g_gamma)
-                _accumulate(beta, g_beta)
-        out._backward = backward
-    return out, (mean if batch else None), var
+                xhat = centered[lo:hi] * inv[g]
+                g_beta[g] = dz.sum(axis=0)
+                g_gamma[g] = (dz * xhat).sum(axis=0)
+                dz = dz * gamma.data[g]
+                if batch:  # the batch statistics depend on the rows as well
+                    dz -= dz.mean(axis=0) + xhat * (dz * xhat).mean(axis=0)
+                dz *= inv[g]
+            if weight is None:
+                gx[lo:hi] = dz
+            else:
+                np.matmul(dz, weight.data[g], out=gx[lo:hi])
+                gw[g] = dz.T @ x.data[lo:hi]
+        _accumulate(x, gx)
+        if weight is not None:
+            _accumulate(weight, gw)
+        if norm is not None:
+            _accumulate(gamma, g_gamma)
+            _accumulate(beta, g_beta)
+    return _record(data, tuple(parents), backward), (mean if batch else None), var
 
 
 def affine_rows(x, weight, offsets) -> Tensor:
@@ -300,24 +288,18 @@ def affine_rows(x, weight, offsets) -> Tensor:
 
 def sum_all(a) -> Tensor:
     a = _ensure(a)
-    out = _make(np.asarray(a.data.sum()), (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, np.broadcast_to(g, a.data.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
+    return _record(np.asarray(a.data.sum()), (a,), backward)
 
 
 def mean0(a) -> Tensor:
     """Mean over axis 0 (per-feature batch statistic)."""
     a = _ensure(a)
     n = a.data.shape[0]
-    out = _make(a.data.mean(axis=0), (a,))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(a, np.broadcast_to(g / n, a.data.shape))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, np.broadcast_to(g / n, a.data.shape))
+    return _record(a.data.mean(axis=0), (a,), backward)
 
 
 def _rank_plan(seg: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -345,36 +327,29 @@ def gather_rows(a, idx) -> Tensor:
     """
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
-    out = _make(a.data[idx], (a,))
-    if out.requires_grad:
-        def backward(g):
-            ga = np.zeros_like(a.data)
-            if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
-                ga[idx] += g
-            else:
-                segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
-                total = np.zeros((len(segments),) + g.shape[1:])
-                for rows in ranks:
-                    total[:len(rows)] += g[rows]
-                ga[segments] = total
-            _accumulate(a, ga)
-        out._backward = backward
-    return out
+    def backward(g):
+        ga = np.zeros_like(a.data)
+        if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
+            ga[idx] += g
+        else:
+            segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
+            total = np.zeros((len(segments),) + g.shape[1:])
+            for rows in ranks:
+                total[:len(rows)] += g[rows]
+            ga[segments] = total
+        _accumulate(a, ga)
+    return _record(a.data[idx], (a,), backward)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     parts = tuple(_ensure(p) for p in parts)
     if not parts:
         raise ValueError("nothing to concatenate")
-    sizes = [p.data.shape[0] for p in parts]
-    out = _make(np.concatenate([p.data for p in parts], axis=0), parts)
-    if out.requires_grad:
-        offsets = np.cumsum([0] + sizes)
-        def backward(g):
-            for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-                _accumulate(p, g[lo:hi])
-        out._backward = backward
-    return out
+    def backward(g):
+        offsets = np.cumsum([0] + [p.data.shape[0] for p in parts])
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            _accumulate(p, g[lo:hi])
+    return _record(np.concatenate([p.data for p in parts], axis=0), parts, backward)
 
 
 def _segments(x, seg, n_segments: int):
@@ -403,12 +378,9 @@ def _segment_totals(x: Tensor, seg: np.ndarray) -> np.ndarray:
 def segment_sum(x, seg, n_segments: int) -> Tensor:
     """Per-segment row sums; every segment must be nonempty."""
     x, seg, _ = _segments(x, seg, n_segments)
-    out = _make(_segment_totals(x, seg), (x,))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(x, g[seg])
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(x, g[seg])
+    return _record(_segment_totals(x, seg), (x,), backward)
 
 
 def segment_mean(x, seg, n_segments: int) -> Tensor:
@@ -416,12 +388,9 @@ def segment_mean(x, seg, n_segments: int) -> Tensor:
     counts = counts.astype(DTYPE)
     data = _segment_totals(x, seg)
     data /= counts[:, None]
-    out = _make(data, (x,))
-    if out.requires_grad:
-        def backward(g):
-            _accumulate(x, g[seg] / counts[seg, None])
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(x, g[seg] / counts[seg, None])
+    return _record(data, (x,), backward)
 
 
 def segment_max(x, seg, n_segments: int) -> Tensor:
@@ -438,46 +407,34 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
         np.maximum(best[:n], x.data[rows], out=best[:n])
     data = np.empty_like(best)
     data[segments] = best
-    out = _make(data, (x,))
-    if out.requires_grad:
-        def backward(g):
-            # rank by rank, a row equal to its segment's unclaimed maximum
-            # claims it, and the claimed maximum turns NaN, which equals nothing
-            left, g_seg = data[segments], g[segments]
-            gx = np.empty_like(x.data)
-            for rows in ranks:
-                n = len(rows)
-                hit = x.data[rows] == left[:n]
-                np.copyto(left[:n], np.nan, where=hit)
-                gx[rows] = g_seg[:n] * hit
-            _accumulate(x, gx)
-        out._backward = backward
-    return out
+    def backward(g):
+        # rank by rank, a row equal to its segment's unclaimed maximum
+        # claims it, and the claimed maximum turns NaN, which equals nothing
+        left, g_seg = data[segments], g[segments]
+        gx = np.empty_like(x.data)
+        for rows in ranks:
+            n = len(rows)
+            hit = x.data[rows] == left[:n]
+            np.copyto(left[:n], np.nan, where=hit)
+            gx[rows] = g_seg[:n] * hit
+        _accumulate(x, gx)
+    return _record(data, (x,), backward)
 
 
 def rows_norm(x, p: int) -> Tensor:
     """Per-row L1 or L2 norm of a (n, d) batch; gradient at 0 is 0."""
     x = _ensure(x)
     if p == 1:
-        data = np.abs(x.data).sum(axis=1)
-        out = _make(data, (x,))
-        if out.requires_grad:
-            sign = np.sign(x.data)
-            def backward(g):
-                _accumulate(x, sign * g[:, None])
-            out._backward = backward
-        return out
+        def backward(g):
+            _accumulate(x, np.sign(x.data) * g[:, None])
+        return _record(np.abs(x.data).sum(axis=1), (x,), backward)
     if p == 2:
         data = np.sqrt((x.data * x.data).sum(axis=1))
-        out = _make(data, (x,))
-        if out.requires_grad:
-            safe = np.where(data > 0.0, data, 1.0)
-            def backward(g):
-                unit = x.data / safe[:, None]
-                unit[data == 0.0] = 0.0
-                _accumulate(x, unit * g[:, None])
-            out._backward = backward
-        return out
+        def backward(g):
+            unit = x.data / np.where(data > 0.0, data, 1.0)[:, None]
+            unit[data == 0.0] = 0.0
+            _accumulate(x, unit * g[:, None])
+        return _record(data, (x,), backward)
     raise ValueError(f"unsupported norm order {p} (expected 1 or 2)")
 
 

@@ -193,16 +193,28 @@ def cmd_train(args) -> int:
     from .model import load_model, save_model
     from .trainer import init_model, run_training
 
-    merged = merge_options(TRAIN_FIELDS, args, args.config)
+    fields, start_epoch = TRAIN_FIELDS, 0
+    if args.resume:
+        # the model's settings come from the checkpoint; an option may only repeat them
+        model, ev, rv, extra = load_model(args.resume)
+        start_epoch = int(extra.get("completed_epochs", 0))
+        saved = {**model.cfg.to_dict(), **{k: extra[k] for k in ("objective", "margin") if k in extra}}
+        fields = {k: (kind, saved.get(k, default)) for k, (kind, default) in TRAIN_FIELDS.items()}
+    merged = merge_options(fields, args, args.config)
     try:
         prop_cfg, objective, cfg = _configs_from(merged)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    start_epoch = 0
     if args.resume:
-        model, ev, rv, extra = load_model(args.resume)
-        start_epoch = int(extra.get("completed_epochs", 0))
+        given = {**prop_cfg.to_dict(), "objective": objective.objective, "margin": objective.margin}
+        for key, value in saved.items():
+            if given[key] != value:
+                raise ConfigError(f"option {key!r} is {given[key]!r}, but the checkpoint "
+                                  f"{args.resume} was trained with {value!r}")
+        if cfg.epochs < start_epoch:
+            raise ConfigError(f"--epochs {cfg.epochs} is below the {start_epoch} epochs the "
+                              f"checkpoint {args.resume} has completed")
         graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
         if len(ev) != model.n_entities:
             raise ConfigError(

@@ -240,8 +240,10 @@ def run_training(
     os.makedirs(out_dir, exist_ok=True)
     metrics_path = os.path.join(out_dir, "metrics.jsonl")
     history = []
-    mode = "a" if start_epoch > 0 and os.path.exists(metrics_path) else "w"
-    with open(metrics_path, mode, encoding="utf-8") as fh:
+    # a resumed run keeps the records of the epochs it does not replay
+    kept = _records_before(metrics_path, start_epoch) if start_epoch > 0 else []
+    with open(metrics_path, "w", encoding="utf-8") as fh:
+        fh.writelines(kept)
         for record in train(graph, model, cfg, objective, start_epoch=start_epoch):
             fh.write(json.dumps(record) + "\n")
             fh.flush()
@@ -254,3 +256,18 @@ def run_training(
     save_bundle(os.path.join(out_dir, "checkpoint-final"), cfg.epochs)
     return history
 
+
+def _records_before(path, epoch: int) -> list[str]:
+    """The leading lines of a metrics file that record epochs before ``epoch``."""
+    kept: list[str] = []
+    if not os.path.exists(path):
+        return kept
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            try:
+                if not (line.endswith("\n") and json.loads(line)["epoch"] < epoch):
+                    break
+            except (ValueError, KeyError, TypeError):  # torn by an interrupted write
+                break
+            kept.append(line)
+    return kept

@@ -409,3 +409,47 @@ def test_group_transition_rejects_unknown_activation():
     with pytest.raises(ValueError, match="activation"):
         group_transition(Tensor(np.ones((2, 2))), [0, 2], Tensor(np.ones((1, 2, 2))),
                          activation="gelu")
+
+
+_W = np.random.default_rng(3).normal(size=(2, 3, 3))
+_GAMMA_BETA_EPS = (np.full((2, 3), 1.5), np.full((2, 3), 0.25), 1e-5)
+RECORDING_OPS = {
+    "add": lambda x: ad.add(x, 1.0),
+    "sub": lambda x: ad.sub(x, 1.0),
+    "mul": lambda x: ad.mul(x, 2.0),
+    "power": lambda x: ad.power(x, 2.0),
+    "relu": relu,
+    "tanh": tanh,
+    "group_transition:training": lambda x: group_transition(
+        x, [1, 3, 4], _W, (*_GAMMA_BETA_EPS, None), "relu")[0],
+    "group_transition:inference": lambda x: group_transition(
+        x, [1, 3, 4], _W, (*_GAMMA_BETA_EPS, (np.zeros((2, 3)), np.ones((2, 3)))), "tanh")[0],
+    "affine_rows": lambda x: affine_rows(x, _W, [0, 2, 4]),
+    "sum_all": sum_all,
+    "mean0": mean0,
+    "gather_rows": lambda x: gather_rows(x, [0, 2, 2]),
+    "concat_rows": lambda x: concat_rows([x, np.ones((1, 3))]),
+    "segment_sum": lambda x: segment_sum(x, [0, 1, 0, 1], 2),
+    "segment_mean": lambda x: segment_mean(x, [0, 1, 0, 1], 2),
+    "segment_max": lambda x: segment_max(x, [0, 1, 0, 1], 2),
+    "rows_norm:l1": lambda x: rows_norm(x, 1),
+    "rows_norm:l2": lambda x: rows_norm(x, 2),
+}
+
+
+@pytest.mark.parametrize("needs_grad", [False, True])
+@pytest.mark.parametrize("name", sorted(RECORDING_OPS))
+def test_op_keeps_a_backward_only_when_its_output_needs_a_gradient(monkeypatch, name, needs_grad):
+    # every op makes one tape node; constants do not need a gradient, so only
+    # x decides whether the node keeps its parents and its backward
+    made = []
+    make = ad._make
+    monkeypatch.setattr(ad, "_make", lambda data, parents: made.append(1) or make(data, parents))
+    x = Tensor(np.random.default_rng(5).normal(size=(4, 3)), requires_grad=needs_grad)
+    out = RECORDING_OPS[name](x)
+    assert len(made) == 1
+    assert out.requires_grad is needs_grad
+    if needs_grad:
+        assert x in out._parents and out._backward is not None
+    else:
+        assert out._parents == () and out._backward is None

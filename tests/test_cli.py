@@ -160,6 +160,81 @@ class TestTrain:
             ra.pop("wall_time"), rb.pop("wall_time")
             assert ra == rb
 
+    def test_resume_below_completed_epochs_is_config_error(self, corpus, capsys):
+        tmp_path, paths = corpus
+        four = tmp_path / "four"
+        assert run(["train", "--train", paths["train"], "--out", four,
+                    "--epochs", "4", "--minibatch", "8", "--dim", "4"]) == EXIT_OK
+        code = run(["train", "--train", paths["train"], "--out", tmp_path / "resumed",
+                    "--resume", four / "checkpoint-final", "--epochs", "2"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error: --epochs 2 is below the 4 epochs" in err
+        assert not (tmp_path / "resumed" / "checkpoint-final").exists()
+        # resuming at the completed count trains nothing and is allowed
+        assert run(["train", "--train", paths["train"], "--out", tmp_path / "same",
+                    "--resume", four / "checkpoint-final", "--epochs", "4"]) == EXIT_OK
+
+    def test_resume_into_its_own_run_drops_replayed_metrics(self, corpus):
+        tmp_path, paths = corpus
+        args = ["--train", paths["train"], "--epochs", "6", "--minibatch", "8", "--dim", "4",
+                "--margin", "2", "--checkpoint-every", "2"]
+        full, run_dir = tmp_path / "full", tmp_path / "run"
+        assert run(["train", "--out", full] + args) == EXIT_OK
+        assert run(["train", "--out", run_dir] + args) == EXIT_OK
+        assert run(["train", "--out", run_dir,
+                    "--resume", run_dir / "checkpoint-epoch0002"] + args) == EXIT_OK
+
+        def records(directory):
+            lines = (directory / "metrics.jsonl").read_text().splitlines()
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_time"}
+                    for line in lines]
+
+        assert [r["epoch"] for r in records(run_dir)] == list(range(6))
+        assert records(run_dir) == records(full)
+
+    def test_resume_takes_model_settings_from_checkpoint(self, corpus):
+        from graphkbc.model import load_model
+
+        tmp_path, paths = corpus
+        half = tmp_path / "half"
+        assert run(["train", "--train", paths["train"], "--out", half, "--epochs", "2",
+                    "--minibatch", "8", "--dim", "4", "--depth", "2", "--mode", "stacked",
+                    "--pooling", "avg", "--transition", "tanh-layer", "--neighbor-cap", "3",
+                    "--norm-p", "2", "--objective", "pairwise", "--margin", "2"]) == EXIT_OK
+        resumed = tmp_path / "resumed"
+        assert run(["train", "--train", paths["train"], "--out", resumed,
+                    "--resume", half / "checkpoint-final", "--epochs", "3",
+                    "--minibatch", "8"]) == EXIT_OK
+        echo = json.loads((resumed / "config.json").read_text())
+        expected = {"dim": 4, "depth": 2, "mode": "stacked", "pooling": "avg",
+                    "transition": "tanh-layer", "neighbor_cap": 3, "norm_p": 2,
+                    "objective": "pairwise", "margin": 2.0}
+        assert {k: echo[k] for k in expected} == expected
+        model, _, _, extra = load_model(resumed / "checkpoint-final")
+        assert model.cfg.to_dict() == {k: expected[k] for k in model.cfg.to_dict()}
+        assert (extra["objective"], extra["margin"]) == ("pairwise", 2.0)
+
+    @pytest.mark.parametrize("flags, option", [
+        (["--dim", "7"], "dim"),
+        (["--margin", "50"], "margin"),
+        (["--objective", "pairwise"], "objective"),
+        ("neighbor_cap = 5\n", "neighbor_cap"),
+    ], ids=["dim-flag", "margin-flag", "objective-flag", "config-key"])
+    def test_resume_with_conflicting_model_setting_is_config_error(self, corpus, capsys,
+                                                                    flags, option):
+        tmp_path, paths = corpus
+        half = tmp_path / "half"
+        assert run(["train", "--train", paths["train"], "--out", half] + TRAIN_ARGS) == EXIT_OK
+        if isinstance(flags, str):
+            (tmp_path / "run.conf").write_text(flags)
+            flags = ["--config", tmp_path / "run.conf"]
+        code = run(["train", "--train", paths["train"], "--out", tmp_path / "resumed",
+                    "--resume", half / "checkpoint-final"] + TRAIN_ARGS + flags)
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"config error: option {option!r}" in err and "the checkpoint" in err
+
     @pytest.mark.parametrize("command", ["gen-ookb", "train"])
     def test_non_utf8_train_file_is_data_error(self, corpus, capsys, command):
         tmp_path, paths = corpus

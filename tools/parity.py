@@ -1,0 +1,196 @@
+"""Check that the working tree's outputs are byte-identical to a git revision's.
+
+Usage: ``python tools/parity.py --against REV``
+
+REV is exported with ``git archive`` into a temporary directory; nothing is
+fetched. For both source trees the script writes the grid and hub corpora
+of ``tests/synthetic_corpus.py`` and runs one ``graphkbc`` command sequence
+in a fresh Python process whose ``PYTHONPATH`` is that tree's ``src``:
+``gen-ookb``, ``train`` with an intermediate checkpoint, ``eval`` in the
+standard, OOKB proposed and OOKB baseline (avg) modes, and ``predict`` with
+``--thresholds`` and with ``--valid``. Both runs use the same relative
+paths, so echoed paths agree. Every output file is then compared byte for
+byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
+
+Prints each file that differs. Exits 0 when none differs, 1 when some do,
+and 2 when the export or a command fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+COMMON = ["--epochs", "4", "--checkpoint-every", "2", "--minibatch", "16",
+          "--seed", "1", "--alpha1", "0.05"]
+# one model per corpus, between them covering each pooling family, both
+# modes, both norms, both objectives and both transition families
+MODELS = {
+    "grid": ["--dim", "6", "--depth", "1", "--mode", "unrolled", "--pooling", "max",
+             "--transition", "relation-relu-bn", "--norm-p", "1",
+             "--objective", "absolute", "--margin", "2"],
+    "hub": ["--dim", "5", "--depth", "2", "--mode", "stacked", "--pooling", "avg",
+            "--transition", "tanh-layer", "--neighbor-cap", "3", "--norm-p", "2",
+            "--objective", "pairwise", "--margin", "1", "--filter-false-negatives"],
+}
+
+# runs in the child process: each argv list through cli.main, in order
+DRIVER = """
+import json, sys
+from graphkbc.cli import main
+for argv in json.loads(sys.argv[1]):
+    code = main(argv)
+    if code:
+        sys.exit(f"graphkbc {' '.join(argv)} exited {code}")
+"""
+
+
+class ParityError(Exception):
+    pass
+
+
+def _named(triplets, ev, rv) -> list[str]:
+    return [f"{ev.name_of(h)}\t{rv.name_of(r)}\t{ev.name_of(t)}" for h, r, t in triplets]
+
+
+def corpora() -> dict[str, dict[str, list[str]]]:
+    """The lines of each corpus's train, valid and test files."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from synthetic_corpus import grid_corpus, hub_corpus
+
+    train, valid, test, ev, rv = grid_corpus()
+
+    def labeled(items):
+        lines = _named([lt.triplet for lt in items], ev, rv)
+        return [f"{line}\t{1 if lt.label else -1}" for line, lt in zip(lines, items)]
+
+    grid = {"train": _named(train, ev, rv), "valid": labeled(valid), "test": labeled(test)}
+    # the hub corpus has training triplets only: hold out one has-link and one
+    # part_of-link per hub as positives, each with a wrong hub as its negative
+    train, ev, rv = hub_corpus()
+    hubs = sorted({ev.name_of(h) for h, r, _ in train if rv.name_of(r) == "has"})
+    test, valid = [], []
+    for k, hub in enumerate(hubs):
+        other = hubs[(k + 1) % len(hubs)]
+        test += [f"{hub}\thas\tleaf{k}_0\t1", f"{other}\thas\tleaf{k}_0\t-1"]
+        valid += [f"leaf{k}_1\tpart_of\t{hub}\t1", f"leaf{k}_1\tpart_of\t{other}\t-1"]
+    held = {line[:-2] for line in test + valid if line.endswith("\t1")}
+    hub = {"train": [line for line in _named(train, ev, rv) if line not in held],
+           "valid": valid, "test": test}
+    return {"grid": grid, "hub": hub}
+
+
+def commands(name: str, n_test: int) -> list[list[str]]:
+    """The command sequence of one corpus, in paths relative to the run directory."""
+    split = f"{name}/split/tail-{n_test}"
+    bundle = f"{name}/run/checkpoint-final"
+    files = {f: f"{name}/{f}.txt" for f in ("train", "valid", "test", "queries")}
+    predict = ["predict", "--checkpoint", bundle, "--train", f"{split}.train.txt",
+               "--triplets", files["queries"], "--aux", f"{split}.aux.txt"]
+    return [
+        ["gen-ookb", "--train", files["train"], "--valid", files["valid"],
+         "--test", files["test"], "--n", str(n_test), "--position", "tail",
+         "--out", f"{name}/split"],
+        ["train", "--train", f"{split}.train.txt", "--vocab", f"{name}/split/entities.txt",
+         "--out", f"{name}/run"] + COMMON + MODELS[name],
+        ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", files["train"],
+         "--valid", files["valid"], "--test", files["test"], "--out", f"{name}/eval-standard"],
+        ["eval", "--checkpoint", bundle, "--mode", "ookb", "--split-prefix", split,
+         "--method", "proposed", "--out", f"{name}/eval-proposed"],
+        ["eval", "--checkpoint", bundle, "--mode", "ookb", "--split-prefix", split,
+         "--method", "baseline", "--pooling", "avg", "--out", f"{name}/eval-baseline"],
+        predict + ["--thresholds", f"{name}/eval-proposed/thresholds.json",
+                   "--out", f"{name}/predict-thresholds.txt"],
+        predict + ["--valid", f"{split}.valid.txt", "--out", f"{name}/predict-valid.txt"],
+    ]
+
+
+def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) -> None:
+    """Write the corpora into ``work`` and run every command there with ``tree``'s source."""
+    sequence = []
+    for name, files in inputs.items():
+        (work / name).mkdir(parents=True)
+        files = {**files, "queries": [line.rsplit("\t", 1)[0] for line in files["test"]]}
+        for file, lines in files.items():
+            (work / name / f"{file}.txt").write_text("".join(f"{line}\n" for line in lines),
+                                                     encoding="utf-8")
+        sequence += commands(name, len(files["test"]))
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", DRIVER, json.dumps(sequence)], cwd=work,
+                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if done.returncode:
+        raise ParityError(f"the run of {tree} failed:\n{done.stderr.strip()}")
+
+
+def _metrics(path: Path) -> list[dict]:
+    records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        record.pop("wall_time", None)
+    return records
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    """Relative paths of the files under ``a`` and ``b`` that are not the same."""
+    def files(root):
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    found_a, found_b = files(a), files(b)
+    out = []
+    for rel in sorted(found_a | found_b):
+        if rel not in found_a or rel not in found_b:
+            out.append(f"{rel} (only under {a if rel in found_a else b})")
+        elif Path(rel).name == "metrics.jsonl":
+            if _metrics(a / rel) != _metrics(b / rel):
+                out.append(rel)
+        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+            out.append(rel)
+    return out
+
+
+def export(rev: str, dest: Path) -> None:
+    """Unpack ``rev`` of this repository into ``dest`` with ``git archive``."""
+    done = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    if done.returncode:
+        raise ParityError(f"git archive {rev} failed: {done.stderr.decode().strip()}")
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, metavar="REV",
+                        help="git revision to compare the working tree with")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the working tree
+    inputs = corpora()
+    with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+        tmp = Path(tmp)
+        runs = {"rev": tmp / "runs" / "rev", "work": tmp / "runs" / "work"}
+        try:
+            export(args.against, tmp / "rev")
+            run_tree(tmp / "rev", runs["rev"], inputs)
+            run_tree(ROOT, runs["work"], inputs)
+        except ParityError as exc:
+            print(f"parity: {exc}", file=sys.stderr)
+            return 2
+        differ = differing_files(runs["rev"], runs["work"])
+        n_files = sum(1 for p in runs["work"].rglob("*") if p.is_file())
+    for rel in differ:
+        print(f"differs: {rel}")
+    print(f"{len(differ)} of {n_files} files differ from {args.against}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
