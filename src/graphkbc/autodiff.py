@@ -8,6 +8,10 @@ per-row norms and axis-0 means. Each operation hands its output and a
 backward closure to ``_record``, which keeps the closure only when the
 output needs a gradient; a backward computes what it needs when it runs.
 ``backward`` walks the tape in reverse topological order.
+
+A leaf table gathered by strictly increasing row ids gets a
+``RowSparseGrad``, the gathered rows and their gradients, instead of a
+dense gradient of its full size; ``densify`` gives the dense form.
 """
 
 from __future__ import annotations
@@ -89,12 +93,39 @@ def _record(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+class RowSparseGrad:
+    """A gradient that is zero outside ``rows``: ``values[k]`` belongs to row ``rows[k]``.
+
+    ``rows`` is strictly increasing and ``shape`` is the dense shape. It has
+    no array interface and no indexing, so code that reads it as a dense
+    array fails; ``densify`` gives the dense form.
+    """
+
+    __slots__ = ("rows", "values", "shape")
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple):
+        self.rows, self.values, self.shape = rows, values, shape
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a row-sparse gradient is not an array; use autodiff.densify")
+
+
+def densify(g):
+    """The dense array a gradient stands for (a dense gradient as it is)."""
+    if not isinstance(g, RowSparseGrad):
+        return g
+    dense = np.zeros(g.shape, dtype=DTYPE)
+    dense[g.rows] += g.values  # as a scatter-add into zeros: -0.0 becomes +0.0
+    return dense
+
+
+def _accumulate(t: Tensor, g) -> None:
     # the first gradient is stored as given, so it may be a sibling's or a view:
-    # nothing writes a stored gradient in place, and later ones add out of place
+    # nothing writes a stored gradient in place, and later ones add out of place.
+    # A second gradient turns a row-sparse one dense.
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    t.grad = g if t.grad is None else densify(t.grad) + densify(g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -323,13 +354,18 @@ def gather_rows(a, idx) -> Tensor:
     """Select rows by index; backward scatter-adds into the source rows.
 
     A row picked more than once gets its gradients added in index order,
-    as ``np.add.at`` does.
+    as ``np.add.at`` does. A leaf picked by strictly increasing ids gets
+    the picked rows' gradients as a ``RowSparseGrad``.
     """
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
     def backward(g):
+        increasing = np.all(idx[1:] > idx[:-1])  # strictly: no repeated row
+        if increasing and not a._parents:
+            _accumulate(a, RowSparseGrad(idx, g, a.data.shape))
+            return
         ga = np.zeros_like(a.data)
-        if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
+        if increasing:
             ga[idx] += g
         else:
             segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
@@ -481,7 +517,7 @@ def gradcheck(build_loss, params: dict[str, Tensor], eps: float = 1e-5, tol: flo
     loss = build_loss()
     backward(loss)
     analytic = {
-        name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
+        name: (np.array(densify(p.grad)) if p.grad is not None else np.zeros_like(p.data))
         for name, p in params.items()
     }
     failures: list[str] = []

@@ -36,6 +36,10 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
         # row 0 passes through ahead of the groups, as a self record does
         "transition:pass-through": lambda: ad.sum_all(
             ad.rows_norm(bn.transition(x, [1, 3, 3, 5], True, A, "relu"), 2)),
+        # a leaf gathered by sorted unique ids (a row-sparse gradient) and by
+        # repeated ids, so that the two gradients add in dense form
+        "gather:sparse+repeated": lambda: ad.sum_all(
+            ad.rows_norm(ad.gather_rows(x, [0, 2, 3]) * ad.gather_rows(x, [3, 0, 3]), 2)),
     }
     failures = []
     params = {"x": x, "W": W, "A": A, "gamma": bn.gamma, "beta": bn.beta}

@@ -3,6 +3,9 @@
 The optimizer's global step size decays once per epoch as
 ``alpha1 / (alpha2 * epoch + 1.0)``; within an epoch it is constant. Every
 Adam update steps all parameters together, so a store keeps one step count.
+An update touches only live rows: a row is live once it has a nonzero
+moment or a gradient names it. Any other row has a zero gradient and zero
+moments, so its update is exactly zero and skipping it changes no bit.
 Checkpoints are a JSON manifest (name, kind, shape, dtype, byte offset of
 each tensor, plus the step count) next to one flat little-endian binary
 blob, covering parameters, running statistics, and optimizer moments so
@@ -17,7 +20,7 @@ import os
 
 import numpy as np
 
-from .autodiff import DTYPE, Tensor, group_transition
+from .autodiff import DTYPE, RowSparseGrad, Tensor, group_transition
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -28,12 +31,23 @@ class CheckpointError(ValueError):
     """A checkpoint that does not match its manifest or the model reading it."""
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``a`` as (rows, row size): axis 0 holds the rows, and a scalar is one row."""
+    return a.reshape(len(a) if a.ndim else 1, math.prod(a.shape[1:]))
+
+
 class ParamStore:
-    """Named parameter tensors with their Adam moments, plus buffers (initial values by name)."""
+    """Named parameter tensors with their Adam moments, plus buffers (initial values by name).
+
+    Next to each parameter's moments the store keeps its live-row mask (see
+    ``adam_step``), derived from the moments when Adam first asks for it, so
+    that loading a checkpoint for inference does not compute it.
+    """
 
     def __init__(self, params: dict | None = None, buffers: dict | None = None):
         self._params: dict[str, Tensor] = {}
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._live: dict[str, np.ndarray] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self.adam_t = 0  # Adam updates taken so far
         for name, value in (params or {}).items():
@@ -56,6 +70,14 @@ class ParamStore:
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
+
+    def live_rows(self, name: str) -> np.ndarray:
+        """The live-row mask of parameter ``name``: which rows have a moment that is not +0.0."""
+        if name not in self._live:
+            m, v = (_rows(a).view(np.uint64) for a in self._moments[name])
+            # compared as bits: an update turns a -0.0 moment into +0.0, so it is live
+            self._live[name] = m.any(axis=1) | v.any(axis=1)
+        return self._live[name]
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -108,29 +130,64 @@ def adam_step(
     alpha1: float = 0.01,
     alpha2: float = 0.0001,
 ) -> float:
-    """One bias-corrected Adam update over every parameter in the store.
+    """One bias-corrected Adam update over the live rows of every parameter.
 
-    Parameters without an accumulated gradient are treated as having a zero
-    gradient. Each tensor is updated in blocks of ``ADAM_BLOCK`` elements
-    through two scratch buffers. Returns the step size used.
+    A row goes live when this step's gradient names it (every row of a dense
+    gradient, the ``rows`` of a ``RowSparseGrad``) and stays live. A
+    parameter without an accumulated gradient has a zero gradient, which
+    names no row. The live rows are updated in blocks of ``ADAM_BLOCK``
+    elements (at least one row): on views where a block's rows are
+    contiguous, else gathered into scratch buffers and written back. A
+    row-sparse gradient is read block by block, never made dense. Returns
+    the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
     for name, p in store._params.items():
         if p.grad is not None and p.grad.shape != p.data.shape:
             raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape} for {name!r}")
-    scratch = np.empty((2, ADAM_BLOCK))
+    width = max([ADAM_BLOCK] + [_rows(p.data).shape[1] for p in store._params.values()])
+    scratch = np.empty((6, width))
     for name, p in store._params.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        # store arrays are C-contiguous, so the flat arrays are views
-        flat = [a.reshape(-1) for a in (p.data, *store._moments[name], g)]
-        for lo in range(0, p.data.size, ADAM_BLOCK):
-            w, m, v, gb = (a[lo:lo + ADAM_BLOCK] for a in flat)
-            update, denom = scratch[:, :len(w)]
+        grad = p.grad
+        if grad is None:
+            grad = RowSparseGrad(np.empty(0, np.intp), np.empty((0,) + p.data.shape[1:]), p.data.shape)
+        sparse = isinstance(grad, RowSparseGrad)
+        live = store.live_rows(name)
+        live[grad.rows if sparse else slice(None)] = True
+        rows = np.flatnonzero(live)
+        # store arrays are C-contiguous, so the row views are views
+        w2, m2, v2 = (_rows(a) for a in (p.data, *store._moments[name]))
+        g2 = _rows(grad.values if sparse else grad)
+        size = w2.shape[1]
+        if not rows.size or not size:
+            continue
+        step = max(1, ADAM_BLOCK // size)
+        blocks = scratch[:, :step * size].reshape(6, step, size)
+        firsts = np.arange(0, len(rows), step)
+        lasts = np.minimum(firsts + step, len(rows))
+        runs = rows[lasts - 1] - rows[firsts] == lasts - firsts - 1  # contiguous rows
+        if sparse:  # the gradient's rows in each block, by place among the live rows
+            at = np.searchsorted(rows, grad.rows)
+            cuts = np.searchsorted(at, firsts).tolist() + [len(at)]
+        for b, (k0, k1, run) in enumerate(zip(firsts.tolist(), lasts.tolist(), runs.tolist())):
+            n = k1 - k0
+            w, m, v, g, update, denom = blocks[:, :n]
+            sel = slice(int(rows[k0]), int(rows[k0]) + n) if run else rows[k0:k1]
+            if run:
+                w, m, v = w2[sel], m2[sel], v2[sel]
+            else:
+                for a, out in ((w2, w), (m2, m), (v2, v)):
+                    np.take(a, sel, axis=0, out=out)
+            if sparse:  # scattered into zeros, as the dense form holds them
+                g.fill(0.0)
+                g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
+            else:
+                g = g2[sel] if run else np.take(g2, sel, axis=0, out=g)
             m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, gb, out=update)
+            m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
             v *= ADAM_BETA2
-            np.multiply(gb, gb, out=update)
+            np.multiply(g, g, out=update)
             v += np.multiply(1.0 - ADAM_BETA2, update, out=update)
             np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
             np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom), out=denom)
@@ -138,6 +195,8 @@ def adam_step(
             update /= denom
             update *= lr
             w -= update
+            if not run:
+                w2[sel], m2[sel], v2[sel] = w, m, v
     store.adam_t = t
     return lr
 

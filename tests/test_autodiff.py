@@ -229,8 +229,8 @@ def test_fan_in_leaves_sibling_gradient_alone(gather_first):
 
 
 def test_no_backward_writes_a_stored_gradient(monkeypatch):
-    # every stored gradient is made read-only: a backward (or the optimizer)
-    # that wrote one in place would raise
+    # every stored gradient is made read-only (a row-sparse one's rows and
+    # values): a backward (or the optimizer) that wrote one in place would raise
     from graphkbc.checks import gradient_check_report
     from graphkbc.kg import build_graph
     from graphkbc.model import ObjectiveConfig, PropagationConfig
@@ -243,7 +243,9 @@ def test_no_backward_writes_a_stored_gradient(monkeypatch):
     def read_only(t, g):
         accumulate(t, g)
         if t.grad is not None:
-            t.grad.flags.writeable = False
+            sparse = isinstance(t.grad, ad.RowSparseGrad)
+            for array in (t.grad.rows, t.grad.values) if sparse else (t.grad,):
+                array.flags.writeable = False
             stored.append(t.grad)
 
     monkeypatch.setattr(ad, "_accumulate", read_only)
@@ -254,7 +256,8 @@ def test_no_backward_writes_a_stored_gradient(monkeypatch):
     cfg = TrainConfig(epochs=1, minibatch_size=32, filter_false_negatives=True)
     [metrics] = train(build_graph(train_triplets), model, cfg, ObjectiveConfig())
     assert np.isfinite(metrics["loss"]) and stored
-    assert not model.entities.grad.flags.writeable
+    assert isinstance(model.entities.grad, ad.RowSparseGrad)  # and Adam read it
+    assert not model.entities.grad.values.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from graphkbc.autodiff import Tensor, gradcheck, sum_all
+from graphkbc.autodiff import RowSparseGrad, Tensor, densify, gradcheck, sum_all
 from graphkbc.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -77,18 +78,46 @@ class TestAdam:
         assert p.data[0] == pytest.approx(w, rel=1e-12)
 
     def test_blocked_update_is_the_whole_array_formula_bitwise(self):
-        # tensors below, at and across the block size, one without a gradient
+        # tensors below, at and across the block size, one without a gradient;
+        # "table" has rows that go live at different steps and row 7, which
+        # never does; "full" is fully live, then gets row-sparse gradients
         rng = np.random.default_rng(4)
         shapes = {"small": (3, 5), "block": (ADAM_BLOCK,), "wide": (7, ADAM_BLOCK // 3 + 11),
-                  "idle": (4, 4)}
+                  "idle": (4, 4), "table": (600, 40), "full": (50, 300)}
         store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
+        table = store.param("table").data
+        table[7, 3] = -0.0
+        never = table[7].tobytes()
         reference = {name: [p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape)]
                      for name, p in store.parameters().items()}
-        for t, epoch in enumerate((0, 0, 5), start=1):
+        # rows of "table" named at each step (no gradient at step 3); from
+        # step 4 on, rows 400-599 form contiguous blocks
+        candidates = np.setdiff1d(np.arange(600), [7])
+        named = {1: rng.choice(candidates[:300], 60, replace=False),
+                 2: rng.choice(candidates, 90, replace=False),
+                 4: np.concatenate([rng.choice(candidates[:300], 40, replace=False),
+                                    np.arange(400, 600)]),
+                 5: rng.choice(candidates, 30, replace=False)}
+
+        def sparse(shape, rows, scale):
+            rows = np.sort(rows)
+            values = rng.normal(size=(len(rows),) + shape[1:]) * scale
+            values[0, 0] = -0.0  # a gradient of -0.0 is +0.0 in the dense form
+            return RowSparseGrad(rows, values, shape)
+
+        for t, epoch in enumerate((0, 0, 5, 5, 6), start=1):
             lr = step_size(epoch)
             for name, p in store.parameters().items():
-                p.grad = None if name == "idle" else rng.normal(size=p.data.shape) * 10.0 ** (t - 2)
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                scale = 10.0 ** (t - 2)
+                if name == "idle" or (name == "table" and t == 3):
+                    p.grad = None
+                elif name == "table":
+                    p.grad = sparse(p.data.shape, named[t], scale)
+                elif name == "full" and t > 1:
+                    p.grad = sparse(p.data.shape, rng.choice(50, 20, replace=False), scale)
+                else:
+                    p.grad = rng.normal(size=p.data.shape) * scale
+                g = densify(p.grad) if p.grad is not None else np.zeros_like(p.data)
                 w, m, v = reference[name]
                 m *= ADAM_BETA1
                 m += (1.0 - ADAM_BETA1) * g
@@ -101,9 +130,42 @@ class TestAdam:
                 update *= lr
                 w -= update
             adam_step(store, epoch)
+            live = np.isin(np.arange(600), np.concatenate([named[k] for k in named if k <= t]))
+            assert np.array_equal(store.live_rows("table"), live), t
         for name, p in store.parameters().items():
             for got, want in zip((p.data, *store._moments[name]), reference[name]):
                 assert got.tobytes() == want.tobytes(), name
+        assert table[7].tobytes() == never and np.signbit(table[7, 3])
+        assert not store._moments["table"][0][7].any() and not store._moments["table"][1][7].any()
+        assert store.live_rows("full").all() and not store.live_rows("idle").any()
+
+    def test_a_moment_other_than_positive_zero_makes_a_row_live(self, tmp_path):
+        # rows 1-2: an update turns a -0.0 first moment into +0.0 (and so does
+        # a gradient of -0.0, which is +0.0 in the dense form); row 3: a second
+        # moment decays under a zero gradient. A loaded checkpoint keeps all three live
+        store = ParamStore({"w": np.ones((4, 2))})
+        store._moments["w"][0][1:3, 0] = -0.0
+        store._moments["w"][1][3, 1] = 0.5
+        save_checkpoint(store, tmp_path / "ck")
+        loaded, _ = load_checkpoint(tmp_path / "ck")
+        assert not loaded._live  # derived when first asked for, not at load
+        assert loaded.live_rows("w").tolist() == [False, True, True, True]
+        loaded.param("w").grad = RowSparseGrad(np.array([2]), np.array([[-0.0, 0.0]]), (4, 2))
+        adam_step(loaded, epoch=0)
+        assert not np.signbit(loaded._moments["w"][0]).any()
+        assert loaded._moments["w"][1][3, 1] == 0.5 * ADAM_BETA2
+
+    def test_row_sparse_step_allocates_no_parameter_sized_array(self):
+        store = ParamStore({"table": np.zeros((20_000, 50))})
+        rows = np.arange(0, 20_000, 7)
+        values = np.random.default_rng(0).normal(size=(len(rows), 50))
+        for _ in range(2):
+            store.param("table").grad = RowSparseGrad(rows, values, (20_000, 50))
+            tracemalloc.start()
+            adam_step(store, epoch=0)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < store.param("table").data.nbytes // 8, peak
 
 
 def batch_norm(groups, dim):
@@ -270,24 +332,34 @@ class TestCheckpoint:
         assert loaded.param("w").data.base is None
 
     def test_resume_continues_identically(self, tmp_path):
-        def run(store, grads):
-            p = store.param("w")
-            for g in grads:
-                p.grad = np.array([g])
+        # "table" rows 0 and 4 are live before the checkpoint, row 2 goes live
+        # after it and rows 1, 3 and 5 never do: the loaded live mask must
+        # continue exactly as the one kept in memory
+        sparse = {0: [0, 4], 1: [4], 2: [], 3: [2, 4]}
+
+        def run(store, steps):
+            p, table = store.param("w"), store.param("table")
+            for k in steps:
+                p.grad = np.array([[0.5, -0.25, 0.125, 1.0][k]])
+                rows = np.array(sparse[k], dtype=np.intp)
+                table.grad = RowSparseGrad(rows, np.full((len(rows), 3), 0.5 - k), (6, 3))
                 adam_step(store, epoch=0)
-            return p.data.copy()
+            return [a.tobytes() for name in ("w", "table")
+                    for a in (store.param(name).data, *store._moments[name])]
 
-        store_a = ParamStore()
-        store_a.add_param("w", np.array([1.0]))
-        final_a = run(store_a, [0.5, -0.25, 0.125, 1.0])
+        def fresh():
+            return ParamStore({"w": np.array([1.0]), "table": np.arange(18.0).reshape(6, 3)})
 
-        store_b = ParamStore()
-        store_b.add_param("w", np.array([1.0]))
-        run(store_b, [0.5, -0.25])
+        final_a = run(fresh(), range(4))
+        store_b = fresh()
+        run(store_b, range(2))
         save_checkpoint(store_b, tmp_path / "mid")
         resumed, _ = load_checkpoint(tmp_path / "mid")
-        final_b = run(resumed, [0.125, 1.0])
-        assert np.array_equal(final_a, final_b)
+        assert resumed.live_rows("table").tolist() == store_b.live_rows("table").tolist()
+        assert resumed.live_rows("table").tolist() == [True, False, False, False, True, False]
+        final_b = run(resumed, range(2, 4))
+        assert final_a == final_b
+        assert resumed.live_rows("table").tolist() == [True, False, True, False, True, False]
 
 
 def test_one_adam_step_count_for_all_parameters():

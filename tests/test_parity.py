@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
 parity = importlib.util.module_from_spec(spec)
@@ -34,3 +36,29 @@ def test_command_sequence_runs_on_this_tree(tmp_path):
         for how in ("thresholds", "valid"):
             lines = (tmp_path / name / f"predict-{how}.txt").read_text().splitlines()
             assert len(lines) == len((tmp_path / name / "queries.txt").read_text().splitlines())
+
+
+def test_bench_summary_counts_wins_by_direction():
+    import sys
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+        bench_pairs = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench_pairs)
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+
+    def run(rate, rss):
+        return {"result": {"metrics": {"rate": {"value": rate}, "rss": {"value": rss}}}}
+
+    # (parent, change) per pair: rate higher is better, rss lower is better
+    pairs = [{"parent": run(p, pr), "change": run(c, cr)}
+             for (p, c), (pr, cr) in zip([(10, 12), (11, 11), (12, 10), (9, 13), (10, 14)],
+                                         [(5, 4), (5, 5), (5, 6), (5, 4), (5, 4)])]
+    out = bench_pairs.summary(pairs, {"rate": "higher", "rss": "lower"})
+    assert (out["rate"]["wins"], out["rate"]["losses"]) == (3, 1)
+    assert (out["rss"]["wins"], out["rss"]["losses"]) == (3, 1)
+    assert out["rate"]["parent"] == {"median": 10, "q1": 10, "q3": 11}
+    assert out["rate"]["change"]["median"] == 12
+    assert out["rate"]["median_change"] == pytest.approx(0.2) and out["rate"]["beyond_parent_iqr"]
+    assert out["rss"]["median_change"] == pytest.approx(-0.2)

@@ -1,6 +1,6 @@
 """Check that the working tree's outputs are byte-identical to a git revision's.
 
-Usage: ``python tools/parity.py --against REV``
+Usage: ``python tools/parity.py --against REV [--perfbench]``
 
 REV is exported with ``git archive`` into a temporary directory; nothing is
 fetched. For both source trees the script writes the grid and hub corpora
@@ -11,6 +11,14 @@ standard, OOKB proposed and OOKB baseline (avg) modes, and ``predict`` with
 ``--thresholds`` and with ``--valid``. Both runs use the same relative
 paths, so echoed paths agree. Every output file is then compared byte for
 byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
+
+``--perfbench`` adds the benchmark's seed-1 corpora (``perfbench/wn11_shape``
+with each workload's settings from ``perfbench/pipeline``, one BLAS
+thread): 1 ``wn11`` epoch and 3 ``depth_study`` epochs, written per
+workload as the epoch losses in float hex, the ``save_checkpoint`` blob
+(every parameter, Adam moment and running statistic) and the sha256 of the
+inference-mode vectors of every 7th entity. It takes a few minutes and
+about 1 GB per tree.
 
 Prints each file that differs. Exits 0 when none differs, 1 when some do,
 and 2 when the export or a command fails.
@@ -52,6 +60,34 @@ for argv in json.loads(sys.argv[1]):
     if code:
         sys.exit(f"graphkbc {' '.join(argv)} exited {code}")
 """
+
+
+# runs in the child process, in the run directory: trains each perfbench
+# workload on its seed-1 corpus for the given epochs and writes what it made
+PERFBENCH_DRIVER = """
+import hashlib, json, os, sys
+import numpy as np
+import pipeline, wn11_shape
+from graphkbc import evaluate, kg, nn, trainer
+from graphkbc.model import PropagationConfig
+data = wn11_shape.generate(1)
+for name, epochs in json.loads(sys.argv[1]).items():
+    wl = pipeline.WORKLOADS[name]
+    graph = kg.build_graph(data.train[:len(data.train) // wl.subsample])
+    net = trainer.init_model(len(data.entity_names), len(data.relation_names),
+                             PropagationConfig(**wl.propagation), 1)
+    cfg = trainer.TrainConfig(epochs=epochs, minibatch_size=wl.minibatch, seed=1)
+    losses = [record["loss"].hex() for record in trainer.train(graph, net, cfg, pipeline.OBJECTIVE)]
+    os.makedirs(name)
+    with open(os.path.join(name, "losses.txt"), "w") as fh:
+        fh.write("".join(line + "\\n" for line in losses))
+    nn.save_checkpoint(net.store, os.path.join(name, "checkpoint"))
+    ctx = evaluate.OokbContext(graph, np.empty((0, 3), dtype=np.intp), [], net)
+    vectors = evaluate.propagated_vectors(np.arange(0, net.n_entities, 7), ctx)
+    with open(os.path.join(name, "vectors.sha256"), "w") as fh:
+        fh.write(hashlib.sha256(vectors.tobytes()).hexdigest() + "\\n")
+"""
+PERFBENCH_EPOCHS = {"wn11": 1, "depth_study": 3}
 
 
 class ParityError(Exception):
@@ -124,9 +160,21 @@ def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) ->
             (work / name / f"{file}.txt").write_text("".join(f"{line}\n" for line in lines),
                                                      encoding="utf-8")
         sequence += commands(name, len(files["test"]))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+    _child(tree, work, DRIVER, sequence)
+
+
+def run_perfbench(tree: Path, work: Path) -> None:
+    """Train on the perfbench corpora in ``work`` with ``tree``'s source."""
+    work.mkdir(parents=True)
+    _child(tree, work, PERFBENCH_DRIVER, PERFBENCH_EPOCHS, ROOT / "perfbench")
+
+
+def _child(tree: Path, work: Path, driver: str, payload, *path: Path) -> None:
+    """Run ``driver`` on the JSON ``payload`` in a fresh process with ``tree``'s ``src`` first on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (tree / "src", *path))),
+               PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", DRIVER, json.dumps(sequence)], cwd=work,
+    done = subprocess.run([sys.executable, "-c", driver, json.dumps(payload)], cwd=work,
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode:
         raise ParityError(f"the run of {tree} failed:\n{done.stderr.strip()}")
@@ -171,6 +219,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV",
                         help="git revision to compare the working tree with")
+    parser.add_argument("--perfbench", action="store_true",
+                        help="also train on the benchmark's seed-1 corpora (minutes, ~1 GB)")
     args = parser.parse_args(argv)
     sys.dont_write_bytecode = True  # leave no __pycache__ in the working tree
     inputs = corpora()
@@ -179,8 +229,10 @@ def main(argv=None) -> int:
         runs = {"rev": tmp / "runs" / "rev", "work": tmp / "runs" / "work"}
         try:
             export(args.against, tmp / "rev")
-            run_tree(tmp / "rev", runs["rev"], inputs)
-            run_tree(ROOT, runs["work"], inputs)
+            for tree, work in ((tmp / "rev", runs["rev"]), (ROOT, runs["work"])):
+                run_tree(tree, work, inputs)
+                if args.perfbench:
+                    run_perfbench(tree, work / "perfbench")
         except ParityError as exc:
             print(f"parity: {exc}", file=sys.stderr)
             return 2
