@@ -256,7 +256,8 @@ def test_no_backward_writes_a_stored_gradient(monkeypatch):
     cfg = TrainConfig(epochs=1, minibatch_size=32, filter_false_negatives=True)
     [metrics] = train(build_graph(train_triplets), model, cfg, ObjectiveConfig())
     assert np.isfinite(metrics["loss"]) and stored
-    assert isinstance(model.entities.grad, ad.RowSparseGrad)  # and Adam read it
+    # the last minibatch's entity gradient is row-sparse, and Adam stepped with it read-only
+    assert isinstance(model.entities.grad, ad.RowSparseGrad)
     assert not model.entities.grad.values.flags.writeable
 
 

@@ -52,7 +52,7 @@ MODELS = {
 }
 
 # runs in the child process: each argv list through cli.main, in order
-DRIVER = """
+SEQUENCE_SCRIPT = """
 import json, sys
 from graphkbc.cli import main
 for argv in json.loads(sys.argv[1]):
@@ -64,7 +64,7 @@ for argv in json.loads(sys.argv[1]):
 
 # runs in the child process, in the run directory: trains each perfbench
 # workload on its seed-1 corpus for the given epochs and writes what it made
-PERFBENCH_DRIVER = """
+PERFBENCH_SCRIPT = """
 import hashlib, json, os, sys
 import numpy as np
 import pipeline, wn11_shape
@@ -160,21 +160,21 @@ def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) ->
             (work / name / f"{file}.txt").write_text("".join(f"{line}\n" for line in lines),
                                                      encoding="utf-8")
         sequence += commands(name, len(files["test"]))
-    _child(tree, work, DRIVER, sequence)
+    _child(tree, work, SEQUENCE_SCRIPT, sequence)
 
 
 def run_perfbench(tree: Path, work: Path) -> None:
     """Train on the perfbench corpora in ``work`` with ``tree``'s source."""
     work.mkdir(parents=True)
-    _child(tree, work, PERFBENCH_DRIVER, PERFBENCH_EPOCHS, ROOT / "perfbench")
+    _child(tree, work, PERFBENCH_SCRIPT, PERFBENCH_EPOCHS, ROOT / "perfbench")
 
 
-def _child(tree: Path, work: Path, driver: str, payload, *path: Path) -> None:
-    """Run ``driver`` on the JSON ``payload`` in a fresh process with ``tree``'s ``src`` first on its path."""
+def _child(tree: Path, work: Path, script: str, payload, *path: Path) -> None:
+    """Run ``script`` on the JSON ``payload`` in a fresh process with ``tree``'s ``src`` first on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (tree / "src", *path))),
                PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", driver, json.dumps(payload)], cwd=work,
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(payload)], cwd=work,
                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if done.returncode:
         raise ParityError(f"the run of {tree} failed:\n{done.stderr.strip()}")
