@@ -183,7 +183,7 @@ def adam_step(
                 g.fill(0.0)
                 g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
             else:
-                g = g2[sel] if run else np.take(g2, sel, axis=0, out=g)
+                g = g2[sel]  # a dense gradient makes every row live, so ``sel`` is a slice
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
             v *= ADAM_BETA2

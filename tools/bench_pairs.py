@@ -1,14 +1,15 @@
 """Paired benchmark runs of HEAD against a git revision.
 
 Usage: ``python tools/bench_pairs.py --against REV --out BENCH_name.json``
-``[--pairs 10] [--seconds 30] [--run WORKLOAD:SEED ...]``
+``[--run WORKLOAD:SEED ...]``
 
 REV and HEAD are exported with ``git archive``, as ``tools/parity.py`` does,
 into sibling directories whose paths have the same length: peak RSS moves
 by tens of MB between copies of the same code in different places, so both
-sides run from the same kind of copy. For each ``--run`` (default: both workloads
-with seed 1), ``perfbench/run.py`` runs ``--pairs`` times in each tree, one
-process at a time, alternating which tree runs first. The output file holds
+sides run from the same kind of copy. For each ``--run`` (default: every
+workload of ``BENCHMARK.json`` with seed 1), the benchmark's command runs
+``PAIRS`` times in each tree for the benchmark's ``run_seconds``, one process
+at a time, alternating which tree runs first. The output file holds
 both commits, every run's two lines (environment with host speed, then the
 result) and, per end-to-end metric, each side's median and quartiles, the
 pairs HEAD won and lost (ties count for neither) and the change of the
@@ -29,18 +30,24 @@ from pathlib import Path
 
 from parity import ROOT, ParityError, export
 
+PAIRS = 10
+
 
 def _git(*args: str) -> str:
     return subprocess.run(["git", "-C", str(ROOT), *args], check=True, text=True,
                           stdout=subprocess.PIPE).stdout.strip()
 
 
-def bench(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its environment line and its result line."""
+def command(spec: dict, workload: str, seed) -> list[str]:
+    """The benchmark's command for one run of ``workload`` with ``seed``."""
+    return spec["command"] + ["--workload", workload, "--seed", str(seed),
+                              "--seconds", str(spec["run_seconds"]), "--trace", "0"]
+
+
+def bench(tree: Path, argv: list[str]) -> dict:
+    """One benchmark run of ``argv`` in ``tree``: its environment line and its result line."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        argv, cwd=tree, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     lines = done.stdout.splitlines()
     if done.returncode or len(lines) < 2:
@@ -77,24 +84,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--run", nargs="+", default=["wn11:1", "depth_study:1"],
-                        metavar="WORKLOAD:SEED")
+    parser.add_argument("--run", nargs="+", metavar="WORKLOAD:SEED")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 (quartiles need two runs a side)")
-    runs = [(name, int(seed)) for name, seed in (r.split(":") for r in args.run)]
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = [(name, int(seed)) for name, seed in
+            (r.split(":") for r in args.run or [f"{w['name']}:1" for w in spec["workloads"]])]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     report = {
         "parent": {"rev": args.against, "commit": _git("rev-parse", f"{args.against}^{{commit}}"),
                    "src_tree": _git("rev-parse", f"{args.against}:src")},
         "change": {"rev": "HEAD", "commit": _git("rev-parse", "HEAD"),
                    "src_tree": _git("rev-parse", "HEAD:src")},
-        "command": spec["command"] + ["--workload", "W", "--seed", "S",
-                                      "--seconds", str(args.seconds), "--trace", "0"],
-        "pairs_per_run": args.pairs,
+        "command": command(spec, "W", "S"),
+        "pairs_per_run": PAIRS,
         "runs": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -105,16 +107,16 @@ def main(argv=None) -> int:
             for name, seed in runs:
                 key = f"{name}:{seed}"
                 pairs = report["runs"].setdefault(key, {"pairs": []})["pairs"]
-                for k in range(args.pairs):
+                for k in range(PAIRS):
                     order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
                     pair = {"first": order[0]}
                     for side in order:
-                        pair[side] = bench(trees[side], name, seed, args.seconds)
+                        pair[side] = bench(trees[side], command(spec, name, seed))
                     pairs.append(pair)
                     if len(pairs) >= 2:
                         report["runs"][key]["summary"] = summary(pairs, better)
                     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-                    print(f"{key} pair {k + 1}/{args.pairs} done", file=sys.stderr)
+                    print(f"{key} pair {k + 1}/{PAIRS} done", file=sys.stderr)
         except ParityError as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 2

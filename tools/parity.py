@@ -52,7 +52,7 @@ MODELS = {
 }
 
 # runs in the child process: each argv list through cli.main, in order
-SEQUENCE_SCRIPT = """
+DRIVER = """
 import json, sys
 from graphkbc.cli import main
 for argv in json.loads(sys.argv[1]):
@@ -160,7 +160,7 @@ def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) ->
             (work / name / f"{file}.txt").write_text("".join(f"{line}\n" for line in lines),
                                                      encoding="utf-8")
         sequence += commands(name, len(files["test"]))
-    _child(tree, work, SEQUENCE_SCRIPT, sequence)
+    _child(tree, work, DRIVER, sequence)
 
 
 def run_perfbench(tree: Path, work: Path) -> None:
