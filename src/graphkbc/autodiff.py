@@ -360,19 +360,16 @@ def gather_rows(a, idx) -> Tensor:
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
     def backward(g):
-        increasing = np.all(idx[1:] > idx[:-1])  # strictly: no repeated row
-        if increasing and not a._parents:
-            _accumulate(a, RowSparseGrad(idx, g, a.data.shape))
+        if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
+            grad = RowSparseGrad(idx, g, a.data.shape)
+            _accumulate(a, densify(grad) if a._parents else grad)
             return
+        segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
+        total = np.zeros((len(segments),) + g.shape[1:])
+        for rows in ranks:
+            total[:len(rows)] += g[rows]
         ga = np.zeros_like(a.data)
-        if increasing:
-            ga[idx] += g
-        else:
-            segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
-            total = np.zeros((len(segments),) + g.shape[1:])
-            for rows in ranks:
-                total[:len(rows)] += g[rows]
-            ga[segments] = total
+        ga[segments] = total
         _accumulate(a, ga)
     return _record(a.data[idx], (a,), backward)
 
@@ -430,7 +427,7 @@ def segment_mean(x, seg, n_segments: int) -> Tensor:
 
 
 def segment_max(x, seg, n_segments: int) -> Tensor:
-    """Per-segment elementwise maxima.
+    """Per-segment elementwise maxima; a zero maximum is +0.0, as a zero sum is.
 
     Each (segment, feature) gradient goes to one row: the lowest-index row
     that attains the maximum. The rows are found when backward runs.
@@ -443,6 +440,7 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
         np.maximum(best[:n], x.data[rows], out=best[:n])
     data = np.empty_like(best)
     data[segments] = best
+    data += 0.0  # whatever the signs of the zeros it came from
     def backward(g):
         # rank by rank, a row equal to its segment's unclaimed maximum
         # claims it, and the claimed maximum turns NaN, which equals nothing

@@ -20,14 +20,16 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
     seg = np.array([0, 1, 0, 1, 0])
 
     cases = {
-        "affine+relu+l2": lambda: ad.sum_all(ad.rows_norm(ad.relu(ad.affine_rows(x, W, [0, 5])), 2)),
+        "affine+relu+l2": lambda: ad.sum_all(
+            ad.rows_norm(ad.relu(ad.group_transition(x, [0, 5], W)[0]), 2)),
         # rows 0-1 take matrix 0 and rows 2-4 matrix 2; matrix 1 gets no rows
         # and so a zero gradient
-        "tanh+l1": lambda: ad.sum_all(ad.rows_norm(ad.tanh(ad.affine_rows(x, A, [0, 2, 2, 5])), 1)),
+        "tanh+l1": lambda: ad.sum_all(
+            ad.rows_norm(ad.tanh(ad.group_transition(x, [0, 2, 2, 5], A)[0]), 1)),
         "segment_pool": lambda: ad.sum_all(ad.segment_max(x, seg, 2) + ad.segment_mean(x, seg, 2)),
         # group 0 holds one row (its output is its beta), group 1 none
         "batchnorm": lambda: ad.sum_all(
-            ad.rows_norm(bn(x, [0, 1, 1, 5], training=True), 2)),
+            ad.rows_norm(bn.transition(x, [0, 1, 1, 5], True), 2)),
         # the fused transition: matrix, batch norm and activation per group
         "transition:training": lambda: ad.sum_all(
             ad.rows_norm(bn.transition(x, [0, 1, 1, 5], True, A, "relu"), 2)),

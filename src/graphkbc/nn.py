@@ -6,6 +6,7 @@ Adam update steps all parameters together, so a store keeps one step count.
 An update touches only live rows: a row is live once it has a nonzero
 moment or a gradient names it. Any other row has a zero gradient and zero
 moments, so its update is exactly zero and skipping it changes no bit.
+A gradient, dense or row-sparse, is added into zeros: -0.0 counts as +0.0.
 Checkpoints are a JSON manifest (name, kind, shape, dtype, byte offset of
 each tensor, plus the step count) next to one flat little-endian binary
 blob, covering parameters, running statistics, and optimizer moments so
@@ -132,14 +133,12 @@ def adam_step(
 ) -> float:
     """One bias-corrected Adam update over the live rows of every parameter.
 
-    A row goes live when this step's gradient names it (every row of a dense
-    gradient, the ``rows`` of a ``RowSparseGrad``) and stays live. A
-    parameter without an accumulated gradient has a zero gradient, which
-    names no row. The live rows are updated in blocks of ``ADAM_BLOCK``
-    elements (at least one row): on views where a block's rows are
-    contiguous, else gathered into scratch buffers and written back. A
-    row-sparse gradient is read block by block, never made dense. Returns
-    the step size used.
+    A row goes live when this step's gradient names it and stays live. Each
+    gradient is read as a ``RowSparseGrad``: a dense one names every row, a
+    missing one names none. The live rows are updated in blocks of
+    ``ADAM_BLOCK`` elements (at least one row), each taken into scratch
+    buffers, its gradient rows added into zeros (so -0.0 counts as +0.0),
+    and written back. Returns the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
@@ -149,41 +148,30 @@ def adam_step(
     width = max([ADAM_BLOCK] + [_rows(p.data).shape[1] for p in store._params.values()])
     scratch = np.empty((6, width))
     for name, p in store._params.items():
-        grad = p.grad
+        grad, live = p.grad, store.live_rows(name)
         if grad is None:
             grad = RowSparseGrad(np.empty(0, np.intp), np.empty((0,) + p.data.shape[1:]), p.data.shape)
-        sparse = isinstance(grad, RowSparseGrad)
-        live = store.live_rows(name)
-        live[grad.rows if sparse else slice(None)] = True
+        elif not isinstance(grad, RowSparseGrad):  # every row, on the array as it is
+            grad = RowSparseGrad(np.arange(len(live)), grad, grad.shape)
+        live[grad.rows] = True
         rows = np.flatnonzero(live)
-        # store arrays are C-contiguous, so the row views are views
-        w2, m2, v2 = (_rows(a) for a in (p.data, *store._moments[name]))
-        g2 = _rows(grad.values if sparse else grad)
+        # store arrays are C-contiguous, so their row views are views (the gradient's is only read)
+        w2, m2, v2, g2 = (_rows(a) for a in (p.data, *store._moments[name], grad.values))
         size = w2.shape[1]
         if not rows.size or not size:
             continue
         step = max(1, ADAM_BLOCK // size)
         blocks = scratch[:, :step * size].reshape(6, step, size)
-        firsts = np.arange(0, len(rows), step)
-        lasts = np.minimum(firsts + step, len(rows))
-        runs = rows[lasts - 1] - rows[firsts] == lasts - firsts - 1  # contiguous rows
-        if sparse:  # the gradient's rows in each block, by place among the live rows
-            at = np.searchsorted(rows, grad.rows)
-            cuts = np.searchsorted(at, firsts).tolist() + [len(at)]
-        for b, (k0, k1, run) in enumerate(zip(firsts.tolist(), lasts.tolist(), runs.tolist())):
-            n = k1 - k0
-            w, m, v, g, update, denom = blocks[:, :n]
-            sel = slice(int(rows[k0]), int(rows[k0]) + n) if run else rows[k0:k1]
-            if run:
-                w, m, v = w2[sel], m2[sel], v2[sel]
-            else:
-                for a, out in ((w2, w), (m2, m), (v2, v)):
-                    np.take(a, sel, axis=0, out=out)
-            if sparse:  # scattered into zeros, as the dense form holds them
-                g.fill(0.0)
-                g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
-            else:
-                g = g2[sel]  # a dense gradient makes every row live, so ``sel`` is a slice
+        firsts = range(0, len(rows), step)
+        at = np.searchsorted(rows, grad.rows)  # the gradient's rows, by place among the live rows
+        cuts = np.searchsorted(at, firsts).tolist() + [len(at)]
+        for b, k0 in enumerate(firsts):
+            sel = rows[k0:k0 + step]
+            w, m, v, g, update, denom = blocks[:, :len(sel)]
+            for a, out in ((w2, w), (m2, m), (v2, v)):
+                np.take(a, sel, axis=0, out=out)
+            g.fill(0.0)  # the gradient's rows added into zeros: -0.0 counts as +0.0
+            g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
             v *= ADAM_BETA2
@@ -195,8 +183,7 @@ def adam_step(
             update /= denom
             update *= lr
             w -= update
-            if not run:
-                w2[sel], m2[sel], v2[sel] = w, m, v
+            w2[sel], m2[sel], v2[sel] = w, m, v
     store.adam_t = t
     return lr
 

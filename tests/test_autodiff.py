@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphkbc import autodiff as ad
 from graphkbc.autodiff import (
@@ -283,13 +283,15 @@ def duplicated_records(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(duplicated_records())
+# reduceat's vectorized maximum of eight -0.0 rows and a +0.0 row is -0.0
+@example((np.array([[-0.0]] * 8 + [[0.0]]), np.zeros(9, np.intp), 1))
 def test_segment_max_forward_is_reduceat_and_gradient_has_one_winner(case):
     rows, seg, n_segments = case
     x = Tensor(rows, requires_grad=True)
     out = segment_max(x, seg, n_segments)
     order = np.argsort(seg, kind="stable")
     starts = np.flatnonzero(np.diff(seg[order], prepend=-1))
-    expected = np.maximum.reduceat(rows[order], starts, axis=0)
+    expected = np.maximum.reduceat(rows[order], starts, axis=0) + 0.0  # a zero maximum is +0.0
     assert out.data.tobytes() == expected.tobytes()  # bitwise, signed zeros included
     upstream = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
     backward(sum_all(out * upstream))
@@ -313,14 +315,19 @@ def test_segment_max_tie_goes_to_lowest_index_row():
 
 def test_repeated_gather_gradient_matches_add_at_bitwise():
     rng = np.random.default_rng(12)
-    for n_source, n_picks in ((7, 40), (300, 200), (3, 500)):
+    # the last source is not a leaf, picked by strictly increasing ids
+    for n_source, n_picks in ((7, 40), (300, 200), (3, 500), (60, None)):
         x = Tensor(rng.normal(size=(n_source, 5)), requires_grad=True)
-        idx = rng.integers(0, n_source, size=n_picks)
-        upstream = rng.normal(size=(n_picks, 5)) * 10.0 ** rng.integers(-8, 8, size=(n_picks, 1))
-        backward(sum_all(gather_rows(x, idx) * upstream))
+        if n_picks is None:
+            source, idx = x * 2.0, np.sort(rng.choice(n_source, 25, replace=False))
+        else:
+            source, idx = x, rng.integers(0, n_source, size=n_picks)
+        upstream = rng.normal(size=(len(idx), 5)) * 10.0 ** rng.integers(-8, 8, size=(len(idx), 1))
+        upstream[::3, 1] = -0.0
+        backward(sum_all(gather_rows(source, idx) * upstream))
         expected = np.zeros_like(x.data)
         np.add.at(expected, idx, upstream)
-        assert x.grad.tobytes() == expected.tobytes()
+        assert source.grad.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ class TestAdam:
         # never does; "full" is fully live, then gets row-sparse gradients
         rng = np.random.default_rng(4)
         shapes = {"small": (3, 5), "block": (ADAM_BLOCK,), "wide": (7, ADAM_BLOCK // 3 + 11),
-                  "idle": (4, 4), "table": (600, 40), "full": (50, 300)}
+                  "idle": (4, 4), "table": (600, 40), "full": (50, 300), "scalar": ()}
         store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
         table = store.param("table").data
         table[7, 3] = -0.0
@@ -142,17 +142,21 @@ class TestAdam:
     def test_a_moment_other_than_positive_zero_makes_a_row_live(self, tmp_path):
         # rows 1-2: an update turns a -0.0 first moment into +0.0 (and so does
         # a gradient of -0.0, which is +0.0 in the dense form); row 3: a second
-        # moment decays under a zero gradient. A loaded checkpoint keeps all three live
-        store = ParamStore({"w": np.ones((4, 2))})
+        # moment decays under a zero gradient. A loaded checkpoint keeps all three live.
+        # "d" meets a -0.0 first moment with a dense gradient of -0.0, read as +0.0 too
+        store = ParamStore({"w": np.ones((4, 2)), "d": np.ones((3, 2))})
         store._moments["w"][0][1:3, 0] = -0.0
         store._moments["w"][1][3, 1] = 0.5
+        store._moments["d"][0][1] = -0.0
         save_checkpoint(store, tmp_path / "ck")
         loaded, _ = load_checkpoint(tmp_path / "ck")
         assert not loaded._live  # derived when first asked for, not at load
         assert loaded.live_rows("w").tolist() == [False, True, True, True]
         loaded.param("w").grad = RowSparseGrad(np.array([2]), np.array([[-0.0, 0.0]]), (4, 2))
+        loaded.param("d").grad = np.array([[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]])
         adam_step(loaded, epoch=0)
         assert not np.signbit(loaded._moments["w"][0]).any()
+        assert not np.signbit(loaded._moments["d"][0]).any()
         assert loaded._moments["w"][1][3, 1] == 0.5 * ADAM_BETA2
 
     def test_row_sparse_step_allocates_no_parameter_sized_array(self):
