@@ -364,11 +364,11 @@ def gather_rows(a, idx) -> Tensor:
             grad = RowSparseGrad(idx, g, a.data.shape)
             _accumulate(a, densify(grad) if a._parents else grad)
             return
+        ga = np.zeros_like(a.data)
         segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
         total = np.zeros((len(segments),) + g.shape[1:])
         for rows in ranks:
             total[:len(rows)] += g[rows]
-        ga = np.zeros_like(a.data)
         ga[segments] = total
         _accumulate(a, ga)
     return _record(a.data[idx], (a,), backward)
