@@ -12,10 +12,16 @@ output needs a gradient; a backward computes what it needs when it runs.
 A leaf table gathered by strictly increasing row ids gets a
 ``RowSparseGrad``, the gathered rows and their gradients, instead of a
 dense gradient of its full size; ``densify`` gives the dense form.
+
+The fused transition runs its row groups on a few threads at once (see
+``THREADS``); each group writes only its own rows and statistics, so the
+result does not depend on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Sequence
 
 import numpy as np
@@ -26,6 +32,14 @@ DTYPE = np.float64
 # the gradcheck command; off by default to keep training memory-bandwidth
 # bound rather than scan bound).
 CHECK_FINITE = False
+
+# The most threads a fused transition runs its row groups on; None means one
+# per CPU this process may run on (``cli.main`` sets it from ``--workers``).
+THREADS = None
+
+# Transitions of fewer elements (rows x features) than this run on the
+# calling thread alone: handing work to a thread costs tens of microseconds.
+POOL_FLOOR = 1 << 16
 
 
 class GradientError(ArithmeticError):
@@ -205,6 +219,64 @@ def _group_slices(offsets, n_rows: int, n_groups: int) -> list[tuple[int, int, i
     return [(g, lo, hi) for g, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None  # made on first use
+
+
+def _drop_pool() -> None:
+    global _pool
+    _pool = None
+
+
+# a forked child has none of its parent's threads: it makes its own pool
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _runs(groups: list, parts: int) -> list[list]:
+    """``groups`` cut into at most ``parts`` contiguous runs of about equal row counts.
+
+    Each group joins the run its middle row falls in.
+    """
+    first, total = groups[0][1], groups[-1][2] - groups[0][1]
+    runs: dict[int, list] = {}
+    for group in groups:
+        _, lo, hi = group
+        runs.setdefault((lo + hi - 2 * first) * parts // (2 * total), []).append(group)
+    return list(runs.values())
+
+
+def _each_run(body, groups: list, elements: int) -> None:
+    """``body(run)`` on each run of ``groups``; the runs may run at the same time.
+
+    With more than one thread allowed (``THREADS`` and ``_cpus``) and at
+    least ``POOL_FLOOR`` elements, the calling thread runs the first run and
+    pool threads the others; otherwise the calling thread runs every group
+    as one run. ``body`` calls numpy only: it may run off the calling thread.
+    """
+    global _pool
+    threads = _cpus() if THREADS is None else min(THREADS, _cpus())
+    runs = _runs(groups, threads) if threads > 1 and elements >= POOL_FLOOR else [groups]
+    if len(runs) == 1:
+        body(groups)
+        return
+    if _pool is None:
+        _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="graphkbc-transition")
+    futures = [_pool.submit(body, run) for run in runs[1:]]
+    try:
+        body(runs[0])
+    finally:
+        wait(futures)  # no pool thread may still be writing the outputs
+    for future in futures:
+        future.result()
+
+
 def group_transition(x, offsets, weight=None, norm=None, activation=None):
     """Each row group's affine map, batch norm and activation, fused into one op.
 
@@ -222,7 +294,9 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
     * ``activation``, ``"relu"`` or ``"tanh"``.
 
     Returns the output and the (G, d) batch mean and variance (None unless
-    ``norm`` uses batch statistics).
+    ``norm`` uses batch statistics). The forward and the backward each split
+    the nonempty groups into runs of about equal row counts, one per thread
+    (``_each_run``); every group's arithmetic is the same on any thread.
     """
     x = _ensure(x)
     if x.data.ndim != 2:
@@ -252,26 +326,30 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
     data = np.empty_like(x.data)
     n_pass = int(offsets[0])
     data[:n_pass] = x.data[:n_pass]
-    for g, lo, hi in groups:
-        y = data[lo:hi]
-        if weight is None:
-            y[...] = x.data[lo:hi]
-        else:
-            np.matmul(x.data[lo:hi], weight.data[g].T, out=y)
-        if norm is not None:
-            if batch:
-                mean[g] = y.mean(axis=0)
-            c = np.subtract(y, mean[g], out=centered[lo:hi])
-            if batch:
-                var[g] = (c * c).mean(axis=0)
-                inv[g] = (var[g] + eps) ** -0.5
-            np.multiply(c, inv[g], out=y)
-            y *= gamma.data[g]
-            y += beta.data[g]
-        if activation == "relu":
-            np.maximum(y, 0.0, out=y)
-        elif activation == "tanh":
-            np.tanh(y, out=y)
+
+    def forward(run):
+        for g, lo, hi in run:
+            y = data[lo:hi]
+            if weight is None:
+                y[...] = x.data[lo:hi]
+            else:
+                np.matmul(x.data[lo:hi], weight.data[g].T, out=y)
+            if norm is not None:
+                if batch:
+                    mean[g] = y.mean(axis=0)
+                c = np.subtract(y, mean[g], out=centered[lo:hi])
+                if batch:
+                    var[g] = (c * c).mean(axis=0)
+                    inv[g] = (var[g] + eps) ** -0.5
+                np.multiply(c, inv[g], out=y)
+                y *= gamma.data[g]
+                y += beta.data[g]
+            if activation == "relu":
+                np.maximum(y, 0.0, out=y)
+            elif activation == "tanh":
+                np.tanh(y, out=y)
+    _each_run(forward, groups, (n - n_pass) * d)
+
     def backward(grad):
         gx = np.empty_like(x.data)
         gx[:n_pass] = grad[:n_pass]
@@ -279,25 +357,36 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
             gw = np.zeros_like(weight.data)
         if norm is not None:
             g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
-        for g, lo, hi in groups:
-            dz, y = grad[lo:hi], data[lo:hi]
-            if activation == "relu":
-                dz = dz * (y > 0.0)  # subgradient at 0 is 0
-            elif activation == "tanh":
-                dz = dz * (1.0 - y * y)
-            if norm is not None:
-                xhat = centered[lo:hi] * inv[g]
-                g_beta[g] = dz.sum(axis=0)
-                g_gamma[g] = (dz * xhat).sum(axis=0)
-                dz = dz * gamma.data[g]
-                if batch:  # the batch statistics depend on the rows as well
-                    dz -= dz.mean(axis=0) + xhat * (dz * xhat).mean(axis=0)
-                dz *= inv[g]
-            if weight is None:
-                gx[lo:hi] = dz
-            else:
-                np.matmul(dz, weight.data[g], out=gx[lo:hi])
-                gw[g] = dz.T @ x.data[lo:hi]
+
+        def body(run):
+            for g, lo, hi in run:
+                dz, y = grad[lo:hi], data[lo:hi]
+                if activation == "relu":
+                    dz = dz * (y > 0.0)  # subgradient at 0 is 0
+                elif activation == "tanh":
+                    dz = dz * (1.0 - y * y)
+                if norm is not None:
+                    xhat = centered[lo:hi] * inv[g]
+                    t = np.multiply(dz, xhat)  # scratch for dz * xhat, then xhat * m2
+                    g_beta[g] = dz.sum(axis=0)
+                    g_gamma[g] = t.sum(axis=0)
+                    if activation is None:  # dz is still the incoming gradient
+                        dz = dz * gamma.data[g]
+                    else:
+                        dz *= gamma.data[g]
+                    if batch:  # the batch statistics depend on the rows as well
+                        m1 = dz.mean(axis=0)
+                        m2 = np.multiply(dz, xhat, out=t).mean(axis=0)
+                        np.multiply(xhat, m2, out=t)
+                        t += m1
+                        dz -= t
+                    dz *= inv[g]
+                if weight is None:
+                    gx[lo:hi] = dz
+                else:
+                    np.matmul(dz, weight.data[g], out=gx[lo:hi])
+                    gw[g] = dz.T @ x.data[lo:hi]
+        _each_run(body, groups, (n - n_pass) * d)
         _accumulate(x, gx)
         if weight is not None:
             _accumulate(weight, gw)

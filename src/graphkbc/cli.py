@@ -285,7 +285,7 @@ def cmd_eval(args) -> int:
     from .model import load_model
     from .ookb import read_split
 
-    model, ev, rv, extra = load_model(args.checkpoint)
+    model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,
             "per_relation": not args.global_threshold}
     if args.mode == "standard":
@@ -332,7 +332,7 @@ def cmd_predict(args) -> int:
     from .kg import build_graph, load_triplet_file, read_json
     from .model import InferenceError, load_model
 
-    model, ev, rv, extra = load_model(args.checkpoint)
+    model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
     queries, _ = load_triplet_file(args.triplets, ev, rv)
     aux = load_triplet_file(args.aux, ev, rv)[0] if args.aux else np.empty((0, 3), dtype=np.intp)
@@ -399,8 +399,10 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphkbc", description=__doc__)
     parser.add_argument("--workers", type=int, default=None,
-                        help="cap numeric-library threads (default: all cores); a usage "
-                             "error once numpy is imported, as in an in-process main() call")
+                        help="cap numeric-library threads and the threads a fused "
+                             "transition runs its row groups on (default: every CPU the "
+                             "process may use); a usage error once numpy is imported, as "
+                             "in an in-process main() call")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ookb", help="construct out-of-KB splits from benchmark files")
@@ -472,6 +474,8 @@ def main(argv=None) -> int:
                                  f"set {', '.join(BLAS_VARS)} before starting Python instead")
             for var in BLAS_VARS:
                 os.environ[var] = str(args.workers)
+            from . import autodiff
+            autodiff.THREADS = args.workers
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

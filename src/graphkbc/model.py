@@ -426,9 +426,13 @@ def save_model(
     shutil.rmtree(aside, ignore_errors=True)
 
 
-def load_model(directory):
-    """Returns (model, entity_vocab, relation_vocab, extra)."""
-    store, extra = load_checkpoint(directory)
+def load_model(directory, moments: bool = True):
+    """Returns (model, entity_vocab, relation_vocab, extra).
+
+    Without ``moments`` the model can score but not train or be saved (see
+    ``nn.load_checkpoint``).
+    """
+    store, extra = load_checkpoint(directory, moments)
     entity_vocab = Vocabulary.load(os.path.join(directory, "entities.txt"))
     relation_vocab = Vocabulary.load(os.path.join(directory, "relations.txt"))
     try:

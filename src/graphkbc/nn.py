@@ -42,7 +42,9 @@ class ParamStore:
 
     Next to each parameter's moments the store keeps its live-row mask (see
     ``adam_step``), derived from the moments when Adam first asks for it, so
-    that loading a checkpoint for inference does not compute it.
+    that loading a checkpoint for inference does not compute it. A store
+    loaded without its moments (``load_checkpoint(..., moments=False)``) can
+    only be read: Adam and ``save_checkpoint`` refuse it.
     """
 
     def __init__(self, params: dict | None = None, buffers: dict | None = None):
@@ -75,10 +77,17 @@ class ParamStore:
     def live_rows(self, name: str) -> np.ndarray:
         """The live-row mask of parameter ``name``: which rows have a moment that is not +0.0."""
         if name not in self._live:
-            m, v = (_rows(a).view(np.uint64) for a in self._moments[name])
+            m, v = (_rows(a).view(np.uint64) for a in self.moments(name))
             # compared as bits: an update turns a -0.0 moment into +0.0, so it is live
             self._live[name] = m.any(axis=1) | v.any(axis=1)
         return self._live[name]
+
+    def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Adam's first and second moments of parameter ``name``."""
+        if self._moments is None:
+            raise ValueError("this store was loaded without its Adam moments: it can "
+                             "score, but not train or be saved")
+        return self._moments[name]
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -156,7 +165,7 @@ def adam_step(
         live[grad.rows] = True
         rows = np.flatnonzero(live)
         # store arrays are C-contiguous, so their row views are views (the gradient's is only read)
-        w2, m2, v2, g2 = (_rows(a) for a in (p.data, *store._moments[name], grad.values))
+        w2, m2, v2, g2 = (_rows(a) for a in (p.data, *store.moments(name), grad.values))
         size = w2.shape[1]
         if not rows.size or not size:
             continue
@@ -240,10 +249,10 @@ _BLOB = "params.bin"
 
 def save_checkpoint(store: ParamStore, directory, extra: dict | None = None) -> None:
     """Write the store (params, buffers, Adam moments) plus metadata."""
-    os.makedirs(directory, exist_ok=True)
     tensors = [(name, kind, array) for name, p in store._params.items()
-               for kind, array in zip(("param", "adam_m", "adam_v"), (p.data, *store._moments[name]))]
+               for kind, array in zip(("param", "adam_m", "adam_v"), (p.data, *store.moments(name)))]
     tensors += [(name, "buffer", b) for name, b in store._buffers.items()]
+    os.makedirs(directory, exist_ok=True)
     entries = []
     offset = 0
     with open(os.path.join(directory, _BLOB), "wb") as fh:
@@ -274,13 +283,15 @@ def _manifest_entries(tensors: list) -> tuple[list[tuple[str, str, tuple]], int]
     return entries, offset
 
 
-def load_checkpoint(directory) -> tuple[ParamStore, dict]:
+def load_checkpoint(directory, moments: bool = True) -> tuple[ParamStore, dict]:
     """Rebuild a ParamStore from a checkpoint directory; returns (store, extra).
 
     The manifest must be one ``save_checkpoint`` writes: ``<f8`` tensors of
     nonnegative sizes, back to back in manifest order, each (name, kind)
     once, and a nonnegative integer step count. The tensors are read in
-    order straight into the arrays the store keeps.
+    order straight into the arrays the store keeps. Without ``moments`` the
+    Adam moments are skipped, not read (they are two thirds of the blob),
+    and the store can score but not train or be saved.
     """
     manifest_path = os.path.join(directory, _MANIFEST)
     try:
@@ -304,21 +315,27 @@ def load_checkpoint(directory) -> tuple[ParamStore, dict]:
         if size != expected:
             raise CheckpointError(f"{blob_path} holds {size} bytes, its manifest describes {expected}")
         for name, kind, shape in entries:
+            if not moments and kind in ("adam_m", "adam_v"):
+                fh.seek(8 * math.prod(shape), os.SEEK_CUR)
+                continue
             array = np.empty(shape, dtype="<f8")
             fh.readinto(array)
             if not np.isfinite(array).all():
                 raise CheckpointError(f"checkpoint tensor {name!r} ({kind}) holds a NaN or Inf")
             arrays[(name, kind)] = array
+    shapes = {(name, kind): shape for name, kind, shape in entries}
     store = ParamStore()  # filled directly: add_param and add_buffer would copy
     store.adam_t = manifest["adam_step"]
     for (name, kind), array in arrays.items():
         if kind == "buffer":
             store._buffers[name] = array
         elif kind == "param":
-            moments = tuple(arrays.get((name, moment)) for moment in ("adam_m", "adam_v"))
-            if any(m is None or m.shape != array.shape for m in moments):
+            if any(shapes.get((name, m)) != array.shape for m in ("adam_m", "adam_v")):
                 raise CheckpointError(f"{manifest_path}: tensor {name!r} lacks Adam moments of "
                                       f"its shape {array.shape}")
             store._params[name] = Tensor(array, requires_grad=True)
-            store._moments[name] = moments
+            if moments:
+                store._moments[name] = (arrays[(name, "adam_m")], arrays[(name, "adam_v")])
+    if not moments:
+        store._moments = None
     return store, manifest.get("extra", {})

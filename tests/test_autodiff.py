@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -464,3 +466,107 @@ def test_op_keeps_a_backward_only_when_its_output_needs_a_gradient(monkeypatch, 
         assert x in out._parents and out._backward is not None
     else:
         assert out._parents == () and out._backward is None
+
+
+# A pass-through prefix of 7 rows, then groups of 150, 1, 0, 3000 and 200
+# rows: the large group sits in the middle, so three threads get three runs.
+_POOLED_OFFSETS = [7, 157, 158, 158, 3158, 3358]
+_POOLED_CASES = [  # (weight, norm statistics, activation)
+    (True, "batch", "relu"), (True, "batch", "tanh"),
+    (True, "fixed", "relu"), (True, "fixed", "tanh"),
+    (True, None, None),  # the matrix-only form
+    (False, "batch", None), (False, "fixed", None),  # the norm-only form
+]
+
+
+def _pooled_transition(weighted, stats, activation):
+    """One transition above ``POOL_FLOOR`` and its gradients, as bytes."""
+    offsets, d, groups = _POOLED_OFFSETS, 24, len(_POOLED_OFFSETS) - 1
+    assert (offsets[-1] - offsets[0]) * d >= ad.POOL_FLOOR
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(offsets[-1], d)), requires_grad=True)
+    W = Tensor(rng.normal(size=(groups, d, d)) / np.sqrt(d), requires_grad=True) if weighted else None
+    gamma = Tensor(rng.uniform(0.5, 1.5, size=(groups, d)), requires_grad=True)
+    beta = Tensor(rng.uniform(-0.5, 0.5, size=(groups, d)), requires_grad=True)
+    norm = None
+    if stats is not None:
+        fixed = None
+        if stats == "fixed":
+            fixed = (rng.normal(size=(groups, d)), 1.0 / np.sqrt(rng.uniform(0.5, 2.0, (groups, d))))
+        norm = (gamma, beta, 1e-5, fixed)
+    out, mean, var = group_transition(x, offsets, W, norm, activation)
+    backward(sum_all(out * rng.normal(size=out.shape)))
+    grads = [t.grad for t in (x, W, gamma, beta) if t is not None and t.grad is not None]
+    return [a.tobytes() for a in (out.data, *grads) + ((mean, var) if mean is not None else ())]
+
+
+@pytest.mark.parametrize("weighted, stats, activation", _POOLED_CASES)
+def test_pooled_transition_is_the_inline_one_bitwise(monkeypatch, weighted, stats, activation):
+    import threading
+
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)  # three runs, also on a host with fewer CPUs
+    monkeypatch.setattr(ad, "THREADS", 1)
+    inline = _pooled_transition(weighted, stats, activation)
+    monkeypatch.setattr(ad, "_pool", None)
+    monkeypatch.setattr(ad, "THREADS", None)
+    recorded_on = set()
+    record = ad._record
+    monkeypatch.setattr(ad, "_record", lambda *args: recorded_on.add(threading.get_ident())
+                        or record(*args))
+    pooled = _pooled_transition(weighted, stats, activation)
+    assert ad._pool is not None  # the pooled path ran
+    assert recorded_on == {threading.get_ident()}  # the tape is only written by the caller
+    assert len(pooled) == len(inline)
+    assert all(a == b for a, b in zip(pooled, inline))
+    ad._pool.shutdown()
+
+
+def test_runs_are_contiguous_and_balanced_by_rows():
+    groups = ad._group_slices(_POOLED_OFFSETS, _POOLED_OFFSETS[-1], len(_POOLED_OFFSETS) - 1)
+    assert ad._runs(groups, 3) == [[(0, 7, 157), (1, 157, 158)], [(3, 158, 3158)],
+                                   [(4, 3158, 3358)]]
+    assert ad._runs(groups, 1) == [groups]
+    for parts in range(1, 8):
+        runs = ad._runs(groups, parts)
+        assert len(runs) <= parts and [g for run in runs for g in run] == groups
+
+
+def test_small_transition_or_one_thread_runs_inline(monkeypatch):
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
+    monkeypatch.setattr(ad, "_pool", None)
+    x = Tensor(np.ones((ad.POOL_FLOOR // 4 - 1, 4)))
+    group_transition(x, [0, 10, x.shape[0]], np.ones((2, 4, 4)))  # below the floor
+    monkeypatch.setattr(ad, "THREADS", 1)
+    group_transition(Tensor(np.ones((ad.POOL_FLOOR, 4))), [0, 10, ad.POOL_FLOOR], np.ones((2, 4, 4)))
+    assert ad._pool is None
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_runs_a_pooled_transition(monkeypatch):
+    import signal
+    import time
+    import warnings
+
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "THREADS", None)
+    monkeypatch.setattr(ad, "_pool", None)
+    want = _pooled_transition(True, "batch", "relu")
+    assert ad._pool is not None  # the parent has pool threads; its child has none of them
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if _pooled_transition(True, "batch", "relu") == want else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in a pooled transition")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    ad._pool.shutdown()

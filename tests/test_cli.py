@@ -462,6 +462,27 @@ class TestEvalAndPredict:
         assert captured.out == ""
         assert "data error" in captured.err and message in captured.err
 
+    def test_eval_and_predict_do_not_read_adam_moments(self, trained, capsys):
+        # a NaN in a moment fails only the command that steps Adam
+        tmp_path, paths, checkpoint = trained
+        blob = checkpoint / "params.bin"
+        data = blob.read_bytes()
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        at = next(e["offset"] for e in manifest["tensors"]
+                  if e["name"] == "entities" and e["kind"] == "adam_m") + 16
+        blob.write_bytes(data[:at] + np.float64(np.nan).tobytes() + data[at + 8:])
+        queries = tmp_path / "queries.txt"
+        queries.write_text("e0\tnext\te1\n")
+        assert run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--valid", paths["valid"]]) == EXIT_OK
+        assert run(["eval", "--checkpoint", checkpoint, "--mode", "standard",
+                    "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--out", tmp_path / "eval"]) == EXIT_OK
+        capsys.readouterr()
+        assert run(["train", "--train", paths["train"], "--out", tmp_path / "resumed",
+                    "--resume", checkpoint, "--epochs", "4"]) == EXIT_DATA
+        assert "tensor 'entities' (adam_m) holds a NaN or Inf" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault, message", [
         ("torn", "is not a checkpoint manifest"),
         ("no-tensors", "is not a checkpoint manifest"),
@@ -717,6 +738,49 @@ class TestWorkers:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == EXIT_OK, done.stderr
         assert "passed" in done.stdout
+
+
+    # trains in a fresh process (so --workers can take effect) and reports
+    # whether a transition pool thread ever started
+    TRAIN_AND_REPORT = (
+        "import os, sys, threading\n"
+        "cpus = os.environ.get('PIN_CPU')\n"
+        "if cpus: os.sched_setaffinity(0, {int(cpus)})\n"
+        "from graphkbc.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(any(t.name.startswith('graphkbc-transition') for t in threading.enumerate()))\n"
+        "sys.exit(code)\n")
+
+    def test_workers_caps_the_transition_pool_and_keeps_outputs(self, tmp_path):
+        # 300 entities, 4 relations: a minibatch's transition rows times 32
+        # features are well above autodiff.POOL_FLOOR
+        rng = np.random.default_rng(4)
+        heads, tails = rng.integers(0, 300, 3000), rng.integers(0, 300, 3000)
+        lines = {f"e{h}\tr{r}\te{t}" for h, r, t in zip(heads, rng.integers(0, 4, 3000), tails)
+                 if h != t}
+        train = tmp_path / "train.txt"
+        train.write_text("\n".join(sorted(lines)) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        cpus = sorted(os.sched_getaffinity(0))
+        outputs = {}
+        for name, workers, pin in (("workers-1", ["--workers", "1"], None),
+                                   ("one-cpu", [], cpus[0]), ("default", [], None)):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env.pop("PIN_CPU", None)
+            if pin is not None:
+                env["PIN_CPU"] = str(pin)
+            out = tmp_path / name
+            done = subprocess.run(
+                [sys.executable, "-c", self.TRAIN_AND_REPORT, *workers, "train",
+                 "--train", str(train), "--out", str(out), "--epochs", "1",
+                 "--minibatch", "1500", "--dim", "32", "--margin", "2", "--checkpoint-every", "1"],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == EXIT_OK, done.stderr
+            started = done.stdout.splitlines()[-1] == "True"
+            assert started is (name == "default" and len(cpus) > 1), name
+            outputs[name] = (out / "checkpoint-final" / "params.bin").read_bytes()
+        assert outputs["workers-1"] == outputs["one-cpu"] == outputs["default"]
 
 
 class TestConfigHelpers:

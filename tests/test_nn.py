@@ -365,6 +365,53 @@ class TestCheckpoint:
         assert final_a == final_b
         assert resumed.live_rows("table").tolist() == [True, False, True, False, True, False]
 
+    def test_load_without_moments_skips_them_and_cannot_train_or_save(self, tmp_path):
+        store = ParamStore({"w": np.arange(6.0).reshape(3, 2), "b": np.ones(2)},
+                           {"running": np.array([1.0, 2.0, 3.0])})
+        store.param("w").grad = np.full((3, 2), 0.5)
+        adam_step(store, epoch=0)
+        save_checkpoint(store, tmp_path / "ck", extra={"epoch": 1})
+        blob = tmp_path / "ck" / "params.bin"
+        manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+        # a NaN in a moment is never read; the same NaN in a parameter is
+        at = {(e["name"], e["kind"]): e["offset"] for e in manifest["tensors"]}
+        data = bytearray(blob.read_bytes())
+        data[at[("w", "adam_v")]:at[("w", "adam_v")] + 8] = np.float64(np.nan).tobytes()
+        blob.write_bytes(bytes(data))
+
+        loaded, extra = load_checkpoint(tmp_path / "ck", moments=False)
+        assert extra == {"epoch": 1} and loaded.adam_t == 1
+        for name in ("w", "b"):
+            assert loaded.param(name).data.tobytes() == store.param(name).data.tobytes()
+        assert loaded.buffer("running").tobytes() == store.buffer("running").tobytes()
+        with pytest.raises(ValueError, match="without its Adam moments"):
+            adam_step(loaded, epoch=1)
+        assert loaded.adam_t == 1
+        with pytest.raises(ValueError, match="without its Adam moments"):
+            save_checkpoint(loaded, tmp_path / "again")
+        assert not (tmp_path / "again").exists()
+        with pytest.raises(CheckpointError, match=r"'w' \(adam_v\) holds a NaN"):
+            load_checkpoint(tmp_path / "ck")  # the default load still reads every moment
+
+        data[at[("b", "param")]:at[("b", "param")] + 8] = np.float64(np.inf).tobytes()
+        blob.write_bytes(bytes(data))
+        with pytest.raises(CheckpointError, match=r"'b' \(param\) holds a NaN or Inf"):
+            load_checkpoint(tmp_path / "ck", moments=False)
+        blob.write_bytes(bytes(data[:-8]))
+        with pytest.raises(CheckpointError, match="holds .* bytes, its manifest describes"):
+            load_checkpoint(tmp_path / "ck", moments=False)
+
+    def test_load_without_moments_still_wants_their_entries(self, tmp_path):
+        save_checkpoint(ParamStore({"w": np.zeros((2, 2))}), tmp_path / "ck")
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        kept = [e for e in manifest["tensors"] if e["kind"] != "adam_v"]
+        manifest["tensors"] = kept
+        path.write_text(json.dumps(manifest))
+        (tmp_path / "ck" / "params.bin").write_bytes(bytes(8 * 4 * len(kept)))
+        with pytest.raises(CheckpointError, match="'w' lacks Adam moments"):
+            load_checkpoint(tmp_path / "ck", moments=False)
+
 
 def test_one_adam_step_count_for_all_parameters():
     store = ParamStore()
