@@ -246,9 +246,8 @@ def _runs(groups: list, parts: int) -> list[list]:
     """
     first, total = groups[0][1], groups[-1][2] - groups[0][1]
     runs: dict[int, list] = {}
-    for group in groups:
-        _, lo, hi = group
-        runs.setdefault((lo + hi - 2 * first) * parts // (2 * total), []).append(group)
+    for g, lo, hi in groups:
+        runs.setdefault((lo + hi - 2 * first) * parts // (2 * total), []).append((g, lo, hi))
     return list(runs.values())
 
 
@@ -327,7 +326,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
     n_pass = int(offsets[0])
     data[:n_pass] = x.data[:n_pass]
 
-    def forward(run):
+    def forward_run(run):
         for g, lo, hi in run:
             y = data[lo:hi]
             if weight is None:
@@ -348,7 +347,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                 np.maximum(y, 0.0, out=y)
             elif activation == "tanh":
                 np.tanh(y, out=y)
-    _each_run(forward, groups, (n - n_pass) * d)
+    _each_run(forward_run, groups, (n - n_pass) * d)
 
     def backward(grad):
         gx = np.empty_like(x.data)
@@ -358,7 +357,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
         if norm is not None:
             g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
 
-        def body(run):
+        def backward_run(run):
             for g, lo, hi in run:
                 dz, y = grad[lo:hi], data[lo:hi]
                 if activation == "relu":
@@ -378,7 +377,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                         m1 = dz.mean(axis=0)
                         m2 = np.multiply(dz, xhat, out=t).mean(axis=0)
                         np.multiply(xhat, m2, out=t)
-                        t += m1
+                        t += m1  # the bits of m1 + t: addition commutes
                         dz -= t
                     dz *= inv[g]
                 if weight is None:
@@ -386,7 +385,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                 else:
                     np.matmul(dz, weight.data[g], out=gx[lo:hi])
                     gw[g] = dz.T @ x.data[lo:hi]
-        _each_run(body, groups, (n - n_pass) * d)
+        _each_run(backward_run, groups, (n - n_pass) * d)
         _accumulate(x, gx)
         if weight is not None:
             _accumulate(weight, gw)
