@@ -13,9 +13,12 @@ A leaf table gathered by strictly increasing row ids gets a
 ``RowSparseGrad``, the gathered rows and their gradients, instead of a
 dense gradient of its full size; ``densify`` gives the dense form.
 
-The fused transition runs its row groups on a few threads at once (see
-``THREADS``); each group writes only its own rows and statistics, so the
-result does not depend on the thread count.
+The fused transition, max pooling and the backward of a gather that
+repeats rows run on a few threads at once (see ``THREADS``): the transition
+deals its row groups, and the rank loops their segments, into one run per
+thread (``_each_run``). A run writes only its own groups' or segments' rows
+and statistics, with the same numpy calls on any thread, so the result does
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -33,12 +36,13 @@ DTYPE = np.float64
 # bound rather than scan bound).
 CHECK_FINITE = False
 
-# The most threads a fused transition runs its row groups on; None means one
-# per CPU this process may run on (``cli.main`` sets it from ``--workers``).
+# The most threads an op's runs go to (``_each_run``); None means one per
+# CPU this process may run on (``cli.main`` sets it from ``--workers``).
 THREADS = None
 
-# Transitions of fewer elements (rows x features) than this run on the
-# calling thread alone: handing work to a thread costs tens of microseconds.
+# Ops of fewer elements (rows x features) than this run on the calling
+# thread alone: handing work to a thread costs tens of microseconds. A rank
+# loop needs more (``_rank_plan``).
 POOL_FLOOR = 1 << 16
 
 
@@ -239,34 +243,38 @@ def _drop_pool() -> None:
 os.register_at_fork(after_in_child=_drop_pool)
 
 
+def _threads(elements: int) -> int:
+    """The threads an op of ``elements`` elements runs on (``THREADS``, ``POOL_FLOOR``)."""
+    if elements < POOL_FLOOR:
+        return 1
+    return _cpus() if THREADS is None else min(THREADS, _cpus())
+
+
 def _runs(groups: list, parts: int) -> list[list]:
-    """``groups`` cut into at most ``parts`` contiguous runs of about equal row counts.
+    """``groups`` dealt into at most ``parts`` runs of about equal row counts.
 
-    Each group joins the run its middle row falls in.
+    Largest first, each group joins the run with the fewest rows so far, so
+    no run has more than ``ceil(total / parts)`` rows plus the largest
+    group's. Each run keeps its groups in row order; no groups make one
+    empty run.
     """
-    first, total = groups[0][1], groups[-1][2] - groups[0][1]
-    runs: dict[int, list] = {}
-    for g, lo, hi in groups:
-        runs.setdefault((lo + hi - 2 * first) * parts // (2 * total), []).append((g, lo, hi))
-    return list(runs.values())
+    runs, rows = [[] for _ in range(parts)], [0] * parts
+    for g, lo, hi in sorted(groups, key=lambda group: group[1] - group[2]):
+        k = rows.index(min(rows))
+        runs[k].append((g, lo, hi))
+        rows[k] += hi - lo
+    return [sorted(run) for run in runs if run] or [[]]
 
 
-def _each_run(body, groups: list, elements: int) -> None:
-    """``body(run)`` on each run of ``groups``; the runs may run at the same time.
+def _each_run(body, runs: list) -> None:
+    """``body(run)`` on each of ``runs``; the runs may run at the same time.
 
-    With more than one thread allowed (``THREADS`` and ``_cpus``) and at
-    least ``POOL_FLOOR`` elements, the calling thread runs the first run and
-    pool threads the others; otherwise the calling thread runs every group
-    as one run. ``body`` calls numpy only: it may run off the calling thread.
+    The calling thread runs the first run and pool threads the others.
+    ``body`` calls numpy only: it may run off the calling thread.
     """
     global _pool
-    threads = _cpus() if THREADS is None else min(THREADS, _cpus())
-    runs = _runs(groups, threads) if threads > 1 and elements >= POOL_FLOOR else [groups]
-    if len(runs) == 1:
-        body(groups)
-        return
-    if _pool is None:
-        _pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="graphkbc-transition")
+    if len(runs) > 1 and _pool is None:
+        _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="graphkbc-pool")
     futures = [_pool.submit(body, run) for run in runs[1:]]
     try:
         body(runs[0])
@@ -325,6 +333,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
     data = np.empty_like(x.data)
     n_pass = int(offsets[0])
     data[:n_pass] = x.data[:n_pass]
+    runs = _runs(groups, _threads((n - n_pass) * d))
 
     def forward_run(run):
         for g, lo, hi in run:
@@ -347,7 +356,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                 np.maximum(y, 0.0, out=y)
             elif activation == "tanh":
                 np.tanh(y, out=y)
-    _each_run(forward_run, groups, (n - n_pass) * d)
+    _each_run(forward_run, runs)
 
     def backward(grad):
         gx = np.empty_like(x.data)
@@ -385,7 +394,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                 else:
                     np.matmul(dz, weight.data[g], out=gx[lo:hi])
                     gw[g] = dz.T @ x.data[lo:hi]
-        _each_run(backward_run, groups, (n - n_pass) * d)
+        _each_run(backward_run, runs)
         _accumulate(x, gx)
         if weight is not None:
             _accumulate(weight, gw)
@@ -421,29 +430,41 @@ def mean0(a) -> Tensor:
     return _record(a.data.mean(axis=0), (a,), backward)
 
 
-def _rank_plan(seg: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The rows of each nonempty segment, rank by rank.
+def _rank_plan(seg: np.ndarray, counts: np.ndarray, elements: int) -> list[tuple]:
+    """The rows of each nonempty segment, rank by rank, in runs of whole segments.
 
-    Returns ``(segments, ranks)``: ``segments`` lists the nonempty segments
-    largest first (ties by id), and ``ranks[k]`` holds the k-th row (in row
-    order) of each of the first ``len(ranks[k])`` of them, the segments with
-    more than k rows. A reduction over the ranks in turn, on prefixes of an
-    array in ``segments`` order, visits each segment's rows in row order.
+    Each run ``(segments, ranks)`` lists its segments largest first (ties
+    by id), and ``ranks[k]`` holds the k-th row (in row order) of each of
+    the first ``len(ranks[k])`` of them, the ones with more than k rows. A
+    reduction over the ranks in turn, on prefixes of an array in
+    ``segments`` order, visits each segment's rows in row order. The runs
+    (``_each_run``) cut the segments, largest first, by cumulative rows;
+    an op of ``elements`` elements is one run unless every thread gets
+    ``POOL_FLOOR`` elements, and one ``POOL_FLOOR`` more per 16 ranks: each
+    rank hands the interpreter lock between the threads.
     """
     order = np.argsort(seg, kind="stable")
     segments = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
     sizes = counts[segments]
     starts = (np.cumsum(counts) - counts)[segments]
     active = np.searchsorted(-sizes, -np.arange(1, sizes[0] + 1), side="right")
-    return segments, [order[starts[:n] + k] for k, n in enumerate(active.tolist())]
+    ranks = [order[starts[:n] + k] for k, n in enumerate(active.tolist())]
+    parts = _threads(elements)
+    if elements < POOL_FLOOR * (parts + len(ranks) // 16):
+        parts = 1
+    cuts = np.searchsorted(np.cumsum(sizes), len(seg) * np.arange(parts) / parts, side="right")
+    bounds = np.unique(np.append(cuts, len(segments))).tolist()
+    return [(segments[lo:hi], [rows[lo:hi] for rows in ranks[:sizes[lo]]])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 def gather_rows(a, idx) -> Tensor:
     """Select rows by index; backward scatter-adds into the source rows.
 
     A row picked more than once gets its gradients added in index order,
-    as ``np.add.at`` does. A leaf picked by strictly increasing ids gets
-    the picked rows' gradients as a ``RowSparseGrad``.
+    as ``np.add.at`` does, rank by rank over runs of whole source rows
+    (``_rank_plan``). A leaf picked by strictly increasing ids gets the
+    picked rows' gradients as a ``RowSparseGrad``.
     """
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
@@ -453,11 +474,14 @@ def gather_rows(a, idx) -> Tensor:
             _accumulate(a, densify(grad) if a._parents else grad)
             return
         ga = np.zeros_like(a.data)
-        segments, ranks = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)))
-        total = np.zeros((len(segments),) + g.shape[1:])
-        for rows in ranks:
-            total[:len(rows)] += g[rows]
-        ga[segments] = total
+
+        def add_run(run):
+            segments, ranks = run
+            total = np.zeros((len(segments),) + g.shape[1:])
+            for rows in ranks:
+                total[:len(rows)] += g[rows]
+            ga[segments] = total
+        _each_run(add_run, _rank_plan(idx, np.bincount(idx, minlength=len(a.data)), g.size))
         _accumulate(a, ga)
     return _record(a.data[idx], (a,), backward)
 
@@ -518,27 +542,37 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
     """Per-segment elementwise maxima; a zero maximum is +0.0, as a zero sum is.
 
     Each (segment, feature) gradient goes to one row: the lowest-index row
-    that attains the maximum. The rows are found when backward runs.
+    that attains the maximum. The rows are found when backward runs. The
+    forward and the backward run rank by rank over runs of whole segments
+    (``_rank_plan``), each segment's rows in row order.
     """
     x, seg, counts = _segments(x, seg, n_segments)
-    segments, ranks = _rank_plan(seg, counts)
-    best = x.data[ranks[0]]
-    for rows in ranks[1:]:
-        n = len(rows)
-        np.maximum(best[:n], x.data[rows], out=best[:n])
-    data = np.empty_like(best)
-    data[segments] = best
-    data += 0.0  # whatever the signs of the zeros it came from
+    runs = _rank_plan(seg, counts, x.data.size)
+    data = np.empty((n_segments,) + x.data.shape[1:])
+
+    def forward_run(run):
+        segments, ranks = run
+        best = x.data[ranks[0]]
+        for rows in ranks[1:]:
+            n = len(rows)
+            np.maximum(best[:n], x.data[rows], out=best[:n])
+        best += 0.0  # whatever the signs of the zeros it came from
+        data[segments] = best
+    _each_run(forward_run, runs)
     def backward(g):
+        gx = np.empty_like(x.data)
+
         # rank by rank, a row equal to its segment's unclaimed maximum
         # claims it, and the claimed maximum turns NaN, which equals nothing
-        left, g_seg = data[segments], g[segments]
-        gx = np.empty_like(x.data)
-        for rows in ranks:
-            n = len(rows)
-            hit = x.data[rows] == left[:n]
-            np.copyto(left[:n], np.nan, where=hit)
-            gx[rows] = g_seg[:n] * hit
+        def backward_run(run):
+            segments, ranks = run
+            left, g_seg = data[segments], g[segments]
+            for rows in ranks:
+                n = len(rows)
+                hit = x.data[rows] == left[:n]
+                np.copyto(left[:n], np.nan, where=hit)
+                gx[rows] = g_seg[:n] * hit
+        _each_run(backward_run, runs)
         _accumulate(x, gx)
     return _record(data, (x,), backward)
 

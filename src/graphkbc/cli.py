@@ -399,10 +399,10 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphkbc", description=__doc__)
     parser.add_argument("--workers", type=int, default=None,
-                        help="cap numeric-library threads and the threads a fused "
-                             "transition runs its row groups on (default: every CPU the "
-                             "process may use); a usage error once numpy is imported, as "
-                             "in an in-process main() call")
+                        help="cap numeric-library threads and the threads that the fused "
+                             "transition, max pooling and repeated-row gather gradients run "
+                             "on (default: every CPU the process may use); a usage error "
+                             "once numpy is imported, as in an in-process main() call")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ookb", help="construct out-of-KB splits from benchmark files")

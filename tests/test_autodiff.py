@@ -500,35 +500,55 @@ def _pooled_transition(weighted, stats, activation):
     return [a.tobytes() for a in (out.data, *grads) + ((mean, var) if mean is not None else ())]
 
 
-@pytest.mark.parametrize("weighted, stats, activation", _POOLED_CASES)
-def test_pooled_transition_is_the_inline_one_bitwise(monkeypatch, weighted, stats, activation):
+def _inline_and_pooled(monkeypatch, run):
+    """``run()`` on one thread, then with three threads allowed; both results.
+
+    ``_cpus`` is patched to 3, so the pool runs on a host with fewer CPUs
+    too. Asserts that the second call used the pool and that only the
+    calling thread wrote the tape.
+    """
     import threading
 
-    monkeypatch.setattr(ad, "_cpus", lambda: 3)  # three runs, also on a host with fewer CPUs
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
     monkeypatch.setattr(ad, "THREADS", 1)
-    inline = _pooled_transition(weighted, stats, activation)
+    inline = run()
     monkeypatch.setattr(ad, "_pool", None)
     monkeypatch.setattr(ad, "THREADS", None)
     recorded_on = set()
     record = ad._record
     monkeypatch.setattr(ad, "_record", lambda *args: recorded_on.add(threading.get_ident())
                         or record(*args))
-    pooled = _pooled_transition(weighted, stats, activation)
+    pooled = run()
     assert ad._pool is not None  # the pooled path ran
     assert recorded_on == {threading.get_ident()}  # the tape is only written by the caller
+    ad._pool.shutdown()
+    return inline, pooled
+
+
+@pytest.mark.parametrize("weighted, stats, activation", _POOLED_CASES)
+def test_pooled_transition_is_the_inline_one_bitwise(monkeypatch, weighted, stats, activation):
+    inline, pooled = _inline_and_pooled(
+        monkeypatch, lambda: _pooled_transition(weighted, stats, activation))
     assert len(pooled) == len(inline)
     assert all(a == b for a, b in zip(pooled, inline))
-    ad._pool.shutdown()
 
 
-def test_runs_are_contiguous_and_balanced_by_rows():
+def test_runs_hold_every_group_once_and_balance_rows():
     groups = ad._group_slices(_POOLED_OFFSETS, _POOLED_OFFSETS[-1], len(_POOLED_OFFSETS) - 1)
-    assert ad._runs(groups, 3) == [[(0, 7, 157), (1, 157, 158)], [(3, 158, 3158)],
-                                   [(4, 3158, 3358)]]
-    assert ad._runs(groups, 1) == [groups]
-    for parts in range(1, 8):
-        runs = ad._runs(groups, parts)
-        assert len(runs) <= parts and [g for run in runs for g in run] == groups
+    assert ad._runs(groups, 3) == [[(3, 158, 3158)], [(4, 3158, 3358)],
+                                   [(0, 7, 157), (1, 157, 158)]]
+    assert ad._runs([], 3) == [[]]  # a transition of pass-through rows only
+    rng = np.random.default_rng(8)
+    for offsets in (_POOLED_OFFSETS, [0, 0, 1, 1, 2, 9, 9, 500],
+                    np.sort(rng.integers(0, 20_000, 23)), np.cumsum(rng.zipf(1.5, 40) % 5000)):
+        groups = ad._group_slices(offsets, offsets[-1], len(offsets) - 1)
+        rows = [hi - lo for _, lo, hi in groups]
+        for parts in range(1, 8):
+            runs = ad._runs(groups, parts)
+            assert 1 <= len(runs) <= parts and all(runs)
+            assert sorted(g for run in runs for g in run) == groups  # each group in one run
+            largest = max(sum(hi - lo for _, lo, hi in run) for run in runs)
+            assert largest <= -(-sum(rows) // parts) + max(rows)
 
 
 def test_small_transition_or_one_thread_runs_inline(monkeypatch):
@@ -538,6 +558,70 @@ def test_small_transition_or_one_thread_runs_inline(monkeypatch):
     group_transition(x, [0, 10, x.shape[0]], np.ones((2, 4, 4)))  # below the floor
     monkeypatch.setattr(ad, "THREADS", 1)
     group_transition(Tensor(np.ones((ad.POOL_FLOOR, 4))), [0, 10, ad.POOL_FLOOR], np.ones((2, 4, 4)))
+    assert ad._pool is None
+
+
+def _tied_segments(rng, n_segments, d):
+    """Rows and segment ids: one-row segments, ties across ranks, signed-zero maxima.
+
+    Segments have 1 to 12 rows, each row drawn from a few values, a third of
+    the segments from nonpositive ones only, so that maxima tie and many
+    are +0.0 or -0.0; the rows are shuffled, so ties fall across ranks.
+    """
+    sizes = np.where(np.arange(n_segments) % 4 == 0, 1, rng.integers(2, 13, n_segments))
+    seg = rng.permutation(np.repeat(np.arange(n_segments), sizes))
+    values = np.where((seg % 3 == 0)[:, None], rng.choice([-1.5, -0.0, 0.0], (len(seg), d)),
+                      rng.choice([-1.5, -0.0, 0.0, 0.5, 2.0], (len(seg), d)))
+    return values, seg
+
+
+def test_pooled_segment_max_is_the_inline_one_bitwise(monkeypatch):
+    rng = np.random.default_rng(21)
+    rows, seg = _tied_segments(rng, 3000, 16)
+    upstream = rng.choice([-1.0, -0.0, 0.0, 3.0], (3000, 16))
+    assert rows.size >= ad.POOL_FLOOR * 3  # above the gate for three threads and 12 ranks
+
+    def run():
+        x = Tensor(rows, requires_grad=True)
+        out = segment_max(x, seg, 3000)
+        backward(sum_all(out * upstream))
+        return out.data.tobytes(), x.grad.tobytes()
+    inline, pooled = _inline_and_pooled(monkeypatch, run)
+    assert pooled == inline
+
+
+def test_pooled_repeated_gather_gradient_is_the_inline_one_bitwise(monkeypatch):
+    rng = np.random.default_rng(22)
+    idx = rng.integers(0, 4000, 20_000)
+    upstream = rng.normal(size=(len(idx), 16)) * 10.0 ** rng.integers(-8, 8, size=(len(idx), 1))
+    upstream[::3, 1] = -0.0
+    assert upstream.size >= ad.POOL_FLOOR * 3
+
+    def run():
+        x = Tensor(np.zeros((4000, 16)), requires_grad=True)
+        backward(sum_all(gather_rows(x, idx) * upstream))
+        return x.grad.tobytes()
+    inline, pooled = _inline_and_pooled(monkeypatch, run)
+    assert pooled == inline
+
+
+def test_small_ranks_small_rank_loops_or_one_thread_run_inline(monkeypatch):
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
+    monkeypatch.setattr(ad, "_pool", None)
+    rng = np.random.default_rng(23)
+    # the relations gather of a training minibatch: thousands of ranks of a few rows each
+    relations = rng.choice(11, 10_000, p=np.arange(11, 0, -1) / 66)
+    upstream = rng.normal(size=(len(relations), 100))
+    assert upstream.size >= ad.POOL_FLOOR * 3 and np.bincount(relations).max() > 1000
+    x = Tensor(np.zeros((11, 100)), requires_grad=True)
+    backward(sum_all(gather_rows(x, relations) * upstream))
+    rows, seg = _tied_segments(rng, 300, 16)  # below the floor
+    assert rows.size < ad.POOL_FLOOR
+    backward(sum_all(segment_max(Tensor(rows, requires_grad=True), seg, 300)))
+    monkeypatch.setattr(ad, "THREADS", 1)
+    rows, seg = _tied_segments(rng, 3000, 16)
+    backward(sum_all(segment_max(Tensor(rows, requires_grad=True), seg, 3000)))
+    backward(sum_all(gather_rows(Tensor(rows, requires_grad=True), seg)))
     assert ad._pool is None
 
 

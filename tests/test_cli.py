@@ -748,7 +748,7 @@ class TestWorkers:
         "if cpus: os.sched_setaffinity(0, {int(cpus)})\n"
         "from graphkbc.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(any(t.name.startswith('graphkbc-transition') for t in threading.enumerate()))\n"
+        "print(any(t.name.startswith('graphkbc-pool') for t in threading.enumerate()))\n"
         "sys.exit(code)\n")
 
     def test_workers_caps_the_transition_pool_and_keeps_outputs(self, tmp_path):
