@@ -605,7 +605,7 @@ def test_pooled_repeated_gather_gradient_is_the_inline_one_bitwise(monkeypatch):
     assert pooled == inline
 
 
-def test_small_ranks_small_rank_loops_or_one_thread_run_inline(monkeypatch):
+def test_rank_loops_of_small_ranks_or_inputs_or_one_thread_run_inline(monkeypatch):
     monkeypatch.setattr(ad, "_cpus", lambda: 3)
     monkeypatch.setattr(ad, "_pool", None)
     rng = np.random.default_rng(23)
