@@ -18,11 +18,15 @@ repeats rows run on a few threads at once (see ``THREADS``): the transition
 deals its row groups, and the rank loops their segments, into one run per
 thread (``_each_run``). A run writes only its own groups' or segments' rows
 and statistics, with the same numpy calls on any thread, so the result does
-not depend on the thread count.
+not depend on the thread count. These pools are the only parallelism:
+``cli.main`` holds BLAS at one thread (``one_blas_thread``), so no BLAS
+setting changes a product's bits either.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import Sequence
@@ -36,14 +40,24 @@ DTYPE = np.float64
 # bound rather than scan bound).
 CHECK_FINITE = False
 
-# The most threads an op's runs go to (``_each_run``); None means one per
-# CPU this process may run on (``cli.main`` sets it from ``--workers``).
-THREADS = None
-
 # Ops of fewer elements (rows x features) than this run on the calling
 # thread alone: handing work to a thread costs tens of microseconds. A rank
 # loop needs more (``_rank_plan``).
 POOL_FLOOR = 1 << 16
+
+# The most threads an op's runs go to (``_each_run``); None means one per
+# CPU this process may run on (``cli.main`` sets it from ``--workers``,
+# which caps nothing else: BLAS always runs one thread).
+THREADS = None
+
+
+def one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread; a BLAS without that setter is left as it is."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
+        if setter is not None:
+            setter(1)
 
 
 class GradientError(ArithmeticError):

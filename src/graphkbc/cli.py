@@ -22,8 +22,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 
-BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
 
 class ConfigError(ValueError):
     pass
@@ -399,10 +397,9 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphkbc", description=__doc__)
     parser.add_argument("--workers", type=int, default=None,
-                        help="cap numeric-library threads and the threads that the fused "
-                             "transition, max pooling and repeated-row gather gradients run "
-                             "on (default: every CPU the process may use); a usage error "
-                             "once numpy is imported, as in an in-process main() call")
+                        help="cap the threads that the fused transition, max pooling and "
+                             "repeated-row gather gradients run on (default: every CPU the "
+                             "process may use); BLAS always runs one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ookb", help="construct out-of-KB splits from benchmark files")
@@ -466,15 +463,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        from . import autodiff
+        autodiff.one_blas_thread()
         if args.workers is not None:
             if args.workers < 1:
                 raise UsageError("--workers must be positive")
-            if "numpy" in sys.modules:  # its thread pools are already sized
-                raise UsageError(f"--workers cannot take effect once numpy is imported; "
-                                 f"set {', '.join(BLAS_VARS)} before starting Python instead")
-            for var in BLAS_VARS:
-                os.environ[var] = str(args.workers)
-            from . import autodiff
             autodiff.THREADS = args.workers
         return args.func(args)
     except UsageError as exc:

@@ -1,3 +1,5 @@
+import ctypes
+import hashlib
 import json
 import os
 import re
@@ -723,12 +725,32 @@ class TestGradcheckCommand:
         assert run(["gradcheck", "--tolerance", "1e-14"]) == EXIT_NUMERIC
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS, or None where numpy bundles none with a thread setter."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
 class TestWorkers:
-    def test_in_process_after_numpy_import_is_usage_error(self, capsys):
+    def test_in_process_run_holds_blas_at_one_thread(self, monkeypatch):
+        from graphkbc import autodiff as ad
+
+        blas = _openblas()
+        if blas is None:
+            pytest.skip("numpy bundles no OpenBLAS with a thread setter")
         assert "numpy" in sys.modules  # imported by this module
-        assert run(["--workers", "1", "gradcheck"]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "usage error" in err and "OMP_NUM_THREADS" in err
+        monkeypatch.setattr(ad, "THREADS", ad.THREADS)
+        blas.scipy_openblas_set_num_threads64_(2)
+        with monkeypatch.context() as m:  # no setter found: BLAS is left as it is
+            m.setattr(ad.glob, "glob", lambda pattern: [])
+            assert run(["gradcheck"]) == EXIT_OK
+        assert blas.scipy_openblas_get_num_threads64_() == 2
+        assert run(["--workers", "1", "gradcheck"]) == EXIT_OK
+        assert ad.THREADS == 1
+        assert blas.scipy_openblas_get_num_threads64_() == 1
 
     def test_command_line_run_takes_effect(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -740,8 +762,8 @@ class TestWorkers:
         assert "passed" in done.stdout
 
 
-    # trains in a fresh process (so --workers can take effect) and reports
-    # whether a transition pool thread ever started
+    # trains in a fresh process (so an affinity mask and BLAS variables take
+    # effect) and reports whether a transition pool thread ever started
     TRAIN_AND_REPORT = (
         "import os, sys, threading\n"
         "cpus = os.environ.get('PIN_CPU')\n"
@@ -752,35 +774,47 @@ class TestWorkers:
         "sys.exit(code)\n")
 
     def test_workers_caps_the_transition_pool_and_keeps_outputs(self, tmp_path):
-        # 300 entities, 4 relations: a minibatch's transition rows times 32
-        # features are well above autodiff.POOL_FLOOR
-        rng = np.random.default_rng(4)
-        heads, tails = rng.integers(0, 300, 3000), rng.integers(0, 300, 3000)
-        lines = {f"e{h}\tr{r}\te{t}" for h, r, t in zip(heads, rng.integers(0, 4, 3000), tails)
-                 if h != t}
-        train = tmp_path / "train.txt"
-        train.write_text("\n".join(sorted(lines)) + "\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         cpus = sorted(os.sched_getaffinity(0))
-        outputs = {}
-        for name, workers, pin in (("workers-1", ["--workers", "1"], None),
-                                   ("one-cpu", [], cpus[0]), ("default", [], None)):
-            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                filter(None, [src, os.environ.get("PYTHONPATH")])))
-            env.pop("PIN_CPU", None)
-            if pin is not None:
-                env["PIN_CPU"] = str(pin)
-            out = tmp_path / name
-            done = subprocess.run(
-                [sys.executable, "-c", self.TRAIN_AND_REPORT, *workers, "train",
-                 "--train", str(train), "--out", str(out), "--epochs", "1",
-                 "--minibatch", "1500", "--dim", "32", "--margin", "2", "--checkpoint-every", "1"],
-                env=env, capture_output=True, text=True, timeout=300)
-            assert done.returncode == EXIT_OK, done.stderr
-            started = done.stdout.splitlines()[-1] == "True"
-            assert started is (name == "default" and len(cpus) > 1), name
-            outputs[name] = (out / "checkpoint-final" / "params.bin").read_bytes()
-        assert outputs["workers-1"] == outputs["one-cpu"] == outputs["default"]
+        # 300 entities: a minibatch's transition rows times 32 features are
+        # well above autodiff.POOL_FLOOR. The second corpus's transition
+        # matmuls are large enough that a two-thread OpenBLAS changes their
+        # bits, so its runs agree only if BLAS is held at one thread.
+        inputs = (
+            (4, 1500, {"workers-1": (["--workers", "1"], {}),
+                       "one-cpu": ([], {"PIN_CPU": str(cpus[0])}), "default": ([], {})}),
+            (2, 6000, {"workers-1": (["--workers", "1"], {}), "workers-2": (["--workers", "2"], {}),
+                       "default": ([], {"OPENBLAS_NUM_THREADS": "2"})}),
+        )
+        for n_relations, minibatch, cases in inputs:
+            if n_relations == 2 and len(cpus) < 2:
+                pytest.skip("the 2-relation input compares thread settings on 2 CPUs; "
+                            "this process may use one")
+            rng = np.random.default_rng(4)
+            heads, tails = rng.integers(0, 300, 3000), rng.integers(0, 300, 3000)
+            lines = {f"e{h}\tr{r}\te{t}" for h, r, t
+                     in zip(heads, rng.integers(0, n_relations, 3000), tails) if h != t}
+            train = tmp_path / f"train-{n_relations}.txt"
+            train.write_text("\n".join(sorted(lines)) + "\n")
+            outputs = {}
+            for name, (workers, extra) in cases.items():
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    filter(None, [src, os.environ.get("PYTHONPATH")])))
+                env.pop("PIN_CPU", None)
+                env.update(extra)
+                out = tmp_path / f"{n_relations}-{name}"
+                done = subprocess.run(
+                    [sys.executable, "-c", self.TRAIN_AND_REPORT, *workers, "train",
+                     "--train", str(train), "--out", str(out), "--epochs", "1",
+                     "--minibatch", str(minibatch), "--dim", "32", "--margin", "2",
+                     "--checkpoint-every", "1"],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert done.returncode == EXIT_OK, done.stderr
+                started = done.stdout.splitlines()[-1] == "True"
+                assert started is (name in ("default", "workers-2") and len(cpus) > 1), name
+                outputs[name] = (out / "checkpoint-final" / "params.bin").read_bytes()
+            digests = {name: hashlib.sha256(data).hexdigest()[:8] for name, data in outputs.items()}
+            assert len(set(digests.values())) == 1, (n_relations, digests)
 
 
 class TestConfigHelpers:

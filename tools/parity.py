@@ -171,6 +171,7 @@ def run_perfbench(tree: Path, work: Path) -> None:
 
 def _child(tree: Path, work: Path, script: str, payload, *path: Path) -> None:
     """Run ``script`` on the JSON ``payload`` in a fresh process with ``tree``'s ``src`` first on its path."""
+    # cli.main holds BLAS at one thread only in newer revisions, and PERFBENCH_SCRIPT skips it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (tree / "src", *path))),
                PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
