@@ -47,7 +47,7 @@ POOL_FLOOR = 1 << 16
 
 # The most threads an op's runs go to (``_each_run``); None means one per
 # CPU this process may run on (``cli.main`` sets it from ``--workers``,
-# which caps nothing else: BLAS always runs one thread).
+# which caps nothing else; BLAS is set apart by ``one_blas_thread``).
 THREADS = None
 
 

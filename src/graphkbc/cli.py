@@ -399,7 +399,7 @@ def build_parser() -> _Parser:
     parser.add_argument("--workers", type=int, default=None,
                         help="cap the threads that the fused transition, max pooling and "
                              "repeated-row gather gradients run on (default: every CPU the "
-                             "process may use); BLAS always runs one thread")
+                             "process may use); numpy's OpenBLAS always runs one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ookb", help="construct out-of-KB splits from benchmark files")
