@@ -13,8 +13,10 @@ A leaf table gathered by strictly increasing row ids gets a
 ``RowSparseGrad``, the gathered rows and their gradients, instead of a
 dense gradient of its full size; ``densify`` gives the dense form.
 
-The fused transition, max pooling and the backward of a gather that
-repeats rows run on a few threads at once (see ``THREADS``): the transition
+Every segment reduction (sum, mean and max pooling and the backward of a
+gather that repeats rows) is one rank loop, ``_segment_reduce``, which
+reduces each segment's rows in row order. The rank loops and the fused
+transition run on a few threads at once (see ``THREADS``): the transition
 deals its row groups, and the rank loops their segments, into one run per
 thread (``_each_run``). A run writes only its own groups' or segments' rows
 and statistics, with the same numpy calls on any thread, so the result does
@@ -487,16 +489,8 @@ def gather_rows(a, idx) -> Tensor:
             grad = RowSparseGrad(idx, g, a.data.shape)
             _accumulate(a, densify(grad) if a._parents else grad)
             return
-        ga = np.zeros_like(a.data)
-
-        def add_run(run):
-            segments, ranks = run
-            total = np.zeros((len(segments),) + g.shape[1:])
-            for rows in ranks:
-                total[:len(rows)] += g[rows]
-            ga[segments] = total
-        _each_run(add_run, _rank_plan(idx, np.bincount(idx, minlength=len(a.data)), g.size))
-        _accumulate(a, ga)
+        runs = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)), g.size)
+        _accumulate(a, _segment_reduce(np.add, g, runs, len(a.data)))
     return _record(a.data[idx], (a,), backward)
 
 
@@ -512,7 +506,7 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
 
 def _segments(x, seg, n_segments: int):
-    """The checked inputs and the number of rows of each segment."""
+    """The checked inputs, the number of rows of each segment and their ``_rank_plan``."""
     x = _ensure(x)
     seg = np.asarray(seg, dtype=np.intp)
     if n_segments <= 0:
@@ -523,29 +517,42 @@ def _segments(x, seg, n_segments: int):
     if counts.min() == 0:
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"segment {empty} is empty; pooling an empty set is undefined")
-    return x, seg, counts
+    return x, seg, counts, _rank_plan(seg, counts, x.data.size)
 
 
-def _segment_totals(x: Tensor, seg: np.ndarray) -> np.ndarray:
-    order = np.argsort(seg, kind="stable")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(seg[order])) + 1))
-    data = np.add.reduceat(x.data[order], starts, axis=0)
-    data += 0.0  # a segment of -0.0 rows sums to +0.0, as when adding into zeros
-    return data
+def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int) -> np.ndarray:
+    """``ufunc`` over each segment's rows of ``values``, in row order, by ``_rank_plan`` runs.
+
+    A segment without rows is +0.0, and so is a zero result, whatever the
+    signs of the zeros it came from.
+    """
+    out = np.zeros((n_segments,) + values.shape[1:])
+
+    def reduce_run(run):
+        segments, ranks = run
+        total = values[ranks[0]]
+        for rows in ranks[1:]:
+            head = total[:len(rows)]
+            ufunc(head, values[rows], out=head)
+        total += 0.0
+        out[segments] = total
+    _each_run(reduce_run, runs)
+    return out
 
 
 def segment_sum(x, seg, n_segments: int) -> Tensor:
-    """Per-segment row sums; every segment must be nonempty."""
-    x, seg, _ = _segments(x, seg, n_segments)
+    """Per-segment row sums, each segment's rows added in row order; every segment must be nonempty."""
+    x, seg, _, runs = _segments(x, seg, n_segments)
     def backward(g):
         _accumulate(x, g[seg])
-    return _record(_segment_totals(x, seg), (x,), backward)
+    return _record(_segment_reduce(np.add, x.data, runs, n_segments), (x,), backward)
 
 
 def segment_mean(x, seg, n_segments: int) -> Tensor:
-    x, seg, counts = _segments(x, seg, n_segments)
+    """Per-segment row sums, added in row order, divided by the segments' row counts."""
+    x, seg, counts, runs = _segments(x, seg, n_segments)
     counts = counts.astype(DTYPE)
-    data = _segment_totals(x, seg)
+    data = _segment_reduce(np.add, x.data, runs, n_segments)
     data /= counts[:, None]
     def backward(g):
         _accumulate(x, g[seg] / counts[seg, None])
@@ -560,19 +567,8 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
     forward and the backward run rank by rank over runs of whole segments
     (``_rank_plan``), each segment's rows in row order.
     """
-    x, seg, counts = _segments(x, seg, n_segments)
-    runs = _rank_plan(seg, counts, x.data.size)
-    data = np.empty((n_segments,) + x.data.shape[1:])
-
-    def forward_run(run):
-        segments, ranks = run
-        best = x.data[ranks[0]]
-        for rows in ranks[1:]:
-            n = len(rows)
-            np.maximum(best[:n], x.data[rows], out=best[:n])
-        best += 0.0  # whatever the signs of the zeros it came from
-        data[segments] = best
-    _each_run(forward_run, runs)
+    x, seg, _, runs = _segments(x, seg, n_segments)
+    data = _segment_reduce(np.maximum, x.data, runs, n_segments)
     def backward(g):
         gx = np.empty_like(x.data)
 

@@ -17,6 +17,27 @@ import json
 import os
 import sys
 
+import numpy as np
+
+from . import autodiff
+from .autodiff import GradientError
+from .checks import gradient_check_report
+from .evaluate import (
+    OokbContext,
+    ThresholdTable,
+    classify,
+    evaluate_ookb,
+    evaluate_standard,
+    make_scorer,
+    resolve_vectors,
+    tune_thresholds,
+)
+from .kg import DataError, TripletParseError, Vocabulary, build_graph, load_triplet_file, read_json
+from .model import InferenceError, ObjectiveConfig, PropagationConfig, load_model, save_model
+from .nn import CheckpointError
+from .ookb import OokbPosition, generate, read_split, split_name, write_split
+from .trainer import TrainConfig, init_model, run_training
+
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
@@ -107,9 +128,6 @@ def _echo_config(out_dir, command: str, merged: dict) -> None:
 # gen-ookb
 
 def cmd_gen_ookb(args) -> int:
-    from .kg import Vocabulary, load_triplet_file
-    from .ookb import OokbPosition, generate, split_name, write_split
-
     sizes = [int(x) for x in str(args.n).split(",")]
     if any(n <= 0 for n in sizes):
         raise UsageError("--n must be positive")
@@ -167,9 +185,6 @@ TRAIN_FIELDS = {
 
 
 def _configs_from(merged: dict):
-    from .model import ObjectiveConfig, PropagationConfig
-    from .trainer import TrainConfig
-
     prop = PropagationConfig(
         dim=merged["dim"], depth=merged["depth"], mode=merged["mode"],
         pooling=merged["pooling"], transition=merged["transition"],
@@ -187,10 +202,6 @@ def _configs_from(merged: dict):
 
 
 def cmd_train(args) -> int:
-    from .kg import Vocabulary, build_graph, load_triplet_file
-    from .model import load_model, save_model
-    from .trainer import init_model, run_training
-
     fields, start_epoch = TRAIN_FIELDS, 0
     if args.resume:
         # the model's settings come from the checkpoint; an option may only repeat them
@@ -277,12 +288,21 @@ def _write_eval_outputs(out_dir, report: dict, thresholds, rv) -> None:
         )
 
 
-def cmd_eval(args) -> int:
-    from .evaluate import evaluate_ookb, evaluate_standard
-    from .kg import build_graph, load_triplet_file
-    from .model import load_model
-    from .ookb import read_split
+def _require_in_checkpoint(model, ev, rv, entities=()) -> None:
+    """Every relation read so far, and each of the ``entities`` ids, has a row in the checkpoint.
 
+    Names are interned in the order they are read, so the one named is the
+    first read past the checkpoint's table.
+    """
+    if len(rv) > model.n_relations:
+        raise InferenceError(f"relation {rv.name_of(model.n_relations)!r} is not in the checkpoint")
+    beyond = np.asarray(entities, dtype=np.intp)
+    beyond = beyond[beyond >= model.n_entities]
+    if beyond.size:
+        raise InferenceError(f"entity {ev.name_of(int(beyond.min()))!r} is not in the checkpoint")
+
+
+def cmd_eval(args) -> int:
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,
             "per_relation": not args.global_threshold}
@@ -294,6 +314,8 @@ def cmd_eval(args) -> int:
         graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
         valid = load_triplet_file(args.valid, ev, rv, labeled=True)
         test = load_triplet_file(args.test, ev, rv, labeled=True)
+        # standard eval resolves no entity from auxiliary triplets
+        _require_in_checkpoint(model, ev, rv, np.concatenate([valid[0][:, ::2], test[0][:, ::2]]))
         report, thresholds = evaluate_standard(
             graph, valid, test, model,
             per_relation=not args.global_threshold, sampler_seed=args.seed,
@@ -308,6 +330,7 @@ def cmd_eval(args) -> int:
                      "pooling": args.pooling or "", "raw_neighbors": args.raw_neighbors})
         _echo_config(args.out, "eval", echo)
         split = read_split(args.split_prefix, ev, rv)
+        _require_in_checkpoint(model, ev, rv)
         report, thresholds = evaluate_ookb(
             split, model, method=args.method, pooling=args.pooling,
             raw_neighbors=args.raw_neighbors,
@@ -323,13 +346,6 @@ def cmd_eval(args) -> int:
 # predict
 
 def cmd_predict(args) -> int:
-    import numpy as np
-
-    from .evaluate import OokbContext, ThresholdTable, classify, make_scorer, \
-        resolve_vectors, tune_thresholds
-    from .kg import build_graph, load_triplet_file, read_json
-    from .model import InferenceError, load_model
-
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
     queries, _ = load_triplet_file(args.triplets, ev, rv)
@@ -345,10 +361,7 @@ def cmd_predict(args) -> int:
         thresholds = None
     else:
         raise UsageError("predict needs --thresholds or --valid to tune on")
-    # every input is loaded: a relation interned past the checkpoint's table
-    # has no embedding and no transition
-    if len(rv) > model.n_relations:
-        raise InferenceError(f"relation {rv.name_of(model.n_relations)!r} is not in the checkpoint")
+    _require_in_checkpoint(model, ev, rv)
     # an entity outside the trained graph never received updates (it may
     # still own an untouched embedding row); resolve it through aux triplets
     ends = np.concatenate([queries[:, ::2].ravel(), aux[:, ::2].ravel()])
@@ -380,8 +393,6 @@ def cmd_predict(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
-    from .checks import gradient_check_report
-
     ok, failures = gradient_check_report(tolerance=args.tolerance, seed=args.seed)
     if ok:
         print(f"gradcheck passed at tolerance {args.tolerance:g}")
@@ -397,7 +408,7 @@ def cmd_gradcheck(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphkbc", description=__doc__)
     parser.add_argument("--workers", type=int, default=None,
-                        help="cap the threads that the fused transition, max pooling and "
+                        help="cap the threads that the fused transition, segment pooling and "
                              "repeated-row gather gradients run on (default: every CPU the "
                              "process may use); numpy's OpenBLAS always runs one thread")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -463,7 +474,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        from . import autodiff
         autodiff.one_blas_thread()
         if args.workers is not None:
             if args.workers < 1:
@@ -473,24 +483,15 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (OSError, DataError, TripletParseError, InferenceError, CheckpointError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except Exception as exc:  # late imports: dispatch on exception name
-        kind = type(exc).__name__
-        if kind in ("DataError", "TripletParseError", "InferenceError", "CheckpointError"):
-            print(f"data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        if kind == "GradientError":
-            print(f"numerical fault: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if isinstance(exc, ValueError):
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
+    except GradientError as exc:
+        print(f"numerical fault: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except ValueError as exc:  # ConfigError among them, after the ValueError data errors
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -590,6 +590,26 @@ def test_pooled_segment_max_is_the_inline_one_bitwise(monkeypatch):
     assert pooled == inline
 
 
+def test_segment_sum_and_mean_add_in_row_order_bitwise(monkeypatch):
+    # the sum of each segment is np.add.at's into zeros, and the mean that sum
+    # over the row count, on one thread and on three; a third of the segments
+    # are signed zeros only, and a sixth of the other rows are -0.0
+    rng = np.random.default_rng(24)
+    _, seg = _tied_segments(rng, 3000, 16)
+    rows = rng.normal(size=(len(seg), 16)) * 10.0 ** rng.integers(-8, 8, size=(len(seg), 1))
+    rows[::6] = -0.0
+    rows[seg % 3 == 0] = rng.choice([-0.0, 0.0], (np.count_nonzero(seg % 3 == 0), 16))
+    assert rows.size >= ad.POOL_FLOOR * 3
+    total = np.zeros((3000, 16))
+    np.add.at(total, seg, rows)
+    mean = total / np.bincount(seg)[:, None]
+
+    def run():
+        return segment_sum(rows, seg, 3000).data.tobytes(), segment_mean(rows, seg, 3000).data.tobytes()
+    for result in _inline_and_pooled(monkeypatch, run):
+        assert result == (total.tobytes(), mean.tobytes())
+
+
 def test_pooled_repeated_gather_gradient_is_the_inline_one_bitwise(monkeypatch):
     rng = np.random.default_rng(22)
     idx = rng.integers(0, 4000, 20_000)

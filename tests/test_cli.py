@@ -383,6 +383,42 @@ class TestEvalAndPredict:
         assert json.loads(lines[0])["method"] == "proposed"
         assert json.loads(lines[1])["method"] == "baseline"
 
+    @pytest.mark.parametrize("part, line, name", [
+        ("valid", "e0\tsideways\te1\t1", "sideways"),
+        ("test", "e4\tnext\tmartian\t-1", "martian"),
+    ], ids=["relation", "entity"])
+    def test_standard_eval_of_what_the_checkpoint_lacks_is_data_error(self, trained, capsys,
+                                                                      part, line, name):
+        tmp_path, paths, checkpoint = trained
+        extended = tmp_path / f"extended-{part}.txt"
+        extended.write_text(Path(paths[part]).read_text() + line + "\n")
+        files = {**paths, part: extended}
+        code = run(["eval", "--checkpoint", checkpoint, "--mode", "standard",
+                    "--train", files["train"], "--valid", files["valid"],
+                    "--test", files["test"], "--out", tmp_path / "eval"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and repr(name) in err
+
+    def test_ookb_eval_of_a_relation_the_checkpoint_lacks_is_data_error(self, corpus, capsys):
+        # trained without --vocab, the checkpoint has the split's 2 relations only
+        tmp_path, paths = corpus
+        splits = tmp_path / "splits"
+        assert run(["gen-ookb", "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--n", "2", "--position", "tail",
+                    "--out", splits]) == EXIT_OK
+        run_dir = tmp_path / "ookb-train"
+        assert run(["train", "--train", splits / "tail-2.train.txt", "--out", run_dir]
+                   + TRAIN_ARGS) == EXIT_OK
+        with open(splits / "tail-2.valid.txt", "a", encoding="utf-8") as fh:
+            fh.write("e0\tsideways\te1\t1\n")
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", run_dir / "checkpoint-final", "--mode", "ookb",
+                    "--split-prefix", splits / "tail-2", "--out", tmp_path / "ookb-eval"])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and "'sideways'" in err
+
     def test_baseline_without_pooling_is_usage_error(self, trained):
         tmp_path, paths, checkpoint = trained
         code = run(["eval", "--checkpoint", checkpoint, "--mode", "ookb",
