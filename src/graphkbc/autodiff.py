@@ -7,7 +7,9 @@ and segment reductions (the building blocks of neighborhood pooling),
 per-row norms and axis-0 means. Each operation hands its output and a
 backward closure to ``_record``, which keeps the closure only when the
 output needs a gradient; a backward computes what it needs when it runs.
-``backward`` walks the tape in reverse topological order.
+``backward`` walks the tape in reverse topological order and frees it as it
+goes: once it returns, a non-leaf's ``.grad`` and closure are gone, and only
+the leaves keep their ``.grad``.
 
 A leaf table gathered by strictly increasing row ids gets a
 ``RowSparseGrad``, the gathered rows and their gradients, instead of a
@@ -60,6 +62,25 @@ def one_blas_thread() -> None:
         setter = getattr(ctypes.CDLL(path), "scipy_openblas_set_num_threads64_", None)
         if setter is not None:
             setter(1)
+
+
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def keep_freed_heap() -> None:
+    """Have glibc's malloc keep the heap it grew instead of giving freed pages back.
+
+    ``backward`` frees the tape as it walks it, last allocated first, so
+    every step frees the top of the heap and the next forward takes it
+    back. Trimmed, those pages fault in again on every step. Blocks of up to
+    32 MiB (where glibc's own sliding threshold stops) come from the heap,
+    and the heap is never trimmed; a libc without ``mallopt`` is left as it is.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        mallopt(_M_TRIM_THRESHOLD, -1)
 
 
 class GradientError(ArithmeticError):
@@ -608,7 +629,12 @@ def rows_norm(x, p: int) -> Tensor:
 # backward pass and gradient checking
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every reachable tensor that requires gradients."""
+    """Populate ``.grad`` on every reachable leaf that requires gradients, freeing the tape.
+
+    Once a non-leaf's backward has run, its gradient, closure and parents
+    are dropped, so it is freed as soon as nothing else holds it: when
+    ``backward`` returns, a non-leaf keeps only its ``data``.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.data.shape}")
     if not np.isfinite(loss.data):
@@ -629,9 +655,12 @@ def backward(loss: Tensor) -> None:
             if id(parent) not in visited:
                 stack.append((parent, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:
+            node.grad, node._backward, node._parents = None, None, ()
 
 
 def gradcheck(build_loss, params: dict[str, Tensor], eps: float = 1e-5, tol: float = 1e-4) -> list[str]:

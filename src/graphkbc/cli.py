@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -302,6 +303,18 @@ def _require_in_checkpoint(model, ev, rv, entities=()) -> None:
         raise InferenceError(f"entity {ev.name_of(int(beyond.min()))!r} is not in the checkpoint")
 
 
+@contextmanager
+def _entity_named(ev):
+    """Restate an ``InferenceError`` about an entity id with the entity's name in ``ev``."""
+    try:
+        yield
+    except InferenceError as exc:
+        if exc.entity is None:
+            raise
+        raise InferenceError(f"entity {ev.name_of(exc.entity)!r} has no trained embedding",
+                             exc.entity) from exc
+
+
 def cmd_eval(args) -> int:
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,
@@ -316,11 +329,12 @@ def cmd_eval(args) -> int:
         test = load_triplet_file(args.test, ev, rv, labeled=True)
         # standard eval resolves no entity from auxiliary triplets
         _require_in_checkpoint(model, ev, rv, np.concatenate([valid[0][:, ::2], test[0][:, ::2]]))
-        report, thresholds = evaluate_standard(
-            graph, valid, test, model,
-            per_relation=not args.global_threshold, sampler_seed=args.seed,
-            dataset_name=args.dataset_name or os.path.basename(args.test),
-        )
+        with _entity_named(ev):
+            report, thresholds = evaluate_standard(
+                graph, valid, test, model,
+                per_relation=not args.global_threshold, sampler_seed=args.seed,
+                dataset_name=args.dataset_name or os.path.basename(args.test),
+            )
     else:
         if not args.split_prefix:
             raise UsageError("ookb eval needs --split-prefix")
@@ -331,12 +345,13 @@ def cmd_eval(args) -> int:
         _echo_config(args.out, "eval", echo)
         split = read_split(args.split_prefix, ev, rv)
         _require_in_checkpoint(model, ev, rv)
-        report, thresholds = evaluate_ookb(
-            split, model, method=args.method, pooling=args.pooling,
-            raw_neighbors=args.raw_neighbors,
-            per_relation=not args.global_threshold, sampler_seed=args.seed,
-            dataset_name=args.dataset_name or os.path.basename(args.split_prefix),
-        )
+        with _entity_named(ev):
+            report, thresholds = evaluate_ookb(
+                split, model, method=args.method, pooling=args.pooling,
+                raw_neighbors=args.raw_neighbors,
+                per_relation=not args.global_threshold, sampler_seed=args.seed,
+                dataset_name=args.dataset_name or os.path.basename(args.split_prefix),
+            )
     _write_eval_outputs(args.out, report, thresholds, rv)
     print(json.dumps(report))
     return EXIT_OK
@@ -367,13 +382,13 @@ def cmd_predict(args) -> int:
     ends = np.concatenate([queries[:, ::2].ravel(), aux[:, ::2].ravel()])
     outside = np.setdiff1d(ends, graph.triplets[:, ::2])
     ctx = OokbContext(graph, aux, outside, model, sampler_seed=args.seed, name_of=ev.name_of)
-    if thresholds is None:
-        # tuned on the training graph alone, as the standard protocol does
-        known = OokbContext(graph, [], [], model, sampler_seed=args.seed)
-        resolved = resolve_vectors(valid[:, ::2], known)
-        thresholds = tune_thresholds(valid, valid_labels, make_scorer(model, *resolved))
-
-    scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
+    with _entity_named(ev):
+        if thresholds is None:
+            # tuned on the training graph alone, as the standard protocol does
+            known = OokbContext(graph, [], [], model, sampler_seed=args.seed)
+            resolved = resolve_vectors(valid[:, ::2], known)
+            thresholds = tune_thresholds(valid, valid_labels, make_scorer(model, *resolved))
+        scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
     cutoffs = thresholds.threshold_of(queries[:, 1])
     labels = classify(queries, thresholds, scores)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

@@ -36,7 +36,15 @@ DIR_SELF = 2  # fallback: entity keeps its own base vector
 
 
 class InferenceError(RuntimeError):
-    """An entity's vector cannot be resolved (no embedding, no neighbors)."""
+    """An entity's vector cannot be resolved (no embedding, no neighbors).
+
+    ``entity`` is the id of the entity without an embedding row, when that
+    is the fault, so that a caller with the vocabulary can name it.
+    """
+
+    def __init__(self, message: str, entity: int | None = None):
+        super().__init__(message)
+        self.entity = entity
 
 
 @dataclass
@@ -299,7 +307,7 @@ class GraphModel:
         # bottom of the recursion: base embeddings of the final frontier
         bad = need[need >= self.n_entities]
         if bad.size:
-            raise InferenceError(f"entity id {int(bad[0])} has no trained embedding")
+            raise InferenceError(f"entity id {int(bad[0])} has no trained embedding", int(bad[0]))
         prev_ids, vecs = need, ad.gather_rows(self.entities, need)
         for step, (ids, (nbr, rel, dirs, seg)) in enumerate(reversed(plan), 1):
             # prev_ids is sorted and unique, so positions come from bisection

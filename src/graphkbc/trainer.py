@@ -158,6 +158,7 @@ def train(
     """
     if len(graph) == 0:
         raise ValueError("cannot train on an empty graph")
+    ad.keep_freed_heap()
     positives = graph.triplets
     stats = compute_bernoulli_stats(graph)
     p_head = np.full(model.n_relations, 0.5)
@@ -205,6 +206,7 @@ def train(
             total_loss += float(loss.data)
             total_pos += float(pos_s.data.sum())
             total_neg += float(neg_s.data.sum())
+            del scores, pos_s, neg_s, loss  # no tensor of this step outlives it
         yield {
             "epoch": epoch,
             "loss": total_loss / n,

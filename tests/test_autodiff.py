@@ -1,3 +1,4 @@
+import gc
 import os
 
 import numpy as np
@@ -186,6 +187,36 @@ class TestBackward:
         assert not np.allclose(analytic.reshape(-1), num, rtol=1e-4)
 
 
+def test_backward_frees_the_tape_as_it_walks_it():
+    rng = np.random.default_rng(5)
+    x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 3, 3)), requires_grad=True)
+    gamma = Tensor(np.ones((2, 3)), requires_grad=True)
+    beta = Tensor(np.zeros((2, 3)), requires_grad=True)
+    leaves = (x, w, gamma, beta)
+    enabled = gc.isenabled()
+    gc.disable()  # only reference counts free anything
+    try:
+        rows = gather_rows(x, np.array([0, 2, 2, 5, 1, 4]))
+        moved = group_transition(rows, [0, 2, 6], w, (gamma, beta, 1e-5, None), "relu")[0]
+        loss = sum_all(rows_norm(segment_max(moved, np.array([0, 1, 1, 0, 2, 2]), 3), 1) * 2.0)
+        tape, stack = {}, [loss]
+        while stack:
+            t = stack.pop()
+            if id(t) not in tape:
+                tape[id(t)] = t
+                stack.extend(t._parents)
+        backward(loss)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(tape) == 11
+    # every op output keeps its data only; the leaves keep their gradients for Adam
+    assert all(t._parents == () and t._backward is None for t in tape.values())
+    assert all(t.grad is None for t in tape.values() if not any(t is p for p in leaves))
+    assert all(p.grad is not None for p in leaves)
+
+
 GRAD_OPS = {
     "gather": lambda x: sum_all(rows_norm(gather_rows(x, np.array([0, 2, 2, 1])), 2)),
     "concat": lambda x: sum_all(concat_rows([gather_rows(x, [0, 1]), gather_rows(x, [2])]) * 2.0),
@@ -329,7 +360,10 @@ def test_repeated_gather_gradient_matches_add_at_bitwise():
         backward(sum_all(gather_rows(source, idx) * upstream))
         expected = np.zeros_like(x.data)
         np.add.at(expected, idx, upstream)
-        assert source.grad.tobytes() == expected.tobytes()
+        # a non-leaf's gradient is gone after backward: check it through the leaf
+        if source is not x:
+            expected = expected * 2.0
+        assert x.grad.tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------

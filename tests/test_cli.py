@@ -386,7 +386,9 @@ class TestEvalAndPredict:
     @pytest.mark.parametrize("part, line, name", [
         ("valid", "e0\tsideways\te1\t1", "sideways"),
         ("test", "e4\tnext\tmartian\t-1", "martian"),
-    ], ids=["relation", "entity"])
+        # no validation or test entity: propagation finds it as e0's neighbor
+        ("train", "e0\tnext\tzed", "zed"),
+    ], ids=["relation", "entity", "train-neighbor"])
     def test_standard_eval_of_what_the_checkpoint_lacks_is_data_error(self, trained, capsys,
                                                                       part, line, name):
         tmp_path, paths, checkpoint = trained

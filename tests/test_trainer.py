@@ -1,10 +1,12 @@
+import gc
+
 import numpy as np
 import pytest
 
 from graphkbc import autodiff as ad
 from graphkbc.autodiff import GradientError
 from graphkbc.kg import Triplet, Vocabulary, build_graph
-from graphkbc.model import ObjectiveConfig, PropagationConfig, load_model, save_model
+from graphkbc.model import GraphModel, ObjectiveConfig, PropagationConfig, load_model, save_model
 from graphkbc.trainer import (
     TrainConfig,
     compute_bernoulli_stats,
@@ -245,3 +247,27 @@ def test_tape_ops_per_training_minibatch(monkeypatch, depth, mode, ops):
     next(train(build_graph(CHAIN), model, TrainConfig(epochs=1, minibatch_size=len(CHAIN)),
                ObjectiveConfig(margin=2.0)))
     assert len(made) == ops
+
+
+def test_a_minibatch_starts_beside_no_spent_tape(monkeypatch):
+    # with the collector off only reference counts free anything: the second
+    # minibatch's forward starts with as many live tensors as the first
+    counts = []
+    score_ids = GraphModel.score_ids
+
+    def counted(self, *args, **kwargs):
+        counts.append(sum(isinstance(o, ad.Tensor) for o in gc.get_objects()))
+        return score_ids(self, *args, **kwargs)
+
+    monkeypatch.setattr(GraphModel, "score_ids", counted)
+    model = init_model(4, 1, PropagationConfig(dim=8, depth=2, mode="stacked"), seed=0)
+    epochs = train(build_graph(CHAIN), model, TrainConfig(epochs=1, minibatch_size=2),
+                   ObjectiveConfig(margin=2.0))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        next(epochs)
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(counts) == 2 and counts[1] == counts[0]

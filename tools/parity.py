@@ -14,11 +14,14 @@ byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
 
 ``--perfbench`` adds the benchmark's seed-1 corpora (``perfbench/wn11_shape``
 with each workload's settings from ``perfbench/pipeline``, one BLAS
-thread): 1 ``wn11`` epoch and 3 ``depth_study`` epochs, written per
-workload as the epoch losses in float hex, the ``save_checkpoint`` blob
-(every parameter, Adam moment and running statistic) and the sha256 of the
-inference-mode vectors of every 7th entity. It takes a few minutes and
-about 1 GB per tree.
+thread): 1 ``wn11`` epoch and 3 ``depth_study`` epochs, each workload in a
+fresh process, written per workload as the epoch losses in float hex, the
+``save_checkpoint`` blob (every parameter, Adam moment and running
+statistic) and the sha256 of the inference-mode vectors of every 7th
+entity. It takes a few minutes and about 1 GB per tree. Each process also
+prints its peak RSS (``ru_maxrss``) once its epochs are trained, the peak
+of a fixed amount of work that the time-bound benchmark's ``peak_rss_mb``
+is not; the peaks go to stdout, not into the compared files.
 
 Prints each file that differs. Exits 0 when none differs, 1 when some do,
 and 2 when the export or a command fails.
@@ -63,9 +66,10 @@ for argv in json.loads(sys.argv[1]):
 
 
 # runs in the child process, in the run directory: trains each perfbench
-# workload on its seed-1 corpus for the given epochs and writes what it made
+# workload on its seed-1 corpus for the given epochs, prints the peak RSS
+# so far and writes what it made
 PERFBENCH_SCRIPT = """
-import hashlib, json, os, sys
+import hashlib, json, os, resource, sys
 import numpy as np
 import pipeline, wn11_shape
 from graphkbc import evaluate, kg, nn, trainer
@@ -78,6 +82,8 @@ for name, epochs in json.loads(sys.argv[1]).items():
                              PropagationConfig(**wl.propagation), 1)
     cfg = trainer.TrainConfig(epochs=epochs, minibatch_size=wl.minibatch, seed=1)
     losses = [record["loss"].hex() for record in trainer.train(graph, net, cfg, pipeline.OBJECTIVE)]
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(f"{name}: peak RSS {peak:.1f} MB after {epochs} epoch(s)")
     os.makedirs(name)
     with open(os.path.join(name, "losses.txt"), "w") as fh:
         fh.write("".join(line + "\\n" for line in losses))
@@ -163,22 +169,27 @@ def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) ->
     _child(tree, work, DRIVER, sequence)
 
 
-def run_perfbench(tree: Path, work: Path) -> None:
-    """Train on the perfbench corpora in ``work`` with ``tree``'s source."""
+def run_perfbench(tree: Path, work: Path) -> list[str]:
+    """Train on the perfbench corpora in ``work`` with ``tree``'s source; returns the peak RSS lines."""
     work.mkdir(parents=True)
-    _child(tree, work, PERFBENCH_SCRIPT, PERFBENCH_EPOCHS, ROOT / "perfbench")
+    return [_child(tree, work, PERFBENCH_SCRIPT, {name: epochs}, ROOT / "perfbench").strip()
+            for name, epochs in PERFBENCH_EPOCHS.items()]
 
 
-def _child(tree: Path, work: Path, script: str, payload, *path: Path) -> None:
-    """Run ``script`` on the JSON ``payload`` in a fresh process with ``tree``'s ``src`` first on its path."""
+def _child(tree: Path, work: Path, script: str, payload, *path: Path) -> str:
+    """Run ``script`` on the JSON ``payload`` in a fresh process with ``tree``'s ``src`` first on its path.
+
+    Returns what it printed.
+    """
     # cli.main holds BLAS at one thread only in newer revisions, and PERFBENCH_SCRIPT skips it
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (tree / "src", *path))),
                PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     done = subprocess.run([sys.executable, "-c", script, json.dumps(payload)], cwd=work,
-                          env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     if done.returncode:
         raise ParityError(f"the run of {tree} failed:\n{done.stderr.strip()}")
+    return done.stdout
 
 
 def _metrics(path: Path) -> list[dict]:
@@ -230,10 +241,12 @@ def main(argv=None) -> int:
         runs = {"rev": tmp / "runs" / "rev", "work": tmp / "runs" / "work"}
         try:
             export(args.against, tmp / "rev")
-            for tree, work in ((tmp / "rev", runs["rev"]), (ROOT, runs["work"])):
+            for label, tree, work in ((args.against, tmp / "rev", runs["rev"]),
+                                      ("working tree", ROOT, runs["work"])):
                 run_tree(tree, work, inputs)
                 if args.perfbench:
-                    run_perfbench(tree, work / "perfbench")
+                    for line in run_perfbench(tree, work / "perfbench"):
+                        print(f"{label}: {line}")
         except ParityError as exc:
             print(f"parity: {exc}", file=sys.stderr)
             return 2
