@@ -39,9 +39,9 @@ import numpy as np
 
 DTYPE = np.float64
 
-# When enabled, every op output is scanned for NaN/Inf (used by tests and
-# the gradcheck command; off by default to keep training memory-bandwidth
-# bound rather than scan bound).
+# When a caller sets it, every op output is scanned for NaN/Inf. No command
+# sets it; it is off by default to keep training memory-bandwidth bound
+# rather than scan bound.
 CHECK_FINITE = False
 
 # Ops of fewer elements (rows x features) than this run on the calling

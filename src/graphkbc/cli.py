@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -289,7 +288,7 @@ def _write_eval_outputs(out_dir, report: dict, thresholds, rv) -> None:
         )
 
 
-def _require_in_checkpoint(model, ev, rv, entities=()) -> None:
+def _require_in_checkpoint(model, rv, entities=()) -> None:
     """Every relation read so far, and each of the ``entities`` ids, has a row in the checkpoint.
 
     Names are interned in the order they are read, so the one named is the
@@ -300,19 +299,7 @@ def _require_in_checkpoint(model, ev, rv, entities=()) -> None:
     beyond = np.asarray(entities, dtype=np.intp)
     beyond = beyond[beyond >= model.n_entities]
     if beyond.size:
-        raise InferenceError(f"entity {ev.name_of(int(beyond.min()))!r} is not in the checkpoint")
-
-
-@contextmanager
-def _entity_named(ev):
-    """Restate an ``InferenceError`` about an entity id with the entity's name in ``ev``."""
-    try:
-        yield
-    except InferenceError as exc:
-        if exc.entity is None:
-            raise
-        raise InferenceError(f"entity {ev.name_of(exc.entity)!r} has no trained embedding",
-                             exc.entity) from exc
+        raise InferenceError(f"entity {model.name_of(int(beyond.min()))!r} is not in the checkpoint")
 
 
 def cmd_eval(args) -> int:
@@ -328,13 +315,12 @@ def cmd_eval(args) -> int:
         valid = load_triplet_file(args.valid, ev, rv, labeled=True)
         test = load_triplet_file(args.test, ev, rv, labeled=True)
         # standard eval resolves no entity from auxiliary triplets
-        _require_in_checkpoint(model, ev, rv, np.concatenate([valid[0][:, ::2], test[0][:, ::2]]))
-        with _entity_named(ev):
-            report, thresholds = evaluate_standard(
-                graph, valid, test, model,
-                per_relation=not args.global_threshold, sampler_seed=args.seed,
-                dataset_name=args.dataset_name or os.path.basename(args.test),
-            )
+        _require_in_checkpoint(model, rv, np.concatenate([valid[0][:, ::2], test[0][:, ::2]]))
+        report, thresholds = evaluate_standard(
+            graph, valid, test, model,
+            per_relation=not args.global_threshold, sampler_seed=args.seed,
+            dataset_name=args.dataset_name or os.path.basename(args.test),
+        )
     else:
         if not args.split_prefix:
             raise UsageError("ookb eval needs --split-prefix")
@@ -344,14 +330,13 @@ def cmd_eval(args) -> int:
                      "pooling": args.pooling or "", "raw_neighbors": args.raw_neighbors})
         _echo_config(args.out, "eval", echo)
         split = read_split(args.split_prefix, ev, rv)
-        _require_in_checkpoint(model, ev, rv)
-        with _entity_named(ev):
-            report, thresholds = evaluate_ookb(
-                split, model, method=args.method, pooling=args.pooling,
-                raw_neighbors=args.raw_neighbors,
-                per_relation=not args.global_threshold, sampler_seed=args.seed,
-                dataset_name=args.dataset_name or os.path.basename(args.split_prefix),
-            )
+        _require_in_checkpoint(model, rv)
+        report, thresholds = evaluate_ookb(
+            split, model, method=args.method, pooling=args.pooling,
+            raw_neighbors=args.raw_neighbors,
+            per_relation=not args.global_threshold, sampler_seed=args.seed,
+            dataset_name=args.dataset_name or os.path.basename(args.split_prefix),
+        )
     _write_eval_outputs(args.out, report, thresholds, rv)
     print(json.dumps(report))
     return EXIT_OK
@@ -376,19 +361,18 @@ def cmd_predict(args) -> int:
         thresholds = None
     else:
         raise UsageError("predict needs --thresholds or --valid to tune on")
-    _require_in_checkpoint(model, ev, rv)
+    _require_in_checkpoint(model, rv)
     # an entity outside the trained graph never received updates (it may
     # still own an untouched embedding row); resolve it through aux triplets
     ends = np.concatenate([queries[:, ::2].ravel(), aux[:, ::2].ravel()])
     outside = np.setdiff1d(ends, graph.triplets[:, ::2])
-    ctx = OokbContext(graph, aux, outside, model, sampler_seed=args.seed, name_of=ev.name_of)
-    with _entity_named(ev):
-        if thresholds is None:
-            # tuned on the training graph alone, as the standard protocol does
-            known = OokbContext(graph, [], [], model, sampler_seed=args.seed)
-            resolved = resolve_vectors(valid[:, ::2], known)
-            thresholds = tune_thresholds(valid, valid_labels, make_scorer(model, *resolved))
-        scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
+    ctx = OokbContext(graph, aux, outside, model, sampler_seed=args.seed)
+    if thresholds is None:
+        # tuned on the training graph alone, as the standard protocol does
+        known = OokbContext(graph, [], [], model, sampler_seed=args.seed)
+        resolved = resolve_vectors(valid[:, ::2], known)
+        thresholds = tune_thresholds(valid, valid_labels, make_scorer(model, *resolved))
+    scores = make_scorer(model, *resolve_vectors(queries[:, ::2], ctx))(queries)
     cutoffs = thresholds.threshold_of(queries[:, 1])
     labels = classify(queries, thresholds, scores)
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout

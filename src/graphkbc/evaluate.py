@@ -119,7 +119,6 @@ class OokbContext:
     steps only ever touch entities that have base vectors. Standard
     evaluation passes no auxiliary triplets and an empty OOKB set; a model
     without propagation then reads base rows only, and no table is built.
-    ``name_of`` turns an entity id into the name that error messages show.
     ``aux`` (anything ``triplet_array`` takes) and ``ookb_entities`` (ids)
     become an (n, 3) intp array and a sorted intp array.
     """
@@ -129,7 +128,6 @@ class OokbContext:
     ookb_entities: np.ndarray
     model: GraphModel
     sampler_seed: int = 0
-    name_of: Callable[[int], object] = int
     table: NeighborSampler | None = field(init=False)
 
     def __post_init__(self):
@@ -141,8 +139,8 @@ class OokbContext:
         if bad.any():
             i = int(np.argmax(bad))
             raise InferenceError(
-                f"auxiliary triplet ({self.name_of(int(aux[i, 0]))!r}, "
-                f"{self.name_of(int(aux[i, 1]))!r}) links {int(ookb[i].sum())} out-of-KB "
+                f"auxiliary triplet ({self.model.name_of(int(aux[i, 0]))!r}, "
+                f"{self.model.name_of(int(aux[i, 1]))!r}) links {int(ookb[i].sum())} out-of-KB "
                 "entities; it must link exactly one to a known entity"
             )
         self.table = None
@@ -158,7 +156,7 @@ def _require_aux(ids: np.ndarray, ctx: OokbContext) -> None:
     unlinked = np.sort(ids[ctx.table.degrees(ids) == 0])
     if unlinked.size:
         raise InferenceError(
-            f"entity {ctx.name_of(int(unlinked[0]))!r} is outside the knowledge base "
+            f"entity {ctx.model.name_of(int(unlinked[0]))!r} is outside the knowledge base "
             "and has no auxiliary triplet"
         )
 

@@ -36,15 +36,7 @@ DIR_SELF = 2  # fallback: entity keeps its own base vector
 
 
 class InferenceError(RuntimeError):
-    """An entity's vector cannot be resolved (no embedding, no neighbors).
-
-    ``entity`` is the id of the entity without an embedding row, when that
-    is the fault, so that a caller with the vocabulary can name it.
-    """
-
-    def __init__(self, message: str, entity: int | None = None):
-        super().__init__(message)
-        self.entity = entity
+    """An entity's vector cannot be resolved (no embedding, no neighbors)."""
 
 
 @dataclass
@@ -186,6 +178,8 @@ class GraphModel:
     ``A`` and of the (G, d) ``bn.*`` tensors (``relation-relu-bn`` only) is
     that neighbor group's transition. A given ``store`` (a loaded
     checkpoint) must hold exactly the model's tensors in their shapes.
+    ``name_of`` turns an entity id into the name that error messages show:
+    the id itself, or the bundle's entity name once ``load_model`` sets it.
     """
 
     def __init__(
@@ -198,6 +192,7 @@ class GraphModel:
         self.cfg = cfg
         self.n_entities = n_entities
         self.n_relations = n_relations
+        self.name_of = int
         self.n_groups = cfg.n_layers * 2 * (n_relations if cfg.transition == "relation-relu-bn" else 1)
         d = cfg.dim
         params = {"entities": np.zeros((n_entities, d)), "relations": np.zeros((n_relations, d))}
@@ -307,7 +302,7 @@ class GraphModel:
         # bottom of the recursion: base embeddings of the final frontier
         bad = need[need >= self.n_entities]
         if bad.size:
-            raise InferenceError(f"entity id {int(bad[0])} has no trained embedding", int(bad[0]))
+            raise InferenceError(f"entity {self.name_of(int(bad[0]))!r} has no trained embedding")
         prev_ids, vecs = need, ad.gather_rows(self.entities, need)
         for step, (ids, (nbr, rel, dirs, seg)) in enumerate(reversed(plan), 1):
             # prev_ids is sorted and unique, so positions come from bisection
@@ -449,4 +444,5 @@ def load_model(directory, moments: bool = True):
         raise CheckpointError(f"{os.path.join(directory, 'manifest.json')} holds no valid "
                               f"propagation config ({type(exc).__name__}: {exc})") from exc
     model = GraphModel(len(entity_vocab), len(relation_vocab), cfg, store=store)
+    model.name_of = entity_vocab.name_of
     return model, entity_vocab, relation_vocab, extra

@@ -383,6 +383,30 @@ class TestEvalAndPredict:
         assert json.loads(lines[0])["method"] == "proposed"
         assert json.loads(lines[1])["method"] == "baseline"
 
+    @pytest.mark.parametrize("aux, message", [
+        ("", "entity 'e13' is outside the knowledge base and has no auxiliary triplet"),
+        ("e13\tnext\te13\n", "auxiliary triplet ('e13', 'e13') links 2 out-of-KB entities"),
+    ], ids=["no-aux", "two-ookb"])
+    def test_ookb_eval_names_the_entity_it_cannot_resolve(self, corpus, capsys, aux, message):
+        tmp_path, paths = corpus
+        splits = tmp_path / "splits"
+        assert run(["gen-ookb", "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--n", "2", "--position", "tail",
+                    "--out", splits]) == EXIT_OK
+        run_dir = tmp_path / "ookb-train"
+        assert run(["train", "--train", splits / "tail-2.train.txt",
+                    "--vocab", splits / "entities.txt",
+                    "--out", run_dir] + TRAIN_ARGS) == EXIT_OK
+        (splits / "tail-2.aux.txt").write_text(aux)
+        capsys.readouterr()
+        for method in (["proposed"], ["baseline", "--pooling", "avg"]):
+            code = run(["eval", "--checkpoint", run_dir / "checkpoint-final", "--mode", "ookb",
+                        "--split-prefix", splits / "tail-2", "--method", *method,
+                        "--out", tmp_path / "ookb-eval"])
+            assert code == EXIT_DATA
+            err = capsys.readouterr().err
+            assert err.startswith("data error") and message in err, err
+
     @pytest.mark.parametrize("part, line, name", [
         ("valid", "e0\tsideways\te1\t1", "sideways"),
         ("test", "e4\tnext\tmartian\t-1", "martian"),

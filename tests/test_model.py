@@ -277,7 +277,7 @@ class TestPropagation:
 
     def test_depth0_unknown_entity_raises(self):
         m = make_model(3, 1, dim=4, mode="none")
-        with pytest.raises(InferenceError, match="entity id 5 has no trained embedding"):
+        with pytest.raises(InferenceError, match="entity 5 has no trained embedding"):
             m.propagate_batch(np.array([1, 5]), None)
 
     def test_self_record_in_a_training_batch_passes_through(self):
