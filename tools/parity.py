@@ -8,7 +8,12 @@ of ``tests/synthetic_corpus.py`` and runs one ``graphkbc`` command sequence
 in a fresh Python process whose ``PYTHONPATH`` is that tree's ``src``:
 ``gen-ookb``, ``train`` with an intermediate checkpoint, ``eval`` in the
 standard, OOKB proposed and OOKB baseline (avg) modes, and ``predict`` with
-``--thresholds`` and with ``--valid``. Both runs use the same relative
+``--thresholds`` and with ``--valid``. Then it runs, per corpus, commands
+that must fail with a data error: standard ``eval`` with a test entity the
+checkpoint lacks, ``eval --mode ookb`` on a copy of the split with its aux
+file emptied, and ``predict`` with an aux triplet linking two unknown
+entities and with a relation the checkpoint lacks; each one's exit code
+and stderr go to ``{corpus}/faults.txt``. Both runs use the same relative
 paths, so echoed paths agree. Every output file is then compared byte for
 byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
 
@@ -62,6 +67,20 @@ for argv in json.loads(sys.argv[1]):
     code = main(argv)
     if code:
         sys.exit(f"graphkbc {' '.join(argv)} exited {code}")
+"""
+
+# runs in the child process: each corpus's failing argv lists through
+# cli.main, writing each one's exit code and stderr to {corpus}/faults.txt
+FAULT_DRIVER = """
+import contextlib, io, json, sys
+from graphkbc.cli import main
+for name, sequence in json.loads(sys.argv[1]).items():
+    with open(f"{name}/faults.txt", "w", encoding="utf-8") as fh:
+        for argv in sequence:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main(argv)
+            fh.write(f"$ graphkbc {' '.join(argv)}\\nexit {code}\\n{err.getvalue()}")
 """
 
 
@@ -156,6 +175,40 @@ def commands(name: str, n_test: int) -> list[list[str]]:
     ]
 
 
+def fault_commands(work: Path, name: str, n_test: int, test: list[str]) -> list[list[str]]:
+    """Write one corpus's faulty inputs under ``work`` and return the commands that read them.
+
+    Runs after ``commands(name, n_test)``, whose split it copies.
+    """
+    split, bundle = f"{name}/split/tail-{n_test}", f"{name}/run/checkpoint-final"
+    head, relation, tail = test[0].split("\t")[:3]
+    faults = work / name / "faults"
+    (faults / "split").mkdir(parents=True)
+    for part in (work / name / "split").glob(f"tail-{n_test}.*"):
+        (faults / "split" / part.name).write_bytes(part.read_bytes())
+    inputs = {
+        f"split/tail-{n_test}.aux.txt": "",
+        "test.txt": "".join(f"{line}\n" for line in test) + f"{head}\t{relation}\tmartian\t-1\n",
+        "aux.txt": f"venusian\t{relation}\tmartian\n",
+        "queries.txt": f"martian\t{relation}\t{tail}\n",
+        "sideways.txt": f"{head}\tsideways\t{tail}\n",
+    }
+    for file, text in inputs.items():
+        (faults / file).write_text(text, encoding="utf-8")
+    predict = ["predict", "--checkpoint", bundle, "--train", f"{split}.train.txt",
+               "--thresholds", f"{name}/eval-proposed/thresholds.json"]
+    return [
+        ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", f"{name}/train.txt",
+         "--valid", f"{name}/valid.txt", "--test", f"{name}/faults/test.txt",
+         "--out", f"{name}/faults/eval-standard"],
+        ["eval", "--checkpoint", bundle, "--mode", "ookb",
+         "--split-prefix", f"{name}/faults/split/tail-{n_test}",
+         "--out", f"{name}/faults/eval-ookb"],
+        predict + ["--triplets", f"{name}/faults/queries.txt", "--aux", f"{name}/faults/aux.txt"],
+        predict + ["--triplets", f"{name}/faults/sideways.txt", "--aux", f"{split}.aux.txt"],
+    ]
+
+
 def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) -> None:
     """Write the corpora into ``work`` and run every command there with ``tree``'s source."""
     sequence = []
@@ -167,6 +220,9 @@ def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) ->
                                                      encoding="utf-8")
         sequence += commands(name, len(files["test"]))
     _child(tree, work, DRIVER, sequence)
+    faults = {name: fault_commands(work, name, len(files["test"]), files["test"])
+              for name, files in inputs.items()}
+    _child(tree, work, FAULT_DRIVER, faults)
 
 
 def run_perfbench(tree: Path, work: Path) -> list[str]:
