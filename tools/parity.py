@@ -38,6 +38,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -175,17 +176,18 @@ def commands(name: str, n_test: int) -> list[list[str]]:
     ]
 
 
-def fault_commands(work: Path, name: str, n_test: int, test: list[str]) -> list[list[str]]:
+def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
     """Write one corpus's faulty inputs under ``work`` and return the commands that read them.
 
-    Runs after ``commands(name, n_test)``, whose split it copies.
+    Runs after ``commands``, whose split and bundle the commands read.
     """
+    n_test = len(test)
     split, bundle = f"{name}/split/tail-{n_test}", f"{name}/run/checkpoint-final"
     head, relation, tail = test[0].split("\t")[:3]
     faults = work / name / "faults"
     (faults / "split").mkdir(parents=True)
     for part in (work / name / "split").glob(f"tail-{n_test}.*"):
-        (faults / "split" / part.name).write_bytes(part.read_bytes())
+        shutil.copyfile(part, faults / "split" / part.name)
     inputs = {
         f"split/tail-{n_test}.aux.txt": "",
         "test.txt": "".join(f"{line}\n" for line in test) + f"{head}\t{relation}\tmartian\t-1\n",
@@ -220,8 +222,7 @@ def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) ->
                                                      encoding="utf-8")
         sequence += commands(name, len(files["test"]))
     _child(tree, work, DRIVER, sequence)
-    faults = {name: fault_commands(work, name, len(files["test"]), files["test"])
-              for name, files in inputs.items()}
+    faults = {name: fault_commands(work, name, files["test"]) for name, files in inputs.items()}
     _child(tree, work, FAULT_DRIVER, faults)
 
 
