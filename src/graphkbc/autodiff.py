@@ -22,9 +22,15 @@ transition run on a few threads at once (see ``THREADS``): the transition
 deals its row groups, and the rank loops their segments, into one run per
 thread (``_each_run``). A run writes only its own groups' or segments' rows
 and statistics, with the same numpy calls on any thread, so the result does
-not depend on the thread count. These pools are the only parallelism:
+not depend on the thread count. ``nn.adam_step`` deals a large table's
+live rows into runs on the same pool. These pools are the only parallelism:
 ``cli.main`` holds BLAS at one thread (``one_blas_thread``), so no BLAS
 setting changes a product's bits either.
+
+The index work of a gather or a segment reduction (``gather_plan``,
+``segment_plan``) reads no tensor: a caller that knows the indices ahead
+builds it apart from the tape and hands it to the op, which otherwise
+builds it itself.
 """
 
 from __future__ import annotations
@@ -495,22 +501,34 @@ def _rank_plan(seg: np.ndarray, counts: np.ndarray, elements: int) -> list[tuple
             for lo, hi in zip(bounds, bounds[1:])]
 
 
-def gather_rows(a, idx) -> Tensor:
+def gather_plan(idx: np.ndarray, n_rows: int, elements: int) -> list[tuple]:
+    """What the backward of a gather of ``n_rows`` rows by ``idx`` reduces over.
+
+    Empty for strictly increasing ids (no row is picked twice); otherwise the
+    ``_rank_plan`` of the picked rows, for a gradient of ``elements`` elements.
+    """
+    if np.all(idx[1:] > idx[:-1]):
+        return []
+    return _rank_plan(idx, np.bincount(idx, minlength=n_rows), elements)
+
+
+def gather_rows(a, idx, plan=None) -> Tensor:
     """Select rows by index; backward scatter-adds into the source rows.
 
     A row picked more than once gets its gradients added in index order,
     as ``np.add.at`` does, rank by rank over runs of whole source rows
-    (``_rank_plan``). A leaf picked by strictly increasing ids gets the
+    (``plan``, the ``gather_plan`` of ``idx``, made when backward runs
+    unless given). A leaf picked by strictly increasing ids gets the
     picked rows' gradients as a ``RowSparseGrad``.
     """
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
     def backward(g):
-        if np.all(idx[1:] > idx[:-1]):  # strictly increasing: no repeated row
+        runs = gather_plan(idx, len(a.data), g.size) if plan is None else plan
+        if not runs:  # no repeated row
             grad = RowSparseGrad(idx, g, a.data.shape)
             _accumulate(a, densify(grad) if a._parents else grad)
             return
-        runs = _rank_plan(idx, np.bincount(idx, minlength=len(a.data)), g.size)
         _accumulate(a, _segment_reduce(np.add, g, runs, len(a.data)))
     return _record(a.data[idx], (a,), backward)
 
@@ -526,10 +544,12 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return _record(np.concatenate([p.data for p in parts], axis=0), parts, backward)
 
 
-def _segments(x, seg, n_segments: int):
-    """The checked inputs, the number of rows of each segment and their ``_rank_plan``."""
-    x = _ensure(x)
-    seg = np.asarray(seg, dtype=np.intp)
+def segment_plan(seg: np.ndarray, n_segments: int, elements: int) -> tuple[np.ndarray, list]:
+    """The rows of each segment and their ``_rank_plan``, for rows of ``elements`` elements.
+
+    ``seg`` is an intp array; every one of the ``n_segments`` segments must
+    have rows.
+    """
     if n_segments <= 0:
         raise ValueError("need at least one segment")
     counts = np.bincount(seg, minlength=n_segments)
@@ -538,7 +558,15 @@ def _segments(x, seg, n_segments: int):
     if counts.min() == 0:
         empty = int(np.flatnonzero(counts == 0)[0])
         raise ValueError(f"segment {empty} is empty; pooling an empty set is undefined")
-    return x, seg, counts, _rank_plan(seg, counts, x.data.size)
+    return counts, _rank_plan(seg, counts, elements)
+
+
+def _segments(x, seg, n_segments: int, plan):
+    """The inputs, the rows of each segment and their runs: ``plan``, or the ``segment_plan``."""
+    x = _ensure(x)
+    seg = np.asarray(seg, dtype=np.intp)
+    counts, runs = segment_plan(seg, n_segments, x.data.size) if plan is None else plan
+    return x, seg, counts, runs
 
 
 def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int) -> np.ndarray:
@@ -561,17 +589,17 @@ def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int) -> n
     return out
 
 
-def segment_sum(x, seg, n_segments: int) -> Tensor:
+def segment_sum(x, seg, n_segments: int, plan=None) -> Tensor:
     """Per-segment row sums, each segment's rows added in row order; every segment must be nonempty."""
-    x, seg, _, runs = _segments(x, seg, n_segments)
+    x, seg, _, runs = _segments(x, seg, n_segments, plan)
     def backward(g):
         _accumulate(x, g[seg])
     return _record(_segment_reduce(np.add, x.data, runs, n_segments), (x,), backward)
 
 
-def segment_mean(x, seg, n_segments: int) -> Tensor:
+def segment_mean(x, seg, n_segments: int, plan=None) -> Tensor:
     """Per-segment row sums, added in row order, divided by the segments' row counts."""
-    x, seg, counts, runs = _segments(x, seg, n_segments)
+    x, seg, counts, runs = _segments(x, seg, n_segments, plan)
     counts = counts.astype(DTYPE)
     data = _segment_reduce(np.add, x.data, runs, n_segments)
     data /= counts[:, None]
@@ -580,7 +608,7 @@ def segment_mean(x, seg, n_segments: int) -> Tensor:
     return _record(data, (x,), backward)
 
 
-def segment_max(x, seg, n_segments: int) -> Tensor:
+def segment_max(x, seg, n_segments: int, plan=None) -> Tensor:
     """Per-segment elementwise maxima; a zero maximum is +0.0, as a zero sum is.
 
     Each (segment, feature) gradient goes to one row: the lowest-index row
@@ -588,7 +616,7 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
     forward and the backward run rank by rank over runs of whole segments
     (``_rank_plan``), each segment's rows in row order.
     """
-    x, seg, _, runs = _segments(x, seg, n_segments)
+    x, seg, _, runs = _segments(x, seg, n_segments, plan)
     data = _segment_reduce(np.maximum, x.data, runs, n_segments)
     def backward(g):
         gx = np.empty_like(x.data)

@@ -74,7 +74,7 @@ def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
 
         def build_loss():
             # one joint scoring pass, as in training minibatches
-            scores = model.score_ids(both[:, 0], both[:, 1], both[:, 2], table, training=True)
+            scores = model.score_ids(model.plan(both[:, 0], both[:, 1], both[:, 2], table, training=True))
             pos_s = ad.gather_rows(scores, np.arange(len(pos)))
             neg_s = ad.gather_rows(scores, np.arange(len(pos), len(both)))
             return loss_absolute(pos_s, neg_s, margin=1.0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,6 +170,46 @@ class NeighborSampler(NeighborTable):
 
 
 # ---------------------------------------------------------------------------
+# plans: the index work of a batch, which reads no parameter
+
+class StepPlan(NamedTuple):
+    """One propagation step's records, in transition-group order.
+
+    ``gather`` holds each record's row among the previous step's vectors and
+    ``gather_plan`` its ``autodiff.gather_plan`` (None: made when backward
+    runs); ``offsets`` splits the records into groups (None without
+    transition matrices); ``seg`` holds each record's target among
+    ``n_targets``, and ``pool`` its ``autodiff.segment_plan``.
+    """
+
+    gather: np.ndarray
+    gather_plan: list | None
+    offsets: np.ndarray | None
+    seg: np.ndarray
+    n_targets: int
+    pool: tuple
+
+
+class Plan(NamedTuple):
+    """What ``GraphModel.score_ids`` runs on: a batch's index work (``GraphModel.plan``).
+
+    The triplets' heads then tails are rows ``inverse`` of ``ids``, the
+    sorted unique endpoints, whose vectors propagation yields: ``base`` is
+    the final frontier, whose base rows step 1 pools, and ``steps`` the
+    ``StepPlan`` of each step. ``gathers`` holds the ``autodiff.gather_plan``
+    of the heads, tails and relations gathers (None each unless ``training``).
+    """
+
+    ids: np.ndarray
+    inverse: np.ndarray
+    relations: np.ndarray
+    base: np.ndarray
+    steps: list[StepPlan]
+    gathers: tuple
+    training: bool
+
+
+# ---------------------------------------------------------------------------
 # the model
 
 class GraphModel:
@@ -274,6 +315,74 @@ class GraphModel:
         dirs[real] = table.dir[pos]
         return nbr, rel, dirs, seg
 
+    def plan(
+        self,
+        heads: np.ndarray,
+        relations: np.ndarray,
+        tails: np.ndarray,
+        table: NeighborTable | None,
+        *,
+        training: bool = False,
+    ) -> Plan:
+        """The index work of scoring parallel id arrays (one per triplet) over ``table``.
+
+        It reads no parameter, so it may run while another step trains. A
+        training plan also holds what its gathers' backward reduces over.
+        """
+        heads = np.asarray(heads, dtype=np.intp)
+        tails = np.asarray(tails, dtype=np.intp)
+        relations = np.asarray(relations, dtype=np.intp)
+        ids, inverse = np.unique(np.concatenate([heads, tails]), return_inverse=True)
+        base, steps = self._steps(ids, table, training)
+        gathers = (None, None, None)
+        if training:
+            width, n = len(heads) * self.cfg.dim, len(heads)
+            gathers = (ad.gather_plan(inverse[:n], len(ids), width),
+                       ad.gather_plan(inverse[n:], len(ids), width),
+                       ad.gather_plan(relations, self.n_relations, width))
+        return Plan(ids, inverse, relations, base, steps, gathers, training)
+
+    def _steps(self, ids: np.ndarray, table: NeighborTable | None, training: bool):
+        """The final frontier whose base rows step 1 pools, and the ``StepPlan`` of each step.
+
+        ``ids`` are sorted and unique. An entity with neither neighbors nor
+        a base embedding row raises ``InferenceError``.
+        """
+        if self.cfg.depth and table is None:
+            raise ValueError("propagation depth >= 1 requires a neighbor table")
+        # top-down: discover which vectors each step needs
+        levels = []
+        for _ in range(self.cfg.depth):
+            records = self.neighbor_records(ids, table)
+            below, nbr_pos = np.unique(records[0], return_inverse=True)
+            levels.append((len(ids), nbr_pos, records[1:], len(below)))
+            ids = below
+        bad = ids[ids >= self.n_entities]
+        if bad.size:
+            raise InferenceError(f"entity {self.name_of(int(bad[0]))!r} has no trained embedding")
+        steps = [self._step_plan(nbr_pos, rel, dirs, seg, n_targets, n_prev,
+                                 self.cfg.layer_of(step), training)
+                 for step, (n_targets, nbr_pos, (rel, dirs, seg), n_prev)
+                 in enumerate(reversed(levels), 1)]
+        return ids, steps
+
+    def _step_plan(self, nbr_pos, rel, dirs, seg, n_targets, n_prev, layer, training) -> StepPlan:
+        """One step over records whose neighbors are rows ``nbr_pos`` of ``n_prev`` vectors.
+
+        The records are stably sorted by transition group, self records
+        first.
+        """
+        real = dirs != DIR_SELF
+        key = np.full(len(dirs), -1, dtype=np.intp)
+        key[real] = self.group_index(layer, dirs[real], rel[real])
+        order = np.argsort(key, kind="stable")
+        gather, seg, width = nbr_pos[order], seg[order], len(order) * self.cfg.dim
+        offsets = None
+        if self.A is not None:
+            offsets = np.searchsorted(key[order], np.arange(self.n_groups + 1))
+        return StepPlan(gather, ad.gather_plan(gather, n_prev, width) if training else None,
+                        offsets, seg, n_targets, ad.segment_plan(seg, n_targets, width))
+
     def propagate_batch(
         self,
         entity_ids: np.ndarray,
@@ -289,82 +398,40 @@ class GraphModel:
         With ``depth == 0`` the table is ignored and base embeddings are
         returned directly.
         """
-        if self.cfg.depth and table is None:
-            raise ValueError("propagation depth >= 1 requires a neighbor table")
-        # top-down: discover which vectors each step needs
-        plan = []
-        need = np.unique(np.asarray(entity_ids, dtype=np.intp))
-        for _ in range(self.cfg.depth):
-            records = self.neighbor_records(need, table)
-            plan.append((need, records))
-            need = np.unique(records[0])
+        ids = np.unique(np.asarray(entity_ids, dtype=np.intp))
+        return self._propagate(*self._steps(ids, table, training), training)
 
-        # bottom of the recursion: base embeddings of the final frontier
-        bad = need[need >= self.n_entities]
-        if bad.size:
-            raise InferenceError(f"entity {self.name_of(int(bad[0]))!r} has no trained embedding")
-        prev_ids, vecs = need, ad.gather_rows(self.entities, need)
-        for step, (ids, (nbr, rel, dirs, seg)) in enumerate(reversed(plan), 1):
-            # prev_ids is sorted and unique, so positions come from bisection
-            vecs = self._propagate_step(vecs, np.searchsorted(prev_ids, nbr), rel, dirs, seg,
-                                        len(ids), self.cfg.layer_of(step), training)
-            prev_ids = ids
+    def _propagate(self, base: np.ndarray, steps: list[StepPlan], training: bool) -> Tensor:
+        vecs = ad.gather_rows(self.entities, base)
+        for step in steps:
+            vecs = self._propagate_step(vecs, step, training)
         return vecs
 
-    def _propagate_step(
-        self,
-        prev_vecs: Tensor,
-        nbr_pos: np.ndarray,
-        rel: np.ndarray,
-        dirs: np.ndarray,
-        seg: np.ndarray,
-        n_targets: int,
-        layer: int,
-        training: bool,
-    ) -> Tensor:
-        """One pooled propagation step over neighbor records.
+    def _propagate_step(self, prev_vecs: Tensor, step: StepPlan, training: bool) -> Tensor:
+        """One pooled propagation step: ``step``'s records gathered once, in group order.
 
-        The records are stably sorted by transition group, self records
-        first, and gathered once; every group's rows go through its matrix,
-        batch norm and the activation in one fused op, which passes the self
-        records through unchanged.
+        Every group's rows go through its matrix, batch norm and the
+        activation in one fused op, which passes the self records through
+        unchanged.
         """
-        real = dirs != DIR_SELF
-        key = np.full(len(dirs), -1, dtype=np.intp)
-        key[real] = self.group_index(layer, dirs[real], rel[real])
-        order = np.argsort(key, kind="stable")
-        rows = ad.gather_rows(prev_vecs, nbr_pos[order])
+        rows = ad.gather_rows(prev_vecs, step.gather, step.gather_plan)
         if self.A is not None:
-            offsets = np.searchsorted(key[order], np.arange(self.n_groups + 1))
             activation = "tanh" if self.cfg.transition == "tanh-layer" else "relu"
             if self.bn is not None:
-                rows = self.bn.transition(rows, offsets, training, self.A, activation)
+                rows = self.bn.transition(rows, step.offsets, training, self.A, activation)
             else:
-                rows = ad.group_transition(rows, offsets, self.A, activation=activation)[0]
-        return _SEGMENT_POOL[self.cfg.pooling](rows, seg[order], n_targets)
+                rows = ad.group_transition(rows, step.offsets, self.A, activation=activation)[0]
+        return _SEGMENT_POOL[self.cfg.pooling](rows, step.seg, step.n_targets, plan=step.pool)
 
     # -- scoring ----------------------------------------------------------
 
-    def score_ids(
-        self,
-        heads: np.ndarray,
-        relations: np.ndarray,
-        tails: np.ndarray,
-        table: NeighborTable | None,
-        *,
-        training: bool = False,
-    ) -> Tensor:
-        """Implausibility scores for parallel id arrays (one per triplet)."""
-        heads = np.asarray(heads, dtype=np.intp)
-        tails = np.asarray(tails, dtype=np.intp)
-        relations = np.asarray(relations, dtype=np.intp)
-        endpoints = np.concatenate([heads, tails])
-        uniq, inverse = np.unique(endpoints, return_inverse=True)
-        vecs = self.propagate_batch(uniq, table, training=training)
-        n = len(heads)
-        vh = ad.gather_rows(vecs, inverse[:n])
-        vt = ad.gather_rows(vecs, inverse[n:])
-        vr = ad.gather_rows(self.relations, relations)
+    def score_ids(self, plan: Plan) -> Tensor:
+        """Implausibility scores of the triplets ``plan`` was made for, one per triplet."""
+        vecs = self._propagate(plan.base, plan.steps, plan.training)
+        n = len(plan.relations)
+        vh = ad.gather_rows(vecs, plan.inverse[:n], plan.gathers[0])
+        vt = ad.gather_rows(vecs, plan.inverse[n:], plan.gathers[1])
+        vr = ad.gather_rows(self.relations, plan.relations, plan.gathers[2])
         return ad.rows_norm(vh + vr - vt, self.cfg.norm_p)
 
 

@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .autodiff import DTYPE, RowSparseGrad, Tensor, group_transition
+from .autodiff import DTYPE, RowSparseGrad, Tensor, _each_run, _threads, group_transition
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -132,6 +132,12 @@ def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float
 
 
 ADAM_BLOCK = 8192  # elements per Adam pass: a few arrays of this size stay in cache
+# A parameter of at least this many live elements is updated in runs on the
+# op pool (``autodiff._each_run``), in blocks of ``ADAM_POOL_BLOCK`` elements:
+# each numpy call must run long enough to pay for handing the interpreter
+# lock between the threads, which 8,192-element blocks do not
+ADAM_POOL_FLOOR = 1 << 19
+ADAM_POOL_BLOCK = 1 << 15
 
 
 def adam_step(
@@ -147,15 +153,17 @@ def adam_step(
     missing one names none. The live rows are updated in blocks of
     ``ADAM_BLOCK`` elements (at least one row), each taken into scratch
     buffers, its gradient rows added into zeros (so -0.0 counts as +0.0),
-    and written back. Returns the step size used.
+    and written back. A parameter of ``ADAM_POOL_FLOOR`` live elements or
+    more deals its blocks, of ``ADAM_POOL_BLOCK`` elements, into one run of
+    consecutive blocks per thread, each with its own scratch; the arithmetic
+    is elementwise, so no bit depends on the blocks or the threads. Returns
+    the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
     for name, p in store._params.items():
         if p.grad is not None and p.grad.shape != p.data.shape:
             raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape} for {name!r}")
-    width = max([ADAM_BLOCK] + [_rows(p.data).shape[1] for p in store._params.values()])
-    scratch = np.empty((6, width))
     for name, p in store._params.items():
         grad, live = p.grad, store.live_rows(name)
         if grad is None:
@@ -169,30 +177,38 @@ def adam_step(
         size = w2.shape[1]
         if not rows.size or not size:
             continue
-        step = max(1, ADAM_BLOCK // size)
-        blocks = scratch[:, :step * size].reshape(6, step, size)
+        parts = _threads(rows.size * size) if rows.size * size >= ADAM_POOL_FLOOR else 1
+        step = max(1, (ADAM_POOL_BLOCK if parts > 1 else ADAM_BLOCK) // size)
         firsts = range(0, len(rows), step)
         at = np.searchsorted(rows, grad.rows)  # the gradient's rows, by place among the live rows
         cuts = np.searchsorted(at, firsts).tolist() + [len(at)]
-        for b, k0 in enumerate(firsts):
-            sel = rows[k0:k0 + step]
-            w, m, v, g, update, denom = blocks[:, :len(sel)]
-            for a, out in ((w2, w), (m2, m), (v2, v)):
-                np.take(a, sel, axis=0, out=out)
-            g.fill(0.0)  # the gradient's rows added into zeros: -0.0 counts as +0.0
-            g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
-            m *= ADAM_BETA1
-            m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
-            v *= ADAM_BETA2
-            np.multiply(g, g, out=update)
-            v += np.multiply(1.0 - ADAM_BETA2, update, out=update)
-            np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
-            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom), out=denom)
-            denom += ADAM_EPS
-            update /= denom
-            update *= lr
-            w -= update
-            w2[sel], m2[sel], v2[sel] = w, m, v
+
+        def update_run(run):
+            scratch, blocks = run
+            for b in blocks:
+                k0 = firsts[b]
+                sel = rows[k0:k0 + step]
+                w, m, v, g, update, denom = scratch[:, :len(sel)]
+                for a, out in ((w2, w), (m2, m), (v2, v)):
+                    np.take(a, sel, axis=0, out=out)
+                g.fill(0.0)  # the gradient's rows added into zeros: -0.0 counts as +0.0
+                g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
+                m *= ADAM_BETA1
+                m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
+                v *= ADAM_BETA2
+                np.multiply(g, g, out=update)
+                v += np.multiply(1.0 - ADAM_BETA2, update, out=update)
+                np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
+                np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom), out=denom)
+                denom += ADAM_EPS
+                update /= denom
+                update *= lr
+                w -= update
+                w2[sel], m2[sel], v2[sel] = w, m, v
+        scratch = np.empty((parts, 6, step, size))
+        bounds = [len(firsts) * k // parts for k in range(parts + 1)]
+        _each_run(update_run, [(scratch[k], range(lo, hi))
+                               for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if hi > lo])
     store.adam_t = t
     return lr
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,26 @@ def init_model(
     return model
 
 
+_planner_pool: ThreadPoolExecutor | None = None  # made on first use
+
+
+def _planner() -> ThreadPoolExecutor:
+    """The one thread that plans the next minibatch while ``train`` runs this one."""
+    global _planner_pool
+    if _planner_pool is None:
+        _planner_pool = ThreadPoolExecutor(1, thread_name_prefix="graphkbc-planner")
+    return _planner_pool
+
+
+def _drop_planner() -> None:
+    global _planner_pool
+    _planner_pool = None
+
+
+# a forked child has none of its parent's threads: it makes its own planner
+os.register_at_fork(after_in_child=_drop_planner)
+
+
 def train(
     graph: KnowledgeGraph,
     model: GraphModel,
@@ -155,6 +176,10 @@ def train(
     """Run the epoch loop, yielding one metrics dict per epoch.
 
     The caller owns persistence; this generator only mutates the model.
+    While a minibatch trains, the planner thread draws the next one's
+    negatives and builds its ``GraphModel.plan``; an error there reaches the
+    caller when that minibatch's turn comes. No plan is left running once
+    the generator ends or is closed.
     """
     if len(graph) == 0:
         raise ValueError("cannot train on an empty graph")
@@ -170,51 +195,60 @@ def train(
     forbidden = graph if cfg.filter_false_negatives else None
     n = len(positives)
 
-    for epoch in range(start_epoch, cfg.epochs):
-        wall_start = time.perf_counter()
-        perm = _epoch_rng(cfg.seed, epoch, _STREAM_SHUFFLE).permutation(n)
-        rng_corrupt = _epoch_rng(cfg.seed, epoch, _STREAM_CORRUPT)
-        capped = NeighborSampler(table, model.cfg.neighbor_cap,
-                                 seed=[cfg.seed, epoch, _STREAM_SAMPLE])
-        lr = step_size(epoch, cfg.alpha1, cfg.alpha2)
-        total_loss = 0.0
-        total_pos = 0.0
-        total_neg = 0.0
-        for batch_index, start in enumerate(range(0, n, cfg.minibatch_size)):
-            pos = positives[perm[start:start + cfg.minibatch_size]]
-            neg = corrupt_batch(pos, p_head, entity_pool, rng_corrupt, forbidden)
-            model.store.zero_grad()
-            scores = model.score_ids(
-                np.concatenate([pos[:, 0], neg[:, 0]]),
-                np.concatenate([pos[:, 1], neg[:, 1]]),
-                np.concatenate([pos[:, 2], neg[:, 2]]),
-                capped,
-                training=True,
-            )
-            b = len(pos)
-            pos_s = ad.gather_rows(scores, np.arange(b))
-            neg_s = ad.gather_rows(scores, np.arange(b, 2 * b))
-            loss = loss_fn(pos_s, neg_s, objective.margin)
-            if not np.isfinite(loss.data):
-                raise GradientError(
-                    f"non-finite loss at epoch {epoch}, minibatch {batch_index}"
-                )
-            backward(loss)
-            adam_step(model.store, epoch, cfg.alpha1, cfg.alpha2)
-            if cfg.project_entities:
-                _project_unit_ball(model.entities.data)
-            total_loss += float(loss.data)
-            total_pos += float(pos_s.data.sum())
-            total_neg += float(neg_s.data.sum())
-            del scores, pos_s, neg_s, loss  # no tensor of this step outlives it
-        yield {
-            "epoch": epoch,
-            "loss": total_loss / n,
-            "mean_pos_score": total_pos / n,
-            "mean_neg_score": total_neg / n,
-            "step_size": lr,
-            "wall_time": time.perf_counter() - wall_start,
-        }
+    def plan_of(start, perm, rng_corrupt, capped):
+        pos = positives[perm[start:start + cfg.minibatch_size]]
+        both = np.concatenate([pos, corrupt_batch(pos, p_head, entity_pool, rng_corrupt, forbidden)])
+        return len(pos), model.plan(both[:, 0], both[:, 1], both[:, 2], capped, training=True)
+
+    ahead = None
+    try:
+        for epoch in range(start_epoch, cfg.epochs):
+            wall_start = time.perf_counter()
+            perm = _epoch_rng(cfg.seed, epoch, _STREAM_SHUFFLE).permutation(n)
+            rng_corrupt = _epoch_rng(cfg.seed, epoch, _STREAM_CORRUPT)
+            capped = NeighborSampler(table, model.cfg.neighbor_cap,
+                                     seed=[cfg.seed, epoch, _STREAM_SAMPLE])
+            lr = step_size(epoch, cfg.alpha1, cfg.alpha2)
+            total_loss = 0.0
+            total_pos = 0.0
+            total_neg = 0.0
+            starts = range(0, n, cfg.minibatch_size)
+            ahead = _planner().submit(plan_of, starts[0], perm, rng_corrupt, capped)
+            for batch_index in range(len(starts)):
+                # minibatch k+1 draws and plans on the planner thread while k
+                # trains: it reads no parameter, and rng_corrupt draws in order
+                b, plan = ahead.result()
+                if batch_index + 1 < len(starts):
+                    ahead = _planner().submit(plan_of, starts[batch_index + 1], perm,
+                                              rng_corrupt, capped)
+                model.store.zero_grad()
+                scores = model.score_ids(plan)
+                pos_s = ad.gather_rows(scores, np.arange(b))
+                neg_s = ad.gather_rows(scores, np.arange(b, 2 * b))
+                loss = loss_fn(pos_s, neg_s, objective.margin)
+                if not np.isfinite(loss.data):
+                    raise GradientError(
+                        f"non-finite loss at epoch {epoch}, minibatch {batch_index}"
+                    )
+                backward(loss)
+                adam_step(model.store, epoch, cfg.alpha1, cfg.alpha2)
+                if cfg.project_entities:
+                    _project_unit_ball(model.entities.data)
+                total_loss += float(loss.data)
+                total_pos += float(pos_s.data.sum())
+                total_neg += float(neg_s.data.sum())
+                del scores, pos_s, neg_s, loss, plan  # no tensor or plan of this step outlives it
+            yield {
+                "epoch": epoch,
+                "loss": total_loss / n,
+                "mean_pos_score": total_pos / n,
+                "mean_neg_score": total_neg / n,
+                "step_size": lr,
+                "wall_time": time.perf_counter() - wall_start,
+            }
+    finally:
+        if ahead is not None:  # a failed or closed run leaves no plan running
+            wait([ahead])
 
 
 def _project_unit_ball(rows: np.ndarray) -> None:

@@ -75,8 +75,8 @@ def transition(m, v, relation, direction=DIR_HEAD):
     """Inference-mode transition of one vector: a one-record propagation step."""
     batch = Tensor(np.asarray(v, dtype=float)[None, :])
     one = np.zeros(1, dtype=np.intp)
-    return m._propagate_step(batch, one, np.array([relation]), np.array([direction]), one, 1,
-                             0, training=False).data[0]
+    step = m._step_plan(one, np.array([relation]), np.array([direction]), one, 1, 1, 0, False)
+    return m._propagate_step(batch, step, training=False).data[0]
 
 
 def matrix(m, layer, direction, relation=0):
@@ -85,7 +85,7 @@ def matrix(m, layer, direction, relation=0):
 
 
 def score(m, h, r, t):
-    return float(m.score_ids([h], [r], [t], None).data[0])
+    return float(m.score_ids(m.plan([h], [r], [t], None)).data[0])
 
 
 def pool(vectors, kind):
@@ -496,7 +496,7 @@ class TestFullModelGradients:
 
         def build_loss():
             from graphkbc import autodiff as ad
-            scores = m.score_ids(both[:, 0], both[:, 1], both[:, 2], table, training=True)
+            scores = m.score_ids(m.plan(both[:, 0], both[:, 1], both[:, 2], table, training=True))
             pos_s = ad.gather_rows(scores, np.arange(3))
             neg_s = ad.gather_rows(scores, np.arange(3, 6))
             return loss_absolute(pos_s, neg_s, margin=1.0)

@@ -1,4 +1,5 @@
 import gc
+import os
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from graphkbc import autodiff as ad
 from graphkbc.autodiff import GradientError
 from graphkbc.kg import Triplet, Vocabulary, build_graph
 from graphkbc.model import GraphModel, ObjectiveConfig, PropagationConfig, load_model, save_model
+from graphkbc.nn import adam_step
 from graphkbc.trainer import (
     TrainConfig,
     compute_bernoulli_stats,
@@ -271,3 +273,130 @@ def test_a_minibatch_starts_beside_no_spent_tape(monkeypatch):
         if enabled:
             gc.enable()
     assert len(counts) == 2 and counts[1] == counts[0]
+
+
+def ring_setup(**train_kw):
+    """Two relations over a ring of 10 entities: 20 positives, 5 minibatches of 4."""
+    triplets = [Triplet(i, 0, (i + 1) % 10) for i in range(10)]
+    triplets += [Triplet(i, 1, (i + 3) % 10) for i in range(10)]
+    cfg = TrainConfig(**({"epochs": 2, "minibatch_size": 4, "seed": 5} | train_kw))
+    model = init_model(10, 2, PropagationConfig(dim=4, depth=1), cfg.seed)
+    return build_graph(triplets), model, cfg
+
+
+def test_minibatches_run_the_negatives_drawn_in_minibatch_order(monkeypatch):
+    # the planner draws minibatch k+1 while k trains; what each minibatch
+    # scores must be what one thread drawing every minibatch in turn draws
+    import graphkbc.trainer as trainer_mod
+
+    graph, model, cfg = ring_setup()
+    executed = []
+    score_ids = GraphModel.score_ids
+
+    def spy(self, plan):
+        both = np.stack([plan.ids[plan.inverse[:len(plan.relations)]], plan.relations,
+                         plan.ids[plan.inverse[len(plan.relations):]]], axis=1)
+        executed.append(both)
+        return score_ids(self, plan)
+
+    monkeypatch.setattr(GraphModel, "score_ids", spy)
+    list(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+    positives = graph.triplets
+    p_head = np.full(2, 0.5)
+    for r, (tph, hpt) in compute_bernoulli_stats(graph).items():
+        p_head[r] = head_replacement_probability(tph, hpt)
+    pool = np.unique(positives[:, ::2])
+    reference = []
+    for epoch in range(cfg.epochs):
+        perm = trainer_mod._epoch_rng(cfg.seed, epoch, trainer_mod._STREAM_SHUFFLE).permutation(20)
+        rng = trainer_mod._epoch_rng(cfg.seed, epoch, trainer_mod._STREAM_CORRUPT)
+        for start in range(0, 20, cfg.minibatch_size):
+            pos = positives[perm[start:start + cfg.minibatch_size]]
+            reference.append(np.concatenate([pos, corrupt_batch(pos, p_head, pool, rng)]))
+    assert len(executed) == len(reference) == 10
+    for k, (got, want) in enumerate(zip(executed, reference)):
+        assert np.array_equal(got, want), k
+
+
+def test_a_planning_error_reaches_the_caller_after_the_minibatch_before_it():
+    # relation 0 is complete over {0, 1}, so with false negatives filtered
+    # none of its triplets has a corruption; the seed puts the one triplet of
+    # relation 1 first, so minibatch 0 trains and planning minibatch 1 fails
+    triplets = [Triplet(h, 0, t) for h in (0, 1) for t in (0, 1)] + [Triplet(0, 1, 1)]
+    graph = build_graph(triplets)
+    n = len(graph)
+    seed = next(s for s in range(100)
+                if graph.triplets[np.random.default_rng([s, 0, 0]).permutation(n)[0], 1] == 1)
+    cfg = TrainConfig(epochs=1, minibatch_size=1, seed=seed, filter_false_negatives=True)
+    model = init_model(2, 2, PropagationConfig(dim=4, depth=1), seed)
+    with pytest.raises(ValueError, match="entity pool too small to produce a differing "
+                                         "corruption: no allowed (head|tail) for triplet ids"):
+        next(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+    assert model.store.adam_t == 1  # minibatch 0's update ran; no later one did
+
+
+def test_no_plan_runs_once_training_stops(monkeypatch):
+    # a failed minibatch and a closed generator each wait for the plan ahead
+    import threading
+    import time
+
+    import graphkbc.trainer as trainer_mod
+
+    running = []
+    original = trainer_mod.corrupt_batch
+
+    def slow(*args, **kwargs):
+        running.append(threading.get_ident())
+        time.sleep(0.05)
+        out = original(*args, **kwargs)
+        running.remove(threading.get_ident())
+        return out
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(trainer_mod, "corrupt_batch", slow)
+    graph, model, cfg = ring_setup()
+    monkeypatch.setattr(trainer_mod, "adam_step", failing)
+    with pytest.raises(RuntimeError, match="stop"):
+        next(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+    assert running == []
+    monkeypatch.setattr(trainer_mod, "adam_step", adam_step)
+    epochs = train(graph, model, cfg, ObjectiveConfig(margin=2.0))
+    next(epochs)
+    epochs.close()
+    assert running == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_trains_with_its_own_planner():
+    import signal
+    import time
+    import warnings
+
+    import graphkbc.trainer as trainer_mod
+
+    def trained():
+        graph, model, cfg = ring_setup(epochs=1)
+        list(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+        return model.entities.data.tobytes()
+
+    want = trained()
+    assert trainer_mod._planner_pool is not None  # the parent has a planner thread
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if trainer_mod._planner_pool is None and trained() == want else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in training")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
