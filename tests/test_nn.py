@@ -10,6 +10,7 @@ from graphkbc.nn import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
+    ADAM_POOL_FLOOR,
     BatchNorm,
     CheckpointError,
     ParamStore,
@@ -170,6 +171,38 @@ class TestAdam:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < store.param("table").data.nbytes // 8, peak
+
+
+    def test_pooled_update_is_the_inline_one_bitwise(self, monkeypatch):
+        # "table" gets row-sparse gradients over a different 11,000 of its
+        # 12,000 rows at each step, "dense" dense ones; both hold more live
+        # elements than the pool floor, and a -0.0 gradient counts as +0.0
+        from graphkbc import autodiff as ad
+
+        def run():
+            rng = np.random.default_rng(9)
+            store = ParamStore({"table": rng.normal(size=(12_000, 48)),
+                                "dense": rng.normal(size=(600, 1000))})
+            for t in range(3):
+                rows = np.sort(rng.choice(12_000, 11_000, replace=False))
+                values = rng.normal(size=(len(rows), 48))
+                values[::5, 3] = -0.0
+                store.param("table").grad = RowSparseGrad(rows, values, (12_000, 48))
+                store.param("dense").grad = rng.normal(size=(600, 1000))
+                adam_step(store, epoch=t)
+            return [a.tobytes() for name, p in store.parameters().items()
+                    for a in (p.data, *store.moments(name))]
+
+        assert 11_000 * 48 >= ADAM_POOL_FLOOR and 600 * 1000 >= ADAM_POOL_FLOOR
+        monkeypatch.setattr(ad, "_cpus", lambda: 3)
+        monkeypatch.setattr(ad, "THREADS", 1)
+        inline = run()
+        monkeypatch.setattr(ad, "_pool", None)
+        monkeypatch.setattr(ad, "THREADS", None)
+        pooled = run()
+        assert ad._pool is not None  # the pooled path ran
+        ad._pool.shutdown()
+        assert pooled == inline
 
 
 def batch_norm(groups, dim):

@@ -336,20 +336,20 @@ def test_a_planning_error_reaches_the_caller_after_the_minibatch_before_it():
 
 
 def test_no_plan_runs_once_training_stops(monkeypatch):
-    # a failed minibatch and a closed generator each wait for the plan ahead
-    import threading
+    # a failed minibatch and a closed generator each wait for the plan ahead:
+    # no draw starts or ends after the caller sees training stop
     import time
 
     import graphkbc.trainer as trainer_mod
 
-    running = []
+    stamps = []
     original = trainer_mod.corrupt_batch
 
     def slow(*args, **kwargs):
-        running.append(threading.get_ident())
+        stamps.append(time.perf_counter())
         time.sleep(0.05)
         out = original(*args, **kwargs)
-        running.remove(threading.get_ident())
+        stamps.append(time.perf_counter())
         return out
 
     def failing(*args, **kwargs):
@@ -360,12 +360,15 @@ def test_no_plan_runs_once_training_stops(monkeypatch):
     monkeypatch.setattr(trainer_mod, "adam_step", failing)
     with pytest.raises(RuntimeError, match="stop"):
         next(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
-    assert running == []
+    stopped = time.perf_counter()
     monkeypatch.setattr(trainer_mod, "adam_step", adam_step)
     epochs = train(graph, model, cfg, ObjectiveConfig(margin=2.0))
     next(epochs)
     epochs.close()
-    assert running == []
+    closed = time.perf_counter()
+    time.sleep(0.2)
+    assert len(stamps) == 2 * 2 + 2 * 5  # minibatches 0 and 1, then one whole epoch
+    assert stamps[3] < stopped and stamps[-1] < closed
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
