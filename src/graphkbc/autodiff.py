@@ -22,8 +22,8 @@ transition run on a few threads at once (see ``THREADS``): the transition
 deals its row groups, and the rank loops their segments, into one run per
 thread (``_each_run``). A run writes only its own groups' or segments' rows
 and statistics, with the same numpy calls on any thread, so the result does
-not depend on the thread count. ``nn.adam_step`` deals a large table's
-live rows into runs on the same pool. These pools are the only parallelism:
+not depend on the thread count. The pool serves these ops only; besides
+it, ``trainer.train`` plans the next minibatch on one thread of its own.
 ``cli.main`` holds BLAS at one thread (``one_blas_thread``), so no BLAS
 setting changes a product's bits either.
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,26 +146,6 @@ def init_model(
     return model
 
 
-_planner_pool: ThreadPoolExecutor | None = None  # made on first use
-
-
-def _planner() -> ThreadPoolExecutor:
-    """The one thread that plans the next minibatch while ``train`` runs this one."""
-    global _planner_pool
-    if _planner_pool is None:
-        _planner_pool = ThreadPoolExecutor(1, thread_name_prefix="graphkbc-planner")
-    return _planner_pool
-
-
-def _drop_planner() -> None:
-    global _planner_pool
-    _planner_pool = None
-
-
-# a forked child has none of its parent's threads: it makes its own planner
-os.register_at_fork(after_in_child=_drop_planner)
-
-
 def train(
     graph: KnowledgeGraph,
     model: GraphModel,
@@ -176,10 +156,11 @@ def train(
     """Run the epoch loop, yielding one metrics dict per epoch.
 
     The caller owns persistence; this generator only mutates the model.
-    While a minibatch trains, the planner thread draws the next one's
-    negatives and builds its ``GraphModel.plan``; an error there reaches the
-    caller when that minibatch's turn comes. No plan is left running once
-    the generator ends or is closed.
+    While a minibatch trains, the epoch's planner thread draws the next
+    one's negatives and builds its ``GraphModel.plan``; an error there
+    reaches the caller when that minibatch's turn comes. The planner is
+    joined when the epoch's minibatches end, so no thread is held across a
+    ``yield``.
     """
     if len(graph) == 0:
         raise ValueError("cannot train on an empty graph")
@@ -200,27 +181,27 @@ def train(
         both = np.concatenate([pos, corrupt_batch(pos, p_head, entity_pool, rng_corrupt, forbidden)])
         return len(pos), model.plan(both[:, 0], both[:, 1], both[:, 2], capped, training=True)
 
-    ahead = None
-    try:
-        for epoch in range(start_epoch, cfg.epochs):
-            wall_start = time.perf_counter()
-            perm = _epoch_rng(cfg.seed, epoch, _STREAM_SHUFFLE).permutation(n)
-            rng_corrupt = _epoch_rng(cfg.seed, epoch, _STREAM_CORRUPT)
-            capped = NeighborSampler(table, model.cfg.neighbor_cap,
-                                     seed=[cfg.seed, epoch, _STREAM_SAMPLE])
-            lr = step_size(epoch, cfg.alpha1, cfg.alpha2)
-            total_loss = 0.0
-            total_pos = 0.0
-            total_neg = 0.0
-            starts = range(0, n, cfg.minibatch_size)
-            ahead = _planner().submit(plan_of, starts[0], perm, rng_corrupt, capped)
+    for epoch in range(start_epoch, cfg.epochs):
+        wall_start = time.perf_counter()
+        perm = _epoch_rng(cfg.seed, epoch, _STREAM_SHUFFLE).permutation(n)
+        rng_corrupt = _epoch_rng(cfg.seed, epoch, _STREAM_CORRUPT)
+        capped = NeighborSampler(table, model.cfg.neighbor_cap,
+                                 seed=[cfg.seed, epoch, _STREAM_SAMPLE])
+        lr = step_size(epoch, cfg.alpha1, cfg.alpha2)
+        total_loss = 0.0
+        total_pos = 0.0
+        total_neg = 0.0
+        starts = range(0, n, cfg.minibatch_size)
+        # leaving the block waits for the plan in flight, also on an error
+        with ThreadPoolExecutor(1, thread_name_prefix="graphkbc-planner") as planner:
+            ahead = planner.submit(plan_of, starts[0], perm, rng_corrupt, capped)
             for batch_index in range(len(starts)):
                 # minibatch k+1 draws and plans on the planner thread while k
                 # trains: it reads no parameter, and rng_corrupt draws in order
                 b, plan = ahead.result()
                 if batch_index + 1 < len(starts):
-                    ahead = _planner().submit(plan_of, starts[batch_index + 1], perm,
-                                              rng_corrupt, capped)
+                    ahead = planner.submit(plan_of, starts[batch_index + 1], perm,
+                                           rng_corrupt, capped)
                 model.store.zero_grad()
                 scores = model.score_ids(plan)
                 pos_s = ad.gather_rows(scores, np.arange(b))
@@ -238,17 +219,14 @@ def train(
                 total_pos += float(pos_s.data.sum())
                 total_neg += float(neg_s.data.sum())
                 del scores, pos_s, neg_s, loss, plan  # no tensor or plan of this step outlives it
-            yield {
-                "epoch": epoch,
-                "loss": total_loss / n,
-                "mean_pos_score": total_pos / n,
-                "mean_neg_score": total_neg / n,
-                "step_size": lr,
-                "wall_time": time.perf_counter() - wall_start,
-            }
-    finally:
-        if ahead is not None:  # a failed or closed run leaves no plan running
-            wait([ahead])
+        yield {
+            "epoch": epoch,
+            "loss": total_loss / n,
+            "mean_pos_score": total_pos / n,
+            "mean_neg_score": total_neg / n,
+            "step_size": lr,
+            "wall_time": time.perf_counter() - wall_start,
+        }
 
 
 def _project_unit_ball(rows: np.ndarray) -> None:

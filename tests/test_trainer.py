@@ -371,28 +371,48 @@ def test_no_plan_runs_once_training_stops(monkeypatch):
     assert stamps[3] < stopped and stamps[-1] < closed
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_forked_child_trains_with_its_own_planner():
+def planner_threads():
+    import threading
+
+    return [t.name for t in threading.enumerate() if t.name.startswith("graphkbc-planner")]
+
+
+def test_no_planner_thread_outlives_training(monkeypatch):
+    # each epoch joins its planner: a finished run, a closed generator and a
+    # run stopped by an error all leave no planner thread alive
+    import graphkbc.trainer as trainer_mod
+
+    graph, model, cfg = ring_setup()
+    list(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+    assert planner_threads() == []
+    epochs = train(graph, model, cfg, ObjectiveConfig(margin=2.0))
+    next(epochs)
+    assert planner_threads() == []  # none is held across a yield
+    epochs.close()
+    assert planner_threads() == []
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(trainer_mod, "adam_step", failing)
+    with pytest.raises(RuntimeError, match="stop"):
+        next(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+    assert planner_threads() == []
+
+
+def in_forked_child(body) -> int:
+    """The exit code of a forked child that runs ``body()`` (0 if it returns True)."""
     import signal
     import time
     import warnings
 
-    import graphkbc.trainer as trainer_mod
-
-    def trained():
-        graph, model, cfg = ring_setup(epochs=1)
-        list(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
-        return model.entities.data.tobytes()
-
-    want = trained()
-    assert trainer_mod._planner_pool is not None  # the parent has a planner thread
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
         pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = 0 if trainer_mod._planner_pool is None and trained() == want else 1
+            code = 0 if body() else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -402,4 +422,33 @@ def test_forked_child_trains_with_its_own_planner():
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         pytest.fail("the forked child hung in training")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
+    return os.waitstatus_to_exitcode(done[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_trains_with_its_own_planner():
+    def trained():
+        graph, model, cfg = ring_setup(epochs=1)
+        list(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+        return model.entities.data.tobytes()
+
+    want = trained()  # the parent has trained with a planner thread
+    assert in_forked_child(lambda: trained() == want) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_child_forked_at_a_yield_finishes_the_run():
+    # the child resumes the parent's generator after epoch 0 and trains
+    # epoch 1 on a planner thread of its own, to the bits of a whole run
+    graph, model, cfg = ring_setup()
+    list(train(graph, model, cfg, ObjectiveConfig(margin=2.0)))
+    want = model.entities.data.tobytes()
+    graph, model, cfg = ring_setup()
+    epochs = train(graph, model, cfg, ObjectiveConfig(margin=2.0))
+    assert next(epochs)["epoch"] == 0
+
+    def finished():
+        return [m["epoch"] for m in epochs] == [1] and model.entities.data.tobytes() == want
+
+    assert in_forked_child(finished) == 0
+    epochs.close()
