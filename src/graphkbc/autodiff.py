@@ -18,10 +18,11 @@ dense gradient of its full size; ``densify`` gives the dense form.
 Every segment reduction (sum, mean and max pooling and the backward of a
 gather that repeats rows) is one rank loop, ``_segment_reduce``, which
 reduces each segment's rows in row order. The rank loops and the fused
-transition run on a few threads at once (see ``THREADS``): the transition
-deals its row groups, and the rank loops their segments, into one run per
-thread (``_each_run``). A run writes only its own groups' or segments' rows
-and statistics, with the same numpy calls on any thread, so the result does
+transition run on one thread per CPU the process may use (``_threads``),
+so ``taskset`` or a cpuset limits them: the transition deals its row
+groups, and the rank loops their segments, into one run per thread
+(``_each_run``). A run writes only its own groups' or segments' rows and
+statistics, with the same numpy calls on any thread, so the result does
 not depend on the thread count. The pool serves these ops only; besides
 it, ``trainer.train`` plans the next minibatch on one thread of its own.
 ``cli.main`` holds BLAS at one thread (``one_blas_thread``), so no BLAS
@@ -54,11 +55,6 @@ CHECK_FINITE = False
 # thread alone: handing work to a thread costs tens of microseconds. A rank
 # loop needs more (``_rank_plan``).
 POOL_FLOOR = 1 << 16
-
-# The most threads an op's runs go to (``_each_run``); None means one per
-# CPU this process may run on (``cli.main`` sets it from ``--workers``,
-# which caps nothing else; BLAS is set apart by ``one_blas_thread``).
-THREADS = None
 
 
 def one_blas_thread() -> None:
@@ -287,10 +283,8 @@ os.register_at_fork(after_in_child=_drop_pool)
 
 
 def _threads(elements: int) -> int:
-    """The threads an op of ``elements`` elements runs on (``THREADS``, ``POOL_FLOOR``)."""
-    if elements < POOL_FLOOR:
-        return 1
-    return _cpus() if THREADS is None else min(THREADS, _cpus())
+    """The threads an op of ``elements`` elements runs on: one per CPU, or one below ``POOL_FLOOR``."""
+    return 1 if elements < POOL_FLOOR else _cpus()
 
 
 def _runs(groups: list, parts: int) -> list[list]:
@@ -492,7 +486,7 @@ def _rank_plan(seg: np.ndarray, counts: np.ndarray, elements: int) -> list[tuple
     starts = (np.cumsum(counts) - counts)[segments]
     active = np.searchsorted(-sizes, -np.arange(1, sizes[0] + 1), side="right")
     ranks = [order[starts[:n] + k] for k, n in enumerate(active.tolist())]
-    parts = _threads(elements)
+    parts = _cpus()
     if elements < POOL_FLOOR * (parts + len(ranks) // 16):
         parts = 1
     cuts = np.searchsorted(np.cumsum(sizes), len(seg) * np.arange(parts) / parts, side="right")

@@ -2,7 +2,8 @@
 
 One binary, five subcommands (gen-ookb, train, eval, predict, gradcheck).
 Options may come from a ``key = value`` config file with command-line flags
-taking precedence over it, and defaults below both. Every command echoes its
+taking precedence over it, and defaults below both; ``train``'s options and
+defaults are the fields of its config classes. Every command echoes its
 effective configuration next to its outputs before doing real work, and all
 randomness flows from the single ``seed`` option.
 
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -163,53 +165,27 @@ def cmd_gen_ookb(args) -> int:
 # ---------------------------------------------------------------------------
 # train
 
-TRAIN_FIELDS = {
-    "epochs": (int, 300),
-    "minibatch": (int, 5000),
-    "dim": (int, 200),
-    "depth": (int, 1),
-    "mode": (str, "unrolled"),
-    "pooling": (str, "max"),
-    "transition": (str, "relation-relu-bn"),
-    "neighbor_cap": (int, 64),
-    "norm_p": (int, 1),
-    "margin": (float, 300.0),
-    "objective": (str, "absolute"),
-    "alpha1": (float, 0.01),
-    "alpha2": (float, 0.0001),
-    "seed": (int, 0),
-    "checkpoint_every": (int, 10),
-    "project_entities": (bool, False),
-    "filter_false_negatives": (bool, False),
-}
+# a config field's option has the field's name, except where given here
+_OPTION_OF = {"minibatch_size": "minibatch"}
+TRAIN_CONFIGS = (PropagationConfig, ObjectiveConfig, TrainConfig)
+TRAIN_FIELDS = {_OPTION_OF.get(f.name, f.name): (type(f.default), f.default)
+                for cls in TRAIN_CONFIGS for f in fields(cls)}
 
 
 def _configs_from(merged: dict):
-    prop = PropagationConfig(
-        dim=merged["dim"], depth=merged["depth"], mode=merged["mode"],
-        pooling=merged["pooling"], transition=merged["transition"],
-        neighbor_cap=merged["neighbor_cap"], norm_p=merged["norm_p"],
-    )
-    objective = ObjectiveConfig(objective=merged["objective"], margin=merged["margin"])
-    cfg = TrainConfig(
-        epochs=merged["epochs"], minibatch_size=merged["minibatch"],
-        alpha1=merged["alpha1"], alpha2=merged["alpha2"], seed=merged["seed"],
-        checkpoint_every=merged["checkpoint_every"],
-        project_entities=merged["project_entities"],
-        filter_false_negatives=merged["filter_false_negatives"],
-    )
-    return prop, objective, cfg
+    return tuple(cls(**{f.name: merged[_OPTION_OF.get(f.name, f.name)] for f in fields(cls)})
+                 for cls in TRAIN_CONFIGS)
 
 
 def cmd_train(args) -> int:
-    fields, start_epoch = TRAIN_FIELDS, 0
+    options, start_epoch = TRAIN_FIELDS, 0
     if args.resume:
         # the model's settings come from the checkpoint; an option may only repeat them
         model, ev, rv, extra = load_model(args.resume)
         start_epoch = int(extra.get("completed_epochs", 0))
         saved = {**model.cfg.to_dict(), **{k: extra[k] for k in ("objective", "margin") if k in extra}}
-        fields = {k: (kind, saved.get(k, default)) for k, (kind, default) in TRAIN_FIELDS.items()}
-    merged = merge_options(fields, args, args.config)
+        options = {k: (kind, saved.get(k, default)) for k, (kind, default) in TRAIN_FIELDS.items()}
+    merged = merge_options(options, args, args.config)
     try:
         prop_cfg, objective, cfg = _configs_from(merged)
     except ValueError as exc:
@@ -406,10 +382,6 @@ def cmd_gradcheck(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="graphkbc", description=__doc__)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="cap the threads that the fused transition, segment pooling and "
-                             "repeated-row gather gradients run on (default: every CPU the "
-                             "process may use); numpy's OpenBLAS always runs one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-ookb", help="construct out-of-KB splits from benchmark files")
@@ -474,10 +446,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         autodiff.one_blas_thread()
-        if args.workers is not None:
-            if args.workers < 1:
-                raise UsageError("--workers must be positive")
-            autodiff.THREADS = args.workers
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

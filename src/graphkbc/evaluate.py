@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .kg import KnowledgeGraph, labeled_arrays, triplet_array
+from .kg import DataError, KnowledgeGraph, labeled_arrays, triplet_array
 from .model import (
     _SEGMENT_POOL,
     DIR_HEAD,
@@ -85,7 +85,7 @@ def tune_thresholds(
     is optimal over all their scores pooled.
     """
     if not len(triplets):
-        raise ValueError("cannot tune thresholds on an empty validation set")
+        raise DataError("cannot tune thresholds on an empty validation set")
     scores = np.asarray(scorer(triplets), dtype=float)
     global_thr, _ = _best_threshold(scores, labels)
     relations = triplets[:, 1]
@@ -264,7 +264,7 @@ def _classification_report(
     valid_triplets, valid_labels = labeled_arrays(validation)
     test_triplets, labels = labeled_arrays(test)
     if not len(test_triplets):
-        raise ValueError(f"{report['dataset']}: empty test set")
+        raise DataError(f"{report['dataset']}: empty test set")
     needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
     scorer = make_scorer(ctx.model, *resolve_vectors(needed, ctx, **resolve))
     if thresholds is None:

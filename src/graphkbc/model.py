@@ -42,7 +42,7 @@ class InferenceError(RuntimeError):
 
 @dataclass
 class PropagationConfig:
-    dim: int
+    dim: int = 200
     depth: int = 1
     mode: str = "unrolled"
     pooling: str = "max"

@@ -26,6 +26,8 @@ from .autodiff import DTYPE, RowSparseGrad, Tensor, group_transition
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+BN_MOMENTUM = 0.9  # weight of the old running statistics in each update
+BN_EPS = 1e-5
 
 
 class CheckpointError(ValueError):
@@ -209,9 +211,7 @@ class BatchNorm:
     the running statistics (mean 0, variance 1 before the first update).
     """
 
-    def __init__(self, store: ParamStore, name: str, momentum: float = 0.9, eps: float = 1e-5):
-        self.momentum = momentum
-        self.eps = eps
+    def __init__(self, store: ParamStore, name: str):
         self.gamma = store.param(f"{name}.gamma")
         self.beta = store.param(f"{name}.beta")
         self.running_mean = store.buffer(f"{name}.running_mean")
@@ -229,12 +229,12 @@ class BatchNorm:
 
     def transition(self, x: Tensor, offsets, training: bool, weight=None, activation=None) -> Tensor:
         """``autodiff.group_transition`` with this batch norm between ``weight`` and ``activation``."""
-        fixed = None if training else (self.running_mean, 1.0 / np.sqrt(self.running_var + self.eps))
-        out, mean, var = group_transition(x, offsets, weight, (self.gamma, self.beta, self.eps, fixed),
+        fixed = None if training else (self.running_mean, 1.0 / np.sqrt(self.running_var + BN_EPS))
+        out, mean, var = group_transition(x, offsets, weight, (self.gamma, self.beta, BN_EPS, fixed),
                                           activation)
         if training:
             present = np.diff(offsets) > 0
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean[present] = self.running_mean[present] * m + (1.0 - m) * mean[present]
             self.running_var[present] = self.running_var[present] * m + (1.0 - m) * var[present]
         return out

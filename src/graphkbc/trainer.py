@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradientError, backward
-from .kg import KnowledgeGraph
+from .kg import DataError, KnowledgeGraph
 from .model import (
     LOSSES,
     GraphModel,
@@ -60,7 +60,7 @@ class TrainConfig:
 def compute_bernoulli_stats(graph: KnowledgeGraph) -> dict[int, tuple[float, float]]:
     """Per relation: (mean tails per head, mean heads per tail)."""
     if len(graph) == 0:
-        raise ValueError("cannot compute corruption statistics of an empty graph")
+        raise DataError("cannot compute corruption statistics of an empty graph")
     rows = graph.triplets
     relations = np.unique(rows[:, 1])
     counts = np.bincount(rows[:, 1])[relations]
@@ -163,7 +163,7 @@ def train(
     ``yield``.
     """
     if len(graph) == 0:
-        raise ValueError("cannot train on an empty graph")
+        raise DataError("cannot train on an empty graph")
     ad.keep_freed_heap()
     positives = graph.triplets
     stats = compute_bernoulli_stats(graph)

@@ -535,19 +535,18 @@ def _pooled_transition(weighted, stats, activation):
 
 
 def _inline_and_pooled(monkeypatch, run):
-    """``run()`` on one thread, then with three threads allowed; both results.
+    """``run()`` on one CPU, then on three; both results.
 
-    ``_cpus`` is patched to 3, so the pool runs on a host with fewer CPUs
-    too. Asserts that the second call used the pool and that only the
-    calling thread wrote the tape.
+    ``_cpus`` is patched to 1 and then to 3, so the pool runs on a host
+    with fewer CPUs too. Asserts that the second call used the pool and
+    that only the calling thread wrote the tape.
     """
     import threading
 
-    monkeypatch.setattr(ad, "_cpus", lambda: 3)
-    monkeypatch.setattr(ad, "THREADS", 1)
+    monkeypatch.setattr(ad, "_cpus", lambda: 1)
     inline = run()
     monkeypatch.setattr(ad, "_pool", None)
-    monkeypatch.setattr(ad, "THREADS", None)
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
     recorded_on = set()
     record = ad._record
     monkeypatch.setattr(ad, "_record", lambda *args: recorded_on.add(threading.get_ident())
@@ -590,7 +589,7 @@ def test_small_transition_or_one_thread_runs_inline(monkeypatch):
     monkeypatch.setattr(ad, "_pool", None)
     x = Tensor(np.ones((ad.POOL_FLOOR // 4 - 1, 4)))
     group_transition(x, [0, 10, x.shape[0]], np.ones((2, 4, 4)))  # below the floor
-    monkeypatch.setattr(ad, "THREADS", 1)
+    monkeypatch.setattr(ad, "_cpus", lambda: 1)
     group_transition(Tensor(np.ones((ad.POOL_FLOOR, 4))), [0, 10, ad.POOL_FLOOR], np.ones((2, 4, 4)))
     assert ad._pool is None
 
@@ -672,7 +671,7 @@ def test_rank_loops_of_small_ranks_or_inputs_or_one_thread_run_inline(monkeypatc
     rows, seg = _tied_segments(rng, 300, 16)  # below the floor
     assert rows.size < ad.POOL_FLOOR
     backward(sum_all(segment_max(Tensor(rows, requires_grad=True), seg, 300)))
-    monkeypatch.setattr(ad, "THREADS", 1)
+    monkeypatch.setattr(ad, "_cpus", lambda: 1)
     rows, seg = _tied_segments(rng, 3000, 16)
     backward(sum_all(segment_max(Tensor(rows, requires_grad=True), seg, 3000)))
     backward(sum_all(gather_rows(Tensor(rows, requires_grad=True), seg)))
@@ -686,7 +685,6 @@ def test_forked_child_runs_a_pooled_transition(monkeypatch):
     import warnings
 
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    monkeypatch.setattr(ad, "THREADS", None)
     monkeypatch.setattr(ad, "_pool", None)
     want = _pooled_transition(True, "batch", "relu")
     assert ad._pool is not None  # the parent has pool threads; its child has none of them

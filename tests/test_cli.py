@@ -140,6 +140,32 @@ class TestTrain:
                     "--pooling", "median"])
         assert code == EXIT_USAGE
 
+    def test_empty_train_file_is_data_error(self, corpus, capsys):
+        tmp_path, _ = corpus
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        code = run(["train", "--train", empty, "--out", tmp_path / "r"] + TRAIN_ARGS)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "data error: cannot train on an empty graph\n"
+
+    def test_echoed_options_are_the_config_fields_with_their_defaults(self, corpus):
+        from dataclasses import fields
+
+        from graphkbc.model import ObjectiveConfig, PropagationConfig
+        from graphkbc.trainer import TrainConfig
+
+        tmp_path, paths = corpus
+        out = tmp_path / "run"
+        assert run(["train", "--train", paths["train"], "--out", out] + TRAIN_ARGS) == EXIT_OK
+        config = json.loads((out / "config.json").read_text())
+        given = {flag[2:].replace("-", "_") for flag in TRAIN_ARGS[::2]}
+        defaults = {"minibatch" if f.name == "minibatch_size" else f.name: f.default
+                    for cls in (PropagationConfig, ObjectiveConfig, TrainConfig) for f in fields(cls)}
+        assert len(defaults) == 17 and given < set(defaults)
+        assert set(config) == set(defaults) | {"command", "train", "resume", "start_epoch"}
+        assert {k: config[k] for k in set(defaults) - given} == {
+            k: v for k, v in defaults.items() if k not in given}
+
     def test_resume_reproduces_uninterrupted_run(self, corpus):
         tmp_path, paths = corpus
         full = tmp_path / "full"
@@ -426,6 +452,21 @@ class TestEvalAndPredict:
         err = capsys.readouterr().err
         assert err.startswith("data error") and repr(name) in err
 
+    @pytest.mark.parametrize("part, message", [
+        ("valid", "cannot tune thresholds on an empty validation set"),
+        ("test", "empty.txt: empty test set"),
+    ], ids=["valid", "test"])
+    def test_standard_eval_of_an_empty_file_is_data_error(self, trained, capsys, part, message):
+        tmp_path, paths, checkpoint = trained
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        files = {**paths, part: empty}
+        code = run(["eval", "--checkpoint", checkpoint, "--mode", "standard",
+                    "--train", files["train"], "--valid", files["valid"],
+                    "--test", files["test"], "--out", tmp_path / "eval"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"data error: {message}\n"
+
     def test_ookb_eval_of_a_relation_the_checkpoint_lacks_is_data_error(self, corpus, capsys):
         # trained without --vocab, the checkpoint has the split's 2 relations only
         tmp_path, paths = corpus
@@ -470,6 +511,17 @@ class TestEvalAndPredict:
         for row in rows:
             float(row[3]), float(row[4])
             assert row[5] in ("1", "-1")
+
+    def test_predict_tuned_on_an_empty_valid_file_is_data_error(self, trained, capsys):
+        tmp_path, paths, checkpoint = trained
+        queries, empty = tmp_path / "queries.txt", tmp_path / "empty.txt"
+        queries.write_text("e0\tnext\te1\n")
+        empty.write_text("")
+        code = run(["predict", "--checkpoint", checkpoint, "--train", paths["train"],
+                    "--triplets", queries, "--valid", empty])
+        assert code == EXIT_DATA
+        assert (capsys.readouterr().err
+                == "data error: cannot tune thresholds on an empty validation set\n")
 
     def test_predict_aux_linking_two_unknown_entities_is_data_error(self, trained, capsys):
         # e98 is outside --train too, so the aux triplet links no known entity
@@ -804,32 +856,31 @@ class TestWorkers:
         if blas is None:
             pytest.skip("numpy bundles no OpenBLAS with a thread setter")
         assert "numpy" in sys.modules  # imported by this module
-        monkeypatch.setattr(ad, "THREADS", ad.THREADS)
         blas.scipy_openblas_set_num_threads64_(2)
         with monkeypatch.context() as m:  # no setter found: BLAS is left as it is
             m.setattr(ad.glob, "glob", lambda pattern: [])
             assert run(["gradcheck"]) == EXIT_OK
         assert blas.scipy_openblas_get_num_threads64_() == 2
-        assert run(["--workers", "1", "gradcheck"]) == EXIT_OK
-        assert ad.THREADS == 1
+        assert run(["gradcheck"]) == EXIT_OK
         assert blas.scipy_openblas_get_num_threads64_() == 1
 
     def test_command_line_run_takes_effect(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-m", "graphkbc.cli", "--workers", "1", "gradcheck"],
+        done = subprocess.run([sys.executable, "-m", "graphkbc.cli", "gradcheck"],
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == EXIT_OK, done.stderr
         assert "passed" in done.stdout
 
 
-    # trains in a fresh process (so an affinity mask and BLAS variables take
-    # effect) and reports whether a transition pool thread ever started
+    # trains in a fresh process (so an affinity mask of the comma-listed CPUs
+    # and BLAS variables take effect) and reports whether a transition pool
+    # thread ever started
     TRAIN_AND_REPORT = (
         "import os, sys, threading\n"
         "cpus = os.environ.get('PIN_CPU')\n"
-        "if cpus: os.sched_setaffinity(0, {int(cpus)})\n"
+        "if cpus: os.sched_setaffinity(0, {int(cpu) for cpu in cpus.split(',')})\n"
         "from graphkbc.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(any(t.name.startswith('graphkbc-pool') for t in threading.enumerate()))\n"
@@ -843,10 +894,10 @@ class TestWorkers:
         # matmuls are large enough that a two-thread OpenBLAS changes their
         # bits, so its runs agree only if BLAS is held at one thread.
         inputs = (
-            (4, 1500, {"workers-1": (["--workers", "1"], {}),
-                       "one-cpu": ([], {"PIN_CPU": str(cpus[0])}), "default": ([], {})}),
-            (2, 6000, {"workers-1": (["--workers", "1"], {}), "workers-2": (["--workers", "2"], {}),
-                       "default": ([], {"OPENBLAS_NUM_THREADS": "2"})}),
+            (4, 1500, {"one-cpu": {"PIN_CPU": str(cpus[0])}, "default": {}}),
+            (2, 6000, {"one-cpu": {"PIN_CPU": str(cpus[0])},
+                       "two-cpus": {"PIN_CPU": ",".join(map(str, cpus[:2]))},
+                       "default": {"OPENBLAS_NUM_THREADS": "2"}}),
         )
         for n_relations, minibatch, cases in inputs:
             if n_relations == 2 and len(cpus) < 2:
@@ -859,21 +910,21 @@ class TestWorkers:
             train = tmp_path / f"train-{n_relations}.txt"
             train.write_text("\n".join(sorted(lines)) + "\n")
             outputs = {}
-            for name, (workers, extra) in cases.items():
+            for name, extra in cases.items():
                 env = dict(os.environ, PYTHONPATH=os.pathsep.join(
                     filter(None, [src, os.environ.get("PYTHONPATH")])))
                 env.pop("PIN_CPU", None)
                 env.update(extra)
                 out = tmp_path / f"{n_relations}-{name}"
                 done = subprocess.run(
-                    [sys.executable, "-c", self.TRAIN_AND_REPORT, *workers, "train",
+                    [sys.executable, "-c", self.TRAIN_AND_REPORT, "train",
                      "--train", str(train), "--out", str(out), "--epochs", "1",
                      "--minibatch", str(minibatch), "--dim", "32", "--margin", "2",
                      "--checkpoint-every", "1"],
                     env=env, capture_output=True, text=True, timeout=300)
                 assert done.returncode == EXIT_OK, done.stderr
                 started = done.stdout.splitlines()[-1] == "True"
-                assert started is (name in ("default", "workers-2") and len(cpus) > 1), name
+                assert started is (name in ("default", "two-cpus") and len(cpus) > 1), name
                 outputs[name] = (out / "checkpoint-final" / "params.bin").read_bytes()
             digests = {name: hashlib.sha256(data).hexdigest()[:8] for name, data in outputs.items()}
             assert len(set(digests.values())) == 1, (n_relations, digests)

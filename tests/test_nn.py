@@ -10,6 +10,7 @@ from graphkbc.nn import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPS,
+    BN_EPS,
     BatchNorm,
     CheckpointError,
     ParamStore,
@@ -179,7 +180,6 @@ class TestAdam:
         from graphkbc import autodiff as ad
 
         monkeypatch.setattr(ad, "_cpus", lambda: 3)
-        monkeypatch.setattr(ad, "THREADS", None)
         monkeypatch.setattr(ad, "_pool", None)
         rng = np.random.default_rng(9)
         store = ParamStore({"table": rng.normal(size=(12_000, 48)),
@@ -218,7 +218,7 @@ class TestBatchNorm:
     def test_two_point_batch_is_normalized(self):
         store, bn = self.make(1)
         out = bn(Tensor([[2.0], [4.0]]), [0, 2], training=True)
-        expected = 1.0 / np.sqrt(1.0 + bn.eps)  # batch var of {2,4} is 1
+        expected = 1.0 / np.sqrt(1.0 + BN_EPS)  # batch var of {2,4} is 1
         assert out.data[0, 0] == pytest.approx(-expected, rel=1e-12)
         assert out.data[1, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -251,7 +251,7 @@ class TestBatchNorm:
         store, bn = self.make(2)
         x = np.array([[1.0, -2.0]])
         out = bn(Tensor(x), [0, 1], training=False)
-        assert np.allclose(out.data, x / np.sqrt(1.0 + bn.eps))
+        assert np.allclose(out.data, x / np.sqrt(1.0 + BN_EPS))
 
     def test_running_stats_ema(self):
         store, bn = self.make(1)
@@ -291,7 +291,7 @@ class TestStackedBatchNorm:
     def test_each_group_matches_per_group_loop(self):
         store, bn, x = self.make()
         out = bn(Tensor(x), self.offsets, training=True).data
-        expected = per_group_reference(x, self.offsets, bn.gamma.data, bn.beta.data, bn.eps)
+        expected = per_group_reference(x, self.offsets, bn.gamma.data, bn.beta.data, BN_EPS)
         assert np.array_equal(out, expected)
 
     def test_one_row_group_outputs_its_beta(self):
@@ -330,7 +330,7 @@ class TestStackedBatchNorm:
         rvar[:] = 1.0 + np.arange(12.0).reshape(4, 3)
         out = bn(Tensor(x), self.offsets, training=False).data
         for g, (lo, hi) in enumerate(zip(self.offsets[:-1], self.offsets[1:])):
-            ref = (x[lo:hi] - rmean[g]) / np.sqrt(rvar[g] + bn.eps) * bn.gamma.data[g] + bn.beta.data[g]
+            ref = (x[lo:hi] - rmean[g]) / np.sqrt(rvar[g] + BN_EPS) * bn.gamma.data[g] + bn.beta.data[g]
             assert np.allclose(out[lo:hi], ref, rtol=1e-12, atol=1e-12)
 
 

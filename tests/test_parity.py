@@ -38,7 +38,7 @@ def test_command_sequence_runs_on_this_tree(tmp_path):
             assert len(lines) == len((tmp_path / name / "queries.txt").read_text().splitlines())
         # every faulty command is a data error
         faults = (tmp_path / name / "faults.txt").read_text().splitlines()
-        assert [line for line in faults if line.startswith("exit ")] == ["exit 2"] * 4
+        assert [line for line in faults if line.startswith("exit ")] == ["exit 2"] * 8
 
 
 def test_bench_summary_counts_wins_by_direction():

@@ -11,9 +11,10 @@ standard, OOKB proposed and OOKB baseline (avg) modes, and ``predict`` with
 ``--thresholds`` and with ``--valid``. Then it runs, per corpus, commands
 that must fail with a data error: standard ``eval`` with a test entity the
 checkpoint lacks, ``eval --mode ookb`` on a copy of the split with its aux
-file emptied, and ``predict`` with an aux triplet linking two unknown
-entities and with a relation the checkpoint lacks; each one's exit code
-and stderr go to ``{corpus}/faults.txt``. Both runs use the same relative
+file emptied, ``predict`` with an aux triplet linking two unknown
+entities and with a relation the checkpoint lacks, and ``train``, standard
+``eval`` and ``predict --valid`` each reading an empty file; each one's
+exit code and stderr go to ``{corpus}/faults.txt``. Both runs use the same relative
 paths, so echoed paths agree. Every output file is then compared byte for
 byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
 
@@ -194,20 +195,30 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
         "aux.txt": f"venusian\t{relation}\tmartian\n",
         "queries.txt": f"martian\t{relation}\t{tail}\n",
         "sideways.txt": f"{head}\tsideways\t{tail}\n",
+        "empty.txt": "",
     }
     for file, text in inputs.items():
         (faults / file).write_text(text, encoding="utf-8")
-    predict = ["predict", "--checkpoint", bundle, "--train", f"{split}.train.txt",
-               "--thresholds", f"{name}/eval-proposed/thresholds.json"]
+    predict = ["predict", "--checkpoint", bundle, "--train", f"{split}.train.txt"]
+    thresholds = ["--thresholds", f"{name}/eval-proposed/thresholds.json"]
+    standard = ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", f"{name}/train.txt"]
+    empty = f"{name}/faults/empty.txt"
     return [
-        ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", f"{name}/train.txt",
-         "--valid", f"{name}/valid.txt", "--test", f"{name}/faults/test.txt",
-         "--out", f"{name}/faults/eval-standard"],
+        standard + ["--valid", f"{name}/valid.txt", "--test", f"{name}/faults/test.txt",
+                    "--out", f"{name}/faults/eval-standard"],
         ["eval", "--checkpoint", bundle, "--mode", "ookb",
          "--split-prefix", f"{name}/faults/split/tail-{n_test}",
          "--out", f"{name}/faults/eval-ookb"],
-        predict + ["--triplets", f"{name}/faults/queries.txt", "--aux", f"{name}/faults/aux.txt"],
-        predict + ["--triplets", f"{name}/faults/sideways.txt", "--aux", f"{split}.aux.txt"],
+        predict + thresholds + ["--triplets", f"{name}/faults/queries.txt",
+                                "--aux", f"{name}/faults/aux.txt"],
+        predict + thresholds + ["--triplets", f"{name}/faults/sideways.txt",
+                                "--aux", f"{split}.aux.txt"],
+        ["train", "--train", empty, "--out", f"{name}/faults/train"] + COMMON + MODELS[name],
+        standard + ["--valid", empty, "--test", f"{name}/test.txt",
+                    "--out", f"{name}/faults/eval-empty-valid"],
+        standard + ["--valid", f"{name}/valid.txt", "--test", empty,
+                    "--out", f"{name}/faults/eval-empty-test"],
+        predict + ["--triplets", f"{name}/queries.txt", "--valid", empty],
     ]
 
 
