@@ -23,10 +23,11 @@ so ``taskset`` or a cpuset limits them: the transition deals its row
 groups, and the rank loops their segments, into one run per thread
 (``_each_run``). A run writes only its own groups' or segments' rows and
 statistics, with the same numpy calls on any thread, so the result does
-not depend on the thread count. The pool serves these ops only; besides
-it, ``trainer.train`` plans the next minibatch on one thread of its own.
-``cli.main`` holds BLAS at one thread (``one_blas_thread``), so no BLAS
-setting changes a product's bits either.
+not depend on the thread count. The pool serves these ops and Adam's
+blocks (``nn.adam_step``); besides it, ``trainer.train`` plans the next
+minibatch on one thread of its own. ``cli.main`` holds BLAS at one
+thread (``one_blas_thread``), so no BLAS setting changes a product's bits
+either.
 
 The index work of a gather or a segment reduction (``gather_plan``,
 ``segment_plan``) reads no tensor: a caller that knows the indices ahead
@@ -363,7 +364,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
         batch = fixed is None
         mean, inv = (np.zeros_like(gamma.data), np.zeros_like(gamma.data)) if batch else fixed
         var = np.zeros_like(gamma.data) if batch else None
-        centered = np.empty_like(x.data)
+        normalized = np.empty_like(x.data)
     if activation not in (None, "relu", "tanh"):
         raise ValueError(f"unknown activation {activation!r}")
     groups = _group_slices(offsets, n, n_groups)
@@ -382,12 +383,12 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
             if norm is not None:
                 if batch:
                     mean[g] = y.mean(axis=0)
-                c = np.subtract(y, mean[g], out=centered[lo:hi])
+                c = np.subtract(y, mean[g], out=normalized[lo:hi])
                 if batch:
                     var[g] = (c * c).mean(axis=0)
                     inv[g] = (var[g] + eps) ** -0.5
-                np.multiply(c, inv[g], out=y)
-                y *= gamma.data[g]
+                c *= inv[g]  # kept for the backward
+                np.multiply(c, gamma.data[g], out=y)
                 y += beta.data[g]
             if activation == "relu":
                 np.maximum(y, 0.0, out=y)
@@ -411,7 +412,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                 elif activation == "tanh":
                     dz = dz * (1.0 - y * y)
                 if norm is not None:
-                    xhat = centered[lo:hi] * inv[g]
+                    xhat = normalized[lo:hi]
                     t = np.multiply(dz, xhat)  # scratch for dz * xhat, then xhat * m2
                     g_beta[g] = dz.sum(axis=0)
                     g_gamma[g] = t.sum(axis=0)

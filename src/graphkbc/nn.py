@@ -3,10 +3,10 @@
 The optimizer's global step size decays once per epoch as
 ``alpha1 / (alpha2 * epoch + 1.0)``; within an epoch it is constant. Every
 Adam update steps all parameters together, so a store keeps one step count.
-An update touches only live rows: a row is live once it has a nonzero
-moment or a gradient names it. Any other row has a zero gradient and zero
-moments, so its update is exactly zero and skipping it changes no bit.
-A gradient, dense or row-sparse, is added into zeros: -0.0 counts as +0.0.
+An update rewrites every row in place, in blocks dealt over autodiff's op
+pool; a row no gradient has named keeps its bits, since its update is
+exactly zero. A gradient, dense or row-sparse, is added into zeros: -0.0
+counts as +0.0.
 Checkpoints are a JSON manifest (name, kind, shape, dtype, byte offset of
 each tensor, plus the step count) next to one flat little-endian binary
 blob, covering parameters, running statistics, and optimizer moments so
@@ -21,7 +21,7 @@ import os
 
 import numpy as np
 
-from .autodiff import DTYPE, RowSparseGrad, Tensor, group_transition
+from .autodiff import DTYPE, RowSparseGrad, Tensor, _each_run, _runs, _threads, group_transition
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -42,17 +42,14 @@ def _rows(a: np.ndarray) -> np.ndarray:
 class ParamStore:
     """Named parameter tensors with their Adam moments, plus buffers (initial values by name).
 
-    Next to each parameter's moments the store keeps its live-row mask (see
-    ``adam_step``), derived from the moments when Adam first asks for it, so
-    that loading a checkpoint for inference does not compute it. A store
-    loaded without its moments (``load_checkpoint(..., moments=False)``) can
-    only be read: Adam and ``save_checkpoint`` refuse it.
+    ``adam_step`` updates the parameters and moments in place. A store loaded
+    without its moments (``load_checkpoint(..., moments=False)``) can only be
+    read: Adam and ``save_checkpoint`` refuse it.
     """
 
     def __init__(self, params: dict | None = None, buffers: dict | None = None):
         self._params: dict[str, Tensor] = {}
         self._moments: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._live: dict[str, np.ndarray] = {}
         self._buffers: dict[str, np.ndarray] = {}
         self.adam_t = 0  # Adam updates taken so far
         for name, value in (params or {}).items():
@@ -75,14 +72,6 @@ class ParamStore:
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
-
-    def live_rows(self, name: str) -> np.ndarray:
-        """The live-row mask of parameter ``name``: which rows have a moment that is not +0.0."""
-        if name not in self._live:
-            m, v = (_rows(a).view(np.uint64) for a in self.moments(name))
-            # compared as bits: an update turns a -0.0 moment into +0.0, so it is live
-            self._live[name] = m.any(axis=1) | v.any(axis=1)
-        return self._live[name]
 
     def moments(self, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Adam's first and second moments of parameter ``name``."""
@@ -133,7 +122,7 @@ def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float
     return alpha1 / (alpha2 * epoch + 1.0)
 
 
-ADAM_BLOCK = 8192  # elements per Adam pass: a few arrays of this size stay in cache
+ADAM_BLOCK = 24_576  # elements per Adam pass: enough per numpy call to pay for a thread hand-off
 
 
 def adam_step(
@@ -142,59 +131,67 @@ def adam_step(
     alpha1: float = 0.01,
     alpha2: float = 0.0001,
 ) -> float:
-    """One bias-corrected Adam update over the live rows of every parameter.
+    """One bias-corrected Adam update of every row of every parameter, in place.
 
-    A row goes live when this step's gradient names it and stays live. Each
-    gradient is read as a ``RowSparseGrad``: a dense one names every row, a
-    missing one names none. The live rows are updated on the calling thread
-    in blocks of ``ADAM_BLOCK`` elements (at least one row), each taken into
-    the call's one scratch array, its gradient rows added into zeros (so
-    -0.0 counts as +0.0), and written back. Returns the step size used.
+    Each gradient is read as rows plus values: a dense one gives every row,
+    a ``RowSparseGrad`` its own and a missing one none; a row no gradient has
+    named has +0.0 moments and a +0.0 gradient, so its update is exactly zero.
+    The parameters and moments are updated in blocks of ``ADAM_BLOCK``
+    elements (at least one row), views of the store's arrays, dealt into one
+    run per thread of the op pool (``autodiff._each_run``). A run adds each
+    block's gradient rows into its zeroed scratch (so -0.0 counts as +0.0);
+    the arithmetic is elementwise, so no bit depends on the blocks or the
+    threads. Returns the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
-    for name, p in store._params.items():
+    c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
+    tables, blocks, width = [], [], ADAM_BLOCK
+    for name, p in store._params.items():  # nothing is written before every table is checked
         if p.grad is not None and p.grad.shape != p.data.shape:
             raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape} for {name!r}")
-    width = max([ADAM_BLOCK] + [_rows(p.data).shape[1] for p in store._params.values()])
-    scratch = np.empty((6, width))
-    for name, p in store._params.items():
-        grad, live = p.grad, store.live_rows(name)
-        if grad is None:
-            grad = RowSparseGrad(np.empty(0, np.intp), np.empty((0,) + p.data.shape[1:]), p.data.shape)
-        elif not isinstance(grad, RowSparseGrad):  # every row, on the array as it is
-            grad = RowSparseGrad(np.arange(len(live)), grad, grad.shape)
-        live[grad.rows] = True
-        rows = np.flatnonzero(live)
         # store arrays are C-contiguous, so their row views are views (the gradient's is only read)
-        w2, m2, v2, g2 = (_rows(a) for a in (p.data, *store.moments(name), grad.values))
-        size = w2.shape[1]
-        if not rows.size or not size:
+        w2, m2, v2 = (_rows(a) for a in (p.data, *store.moments(name)))
+        n, size = w2.shape
+        if not n * size:
             continue
+        if isinstance(p.grad, RowSparseGrad):
+            rows, g2 = p.grad.rows, _rows(p.grad.values)
+        elif p.grad is None:
+            rows, g2 = np.empty(0, np.intp), w2[:0]
+        else:  # every row, on the array as it is
+            rows, g2 = None, _rows(p.grad)
         step = max(1, ADAM_BLOCK // size)
-        blocks = scratch[:, :step * size].reshape(6, step, size)
-        firsts = range(0, len(rows), step)
-        at = np.searchsorted(rows, grad.rows)  # the gradient's rows, by place among the live rows
-        cuts = np.searchsorted(at, firsts).tolist() + [len(at)]
-        for b, k0 in enumerate(firsts):
-            sel = rows[k0:k0 + step]
-            w, m, v, g, update, denom = blocks[:, :len(sel)]
-            for a, out in ((w2, w), (m2, m), (v2, v)):
-                np.take(a, sel, axis=0, out=out)
+        blocks += [(len(tables), r0 * size, min(r0 + step, n) * size) for r0 in range(0, n, step)]
+        tables.append((w2, m2, v2, rows, g2, size))
+        width = max(width, size)
+
+    def update_run(run):
+        scratch = np.empty((2, width))
+        for k, lo, hi in run:
+            w2, m2, v2, rows, g2, size = tables[k]
+            r0, r1 = lo // size, hi // size
+            w, m, v = w2[r0:r1], m2[r0:r1], v2[r0:r1]
+            g, update = scratch[:, :hi - lo].reshape(2, r1 - r0, size)
             g.fill(0.0)  # the gradient's rows added into zeros: -0.0 counts as +0.0
-            g[at[cuts[b]:cuts[b + 1]] - k0] += g2[cuts[b]:cuts[b + 1]]
+            if rows is None:
+                g += g2[r0:r1]
+            else:
+                at, stop = np.searchsorted(rows, (r0, r1)).tolist()
+                g[rows[at:stop] - r0] += g2[at:stop]
             m *= ADAM_BETA1
             m += np.multiply(1.0 - ADAM_BETA1, g, out=update)
             v *= ADAM_BETA2
             np.multiply(g, g, out=update)
             v += np.multiply(1.0 - ADAM_BETA2, update, out=update)
-            np.divide(m, 1.0 - ADAM_BETA1 ** t, out=update)
-            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2 ** t, out=denom), out=denom)
+            np.divide(m, c1, out=update)
+            denom = np.sqrt(np.divide(v, c2, out=g), out=g)  # in the spent gradient block
             denom += ADAM_EPS
             update /= denom
             update *= lr
             w -= update
-            w2[sel], m2[sel], v2[sel] = w, m, v
+
+    _each_run(update_run, _runs(blocks, _threads(sum(hi - lo for _, lo, hi in blocks))))
     store.adam_t = t
     return lr
 

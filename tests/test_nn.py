@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -80,15 +81,16 @@ class TestAdam:
 
     def test_blocked_update_is_the_whole_array_formula_bitwise(self):
         # tensors below, at and across the block size, one without a gradient;
-        # "table" has rows that go live at different steps and row 7, which
-        # never does; "full" is fully live, then gets row-sparse gradients
+        # "table" has rows first named at different steps and row 7, which
+        # never is; "full" gets a dense gradient, then row-sparse ones
         rng = np.random.default_rng(4)
         shapes = {"small": (3, 5), "block": (ADAM_BLOCK,), "wide": (7, ADAM_BLOCK // 3 + 11),
                   "idle": (4, 4), "table": (600, 40), "full": (50, 300), "scalar": ()}
         store = ParamStore({name: rng.normal(size=shape) for name, shape in shapes.items()})
         table = store.param("table").data
         table[7, 3] = -0.0
-        never = table[7].tobytes()
+        start = table.copy()
+        idle = store.param("idle").data.tobytes()
         reference = {name: [p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape)]
                      for name, p in store.parameters().items()}
         # rows of "table" named at each step (no gradient at step 3); from
@@ -131,34 +133,40 @@ class TestAdam:
                 update *= lr
                 w -= update
             adam_step(store, epoch)
-            live = np.isin(np.arange(600), np.concatenate([named[k] for k in named if k <= t]))
-            assert np.array_equal(store.live_rows("table"), live), t
+            unnamed = ~np.isin(np.arange(600), np.concatenate([named[k] for k in named if k <= t]))
+            assert table[unnamed].tobytes() == start[unnamed].tobytes(), t
+            for moment in store._moments["table"]:
+                assert not moment[unnamed].view(np.uint64).any(), t  # +0.0, bit for bit
         for name, p in store.parameters().items():
             for got, want in zip((p.data, *store._moments[name]), reference[name]):
                 assert got.tobytes() == want.tobytes(), name
-        assert table[7].tobytes() == never and np.signbit(table[7, 3])
-        assert not store._moments["table"][0][7].any() and not store._moments["table"][1][7].any()
-        assert store.live_rows("full").all() and not store.live_rows("idle").any()
+        assert np.signbit(table[7, 3])
+        assert store.param("idle").data.tobytes() == idle
+        assert not any(moment.view(np.uint64).any() for moment in store._moments["idle"])
+        assert store._moments["full"][1].all()
 
     def test_a_moment_other_than_positive_zero_makes_a_row_live(self, tmp_path):
-        # rows 1-2: an update turns a -0.0 first moment into +0.0 (and so does
-        # a gradient of -0.0, which is +0.0 in the dense form); row 3: a second
-        # moment decays under a zero gradient. A loaded checkpoint keeps all three live.
+        # row 0 is never named and has +0.0 moments: it keeps its bits, -0.0
+        # included; rows 1-2: an update turns a -0.0 first moment into +0.0
+        # (and so does a gradient of -0.0, which is +0.0 in the dense form);
+        # row 3: a second moment decays under a zero gradient, after a checkpoint.
         # "d" meets a -0.0 first moment with a dense gradient of -0.0, read as +0.0 too
         store = ParamStore({"w": np.ones((4, 2)), "d": np.ones((3, 2))})
+        store.param("w").data[0, 1] = -0.0
         store._moments["w"][0][1:3, 0] = -0.0
         store._moments["w"][1][3, 1] = 0.5
         store._moments["d"][0][1] = -0.0
         save_checkpoint(store, tmp_path / "ck")
         loaded, _ = load_checkpoint(tmp_path / "ck")
-        assert not loaded._live  # derived when first asked for, not at load
-        assert loaded.live_rows("w").tolist() == [False, True, True, True]
+        row0 = loaded.param("w").data[0].tobytes()
         loaded.param("w").grad = RowSparseGrad(np.array([2]), np.array([[-0.0, 0.0]]), (4, 2))
         loaded.param("d").grad = np.array([[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]])
         adam_step(loaded, epoch=0)
         assert not np.signbit(loaded._moments["w"][0]).any()
         assert not np.signbit(loaded._moments["d"][0]).any()
         assert loaded._moments["w"][1][3, 1] == 0.5 * ADAM_BETA2
+        assert loaded.param("w").data[0].tobytes() == row0 and np.signbit(loaded.param("w").data[0, 1])
+        assert not any(moment[0].view(np.uint64).any() for moment in loaded._moments["w"])
 
     def test_row_sparse_step_allocates_no_parameter_sized_array(self):
         store = ParamStore({"table": np.zeros((20_000, 50))})
@@ -173,25 +181,78 @@ class TestAdam:
             assert peak < store.param("table").data.nbytes // 8, peak
 
 
-    def test_adam_runs_on_the_calling_thread_alone(self, monkeypatch):
+    def test_pooled_update_is_the_inline_one_bitwise(self, monkeypatch):
         # "table" gets row-sparse gradients over a different 11,000 of its
-        # 12,000 rows at each step, "dense" dense ones: tables of over half a
-        # million live elements, on a host that may run three threads
+        # 12,000 rows at each step, "dense" dense ones: tables over the pool
+        # floor, on one CPU and on three; a -0.0 gradient counts as +0.0
         from graphkbc import autodiff as ad
 
-        monkeypatch.setattr(ad, "_cpus", lambda: 3)
+        def run():
+            rng = np.random.default_rng(9)
+            store = ParamStore({"table": rng.normal(size=(12_000, 48)),
+                                "dense": rng.normal(size=(600, 1000))})
+            for t in range(3):
+                rows = np.sort(rng.choice(12_000, 11_000, replace=False))
+                values = rng.normal(size=(len(rows), 48))
+                values[::5, 3] = -0.0
+                store.param("table").grad = RowSparseGrad(rows, values, (12_000, 48))
+                store.param("dense").grad = rng.normal(size=(600, 1000))
+                adam_step(store, epoch=t)
+            return [a.tobytes() for name, p in store.parameters().items()
+                    for a in (p.data, *store.moments(name))]
+
         monkeypatch.setattr(ad, "_pool", None)
-        rng = np.random.default_rng(9)
-        store = ParamStore({"table": rng.normal(size=(12_000, 48)),
-                            "dense": rng.normal(size=(600, 1000))})
-        for t in range(3):
-            rows = np.sort(rng.choice(12_000, 11_000, replace=False))
-            store.param("table").grad = RowSparseGrad(rows, rng.normal(size=(len(rows), 48)),
-                                                      (12_000, 48))
-            store.param("dense").grad = rng.normal(size=(600, 1000))
-            adam_step(store, epoch=t)
-        assert store.adam_t == 3
-        assert ad._pool is None  # no op pool was made for the update
+        monkeypatch.setattr(ad, "_cpus", lambda: 1)
+        inline = run()
+        assert ad._pool is None
+        monkeypatch.setattr(ad, "_cpus", lambda: 3)
+        pooled = run()
+        assert ad._pool is not None  # the pooled path ran
+        ad._pool.shutdown()
+        assert pooled == inline
+
+
+def test_forked_child_runs_a_pooled_adam_step(monkeypatch):
+    import signal
+    import time
+    import warnings
+
+    from graphkbc import autodiff as ad
+
+    def stepped():
+        store = ParamStore({"table": np.arange(2 * ad.POOL_FLOOR, dtype=float).reshape(-1, 32)})
+        store.param("table").grad = np.ones((2 * ad.POOL_FLOOR // 32, 32))
+        adam_step(store, epoch=0)
+        return store
+
+    def bits(store):
+        return [a.tobytes() for a in (store.param("table").data, *store.moments("table"))]
+
+    monkeypatch.setattr(ad, "_cpus", lambda: 2)
+    monkeypatch.setattr(ad, "_pool", None)
+    store, ahead = stepped(), stepped()
+    assert ad._pool is not None  # the parent has pool threads; its child has none of them
+    adam_step(ahead, epoch=0)  # the parent's next step
+    want = bits(ahead)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            adam_step(store, epoch=0)
+            code = 0 if bits(store) == want else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    if done[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child hung in a pooled Adam step")
+    assert os.waitstatus_to_exitcode(done[1]) == 0
+    ad._pool.shutdown()
 
 
 def batch_norm(groups, dim):
@@ -358,9 +419,9 @@ class TestCheckpoint:
         assert loaded.param("w").data.base is None
 
     def test_resume_continues_identically(self, tmp_path):
-        # "table" rows 0 and 4 are live before the checkpoint, row 2 goes live
-        # after it and rows 1, 3 and 5 never do: the loaded live mask must
-        # continue exactly as the one kept in memory
+        # "table" rows 0 and 4 are named before the checkpoint, row 2 after it
+        # and rows 1, 3 and 5 never: the resumed run must continue exactly as
+        # the one kept in memory, and the unnamed rows keep their bits
         sparse = {0: [0, 4], 1: [4], 2: [], 3: [2, 4]}
 
         def run(store, steps):
@@ -381,11 +442,16 @@ class TestCheckpoint:
         run(store_b, range(2))
         save_checkpoint(store_b, tmp_path / "mid")
         resumed, _ = load_checkpoint(tmp_path / "mid")
-        assert resumed.live_rows("table").tolist() == store_b.live_rows("table").tolist()
-        assert resumed.live_rows("table").tolist() == [True, False, False, False, True, False]
+        start = fresh().param("table").data
+
+        def kept(unnamed):
+            return (resumed.param("table").data[unnamed].tobytes() == start[unnamed].tobytes()
+                    and not any(m[unnamed].view(np.uint64).any() for m in resumed._moments["table"]))
+
+        assert kept([1, 2, 3, 5])
         final_b = run(resumed, range(2, 4))
         assert final_a == final_b
-        assert resumed.live_rows("table").tolist() == [True, False, True, False, True, False]
+        assert kept([1, 3, 5])
 
     def test_load_without_moments_skips_them_and_cannot_train_or_save(self, tmp_path):
         store = ParamStore({"w": np.arange(6.0).reshape(3, 2), "b": np.ones(2)},
