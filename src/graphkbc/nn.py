@@ -122,7 +122,7 @@ def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float
     return alpha1 / (alpha2 * epoch + 1.0)
 
 
-ADAM_BLOCK = 24_576  # elements per Adam pass: enough per numpy call to pay for a thread hand-off
+ADAM_BLOCK = 49_152  # elements of each of Adam's two scratch arrays, shared out among its runs
 
 
 def adam_step(
@@ -136,17 +136,18 @@ def adam_step(
     Each gradient is read as rows plus values: a dense one gives every row,
     a ``RowSparseGrad`` its own and a missing one none; a row no gradient has
     named has +0.0 moments and a +0.0 gradient, so its update is exactly zero.
-    The parameters and moments are updated in blocks of ``ADAM_BLOCK``
-    elements (at least one row), views of the store's arrays, dealt into one
-    run per thread of the op pool (``autodiff._each_run``). A run adds each
-    block's gradient rows into its zeroed scratch (so -0.0 counts as +0.0);
-    the arithmetic is elementwise, so no bit depends on the blocks or the
-    threads. Returns the step size used.
+    The arrays are updated in blocks of ``ADAM_BLOCK`` elements over the
+    thread count (at least one row), views dealt into one run per thread of
+    the op pool (``autodiff._each_run``), so all runs' scratch is two
+    ``ADAM_BLOCK`` arrays. A run adds each block's gradient rows into its
+    zeroed scratch (-0.0 counts as +0.0); the arithmetic is elementwise, so
+    no bit depends on the blocks or the threads. Returns the step size used.
     """
     lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
     c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
-    tables, blocks, width = [], [], ADAM_BLOCK
+    threads = _threads(sum(p.data.size for p in store._params.values()))
+    tables, blocks, width = [], [], ADAM_BLOCK // threads
     for name, p in store._params.items():  # nothing is written before every table is checked
         if p.grad is not None and p.grad.shape != p.data.shape:
             raise ValueError(f"gradient shape {p.grad.shape} != param shape {p.data.shape} for {name!r}")
@@ -161,7 +162,7 @@ def adam_step(
             rows, g2 = np.empty(0, np.intp), w2[:0]
         else:  # every row, on the array as it is
             rows, g2 = None, _rows(p.grad)
-        step = max(1, ADAM_BLOCK // size)
+        step = max(1, ADAM_BLOCK // threads // size)
         blocks += [(len(tables), r0 * size, min(r0 + step, n) * size) for r0 in range(0, n, step)]
         tables.append((w2, m2, v2, rows, g2, size))
         width = max(width, size)
@@ -191,7 +192,7 @@ def adam_step(
             update *= lr
             w -= update
 
-    _each_run(update_run, _runs(blocks, _threads(sum(hi - lo for _, lo, hi in blocks))))
+    _each_run(update_run, _runs(blocks, threads))
     store.adam_t = t
     return lr
 

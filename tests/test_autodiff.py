@@ -684,9 +684,18 @@ def test_forked_child_runs_a_pooled_transition(monkeypatch):
     import time
     import warnings
 
+    from graphkbc.nn import ParamStore, adam_step
+
+    def pooled():  # a transition and an Adam step, each above POOL_FLOOR
+        store = ParamStore({"table": np.arange(2 * ad.POOL_FLOOR, dtype=float).reshape(-1, 32)})
+        store.param("table").grad = np.ones((2 * ad.POOL_FLOOR // 32, 32))
+        adam_step(store, epoch=0)
+        step = [a.tobytes() for a in (store.param("table").data, *store.moments("table"))]
+        return _pooled_transition(True, "batch", "relu") + step
+
     monkeypatch.setattr(ad, "_cpus", lambda: 2)
     monkeypatch.setattr(ad, "_pool", None)
-    want = _pooled_transition(True, "batch", "relu")
+    want = pooled()
     assert ad._pool is not None  # the parent has pool threads; its child has none of them
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
@@ -694,7 +703,7 @@ def test_forked_child_runs_a_pooled_transition(monkeypatch):
     if pid == 0:
         code = 1
         try:
-            code = 0 if _pooled_transition(True, "batch", "relu") == want else 1
+            code = 0 if pooled() == want else 1
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -703,6 +712,6 @@ def test_forked_child_runs_a_pooled_transition(monkeypatch):
     if done[0] == 0:
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
-        pytest.fail("the forked child hung in a pooled transition")
+        pytest.fail("the forked child hung in a pooled transition or Adam step")
     assert os.waitstatus_to_exitcode(done[1]) == 0
     ad._pool.shutdown()

@@ -1,5 +1,4 @@
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -168,17 +167,26 @@ class TestAdam:
         assert loaded.param("w").data[0].tobytes() == row0 and np.signbit(loaded.param("w").data[0, 1])
         assert not any(moment[0].view(np.uint64).any() for moment in loaded._moments["w"])
 
-    def test_row_sparse_step_allocates_no_parameter_sized_array(self):
-        store = ParamStore({"table": np.zeros((20_000, 50))})
-        rows = np.arange(0, 20_000, 7)
-        values = np.random.default_rng(0).normal(size=(len(rows), 50))
-        for _ in range(2):
-            store.param("table").grad = RowSparseGrad(rows, values, (20_000, 50))
-            tracemalloc.start()
-            adam_step(store, epoch=0)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            assert peak < store.param("table").data.nbytes // 8, peak
+    def test_row_sparse_step_allocates_no_parameter_sized_array(self, monkeypatch):
+        # on this host's CPUs, then on four: the op pool's runs share one scratch budget
+        from graphkbc import autodiff as ad
+
+        monkeypatch.setattr(ad, "_pool", None)
+        for cpus in (ad._cpus(), 4):
+            monkeypatch.setattr(ad, "_cpus", lambda: cpus)
+            store = ParamStore({"table": np.zeros((20_000, 50))})
+            rows = np.arange(0, 20_000, 7)
+            values = np.random.default_rng(0).normal(size=(len(rows), 50))
+            for _ in range(2):
+                store.param("table").grad = RowSparseGrad(rows, values, (20_000, 50))
+                tracemalloc.start()
+                adam_step(store, epoch=0)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                assert peak < store.param("table").data.nbytes // 8, (cpus, peak)
+            if ad._pool is not None:
+                ad._pool.shutdown()
+                monkeypatch.setattr(ad, "_pool", None)
 
 
     def test_pooled_update_is_the_inline_one_bitwise(self, monkeypatch):
@@ -210,49 +218,6 @@ class TestAdam:
         assert ad._pool is not None  # the pooled path ran
         ad._pool.shutdown()
         assert pooled == inline
-
-
-def test_forked_child_runs_a_pooled_adam_step(monkeypatch):
-    import signal
-    import time
-    import warnings
-
-    from graphkbc import autodiff as ad
-
-    def stepped():
-        store = ParamStore({"table": np.arange(2 * ad.POOL_FLOOR, dtype=float).reshape(-1, 32)})
-        store.param("table").grad = np.ones((2 * ad.POOL_FLOOR // 32, 32))
-        adam_step(store, epoch=0)
-        return store
-
-    def bits(store):
-        return [a.tobytes() for a in (store.param("table").data, *store.moments("table"))]
-
-    monkeypatch.setattr(ad, "_cpus", lambda: 2)
-    monkeypatch.setattr(ad, "_pool", None)
-    store, ahead = stepped(), stepped()
-    assert ad._pool is not None  # the parent has pool threads; its child has none of them
-    adam_step(ahead, epoch=0)  # the parent's next step
-    want = bits(ahead)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
-        pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            adam_step(store, epoch=0)
-            code = 0 if bits(store) == want else 1
-        finally:
-            os._exit(code)
-    deadline = time.monotonic() + 60.0
-    while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
-        time.sleep(0.05)
-    if done[0] == 0:
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child hung in a pooled Adam step")
-    assert os.waitstatus_to_exitcode(done[1]) == 0
-    ad._pool.shutdown()
 
 
 def batch_norm(groups, dim):
