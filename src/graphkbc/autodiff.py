@@ -125,12 +125,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(_ensure(other), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 def _ensure(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -686,7 +680,7 @@ def backward(loss: Tensor) -> None:
             node.grad, node._backward, node._parents = None, None, ()
 
 
-def gradcheck(build_loss, params: dict[str, Tensor], eps: float = 1e-5, tol: float = 1e-4) -> list[str]:
+def gradcheck(build_loss, params: dict[str, Tensor], tol: float = 1e-4) -> list[str]:
     """Compare analytic gradients against central finite differences.
 
     ``build_loss`` must rebuild the scalar loss from the live ``params``
@@ -703,6 +697,7 @@ def gradcheck(build_loss, params: dict[str, Tensor], eps: float = 1e-5, tol: flo
         for name, p in params.items()
     }
     failures: list[str] = []
+    eps = 1e-5  # the central-difference step
     for name, p in params.items():
         flat = p.data.reshape(-1)
         for i in range(flat.size):

@@ -279,12 +279,17 @@ def _require_in_checkpoint(model, rv, entities=()) -> None:
 
 
 def cmd_eval(args) -> int:
+    if args.mode == "standard":
+        if not (args.train and args.valid and args.test):
+            raise UsageError("standard eval needs --train, --valid and --test")
+    elif not args.split_prefix:
+        raise UsageError("ookb eval needs --split-prefix")
+    elif args.method == "baseline" and not args.pooling:
+        raise UsageError("baseline eval needs --pooling")
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,
             "per_relation": not args.global_threshold}
     if args.mode == "standard":
-        if not (args.train and args.valid and args.test):
-            raise UsageError("standard eval needs --train, --valid and --test")
         echo.update({"train": args.train, "valid": args.valid, "test": args.test})
         _echo_config(args.out, "eval", echo)
         graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
@@ -298,10 +303,6 @@ def cmd_eval(args) -> int:
             dataset_name=args.dataset_name or os.path.basename(args.test),
         )
     else:
-        if not args.split_prefix:
-            raise UsageError("ookb eval needs --split-prefix")
-        if args.method == "baseline" and not args.pooling:
-            raise UsageError("baseline eval needs --pooling")
         echo.update({"split_prefix": args.split_prefix, "method": args.method,
                      "pooling": args.pooling or "", "raw_neighbors": args.raw_neighbors})
         _echo_config(args.out, "eval", echo)
@@ -322,6 +323,8 @@ def cmd_eval(args) -> int:
 # predict
 
 def cmd_predict(args) -> int:
+    if not (args.thresholds or args.valid):
+        raise UsageError("predict needs --thresholds or --valid to tune on")
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
     queries, _ = load_triplet_file(args.triplets, ev, rv)
@@ -332,11 +335,9 @@ def cmd_predict(args) -> int:
             return ThresholdTable(per, float(data["global"]))
 
         thresholds = read_json(args.thresholds, parse)
-    elif args.valid:
+    else:
         valid, valid_labels = load_triplet_file(args.valid, ev, rv, labeled=True)
         thresholds = None
-    else:
-        raise UsageError("predict needs --thresholds or --valid to tune on")
     _require_in_checkpoint(model, rv)
     # an entity outside the trained graph never received updates (it may
     # still own an untouched embedding row); resolve it through aux triplets

@@ -256,21 +256,19 @@ def _classification_report(
     validation,
     test,
     report: dict,
-    thresholds: ThresholdTable | None,
     per_relation: bool,
     **resolve,
 ) -> tuple[dict, ThresholdTable]:
-    """Resolve every entity once, tune thresholds unless given, score the test set."""
+    """Resolve every entity once, tune thresholds on validation, score the test set."""
     valid_triplets, valid_labels = labeled_arrays(validation)
     test_triplets, labels = labeled_arrays(test)
     if not len(test_triplets):
         raise DataError(f"{report['dataset']}: empty test set")
     needed = np.concatenate([valid_triplets[:, ::2], test_triplets[:, ::2]])
     scorer = make_scorer(ctx.model, *resolve_vectors(needed, ctx, **resolve))
-    if thresholds is None:
-        thresholds = tune_thresholds(valid_triplets, valid_labels, scorer)
-        if not per_relation:
-            thresholds = ThresholdTable({}, thresholds.global_threshold)
+    thresholds = tune_thresholds(valid_triplets, valid_labels, scorer)
+    if not per_relation:
+        thresholds = ThresholdTable({}, thresholds.global_threshold)
     correct = classify(test_triplets, thresholds, scorer(test_triplets)) == labels
     report.update(
         accuracy=int(correct.sum()) / len(test_triplets),
@@ -289,7 +287,6 @@ def evaluate_standard(
     per_relation: bool = True,
     sampler_seed: int = 0,
     dataset_name: str = "standard",
-    thresholds: ThresholdTable | None = None,
 ) -> tuple[dict, ThresholdTable]:
     """Threshold tuning on validation, then test accuracy (anything ``labeled_arrays`` takes)."""
     ctx = OokbContext(train_graph, [], [], model, sampler_seed=sampler_seed)
@@ -298,7 +295,7 @@ def evaluate_standard(
         "method": "standard",
         "pooling": model.cfg.pooling if model.cfg.depth > 0 else "-",
     }
-    return _classification_report(ctx, validation, test, report, thresholds, per_relation)
+    return _classification_report(ctx, validation, test, report, per_relation)
 
 
 def evaluate_ookb(
@@ -311,15 +308,13 @@ def evaluate_ookb(
     per_relation: bool = True,
     sampler_seed: int = 0,
     dataset_name: str = "ookb",
-    thresholds: ThresholdTable | None = None,
 ) -> tuple[dict, ThresholdTable]:
     """Classify the OOKB test triplets of a split.
 
     ``method="proposed"`` resolves OOKB entities with the trained propagation
     step (the model's own pooling); ``method="baseline"`` pools translation-
     implied neighbor positions with the given ``pooling``. Thresholds are
-    tuned on the split's validation set (which contains no OOKB entities)
-    unless supplied.
+    tuned on the split's validation set (which contains no OOKB entities).
     """
     if method not in ("proposed", "baseline"):
         raise ValueError(f"unknown method {method!r}")
@@ -333,6 +328,6 @@ def evaluate_ookb(
         "pooling": model.cfg.pooling if method == "proposed" else pooling,
     }
     return _classification_report(
-        ctx, split.validation, split.test, report, thresholds, per_relation,
+        ctx, split.validation, split.test, report, per_relation,
         method=method, pooling=pooling, raw_neighbors=raw_neighbors,
     )

@@ -1,8 +1,8 @@
 """Learnable parameters, batch normalization, Adam, and checkpoint I/O.
 
-The optimizer's global step size decays once per epoch as
-``alpha1 / (alpha2 * epoch + 1.0)``; within an epoch it is constant. Every
-Adam update steps all parameters together, so a store keeps one step count.
+The optimizer's step size ``step_size(epoch, alpha1, alpha2)`` decays once
+per epoch; ``adam_step`` takes it from the caller. Every Adam update steps
+all parameters together, so a store keeps one step count.
 An update rewrites every row in place, in blocks dealt over autodiff's op
 pool; a row no gradient has named keeps its bits, since its update is
 exactly zero. A gradient, dense or row-sparse, is added into zeros: -0.0
@@ -115,8 +115,8 @@ class ParamStore:
             raise CheckpointError("; ".join(problems))
 
 
-def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float:
-    """Epoch-indexed Adam step size; ``epoch`` counts completed epochs."""
+def step_size(epoch: int, alpha1: float, alpha2: float) -> float:
+    """Adam step size ``alpha1 / (alpha2 * epoch + 1.0)``; ``epoch`` counts completed epochs."""
     if epoch < 0:
         raise ValueError("epoch must be >= 0")
     return alpha1 / (alpha2 * epoch + 1.0)
@@ -125,13 +125,8 @@ def step_size(epoch: int, alpha1: float = 0.01, alpha2: float = 0.0001) -> float
 ADAM_BLOCK = 49_152  # elements of each of Adam's two scratch arrays, shared out among its runs
 
 
-def adam_step(
-    store: ParamStore,
-    epoch: int,
-    alpha1: float = 0.01,
-    alpha2: float = 0.0001,
-) -> float:
-    """One bias-corrected Adam update of every row of every parameter, in place.
+def adam_step(store: ParamStore, lr: float) -> None:
+    """One bias-corrected Adam update at step size ``lr`` of every row of every parameter, in place.
 
     Each gradient is read as rows plus values: a dense one gives every row,
     a ``RowSparseGrad`` its own and a missing one none; a row no gradient has
@@ -141,9 +136,8 @@ def adam_step(
     the op pool (``autodiff._each_run``), so all runs' scratch is two
     ``ADAM_BLOCK`` arrays. A run adds each block's gradient rows into its
     zeroed scratch (-0.0 counts as +0.0); the arithmetic is elementwise, so
-    no bit depends on the blocks or the threads. Returns the step size used.
+    no bit depends on the blocks or the threads.
     """
-    lr = step_size(epoch, alpha1, alpha2)
     t = store.adam_t + 1
     c1, c2 = 1.0 - ADAM_BETA1 ** t, 1.0 - ADAM_BETA2 ** t
     threads = _threads(sum(p.data.size for p in store._params.values()))
@@ -194,7 +188,6 @@ def adam_step(
 
     _each_run(update_run, _runs(blocks, threads))
     store.adam_t = t
-    return lr
 
 
 class BatchNorm:

@@ -252,7 +252,7 @@ def read_split(prefix, entity_vocab: Vocabulary, relation_vocab: Vocabulary) -> 
     train = build_graph(load("train")[0])
     aux, _ = load("aux")
     valid, test = load("valid", labeled=True), load("test", labeled=True)
-    ookb = np.unique(entity_vocab.intern([e for e in _read_lines(f"{prefix}.ookb.txt") if e]))
+    ookb = np.unique(entity_vocab.intern(_read_lines(f"{prefix}.ookb.txt")))
     stats = read_json(f"{prefix}.stats.json", lambda fields: SplitStats(**fields))
     return OokbSplit(train=train, aux=aux, ookb_entities=ookb,
                      validation=valid, test=test, stats=stats)

@@ -212,7 +212,7 @@ def train(
                         f"non-finite loss at epoch {epoch}, minibatch {batch_index}"
                     )
                 backward(loss)
-                adam_step(model.store, epoch, cfg.alpha1, cfg.alpha2)
+                adam_step(model.store, lr)  # trainer.adam_step, which the benchmark wraps
                 if cfg.project_entities:
                     _project_unit_ball(model.entities.data)
                 total_loss += float(loss.data)

@@ -294,6 +294,13 @@ def test_no_backward_writes_a_stored_gradient(monkeypatch):
     assert not model.entities.grad.values.flags.writeable
 
 
+def test_a_row_sparse_gradient_is_not_read_as_an_array():
+    g = ad.RowSparseGrad(np.array([1]), np.ones((1, 2)), (3, 2))
+    with pytest.raises(TypeError, match="use autodiff.densify"):
+        np.asarray(g)
+    assert ad.densify(g).tolist() == [[0.0, 0.0], [1.0, 1.0], [0.0, 0.0]]
+
+
 # ---------------------------------------------------------------------------
 # max pooling: reduceat maxima, one winner per (segment, feature)
 
@@ -689,7 +696,7 @@ def test_forked_child_runs_a_pooled_transition(monkeypatch):
     def pooled():  # a transition and an Adam step, each above POOL_FLOOR
         store = ParamStore({"table": np.arange(2 * ad.POOL_FLOOR, dtype=float).reshape(-1, 32)})
         store.param("table").grad = np.ones((2 * ad.POOL_FLOOR // 32, 32))
-        adam_step(store, epoch=0)
+        adam_step(store, 0.01)
         step = [a.tobytes() for a in (store.param("table").data, *store.moments("table"))]
         return _pooled_transition(True, "batch", "relu") + step
 

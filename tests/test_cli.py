@@ -140,6 +140,16 @@ class TestTrain:
                     "--pooling", "median"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_loss_is_numerical_fault(self, tmp_path, capsys):
+        ring = tmp_path / "ring.txt"
+        ring.write_text("".join(f"e{i}\tnext\te{(i + 1) % 20}\n" for i in range(20)))
+        code = run(["train", "--train", ring, "--out", tmp_path / "r", "--epochs", "1",
+                    "--dim", "4", "--margin", "1e308", "--minibatch", "8"])
+        assert code == EXIT_NUMERIC
+        assert (capsys.readouterr().err
+                == "numerical fault: non-finite loss at epoch 0, minibatch 0\n")
+
     def test_empty_train_file_is_data_error(self, corpus, capsys):
         tmp_path, _ = corpus
         empty = tmp_path / "empty.txt"
@@ -432,6 +442,25 @@ class TestEvalAndPredict:
             assert code == EXIT_DATA
             err = capsys.readouterr().err
             assert err.startswith("data error") and message in err, err
+
+    def test_proposed_ookb_eval_of_a_model_without_propagation_is_data_error(self, corpus,
+                                                                             capsys):
+        tmp_path, paths = corpus
+        splits = tmp_path / "splits"
+        assert run(["gen-ookb", "--train", paths["train"], "--valid", paths["valid"],
+                    "--test", paths["test"], "--n", "2", "--position", "tail",
+                    "--out", splits]) == EXIT_OK
+        run_dir = tmp_path / "ookb-train"
+        assert run(["train", "--train", splits / "tail-2.train.txt",
+                    "--vocab", splits / "entities.txt", "--out", run_dir]
+                   + TRAIN_ARGS + ["--mode", "none"]) == EXIT_OK
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", run_dir / "checkpoint-final", "--mode", "ookb",
+                    "--split-prefix", splits / "tail-2", "--method", "proposed",
+                    "--out", tmp_path / "ookb-eval"])
+        assert code == EXIT_DATA
+        assert (capsys.readouterr().err == "data error: the trained model has no "
+                "propagation step; use the pooled baseline\n")
 
     @pytest.mark.parametrize("part, line, name", [
         ("valid", "e0\tsideways\te1\t1", "sideways"),
@@ -811,6 +840,22 @@ class TestEvalAndPredict:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "e99" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--mode", "standard"],
+    ["eval", "--mode", "ookb"],
+    ["eval", "--mode", "ookb", "--split-prefix", "split", "--method", "baseline"],
+    ["predict", "--train", "train.txt", "--triplets", "queries.txt"],
+], ids=["standard-eval-without-files", "ookb-eval-without-split", "baseline-without-pooling",
+        "predict-without-thresholds-or-valid"])
+def test_option_combination_is_checked_before_any_file_is_read(tmp_path, capsys, argv):
+    # no path named here exists, the checkpoint included
+    code = run(argv[:1] + ["--checkpoint", tmp_path / "missing", "--out", tmp_path / "out"]
+               + [tmp_path / a if a.endswith((".txt", "split")) else a for a in argv[1:]])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("usage error: ")
+    assert not (tmp_path / "out").exists()
 
 
 class TestGradcheckCommand:

@@ -19,22 +19,25 @@ from graphkbc.nn import (
     save_checkpoint,
     step_size,
 )
+from graphkbc.trainer import TrainConfig
+
+ALPHAS = (TrainConfig.alpha1, TrainConfig.alpha2)  # the reference protocol's step size
 
 
 class TestStepSize:
     def test_epoch_zero(self):
-        assert step_size(0) == 0.01
+        assert step_size(0, *ALPHAS) == 0.01
 
     def test_halved_at_ten_thousand(self):
-        assert step_size(10_000) == pytest.approx(0.005)
+        assert step_size(10_000, *ALPHAS) == pytest.approx(0.005)
 
     def test_strictly_decreasing(self):
-        sizes = [step_size(k) for k in range(50)]
+        sizes = [step_size(k, *ALPHAS) for k in range(50)]
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
 
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
-            step_size(-1)
+            step_size(-1, *ALPHAS)
 
 
 class TestAdam:
@@ -44,14 +47,14 @@ class TestAdam:
         store = ParamStore()
         p = store.add_param("w", np.array([0.0]))
         p.grad = np.array([1.0])
-        adam_step(store, epoch=0)
+        adam_step(store, 0.01)
         expected = -0.01 * 1.0 / (1.0 + ADAM_EPS)
         assert p.data[0] == pytest.approx(expected, rel=1e-12)
 
     def test_zero_gradient_is_noop_with_fresh_moments(self):
         store = ParamStore()
         p = store.add_param("w", np.array([1.5, -2.5]))
-        adam_step(store, epoch=0)  # no grad accumulated at all
+        adam_step(store, 0.01)  # no grad accumulated at all
         assert np.array_equal(p.data, [1.5, -2.5])
 
     def test_shape_mismatch_rejected(self):
@@ -59,7 +62,7 @@ class TestAdam:
         p = store.add_param("w", np.zeros(3))
         p.grad = np.zeros(2)
         with pytest.raises(ValueError):
-            adam_step(store, epoch=0)
+            adam_step(store, 0.01)
 
     def test_two_steps_match_manual_recurrence(self):
         store = ParamStore()
@@ -75,7 +78,7 @@ class TestAdam:
             w -= 0.01 * mh / (np.sqrt(vh) + ADAM_EPS)
         for g in grads:
             p.grad = np.array([g])
-            adam_step(store, epoch=0)
+            adam_step(store, 0.01)
         assert p.data[0] == pytest.approx(w, rel=1e-12)
 
     def test_blocked_update_is_the_whole_array_formula_bitwise(self):
@@ -108,7 +111,7 @@ class TestAdam:
             return RowSparseGrad(rows, values, shape)
 
         for t, epoch in enumerate((0, 0, 5, 5, 6), start=1):
-            lr = step_size(epoch)
+            lr = step_size(epoch, *ALPHAS)
             for name, p in store.parameters().items():
                 scale = 10.0 ** (t - 2)
                 if name == "idle" or (name == "table" and t == 3):
@@ -131,7 +134,7 @@ class TestAdam:
                 update /= denom
                 update *= lr
                 w -= update
-            adam_step(store, epoch)
+            adam_step(store, lr)
             unnamed = ~np.isin(np.arange(600), np.concatenate([named[k] for k in named if k <= t]))
             assert table[unnamed].tobytes() == start[unnamed].tobytes(), t
             for moment in store._moments["table"]:
@@ -160,7 +163,7 @@ class TestAdam:
         row0 = loaded.param("w").data[0].tobytes()
         loaded.param("w").grad = RowSparseGrad(np.array([2]), np.array([[-0.0, 0.0]]), (4, 2))
         loaded.param("d").grad = np.array([[0.0, 0.0], [-0.0, -0.0], [-0.0, 0.0]])
-        adam_step(loaded, epoch=0)
+        adam_step(loaded, 0.01)
         assert not np.signbit(loaded._moments["w"][0]).any()
         assert not np.signbit(loaded._moments["d"][0]).any()
         assert loaded._moments["w"][1][3, 1] == 0.5 * ADAM_BETA2
@@ -180,7 +183,7 @@ class TestAdam:
             for _ in range(2):
                 store.param("table").grad = RowSparseGrad(rows, values, (20_000, 50))
                 tracemalloc.start()
-                adam_step(store, epoch=0)
+                adam_step(store, 0.01)
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
                 assert peak < store.param("table").data.nbytes // 8, (cpus, peak)
@@ -205,7 +208,7 @@ class TestAdam:
                 values[::5, 3] = -0.0
                 store.param("table").grad = RowSparseGrad(rows, values, (12_000, 48))
                 store.param("dense").grad = rng.normal(size=(600, 1000))
-                adam_step(store, epoch=t)
+                adam_step(store, step_size(t, *ALPHAS))
             return [a.tobytes() for name, p in store.parameters().items()
                     for a in (p.data, *store.moments(name))]
 
@@ -369,7 +372,7 @@ class TestCheckpoint:
         store.add_buffer("running", np.array([1.0, 2.0, 3.0]))
         w.grad = rng.normal(size=(3, 2))
         b.grad = rng.normal(size=2)
-        adam_step(store, epoch=3)
+        adam_step(store, step_size(3, *ALPHAS))
 
         save_checkpoint(store, tmp_path / "ck", extra={"epoch": 3})
         loaded, extra = load_checkpoint(tmp_path / "ck")
@@ -395,7 +398,7 @@ class TestCheckpoint:
                 p.grad = np.array([[0.5, -0.25, 0.125, 1.0][k]])
                 rows = np.array(sparse[k], dtype=np.intp)
                 table.grad = RowSparseGrad(rows, np.full((len(rows), 3), 0.5 - k), (6, 3))
-                adam_step(store, epoch=0)
+                adam_step(store, 0.01)
             return [a.tobytes() for name in ("w", "table")
                     for a in (store.param(name).data, *store._moments[name])]
 
@@ -422,7 +425,7 @@ class TestCheckpoint:
         store = ParamStore({"w": np.arange(6.0).reshape(3, 2), "b": np.ones(2)},
                            {"running": np.array([1.0, 2.0, 3.0])})
         store.param("w").grad = np.full((3, 2), 0.5)
-        adam_step(store, epoch=0)
+        adam_step(store, 0.01)
         save_checkpoint(store, tmp_path / "ck", extra={"epoch": 1})
         blob = tmp_path / "ck" / "params.bin"
         manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
@@ -438,7 +441,7 @@ class TestCheckpoint:
             assert loaded.param(name).data.tobytes() == store.param(name).data.tobytes()
         assert loaded.buffer("running").tobytes() == store.buffer("running").tobytes()
         with pytest.raises(ValueError, match="without its Adam moments"):
-            adam_step(loaded, epoch=1)
+            adam_step(loaded, step_size(1, *ALPHAS))
         assert loaded.adam_t == 1
         with pytest.raises(ValueError, match="without its Adam moments"):
             save_checkpoint(loaded, tmp_path / "again")
@@ -470,8 +473,8 @@ def test_one_adam_step_count_for_all_parameters():
     store = ParamStore()
     store.add_param("w", np.zeros(2))
     store.add_param("b", np.zeros(1))
-    adam_step(store, epoch=0)
-    adam_step(store, epoch=0)
+    adam_step(store, 0.01)
+    adam_step(store, 0.01)
     assert store.adam_t == 2
 
 

@@ -20,6 +20,7 @@ from graphkbc.ookb import (
     filter_eval_sets,
     finalize_ookb,
     generate,
+    read_split,
     split_name,
     split_training,
     write_split,
@@ -213,6 +214,17 @@ def test_write_split_round_trips(tmp_path):
     assert "ookb_entities=2" in stats_text
     ookb_names = open(paths["ookb"]).read().split()
     assert ookb_names == ["a", "d"]
+
+
+def test_read_split_keeps_an_entity_with_an_empty_name(tmp_path):
+    # entity A is named "": write_split gives it a blank line of the OOKB list
+    ev, rv = Vocabulary(["", "b", "c", "d", "e"]), Vocabulary(["r", "s"])
+    split = generate(TestGenerate.TRAIN, TestGenerate.VALID, TestGenerate.TEST, 2, "head")
+    write_split(split, tmp_path, "head-2", ev, rv)
+    assert (tmp_path / "head-2.ookb.txt").read_text(encoding="utf-8") == "\nd\n"
+    loaded = read_split(tmp_path / "head-2", ev, rv)
+    assert loaded.ookb_entities.tolist() == split.ookb_entities.tolist() == [A, D]
+    assert len(ev) == 5
 
 
 def test_check_reports_each_kind_of_violation():

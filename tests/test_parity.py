@@ -36,9 +36,9 @@ def test_command_sequence_runs_on_this_tree(tmp_path):
         for how in ("thresholds", "valid"):
             lines = (tmp_path / name / f"predict-{how}.txt").read_text().splitlines()
             assert len(lines) == len((tmp_path / name / "queries.txt").read_text().splitlines())
-        # every faulty command is a data error
+        # the faulty inputs are data errors, the faulty option combinations usage errors
         faults = (tmp_path / name / "faults.txt").read_text().splitlines()
-        assert [line for line in faults if line.startswith("exit ")] == ["exit 2"] * 8
+        assert [line for line in faults if line.startswith("exit ")] == ["exit 2"] * 8 + ["exit 1"] * 4
 
 
 def test_bench_summary_counts_wins_by_direction():

@@ -11,6 +11,7 @@ from graphkbc.model import GraphModel, ObjectiveConfig, PropagationConfig, load_
 from graphkbc.nn import adam_step
 from graphkbc.trainer import (
     TrainConfig,
+    _records_before,
     compute_bernoulli_stats,
     corrupt_batch,
     head_replacement_probability,
@@ -234,6 +235,15 @@ class TestRunTraining:
                      start_epoch=3)
         assert np.array_equal(full.entities.data, resumed.entities.data)
         assert np.array_equal(full.relations.data, resumed.relations.data)
+
+
+@pytest.mark.parametrize("last", ['{"epoch": 1, "lo\n', '{"epoch": 1, "loss": 0.5}'],
+                         ids=["torn", "without-newline"])
+def test_a_resumed_run_keeps_no_record_of_an_interrupted_write(tmp_path, last):
+    # the metrics file a resumed run rewrites in place: its last write was cut short
+    path = tmp_path / "metrics.jsonl"
+    path.write_text('{"epoch": 0, "loss": 1.0}\n' + last, encoding="utf-8")
+    assert _records_before(path, 3) == ['{"epoch": 0, "loss": 1.0}\n']
 
 
 @pytest.mark.parametrize("depth, mode, ops", [(1, "unrolled", 17), (2, "stacked", 20)])

@@ -13,8 +13,12 @@ that must fail with a data error: standard ``eval`` with a test entity the
 checkpoint lacks, ``eval --mode ookb`` on a copy of the split with its aux
 file emptied, ``predict`` with an aux triplet linking two unknown
 entities and with a relation the checkpoint lacks, and ``train``, standard
-``eval`` and ``predict --valid`` each reading an empty file; each one's
-exit code and stderr go to ``{corpus}/faults.txt``. Both runs use the same relative
+``eval`` and ``predict --valid`` each reading an empty file, followed by
+commands that must fail with a usage error before reading their checkpoint,
+which does not exist: ``eval`` without its mode's files, without
+``--split-prefix`` and without the baseline's ``--pooling``, and
+``predict`` without ``--thresholds`` or ``--valid``. Each one's exit code
+and stderr go to ``{corpus}/faults.txt``. Both runs use the same relative
 paths, so echoed paths agree. Every output file is then compared byte for
 byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
 
@@ -202,7 +206,8 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
     predict = ["predict", "--checkpoint", bundle, "--train", f"{split}.train.txt"]
     thresholds = ["--thresholds", f"{name}/eval-proposed/thresholds.json"]
     standard = ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", f"{name}/train.txt"]
-    empty = f"{name}/faults/empty.txt"
+    empty, missing = f"{name}/faults/empty.txt", f"{name}/faults/no-checkpoint"
+    unchecked = ["eval", "--checkpoint", missing, "--out", f"{name}/faults/eval-usage"]
     return [
         standard + ["--valid", f"{name}/valid.txt", "--test", f"{name}/faults/test.txt",
                     "--out", f"{name}/faults/eval-standard"],
@@ -219,6 +224,12 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
         standard + ["--valid", f"{name}/valid.txt", "--test", empty,
                     "--out", f"{name}/faults/eval-empty-test"],
         predict + ["--triplets", f"{name}/queries.txt", "--valid", empty],
+        # option combinations that are usage errors, on a checkpoint that does not exist
+        unchecked + ["--mode", "standard"],
+        unchecked + ["--mode", "ookb"],
+        unchecked + ["--mode", "ookb", "--split-prefix", split, "--method", "baseline"],
+        ["predict", "--checkpoint", missing, "--train", f"{split}.train.txt",
+         "--triplets", f"{name}/queries.txt"],
     ]
 
 
