@@ -279,12 +279,11 @@ def _require_in_checkpoint(model, rv, entities=()) -> None:
 
 
 def cmd_eval(args) -> int:
-    if args.mode == "standard":
-        if not (args.train and args.valid and args.test):
-            raise UsageError("standard eval needs --train, --valid and --test")
-    elif not args.split_prefix:
+    if args.mode == "standard" and not (args.train and args.valid and args.test):
+        raise UsageError("standard eval needs --train, --valid and --test")
+    if args.mode == "ookb" and not args.split_prefix:
         raise UsageError("ookb eval needs --split-prefix")
-    elif args.method == "baseline" and not args.pooling:
+    if args.mode == "ookb" and args.method == "baseline" and not args.pooling:
         raise UsageError("baseline eval needs --pooling")
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,

@@ -845,15 +845,14 @@ class TestEvalAndPredict:
 @pytest.mark.parametrize("argv", [
     ["eval", "--mode", "standard"],
     ["eval", "--mode", "ookb"],
-    ["eval", "--mode", "ookb", "--split-prefix", "split", "--method", "baseline"],
-    ["predict", "--train", "train.txt", "--triplets", "queries.txt"],
+    ["eval", "--mode", "ookb", "--split-prefix", "{d}/split", "--method", "baseline"],
+    ["predict", "--train", "{d}/train.txt", "--triplets", "{d}/queries.txt"],
 ], ids=["standard-eval-without-files", "ookb-eval-without-split", "baseline-without-pooling",
         "predict-without-thresholds-or-valid"])
 def test_option_combination_is_checked_before_any_file_is_read(tmp_path, capsys, argv):
     # no path named here exists, the checkpoint included
-    code = run(argv[:1] + ["--checkpoint", tmp_path / "missing", "--out", tmp_path / "out"]
-               + [tmp_path / a if a.endswith((".txt", "split")) else a for a in argv[1:]])
-    assert code == EXIT_USAGE
+    argv = argv[:1] + ["--checkpoint", "{d}/missing", "--out", "{d}/out"] + argv[1:]
+    assert run([a.format(d=tmp_path) for a in argv]) == EXIT_USAGE
     assert capsys.readouterr().err.startswith("usage error: ")
     assert not (tmp_path / "out").exists()
 

@@ -561,11 +561,12 @@ def test_interrupted_bundle_overwrite_never_mixes_states(tmp_path, monkeypatch, 
     monkeypatch.undo()
 
     if fault == "swap":  # a well-formed eval, which reads the checkpoint first
-        (tmp_path / "train.txt").write_text("a\tr\tb\n")
-        (tmp_path / "labeled.txt").write_text("a\tr\tb\t1\nb\tr\ta\t-1\n")
-        files = ["--train", "train.txt", "--valid", "labeled.txt", "--test", "labeled.txt"]
-        assert main(["eval", "--checkpoint", str(bundle), "--out", str(tmp_path / "e")]
-                    + [str(tmp_path / f) if f.endswith(".txt") else f for f in files]) == EXIT_DATA
+        train, labeled = tmp_path / "train.txt", tmp_path / "labeled.txt"
+        train.write_text("a\tr\tb\n")
+        labeled.write_text("a\tr\tb\t1\nb\tr\ta\t-1\n")
+        assert main(["eval", "--checkpoint", str(bundle), "--out", str(tmp_path / "e"),
+                     "--train", str(train), "--valid", str(labeled), "--test", str(labeled)]) \
+            == EXIT_DATA
         return
     loaded = load_model(bundle)[0].store
     assert loaded.adam_t == 7
