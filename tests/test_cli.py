@@ -140,7 +140,6 @@ class TestTrain:
                     "--pooling", "median"])
         assert code == EXIT_USAGE
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loss_is_numerical_fault(self, tmp_path, capsys):
         ring = tmp_path / "ring.txt"
         ring.write_text("".join(f"e{i}\tnext\te{(i + 1) % 20}\n" for i in range(20)))

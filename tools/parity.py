@@ -207,7 +207,7 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
     thresholds = ["--thresholds", f"{name}/eval-proposed/thresholds.json"]
     standard = ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", f"{name}/train.txt"]
     empty, missing = f"{name}/faults/empty.txt", f"{name}/faults/no-checkpoint"
-    unchecked = ["eval", "--checkpoint", missing, "--out", f"{name}/faults/eval-usage"]
+    eval_missing = ["eval", "--checkpoint", missing, "--out", f"{name}/faults/eval-usage"]
     return [
         standard + ["--valid", f"{name}/valid.txt", "--test", f"{name}/faults/test.txt",
                     "--out", f"{name}/faults/eval-standard"],
@@ -225,9 +225,9 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
                     "--out", f"{name}/faults/eval-empty-test"],
         predict + ["--triplets", f"{name}/queries.txt", "--valid", empty],
         # option combinations that are usage errors, on a checkpoint that does not exist
-        unchecked + ["--mode", "standard"],
-        unchecked + ["--mode", "ookb"],
-        unchecked + ["--mode", "ookb", "--split-prefix", split, "--method", "baseline"],
+        eval_missing + ["--mode", "standard"],
+        eval_missing + ["--mode", "ookb"],
+        eval_missing + ["--mode", "ookb", "--split-prefix", split, "--method", "baseline"],
         ["predict", "--checkpoint", missing, "--train", f"{split}.train.txt",
          "--triplets", f"{name}/queries.txt"],
     ]
