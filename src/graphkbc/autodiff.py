@@ -4,9 +4,14 @@ Only the operations the propagation model needs: broadcasting arithmetic,
 activations, the fused transition of rows sorted by group (an affine map
 from a stack of matrices, batch normalization, an activation), row gathers
 and segment reductions (the building blocks of neighborhood pooling),
-per-row norms and axis-0 means. Each operation hands its output and a
-backward closure to ``_record``, which keeps the closure only when the
-output needs a gradient; a backward computes what it needs when it runs.
+per-row norms and axis-0 means. The transition also gathers its rows and
+pools them (``group_transition``'s ``gather`` and ``pool``): one propagation
+step is one op, which keeps one array of its records' size for the
+backward. Each operation hands its output and a backward closure to
+``_record``, which keeps the closure only when the output needs a gradient;
+a backward computes what it needs when it runs, except max pooling's
+winning rows, which the forward finds as it reduces, and only when a
+gradient will be taken.
 ``backward`` walks the tape in reverse topological order and frees it as it
 goes: once it returns, a non-leaf's ``.grad`` and closure are gone, and only
 the leaves keep their ``.grad``.
@@ -316,21 +321,57 @@ def _each_run(body, runs: list) -> None:
         future.result()
 
 
-def group_transition(x, offsets, weight=None, norm=None, activation=None):
+def _column_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a * b).sum(axis=0)`` of two (m, d) arrays, without the product array when d >= 2.
+
+    numpy's axis-0 sum of a C-ordered (m, d) array adds the rows in order
+    when d >= 2, as ``einsum`` does; at d = 1 it sums pairwise, so there the
+    product is made.
+    """
+    if a.shape[1] > 1:
+        return np.einsum("ij,ij->j", a, b)
+    return (a * b).sum(axis=0)
+
+
+# the elements of one block of the transition backward's elementwise passes: 256 KiB
+_BLOCK_ELEMENTS = 1 << 15
+
+
+def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
+                     gather=None, pool=None, training=True):
     """Each row group's affine map, batch norm and activation, fused into one op.
 
-    The rows of ``x`` are sorted by group: group ``g`` is rows
-    ``offsets[g]:offsets[g + 1]``. The rows before ``offsets[0]`` pass
-    through: their output is their input and their gradient the incoming
-    one. Each stage is optional, and each runs on one group's rows at a time:
+    The rows are sorted by group: group ``g`` is rows ``offsets[g]:offsets[g + 1]``.
+    The rows before ``offsets[0]`` pass through: their output is their input
+    and their gradient the incoming one (``offsets=None``: every row passes
+    through). Each stage is optional, and each runs on one group's rows at a
+    time:
 
+    * ``gather = (idx, plan)``: the rows are ``x[idx]``, taken group by group
+      inside the runs; the backward adds their gradients into ``x`` as
+      ``gather_rows`` does (``plan``, the ``gather_plan`` of ``idx``, is made
+      when backward runs unless given);
     * ``weight``, a (G, d, d) stack: ``y[i] = weight[g] @ x[i]``;
     * ``norm = (gamma, beta, eps, fixed)``, with (G, d) ``gamma`` and
       ``beta``: ``(y[i] - mean[g]) * inv[g] * gamma[g] + beta[g]``. Without
       ``fixed``, each group uses its batch mean and variance,
       ``inv = (var + eps) ** -0.5`` (a one-row group outputs its beta);
       ``fixed = (mean, inv)`` gives them;
-    * ``activation``, ``"relu"`` or ``"tanh"``.
+    * ``activation``, ``"relu"`` or ``"tanh"``;
+    * ``pool = (pooling, seg, n_segments, plan)``: the output is each
+      segment's ``"sum"``, ``"avg"`` or ``"max"`` of the rows, bit for bit
+      ``segment_sum``, ``segment_mean`` or ``segment_max`` of them (``plan``,
+      the ``segment_plan`` of ``seg``, or None).
+
+    A gathered, transformed and pooled op is one propagation step. For its
+    backward it keeps one array of the rows' size: the normalized rows, or
+    the activation's output when there is no batch norm (none without
+    either). The gathered rows and a pooled op's transformed rows are freed
+    before it returns; the backward regathers each group's rows and
+    recomputes the activation's derivative from the normalized rows. Max
+    pooling keeps each (segment, feature)'s winning row, the lowest-index
+    one that attains the maximum, as its rank in the segment; an inference
+    forward (``training=False``) keeps none, and its output has no gradient.
 
     Returns the output and the (G, d) batch mean and variance (None unless
     ``norm`` uses batch statistics). The forward and the backward each split
@@ -340,7 +381,13 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
     x = _ensure(x)
     if x.data.ndim != 2:
         raise ValueError(f"group_transition wants (n,d) rows, got {x.shape}")
-    n, d = x.data.shape
+    idx, gather_runs = (None, None) if gather is None else gather
+    if idx is not None:
+        idx = np.asarray(idx, dtype=np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= len(x.data)):
+            raise IndexError(f"gather ids must lie in [0, {len(x.data)})")
+    n, d = (len(x.data) if idx is None else len(idx)), x.data.shape[1]
+    offsets = [n] if offsets is None else offsets
     parents, n_groups = [x], len(offsets) - 1
     if weight is not None:
         weight = _ensure(weight)
@@ -349,7 +396,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                              f"got {weight.shape} and {x.shape}")
         parents.append(weight)
         n_groups = weight.data.shape[0]
-    batch, mean, var = False, None, None
+    batch, mean, var, normalized = False, None, None, None
     if norm is not None:
         gamma, beta, eps, fixed = norm
         gamma, beta = _ensure(gamma), _ensure(beta)
@@ -358,28 +405,44 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
         batch = fixed is None
         mean, inv = (np.zeros_like(gamma.data), np.zeros_like(gamma.data)) if batch else fixed
         var = np.zeros_like(gamma.data) if batch else None
-        normalized = np.empty_like(x.data)
+        normalized = np.empty((n, d))
     if activation not in (None, "relu", "tanh"):
         raise ValueError(f"unknown activation {activation!r}")
+    if pool is not None:
+        pooling, seg, n_segments, segment_runs = pool
+        if pooling not in ("sum", "avg", "max"):
+            raise ValueError(f"unknown pooling {pooling!r}")
+        seg = np.asarray(seg, dtype=np.intp)
+        counts, segment_runs = (segment_plan(seg, n_segments, n * d) if segment_runs is None
+                                else segment_runs)
     groups = _group_slices(offsets, n, n_groups)
-    data = np.empty_like(x.data)
     n_pass = int(offsets[0])
-    data[:n_pass] = x.data[:n_pass]
     runs = _runs(groups, _threads((n - n_pass) * d))
+
+    def rows(lo, hi, into=None):
+        """Input rows ``lo:hi``: a view of ``x``, or gathered into ``into`` (new if None)."""
+        if idx is None:
+            return x.data[lo:hi]
+        # the ids are checked above; under mode="raise" take buffers its output
+        return np.take(x.data, idx[lo:hi], axis=0, out=into, mode="clip")
+
+    data = np.empty((n, d))
+    data[:n_pass] = rows(0, n_pass, data[:n_pass])
 
     def forward_run(run):
         for g, lo, hi in run:
             y = data[lo:hi]
             if weight is None:
-                y[...] = x.data[lo:hi]
-            else:
-                np.matmul(x.data[lo:hi], weight.data[g].T, out=y)
+                y[...] = rows(lo, hi, y)
+            else:  # gathered into the normalized rows' slice, which centering overwrites
+                np.matmul(rows(lo, hi, None if normalized is None else normalized[lo:hi]),
+                          weight.data[g].T, out=y)
             if norm is not None:
                 if batch:
                     mean[g] = y.mean(axis=0)
                 c = np.subtract(y, mean[g], out=normalized[lo:hi])
                 if batch:
-                    var[g] = (c * c).mean(axis=0)
+                    var[g] = _column_dot(c, c) / (hi - lo)  # the bits of (c * c).mean(axis=0)
                     inv[g] = (var[g] + eps) ** -0.5
                 c *= inv[g]  # kept for the backward
                 np.multiply(c, gamma.data[g], out=y)
@@ -390,50 +453,90 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None):
                 np.tanh(y, out=y)
     _each_run(forward_run, runs)
 
+    out, winners = data, None
+    if pool is not None:
+        if pooling == "max":
+            out, winners = _segment_max(data, segment_runs, counts, training)
+        else:
+            out = _segment_reduce(np.add, data, segment_runs, n_segments)
+        if pooling == "avg":
+            counts = counts.astype(DTYPE)
+            out /= counts[:, None]
+    # what the backward reads; the records' gradient is written over it
+    kept = normalized if norm is not None else data if activation is not None else None
+    own_kept = kept is not None and kept is not out
+
     def backward(grad):
-        gx = np.empty_like(x.data)
-        gx[:n_pass] = grad[:n_pass]
+        if pool is None:
+            dz_all = np.array(grad, dtype=DTYPE)  # a stored gradient is not written in place
+        elif pooling == "max":
+            if winners is None:
+                raise ValueError("an inference forward keeps no max-pooling winners; "
+                                 "build the op with training=True to differentiate it")
+            dz_all = _max_grad(grad, winners, segment_runs, (n, d))
+        else:
+            dz_all = grad[seg]
+            if pooling == "avg":
+                dz_all /= counts[seg, None]
+        gx = kept if own_kept else np.empty((n, d))
+        gx[:n_pass] = dz_all[:n_pass]
         if weight is not None:
             gw = np.zeros_like(weight.data)
         if norm is not None:
             g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
+        block = max(1, _BLOCK_ELEMENTS // d)
+
+        def blocks(lo, hi):
+            return [(b, min(b + block, hi)) for b in range(lo, hi, block)]
 
         def backward_run(run):
+            scratch = np.empty((block, d))
             for g, lo, hi in run:
-                dz, y = grad[lo:hi], data[lo:hi]
-                if activation == "relu":
-                    dz = dz * (y > 0.0)  # subgradient at 0 is 0
-                elif activation == "tanh":
-                    dz = dz * (1.0 - y * y)
+                dz = dz_all[lo:hi]
+                if activation is not None:  # the activation's derivative, block by block
+                    for b0, b1 in blocks(lo, hi):
+                        if norm is None:
+                            y = kept[b0:b1]  # the output
+                        else:  # the forward's own ops on the normalized rows
+                            y = np.multiply(kept[b0:b1], gamma.data[g], out=scratch[:b1 - b0])
+                            y += beta.data[g]
+                            if activation == "tanh":
+                                np.tanh(y, out=y)
+                        if activation == "relu":
+                            dz_all[b0:b1] *= y > 0.0  # subgradient at 0 is 0
+                        else:
+                            dz_all[b0:b1] *= 1.0 - y * y
                 if norm is not None:
-                    xhat = normalized[lo:hi]
-                    t = np.multiply(dz, xhat)  # scratch for dz * xhat, then xhat * m2
+                    xhat = kept[lo:hi]
                     g_beta[g] = dz.sum(axis=0)
-                    g_gamma[g] = t.sum(axis=0)
-                    if activation is None:  # dz is still the incoming gradient
-                        dz = dz * gamma.data[g]
-                    else:
-                        dz *= gamma.data[g]
+                    g_gamma[g] = _column_dot(dz, xhat)
+                    dz *= gamma.data[g]
                     if batch:  # the batch statistics depend on the rows as well
                         m1 = dz.mean(axis=0)
-                        m2 = np.multiply(dz, xhat, out=t).mean(axis=0)
-                        np.multiply(xhat, m2, out=t)
-                        t += m1  # the bits of m1 + t: addition commutes
-                        dz -= t
-                    dz *= inv[g]
+                        m2 = _column_dot(dz, xhat) / (hi - lo)
+                    for b0, b1 in blocks(lo, hi):
+                        if batch:
+                            t = np.multiply(kept[b0:b1], m2, out=scratch[:b1 - b0])
+                            t += m1  # the bits of m1 + t: addition commutes
+                            dz_all[b0:b1] -= t
+                        dz_all[b0:b1] *= inv[g]
+                # the group's kept rows are spent: its input rows go there, then their gradient
                 if weight is None:
                     gx[lo:hi] = dz
                 else:
+                    gw[g] = dz.T @ rows(lo, hi, gx[lo:hi])
                     np.matmul(dz, weight.data[g], out=gx[lo:hi])
-                    gw[g] = dz.T @ x.data[lo:hi]
         _each_run(backward_run, runs)
-        _accumulate(x, gx)
+        if idx is None:
+            _accumulate(x, gx)
+        else:
+            _gather_grad(x, idx, gx, gather_runs)
         if weight is not None:
             _accumulate(weight, gw)
         if norm is not None:
             _accumulate(gamma, g_gamma)
             _accumulate(beta, g_beta)
-    return _record(data, tuple(parents), backward), (mean if batch else None), var
+    return _record(out, tuple(parents), backward), (mean if batch else None), var
 
 
 def affine_rows(x, weight, offsets) -> Tensor:
@@ -513,13 +616,18 @@ def gather_rows(a, idx, plan=None) -> Tensor:
     a = _ensure(a)
     idx = np.asarray(idx, dtype=np.intp)
     def backward(g):
-        runs = gather_plan(idx, len(a.data), g.size) if plan is None else plan
-        if not runs:  # no repeated row
-            grad = RowSparseGrad(idx, g, a.data.shape)
-            _accumulate(a, densify(grad) if a._parents else grad)
-            return
-        _accumulate(a, _segment_reduce(np.add, g, runs, len(a.data)))
+        _gather_grad(a, idx, g, plan)
     return _record(a.data[idx], (a,), backward)
+
+
+def _gather_grad(a: Tensor, idx: np.ndarray, g: np.ndarray, plan) -> None:
+    """Add ``g``, the gradient of ``a.data[idx]``, into ``a`` (``gather_rows``' backward)."""
+    runs = gather_plan(idx, len(a.data), g.size) if plan is None else plan
+    if not runs:  # no repeated row
+        grad = RowSparseGrad(idx, g, a.data.shape)
+        _accumulate(a, densify(grad) if a._parents else grad)
+        return
+    _accumulate(a, _segment_reduce(np.add, g, runs, len(a.data)))
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -550,45 +658,53 @@ def segment_plan(seg: np.ndarray, n_segments: int, elements: int) -> tuple[np.nd
     return counts, _rank_plan(seg, counts, elements)
 
 
-def _segments(x, seg, n_segments: int, plan):
-    """The inputs, the rows of each segment and their runs: ``plan``, or the ``segment_plan``."""
+def _segments(x, seg, n_segments: int):
+    """The inputs, and the rows of each segment and their runs (``segment_plan``)."""
     x = _ensure(x)
     seg = np.asarray(seg, dtype=np.intp)
-    counts, runs = segment_plan(seg, n_segments, x.data.size) if plan is None else plan
-    return x, seg, counts, runs
+    return x, seg, *segment_plan(seg, n_segments, x.data.size)
 
 
-def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int) -> np.ndarray:
+def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int,
+                    winners: np.ndarray | None = None) -> np.ndarray:
     """``ufunc`` over each segment's rows of ``values``, in row order, by ``_rank_plan`` runs.
 
     A segment without rows is +0.0, and so is a zero result, whatever the
-    signs of the zeros it came from.
+    signs of the zeros it came from. A max (``np.maximum``) given
+    ``winners``, an (n_segments, d) unsigned array, writes there each
+    (segment, feature)'s first rank strictly above the running maximum: the
+    lowest-index row that attains the maximum.
     """
     out = np.zeros((n_segments,) + values.shape[1:])
 
     def reduce_run(run):
         segments, ranks = run
         total = values[ranks[0]]
-        for rows in ranks[1:]:
-            head = total[:len(rows)]
-            ufunc(head, values[rows], out=head)
+        won = None if winners is None else np.zeros(total.shape, winners.dtype)
+        for k, rows in enumerate(ranks[1:], 1):
+            head, rank_values = total[:len(rows)], values[rows]
+            if won is not None:
+                np.copyto(won[:len(rows)], k, where=rank_values > head)
+            ufunc(head, rank_values, out=head)
         total += 0.0
         out[segments] = total
+        if won is not None:
+            winners[segments] = won
     _each_run(reduce_run, runs)
     return out
 
 
-def segment_sum(x, seg, n_segments: int, plan=None) -> Tensor:
+def segment_sum(x, seg, n_segments: int) -> Tensor:
     """Per-segment row sums, each segment's rows added in row order; every segment must be nonempty."""
-    x, seg, _, runs = _segments(x, seg, n_segments, plan)
+    x, seg, _, runs = _segments(x, seg, n_segments)
     def backward(g):
         _accumulate(x, g[seg])
     return _record(_segment_reduce(np.add, x.data, runs, n_segments), (x,), backward)
 
 
-def segment_mean(x, seg, n_segments: int, plan=None) -> Tensor:
+def segment_mean(x, seg, n_segments: int) -> Tensor:
     """Per-segment row sums, added in row order, divided by the segments' row counts."""
-    x, seg, counts, runs = _segments(x, seg, n_segments, plan)
+    x, seg, counts, runs = _segments(x, seg, n_segments)
     counts = counts.astype(DTYPE)
     data = _segment_reduce(np.add, x.data, runs, n_segments)
     data /= counts[:, None]
@@ -597,32 +713,47 @@ def segment_mean(x, seg, n_segments: int, plan=None) -> Tensor:
     return _record(data, (x,), backward)
 
 
-def segment_max(x, seg, n_segments: int, plan=None) -> Tensor:
+def segment_max(x, seg, n_segments: int) -> Tensor:
     """Per-segment elementwise maxima; a zero maximum is +0.0, as a zero sum is.
 
     Each (segment, feature) gradient goes to one row: the lowest-index row
-    that attains the maximum. The rows are found when backward runs. The
-    forward and the backward run rank by rank over runs of whole segments
-    (``_rank_plan``), each segment's rows in row order.
+    that attains the maximum, found by the forward when ``x`` needs a
+    gradient. The forward and the backward run rank by rank over runs of
+    whole segments (``_rank_plan``), each segment's rows in row order.
     """
-    x, seg, _, runs = _segments(x, seg, n_segments, plan)
-    data = _segment_reduce(np.maximum, x.data, runs, n_segments)
+    x, seg, counts, runs = _segments(x, seg, n_segments)
+    data, winners = _segment_max(x.data, runs, counts, x.requires_grad)
     def backward(g):
-        gx = np.empty_like(x.data)
-
-        # rank by rank, a row equal to its segment's unclaimed maximum
-        # claims it, and the claimed maximum turns NaN, which equals nothing
-        def backward_run(run):
-            segments, ranks = run
-            left, g_seg = data[segments], g[segments]
-            for rows in ranks:
-                n = len(rows)
-                hit = x.data[rows] == left[:n]
-                np.copyto(left[:n], np.nan, where=hit)
-                gx[rows] = g_seg[:n] * hit
-        _each_run(backward_run, runs)
-        _accumulate(x, gx)
+        _accumulate(x, _max_grad(g, winners, runs, x.data.shape))
     return _record(data, (x,), backward)
+
+
+def _segment_max(values: np.ndarray, runs: list, counts: np.ndarray, winners: bool):
+    """Each segment's maxima, and with ``winners`` each (segment, feature)'s winning rank (else None).
+
+    The ranks are in the smallest unsigned dtype that holds the largest
+    segment's; ``_segment_reduce`` finds them.
+    """
+    won = None
+    if winners:
+        won = np.empty((len(counts),) + values.shape[1:], np.min_scalar_type(int(counts.max()) - 1))
+    return _segment_reduce(np.maximum, values, runs, len(counts), won), won
+
+
+def _max_grad(g: np.ndarray, winners: np.ndarray, runs: list, shape: tuple) -> np.ndarray:
+    """The rows' gradient of a segment max: each (segment, feature)'s ``g`` at its winning rank.
+
+    The other rows get ``g * False``, a zero of ``g``'s sign.
+    """
+    gx = np.empty(shape)
+
+    def scatter_run(run):
+        segments, ranks = run
+        g_seg, won = g[segments], winners[segments]
+        for k, rows in enumerate(ranks):
+            gx[rows] = g_seg[:len(rows)] * (won[:len(rows)] == k)
+    _each_run(scatter_run, runs)
+    return gx
 
 
 def rows_norm(x, p: int) -> Tensor:
@@ -680,7 +811,11 @@ def backward(loss: Tensor) -> None:
             node.grad, node._backward, node._parents = None, None, ()
 
 
-def gradcheck(build_loss, params: dict[str, Tensor], tol: float = 1e-4) -> list[str]:
+# the largest relative error ``gradcheck`` and the ``gradcheck`` command pass by default
+GRADCHECK_TOLERANCE = 1e-4
+
+
+def gradcheck(build_loss, params: dict[str, Tensor], tol: float = GRADCHECK_TOLERANCE) -> list[str]:
     """Compare analytic gradients against central finite differences.
 
     ``build_loss`` must rebuild the scalar loss from the live ``params``

@@ -6,7 +6,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, gradcheck
-from .model import GraphModel, NeighborSampler, NeighborTable, PropagationConfig, loss_absolute
+from .model import (POOLINGS, GraphModel, NeighborSampler, NeighborTable, PropagationConfig,
+                    loss_absolute)
 from .nn import BatchNorm, ParamStore
 
 
@@ -18,6 +19,8 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
     bn.gamma.data += rng.uniform(-0.5, 0.5, size=(3, 4))
     bn.beta.data += rng.uniform(-0.5, 0.5, size=(3, 4))
     seg = np.array([0, 1, 0, 1, 0])
+    # a propagation step's records: rows of x (some twice) and their targets
+    step_rows, step_seg = np.array([4, 1, 1, 3, 0, 2, 4]), np.array([0, 1, 0, 2, 1, 2, 0])
 
     cases = {
         "affine+relu+l2": lambda: ad.sum_all(
@@ -43,6 +46,12 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
         "gather:sparse+repeated": lambda: ad.sum_all(
             ad.rows_norm(ad.gather_rows(x, [0, 2, 3]) * ad.gather_rows(x, [3, 0, 3]), 2)),
     }
+    # one propagation step per pooling: record 0 passes through, as a self
+    # record does, group 0 holds one record, group 1 none and group 2 five
+    for pooling in POOLINGS:
+        cases[f"step:{pooling}"] = lambda pooling=pooling: ad.sum_all(ad.rows_norm(bn.transition(
+            x, [1, 2, 2, 7], True, A, "relu", gather=(step_rows, None),
+            pool=(pooling, step_seg, 3, None)), 2))
     failures = []
     params = {"x": x, "W": W, "A": A, "gamma": bn.gamma, "beta": bn.beta}
     for name, build in cases.items():
@@ -84,7 +93,8 @@ def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
     return failures
 
 
-def gradient_check_report(tolerance: float = 1e-4, seed: int = 0) -> tuple[bool, list[str]]:
+def gradient_check_report(tolerance: float = ad.GRADCHECK_TOLERANCE,
+                          seed: int = 0) -> tuple[bool, list[str]]:
     """Run both suites; returns (passed, failure messages)."""
     failures = _op_suite(np.random.default_rng(seed), tolerance)
     failures += _model_suite(np.random.default_rng(seed + 1), tolerance)

@@ -435,7 +435,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--tolerance", type=float, default=autodiff.GRADCHECK_TOLERANCE)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_gradcheck)
     return parser

@@ -408,20 +408,21 @@ class GraphModel:
         return vecs
 
     def _propagate_step(self, prev_vecs: Tensor, step: StepPlan, training: bool) -> Tensor:
-        """One pooled propagation step: ``step``'s records gathered once, in group order.
+        """One pooled propagation step, one op: ``step``'s records gathered in group order.
 
         Every group's rows go through its matrix, batch norm and the
-        activation in one fused op, which passes the self records through
-        unchanged.
+        activation, the self records pass through unchanged, and each
+        target pools its records.
         """
-        rows = ad.gather_rows(prev_vecs, step.gather, step.gather_plan)
+        args = {"gather": (step.gather, step.gather_plan),
+                "pool": (self.cfg.pooling, step.seg, step.n_targets, step.pool)}
+        if self.bn is not None:
+            return self.bn.transition(prev_vecs, step.offsets, training, self.A, "relu", **args)
+        activation = None
         if self.A is not None:
             activation = "tanh" if self.cfg.transition == "tanh-layer" else "relu"
-            if self.bn is not None:
-                rows = self.bn.transition(rows, step.offsets, training, self.A, activation)
-            else:
-                rows = ad.group_transition(rows, step.offsets, self.A, activation=activation)[0]
-        return _SEGMENT_POOL[self.cfg.pooling](rows, step.seg, step.n_targets, plan=step.pool)
+        return ad.group_transition(prev_vecs, step.offsets, self.A, activation=activation,
+                                   training=training, **args)[0]
 
     # -- scoring ----------------------------------------------------------
 

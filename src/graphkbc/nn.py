@@ -218,11 +218,15 @@ class BatchNorm:
     def __call__(self, x: Tensor, offsets, training: bool) -> Tensor:
         return self.transition(x, offsets, training)
 
-    def transition(self, x: Tensor, offsets, training: bool, weight=None, activation=None) -> Tensor:
-        """``autodiff.group_transition`` with this batch norm between ``weight`` and ``activation``."""
+    def transition(self, x: Tensor, offsets, training: bool, weight=None, activation=None,
+                   **step) -> Tensor:
+        """``autodiff.group_transition`` with this batch norm between ``weight`` and ``activation``.
+
+        ``step`` holds the op's ``gather`` and ``pool``, for a propagation step.
+        """
         fixed = None if training else (self.running_mean, 1.0 / np.sqrt(self.running_var + BN_EPS))
         out, mean, var = group_transition(x, offsets, weight, (self.gamma, self.beta, BN_EPS, fixed),
-                                          activation)
+                                          activation, training=training, **step)
         if training:
             present = np.diff(offsets) > 0
             m = BN_MOMENTUM

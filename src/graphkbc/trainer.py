@@ -203,10 +203,12 @@ def train(
                     ahead = planner.submit(plan_of, starts[batch_index + 1], perm,
                                            rng_corrupt, capped)
                 model.store.zero_grad()
-                scores = model.score_ids(plan)
-                pos_s = ad.gather_rows(scores, np.arange(b))
-                neg_s = ad.gather_rows(scores, np.arange(b, 2 * b))
-                loss = loss_fn(pos_s, neg_s, objective.margin)
+                # an overflow shows as a non-finite loss, checked right after
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scores = model.score_ids(plan)
+                    pos_s = ad.gather_rows(scores, np.arange(b))
+                    neg_s = ad.gather_rows(scores, np.arange(b, 2 * b))
+                    loss = loss_fn(pos_s, neg_s, objective.margin)
                 if not np.isfinite(loss.data):
                     raise GradientError(
                         f"non-finite loss at epoch {epoch}, minibatch {batch_index}"

@@ -378,40 +378,57 @@ def test_repeated_gather_gradient_matches_add_at_bitwise():
 def unfused_chain(x, offsets, W, gamma, beta, eps, fixed, activation, upstream):
     """Affine map, batch norm and activation as three whole-array passes, in numpy.
 
-    Returns the output, the batch statistics and the gradients of x, W,
-    gamma and beta for the upstream gradient.
+    ``W``, ``gamma`` (with ``beta``) and ``activation`` may each be None,
+    which skips that stage. Returns the output, the batch statistics and the
+    gradients of x, W, gamma and beta (None for a skipped stage) for the
+    upstream gradient.
     """
     groups = [(g, lo, hi) for g, (lo, hi) in enumerate(zip(offsets, offsets[1:])) if hi > lo]
-    pre = np.empty_like(x)
-    for g, lo, hi in groups:
-        pre[lo:hi] = x[lo:hi] @ W[g].T
-    mean, inv = fixed if fixed is not None else (np.zeros_like(gamma), np.zeros_like(gamma))
-    var = np.zeros_like(gamma)
-    centered, normed = np.empty_like(x), np.empty_like(x)
-    for g, lo, hi in groups:
-        if fixed is None:
-            mean[g] = pre[lo:hi].mean(axis=0)
-        c = centered[lo:hi] = pre[lo:hi] - mean[g]
-        if fixed is None:
-            var[g] = (c * c).mean(axis=0)
-            inv[g] = (var[g] + eps) ** -0.5
-        normed[lo:hi] = c * inv[g] * gamma[g] + beta[g]
-    out = np.maximum(normed, 0.0) if activation == "relu" else np.tanh(normed)
+    pre = x.copy()
+    if W is not None:
+        for g, lo, hi in groups:
+            pre[lo:hi] = x[lo:hi] @ W[g].T
+    normed, mean, var = pre, None, None
+    if gamma is not None:
+        mean, inv = fixed if fixed is not None else (np.zeros_like(gamma), np.zeros_like(gamma))
+        var = np.zeros_like(gamma)
+        centered, normed = np.empty_like(x), np.empty_like(x)
+        for g, lo, hi in groups:
+            if fixed is None:
+                mean[g] = pre[lo:hi].mean(axis=0)
+            c = centered[lo:hi] = pre[lo:hi] - mean[g]
+            if fixed is None:
+                var[g] = (c * c).mean(axis=0)
+                inv[g] = (var[g] + eps) ** -0.5
+            normed[lo:hi] = c * inv[g] * gamma[g] + beta[g]
+    out = normed
+    if activation == "relu":
+        out = np.maximum(normed, 0.0)
+    elif activation == "tanh":
+        out = np.tanh(normed)
 
-    d_normed = upstream * (normed > 0.0) if activation == "relu" else upstream * (1.0 - out * out)
-    d_pre, gx = np.empty_like(x), np.empty_like(x)
-    g_W, g_gamma, g_beta = np.zeros_like(W), np.zeros_like(gamma), np.zeros_like(beta)
-    for g, lo, hi in groups:
-        xhat = centered[lo:hi] * inv[g]
-        g_beta[g] = d_normed[lo:hi].sum(axis=0)
-        g_gamma[g] = (d_normed[lo:hi] * xhat).sum(axis=0)
-        dxhat = d_normed[lo:hi] * gamma[g]
-        if fixed is None:
-            dxhat -= dxhat.mean(axis=0) + xhat * (dxhat * xhat).mean(axis=0)
-        d_pre[lo:hi] = dxhat * inv[g]
-    for g, lo, hi in groups:
-        gx[lo:hi] = d_pre[lo:hi] @ W[g]
-        g_W[g] = d_pre[lo:hi].T @ x[lo:hi]
+    d_normed = upstream
+    if activation == "relu":
+        d_normed = upstream * (normed > 0.0)
+    elif activation == "tanh":
+        d_normed = upstream * (1.0 - out * out)
+    d_pre, g_gamma, g_beta = d_normed.copy(), None, None
+    if gamma is not None:
+        g_gamma, g_beta = np.zeros_like(gamma), np.zeros_like(beta)
+        for g, lo, hi in groups:
+            xhat = centered[lo:hi] * inv[g]
+            g_beta[g] = d_normed[lo:hi].sum(axis=0)
+            g_gamma[g] = (d_normed[lo:hi] * xhat).sum(axis=0)
+            dxhat = d_normed[lo:hi] * gamma[g]
+            if fixed is None:
+                dxhat -= dxhat.mean(axis=0) + xhat * (dxhat * xhat).mean(axis=0)
+            d_pre[lo:hi] = dxhat * inv[g]
+    gx, g_W = d_pre.copy(), None
+    if W is not None:
+        g_W = np.zeros_like(W)
+        for g, lo, hi in groups:
+            gx[lo:hi] = d_pre[lo:hi] @ W[g]
+            g_W[g] = d_pre[lo:hi].T @ x[lo:hi]
     return out, mean, var, (gx, g_W, g_gamma, g_beta)
 
 
@@ -456,6 +473,94 @@ def test_group_transition_is_the_unfused_chain_bitwise(training, activation):
         for t, ref in zip((W, gamma, beta), ref_grads[1:]):
             assert t.grad.tobytes() == ref.tobytes()
         assert not W.grad[1].any() and not gamma.grad[1].any()  # the empty group
+
+
+_STEP_TRANSITIONS = {  # (weight, batch norm, activation) of each propagation transition
+    "identity": (False, False, None),
+    "tanh-layer": (True, False, "tanh"),
+    "relu-layer": (True, False, "relu"),
+    "relation-relu-bn": (True, True, "relu"),
+}
+_STANDALONE_POOL = {"sum": segment_sum, "avg": segment_mean, "max": segment_max}
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("pooling", ["sum", "avg", "max"])
+@pytest.mark.parametrize("transition", sorted(_STEP_TRANSITIONS))
+def test_propagation_step_is_gather_transition_and_pool_bitwise(transition, pooling, training):
+    # one op against the chain it fuses: gather_rows, the unfused transition
+    # and the standalone segment op. 3 self records pass through, then groups
+    # of 5, 0, 1 and 40 records (1,000 at d = 100). The records repeat rows of
+    # a 40-row table; every other record of the last group takes its
+    # segment's row, so maxima tie across records, as relu's zeros do
+    weighted, normed, activation = _STEP_TRANSITIONS[transition]
+    for d in (1, 6, 100):
+        rng = np.random.default_rng(d)
+        sizes = (3, 5, 0, 1, 1000 if d == 100 else 40)
+        offsets = None if not weighted else np.cumsum(sizes)
+        n, n_targets = sum(sizes), sum(sizes) // 4
+        n_pass = n if offsets is None else sizes[0]
+        idx = rng.integers(0, 40, n)
+        seg = rng.permutation(np.concatenate([np.arange(n_targets),
+                                              rng.integers(0, n_targets, n - n_targets)]))
+        idx[n - sizes[-1]::2] = seg[n - sizes[-1]::2] % 40
+        table = rng.normal(size=(40, d))
+        W = rng.normal(size=(4, d, d)) / np.sqrt(d) if weighted else None
+        gamma, beta = rng.uniform(0.5, 1.5, size=(4, d)), rng.uniform(-0.5, 0.5, size=(4, d))
+        fixed = None
+        if normed and not training:
+            fixed = (rng.normal(size=(4, d)), 1.0 / np.sqrt(rng.uniform(0.5, 2.0, (4, d)) + 1e-5))
+        upstream = rng.normal(size=(n_targets, d))
+        upstream[::5] = -0.0
+
+        x = Tensor(table, requires_grad=True)
+        params = [Tensor(a, requires_grad=True) if a is not None else None
+                  for a in (W, gamma if normed else None, beta if normed else None)]
+        norm = None if not normed else (params[1], params[2], 1e-5, fixed)
+        out, mean, var = group_transition(x, offsets, params[0], norm, activation,
+                                          gather=(idx, None), pool=(pooling, seg, n_targets, None),
+                                          training=training)
+
+        rows = table[idx]
+
+        def chain(up):  # the transition of the grouped records
+            return unfused_chain(rows[n_pass:], np.cumsum((0,) + sizes[1:]), W,
+                                 gamma if normed else None, beta, 1e-5, fixed, activation, up)
+        ref_rows, ref_mean, ref_var, _ = chain(np.zeros((n - n_pass, d)))
+        records = Tensor(np.concatenate([rows[:n_pass], ref_rows]), requires_grad=True)
+        pooled = _STANDALONE_POOL[pooling](records, seg, n_targets)
+        assert out.data.tobytes() == pooled.data.tobytes(), d
+        if pooling == "max":  # some maxima tie
+            hits = np.zeros((n_targets, d))
+            np.add.at(hits, seg, records.data == pooled.data[seg])
+            assert (hits > 1).any(), d
+        if normed and training:
+            assert mean.tobytes() == ref_mean.tobytes() and var.tobytes() == ref_var.tobytes()
+        if pooling == "max" and not training:  # an inference forward keeps no winners
+            with pytest.raises(ValueError, match="training=True"):
+                backward(sum_all(out * upstream))
+            continue
+        backward(sum_all(out * upstream))
+        backward(sum_all(pooled * upstream))
+        grads = chain(records.grad[n_pass:])[3]
+        source = Tensor(table, requires_grad=True)
+        backward(sum_all(gather_rows(source, idx)
+                         * np.concatenate([records.grad[:n_pass], grads[0]])))
+        assert ad.densify(x.grad).tobytes() == ad.densify(source.grad).tobytes(), d
+        for t, ref in zip(params, grads[1:]):
+            if t is not None:
+                assert t.grad.tobytes() == ref.tobytes(), d
+
+
+def test_column_dot_is_the_axis_0_sum_of_the_products_bitwise():
+    # einsum adds the rows in order, as numpy's axis-0 sum does for d >= 2;
+    # d = 1, where numpy sums pairwise, takes the product path
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        m, d = int(rng.integers(1, 2000)), int(rng.integers(1, 130))
+        a, b = rng.normal(size=(2, m, d)) * 10.0 ** rng.integers(-6, 6, size=(2, m, 1))
+        a[::7] = -0.0
+        assert ad._column_dot(a, b).tobytes() == (a * b).sum(axis=0).tobytes(), (m, d)
 
 
 def test_group_transition_rejects_unknown_activation():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -143,8 +144,11 @@ class TestTrain:
     def test_non_finite_loss_is_numerical_fault(self, tmp_path, capsys):
         ring = tmp_path / "ring.txt"
         ring.write_text("".join(f"e{i}\tnext\te{(i + 1) % 20}\n" for i in range(20)))
-        code = run(["train", "--train", ring, "--out", tmp_path / "r", "--epochs", "1",
-                    "--dim", "4", "--margin", "1e308", "--minibatch", "8"])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["train", "--train", ring, "--out", tmp_path / "r", "--epochs", "1",
+                        "--dim", "4", "--margin", "1e308", "--minibatch", "8"])
+        assert [str(w.message) for w in caught] == []
         assert code == EXIT_NUMERIC
         assert (capsys.readouterr().err
                 == "numerical fault: non-finite loss at epoch 0, minibatch 0\n")
@@ -876,6 +880,12 @@ class TestGradcheckCommand:
         monkeypatch.setattr(ad, "rows_norm", doubled_gradient)
         assert run(["gradcheck"]) == EXIT_NUMERIC
         assert "beyond tolerance" in capsys.readouterr().err
+
+    def test_default_tolerance_is_the_gradient_checks(self, capsys):
+        from graphkbc.autodiff import GRADCHECK_TOLERANCE
+
+        assert run(["gradcheck"]) == EXIT_OK
+        assert capsys.readouterr().out == f"gradcheck passed at tolerance {GRADCHECK_TOLERANCE:g}\n"
 
     def test_tolerance_flag_respected(self, capsys):
         # an absurdly tight tolerance must flag finite-difference noise

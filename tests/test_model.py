@@ -520,6 +520,34 @@ class TestFullModelGradients:
         assert failures == [], failures[:5]
 
 
+def test_a_training_step_holds_one_record_sized_array_and_the_winners():
+    # the benchmark's model (relation-relu-bn, max pooling) on a mid-size
+    # graph: after the forward, the step keeps its normalized rows for the
+    # backward and the winning rank of each (target, feature), and returns
+    # the pooled vectors; the gathered and transformed records are freed
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    triplets = np.stack([rng.integers(0, 2000, 8000), rng.integers(0, 11, 8000),
+                         rng.integers(0, 2000, 8000)], axis=1)
+    m = make_model(2000, 11, dim=32, pooling="max", neighbor_cap=16)
+    table = NeighborSampler(NeighborTable(2000, triplets), 16, seed=0)
+    batch = triplets[:500]
+    plan = m.plan(batch[:, 0], batch[:, 1], batch[:, 2], table, training=True)
+    prev, step = Tensor(m.entities.data[plan.base], requires_grad=True), plan.steps[0]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = m._propagate_step(prev, step, training=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    record_bytes = len(step.gather) * 32 * 8
+    assert record_bytes > 1 << 20 and len(step.gather) > 4 * step.n_targets
+    winners = step.n_targets * 32  # one byte per rank: no target has more than 16 records
+    assert held <= record_bytes + winners + out.data.nbytes + (64 << 10)
+
+
 def _filled_model(seed, adam_t):
     m = make_model(3, 1, seed=seed, dim=4)
     rng = np.random.default_rng(seed)

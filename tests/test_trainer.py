@@ -246,11 +246,11 @@ def test_a_resumed_run_keeps_no_record_of_an_interrupted_write(tmp_path, last):
     assert _records_before(path, 3) == ['{"epoch": 0, "loss": 1.0}\n']
 
 
-@pytest.mark.parametrize("depth, mode, ops", [(1, "unrolled", 17), (2, "stacked", 20)])
+@pytest.mark.parametrize("depth, mode, ops", [(1, "unrolled", 15), (2, "stacked", 16)])
 def test_tape_ops_per_training_minibatch(monkeypatch, depth, mode, ops):
     # one minibatch of the perfbench workloads' model (relation-relu-bn, max
-    # pooling): base gather, then per step one gather, one fused transition and
-    # one pool, then 13 scoring and loss ops; a change that adds an op per step shows here
+    # pooling): base gather, then one op per step (gather, transition and pool),
+    # then 13 scoring and loss ops; a change that adds an op per step shows here
     made = []
     make = ad._make
     monkeypatch.setattr(ad, "_make", lambda data, parents: made.append(1) or make(data, parents))
