@@ -569,6 +569,15 @@ def test_group_transition_rejects_unknown_activation():
                          activation="gelu")
 
 
+def test_propagation_step_rejects_unknown_pooling_and_ids_outside_the_rows():
+    x = Tensor(np.ones((3, 2)))
+    with pytest.raises(ValueError, match="pooling"):
+        group_transition(x, None, pool=("median", [0, 0, 0], 1, None))
+    for ids in ([0, 3], [-1, 0]):  # the gather does not wrap or clip
+        with pytest.raises(IndexError, match="gather ids"):
+            group_transition(x, None, gather=(ids, None), pool=("sum", [0, 0], 1, None))
+
+
 _W = np.random.default_rng(3).normal(size=(2, 3, 3))
 _GAMMA_BETA_EPS = (np.full((2, 3), 1.5), np.full((2, 3), 0.25), 1e-5)
 RECORDING_OPS = {
@@ -582,6 +591,9 @@ RECORDING_OPS = {
         x, [1, 3, 4], _W, (*_GAMMA_BETA_EPS, None), "relu")[0],
     "group_transition:inference": lambda x: group_transition(
         x, [1, 3, 4], _W, (*_GAMMA_BETA_EPS, (np.zeros((2, 3)), np.ones((2, 3)))), "tanh")[0],
+    "group_transition:step": lambda x: group_transition(
+        x, [1, 3, 4], _W, (*_GAMMA_BETA_EPS, None), "relu", gather=([0, 2, 2, 3], None),
+        pool=("max", [0, 1, 0, 1], 2, None))[0],
     "affine_rows": lambda x: affine_rows(x, _W, [0, 2, 4]),
     "sum_all": sum_all,
     "mean0": mean0,
