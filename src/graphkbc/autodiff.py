@@ -2,16 +2,17 @@
 
 Only the operations the propagation model needs: broadcasting arithmetic,
 activations, the fused transition of rows sorted by group (an affine map
-from a stack of matrices, batch normalization, an activation), row gathers
-and segment reductions (the building blocks of neighborhood pooling),
+from a stack of matrices, batch normalization, an activation), row gathers,
 per-row norms and axis-0 means. The transition also gathers its rows and
-pools them (``group_transition``'s ``gather`` and ``pool``): one propagation
-step is one op, which keeps one array of its records' size for the
-backward. Each operation hands its output and a backward closure to
-``_record``, which keeps the closure only when the output needs a gradient;
-a backward computes what it needs when it runs, except max pooling's
-winning rows, which the forward finds as it reduces, and only when a
-gradient will be taken.
+pools them per segment by sum, mean or max (``group_transition``'s
+``gather`` and ``pool``): one propagation step is one op, which keeps one
+array of its records' size for the backward. ``segment_sum``,
+``segment_mean`` and ``segment_max`` are its pool alone, as ``affine_rows``
+is its matrix alone. Each operation hands its output and a backward
+closure to ``_record``, which keeps the closure only when the output needs
+a gradient; a backward computes what it needs when it runs, except max
+pooling's winning rows, which the forward finds as it reduces, and only
+when a gradient will be taken.
 ``backward`` walks the tape in reverse topological order and frees it as it
 goes: once it returns, a non-leaf's ``.grad`` and closure are gone, and only
 the leaves keep their ``.grad``.
@@ -359,9 +360,9 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
       ``fixed = (mean, inv)`` gives them;
     * ``activation``, ``"relu"`` or ``"tanh"``;
     * ``pool = (pooling, seg, n_segments, plan)``: the output is each
-      segment's ``"sum"``, ``"avg"`` or ``"max"`` of the rows, bit for bit
-      ``segment_sum``, ``segment_mean`` or ``segment_max`` of them (``plan``,
-      the ``segment_plan`` of ``seg``, or None).
+      segment's ``"sum"``, ``"avg"`` or ``"max"`` of the rows, which
+      ``_segment_reduce`` reduces in row order (``plan``, the
+      ``segment_plan`` of ``seg``, or None).
 
     A gathered, transformed and pooled op is one propagation step. For its
     backward it keeps one array of the rows' size: the normalized rows, or
@@ -455,10 +456,10 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
 
     out, winners = data, None
     if pool is not None:
-        if pooling == "max":
-            out, winners = _segment_max(data, segment_runs, counts, training)
-        else:
-            out = _segment_reduce(np.add, data, segment_runs, n_segments)
+        if pooling == "max" and training:  # in the smallest dtype that holds every rank
+            winners = np.empty((n_segments, d), np.min_scalar_type(int(counts.max()) - 1))
+        out = _segment_reduce(np.maximum if pooling == "max" else np.add, data, segment_runs,
+                              n_segments, winners)
         if pooling == "avg":
             counts = counts.astype(DTYPE)
             out /= counts[:, None]
@@ -658,13 +659,6 @@ def segment_plan(seg: np.ndarray, n_segments: int, elements: int) -> tuple[np.nd
     return counts, _rank_plan(seg, counts, elements)
 
 
-def _segments(x, seg, n_segments: int):
-    """The inputs, and the rows of each segment and their runs (``segment_plan``)."""
-    x = _ensure(x)
-    seg = np.asarray(seg, dtype=np.intp)
-    return x, seg, *segment_plan(seg, n_segments, x.data.size)
-
-
 def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int,
                     winners: np.ndarray | None = None) -> np.ndarray:
     """``ufunc`` over each segment's rows of ``values``, in row order, by ``_rank_plan`` runs.
@@ -672,8 +666,7 @@ def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int,
     A segment without rows is +0.0, and so is a zero result, whatever the
     signs of the zeros it came from. A max (``np.maximum``) given
     ``winners``, an (n_segments, d) unsigned array, writes there each
-    (segment, feature)'s first rank strictly above the running maximum: the
-    lowest-index row that attains the maximum.
+    (segment, feature)'s last rank strictly above the running maximum.
     """
     out = np.zeros((n_segments,) + values.shape[1:])
 
@@ -694,50 +687,26 @@ def _segment_reduce(ufunc, values: np.ndarray, runs: list, n_segments: int,
     return out
 
 
+def _pool_alone(pooling: str, x, seg, n_segments: int) -> Tensor:
+    """``group_transition``'s ``pooling`` alone; max keeps its winners if ``x`` needs a gradient."""
+    x = _ensure(x)
+    return group_transition(x, None, pool=(pooling, seg, n_segments, None),
+                            training=x.requires_grad)[0]
+
+
 def segment_sum(x, seg, n_segments: int) -> Tensor:
-    """Per-segment row sums, each segment's rows added in row order; every segment must be nonempty."""
-    x, seg, _, runs = _segments(x, seg, n_segments)
-    def backward(g):
-        _accumulate(x, g[seg])
-    return _record(_segment_reduce(np.add, x.data, runs, n_segments), (x,), backward)
+    """Each segment's row sum: ``group_transition``'s sum pool alone."""
+    return _pool_alone("sum", x, seg, n_segments)
 
 
 def segment_mean(x, seg, n_segments: int) -> Tensor:
-    """Per-segment row sums, added in row order, divided by the segments' row counts."""
-    x, seg, counts, runs = _segments(x, seg, n_segments)
-    counts = counts.astype(DTYPE)
-    data = _segment_reduce(np.add, x.data, runs, n_segments)
-    data /= counts[:, None]
-    def backward(g):
-        _accumulate(x, g[seg] / counts[seg, None])
-    return _record(data, (x,), backward)
+    """Each segment's row mean: ``group_transition``'s avg pool alone."""
+    return _pool_alone("avg", x, seg, n_segments)
 
 
 def segment_max(x, seg, n_segments: int) -> Tensor:
-    """Per-segment elementwise maxima; a zero maximum is +0.0, as a zero sum is.
-
-    Each (segment, feature) gradient goes to one row: the lowest-index row
-    that attains the maximum, found by the forward when ``x`` needs a
-    gradient. The forward and the backward run rank by rank over runs of
-    whole segments (``_rank_plan``), each segment's rows in row order.
-    """
-    x, seg, counts, runs = _segments(x, seg, n_segments)
-    data, winners = _segment_max(x.data, runs, counts, x.requires_grad)
-    def backward(g):
-        _accumulate(x, _max_grad(g, winners, runs, x.data.shape))
-    return _record(data, (x,), backward)
-
-
-def _segment_max(values: np.ndarray, runs: list, counts: np.ndarray, winners: bool):
-    """Each segment's maxima, and with ``winners`` each (segment, feature)'s winning rank (else None).
-
-    The ranks are in the smallest unsigned dtype that holds the largest
-    segment's; ``_segment_reduce`` finds them.
-    """
-    won = None
-    if winners:
-        won = np.empty((len(counts),) + values.shape[1:], np.min_scalar_type(int(counts.max()) - 1))
-    return _segment_reduce(np.maximum, values, runs, len(counts), won), won
+    """Each segment's elementwise maxima: ``group_transition``'s max pool alone."""
+    return _pool_alone("max", x, seg, n_segments)
 
 
 def _max_grad(g: np.ndarray, winners: np.ndarray, runs: list, shape: tuple) -> np.ndarray:

@@ -120,6 +120,13 @@ class TestForward:
             with pytest.raises(ValueError, match="segment id 2 is out of range for 2 segments"):
                 op(Tensor(np.ones((2, 2))), np.array([0, 2]), 2)
 
+    def test_segment_ops_reject_rows_that_are_not_n_by_d(self):
+        # as group_transition does: a vector is not one-feature rows
+        for op in (segment_sum, segment_mean, segment_max):
+            for shape in ((3,), (3, 2, 2)):
+                with pytest.raises(ValueError, match=r"wants \(n,d\) rows"):
+                    op(Tensor(np.ones(shape)), np.array([0, 0, 1]), 2)
+
 
 class TestBackward:
     def test_half_squared_norm_gradient_is_x(self):
@@ -484,6 +491,31 @@ _STEP_TRANSITIONS = {  # (weight, batch norm, activation) of each propagation tr
 _STANDALONE_POOL = {"sum": segment_sum, "avg": segment_mean, "max": segment_max}
 
 
+def _numpy_pool(pooling, rows, seg, n_segments):
+    """Each segment's pool of ``rows`` by numpy's unbuffered ufunc ``at``, in row order."""
+    if pooling == "max":
+        out = np.full((n_segments, rows.shape[1]), -np.inf)
+        np.maximum.at(out, seg, rows)
+        out += 0.0  # a zero maximum is +0.0
+        return out
+    out = np.zeros((n_segments, rows.shape[1]))
+    np.add.at(out, seg, rows)
+    return out / np.bincount(seg)[:, None] if pooling == "avg" else out
+
+
+def _numpy_pool_grad(pooling, rows, pooled, seg, upstream):
+    """The rows' gradient of ``_numpy_pool``: max sends it to the lowest-index winning row."""
+    grad = upstream[seg]
+    if pooling == "avg":
+        grad = grad / np.bincount(seg)[seg, None]
+    if pooling == "max":
+        ids = np.arange(len(rows))[:, None]
+        first = np.full(pooled.shape, len(rows))
+        np.minimum.at(first, seg, np.where(rows == pooled[seg], ids, len(rows)))
+        grad = grad * (ids == first[seg])  # a zero of the gradient's sign elsewhere
+    return grad
+
+
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("pooling", ["sum", "avg", "max"])
 @pytest.mark.parametrize("transition", sorted(_STEP_TRANSITIONS))
@@ -530,6 +562,9 @@ def test_propagation_step_is_gather_transition_and_pool_bitwise(transition, pool
         records = Tensor(np.concatenate([rows[:n_pass], ref_rows]), requires_grad=True)
         pooled = _STANDALONE_POOL[pooling](records, seg, n_targets)
         assert out.data.tobytes() == pooled.data.tobytes(), d
+        # the standalone op is the step's own pool, so numpy's is the reference
+        ref_pooled = _numpy_pool(pooling, records.data, seg, n_targets)
+        assert pooled.data.tobytes() == ref_pooled.tobytes(), d
         if pooling == "max":  # some maxima tie
             hits = np.zeros((n_targets, d))
             np.add.at(hits, seg, records.data == pooled.data[seg])
@@ -542,6 +577,8 @@ def test_propagation_step_is_gather_transition_and_pool_bitwise(transition, pool
             continue
         backward(sum_all(out * upstream))
         backward(sum_all(pooled * upstream))
+        ref_grad = _numpy_pool_grad(pooling, records.data, pooled.data, seg, upstream)
+        assert records.grad.tobytes() == ref_grad.tobytes(), d
         grads = chain(records.grad[n_pass:])[3]
         source = Tensor(table, requires_grad=True)
         backward(sum_all(gather_rows(source, idx)

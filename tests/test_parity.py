@@ -31,7 +31,7 @@ def test_command_sequence_runs_on_this_tree(tmp_path):
     parity.run_tree(ROOT, tmp_path, parity.corpora())
     for name in ("grid", "hub"):
         assert (tmp_path / name / "run" / "checkpoint-epoch0002" / "params.bin").exists()
-        for mode in ("standard", "proposed", "baseline"):
+        for mode in ("standard", "proposed", "baseline", "baseline-sum", "baseline-max"):
             assert (tmp_path / name / f"eval-{mode}" / "report.jsonl").exists()
         for how in ("thresholds", "valid"):
             lines = (tmp_path / name / f"predict-{how}.txt").read_text().splitlines()

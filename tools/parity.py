@@ -7,12 +7,13 @@ fetched. For both source trees the script writes the grid and hub corpora
 of ``tests/synthetic_corpus.py`` and runs one ``graphkbc`` command sequence
 in a fresh Python process whose ``PYTHONPATH`` is that tree's ``src``:
 ``gen-ookb``, ``train`` with an intermediate checkpoint, ``eval`` in the
-standard, OOKB proposed and OOKB baseline (avg) modes, and ``predict`` with
-``--thresholds`` and with ``--valid``. Then it runs, per corpus, commands
-that must fail with a data error: standard ``eval`` with a test entity the
-checkpoint lacks, ``eval --mode ookb`` on a copy of the split with its aux
-file emptied, ``predict`` with an aux triplet linking two unknown
-entities and with a relation the checkpoint lacks, and ``train``, standard
+standard, OOKB proposed and OOKB baseline modes (the baseline once per
+pooling: avg, sum and max), and ``predict`` with ``--thresholds`` and with
+``--valid``. Then it runs, per corpus, commands that must fail with a data
+error: standard ``eval`` with a test entity the checkpoint lacks,
+``eval --mode ookb`` on a copy of the split with its aux file emptied,
+``predict`` with an aux triplet linking two unknown entities and with a
+relation the checkpoint lacks, and ``train``, standard
 ``eval`` and ``predict --valid`` each reading an empty file, followed by
 commands that must fail with a usage error before reading their checkpoint,
 which does not exist: ``eval`` without its mode's files, without
@@ -163,6 +164,8 @@ def commands(name: str, n_test: int) -> list[list[str]]:
     files = {f: f"{name}/{f}.txt" for f in ("train", "valid", "test", "queries")}
     predict = ["predict", "--checkpoint", bundle, "--train", f"{split}.train.txt",
                "--triplets", files["queries"], "--aux", f"{split}.aux.txt"]
+    baseline = ["eval", "--checkpoint", bundle, "--mode", "ookb", "--split-prefix", split,
+                "--method", "baseline"]
     return [
         ["gen-ookb", "--train", files["train"], "--valid", files["valid"],
          "--test", files["test"], "--n", str(n_test), "--position", "tail",
@@ -173,8 +176,9 @@ def commands(name: str, n_test: int) -> list[list[str]]:
          "--valid", files["valid"], "--test", files["test"], "--out", f"{name}/eval-standard"],
         ["eval", "--checkpoint", bundle, "--mode", "ookb", "--split-prefix", split,
          "--method", "proposed", "--out", f"{name}/eval-proposed"],
-        ["eval", "--checkpoint", bundle, "--mode", "ookb", "--split-prefix", split,
-         "--method", "baseline", "--pooling", "avg", "--out", f"{name}/eval-baseline"],
+        baseline + ["--pooling", "avg", "--out", f"{name}/eval-baseline"],
+        baseline + ["--pooling", "sum", "--out", f"{name}/eval-baseline-sum"],
+        baseline + ["--pooling", "max", "--out", f"{name}/eval-baseline-max"],
         predict + ["--thresholds", f"{name}/eval-proposed/thresholds.json",
                    "--out", f"{name}/predict-thresholds.txt"],
         predict + ["--valid", f"{split}.valid.txt", "--out", f"{name}/predict-valid.txt"],
