@@ -362,7 +362,8 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
     * ``pool = (pooling, seg, n_segments, plan)``: the output is each
       segment's ``"sum"``, ``"avg"`` or ``"max"`` of the rows, which
       ``_segment_reduce`` reduces in row order (``plan``, the
-      ``segment_plan`` of ``seg``, or None).
+      ``segment_plan`` of ``seg``, or None). Rows that are neither gathered
+      nor transformed are pooled in place, without a copy.
 
     A gathered, transformed and pooled op is one propagation step. For its
     backward it keeps one array of the rows' size: the normalized rows, or
@@ -427,8 +428,11 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
         # the ids are checked above; under mode="raise" take buffers its output
         return np.take(x.data, idx[lo:hi], axis=0, out=into, mode="clip")
 
-    data = np.empty((n, d))
-    data[:n_pass] = rows(0, n_pass, data[:n_pass])
+    if idx is None and n_pass == n and pool is not None:  # only pooled: read the rows in place
+        data = x.data
+    else:
+        data = np.empty((n, d))
+        data[:n_pass] = rows(0, n_pass, data[:n_pass])
 
     def forward_run(run):
         for g, lo, hi in run:
@@ -479,8 +483,11 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
             dz_all = grad[seg]
             if pooling == "avg":
                 dz_all /= counts[seg, None]
-        gx = kept if own_kept else np.empty((n, d))
-        gx[:n_pass] = dz_all[:n_pass]
+        if n_pass == n:  # every row passed through: the gradient is the incoming one
+            gx = dz_all
+        else:
+            gx = kept if own_kept else np.empty((n, d))
+            gx[:n_pass] = dz_all[:n_pass]
         if weight is not None:
             gw = np.zeros_like(weight.data)
         if norm is not None:

@@ -606,6 +606,36 @@ def test_group_transition_rejects_unknown_activation():
                          activation="gelu")
 
 
+@pytest.mark.parametrize("pooling", ["sum", "avg", "max"])
+def test_pool_alone_reads_its_rows_in_place_and_never_writes_them(pooling):
+    # a segment op makes no copy of its rows: its forward allocates less than
+    # they take. An activation has no grouped row to act on, and the backward
+    # still leaves the rows as they were
+    import tracemalloc
+
+    rng = np.random.default_rng(9)
+    rows = rng.normal(size=(20_000, 16))
+    seg = rng.integers(0, 50, len(rows))
+    seg[:50] = np.arange(50)
+    kept = rows.copy()
+    x = Tensor(rows, requires_grad=True)
+    op = _STANDALONE_POOL[pooling]
+    op(rows, seg, 50)  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        out = op(x, seg, 50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes
+    relu_out = group_transition(x, None, activation="relu", pool=(pooling, seg, 50, None))[0]
+    assert relu_out.data.tobytes() == out.data.tobytes()
+    backward(sum_all(relu_out * 2.0))
+    assert rows.tobytes() == kept.tobytes()
+    assert x.grad.tobytes() == _numpy_pool_grad(pooling, rows, out.data, seg,
+                                                np.full(out.shape, 2.0)).tobytes()
+
+
 def test_propagation_step_rejects_unknown_pooling_and_ids_outside_the_rows():
     x = Tensor(np.ones((3, 2)))
     with pytest.raises(ValueError, match="pooling"):
