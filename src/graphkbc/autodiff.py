@@ -38,7 +38,9 @@ either.
 The index work of a gather or a segment reduction (``gather_plan``,
 ``segment_plan``) reads no tensor: a caller that knows the indices ahead
 builds it apart from the tape and hands it to the op, which otherwise
-builds it itself.
+builds it itself. Its id sorts, as every stable sort of ids in the package
+(the neighbor table, a step's groups, the graph's dedup), go through
+``stable_order``: numpy's stable argsort, in 16-bit radix passes.
 """
 
 from __future__ import annotations
@@ -358,7 +360,7 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
       ``fixed``, each group uses its batch mean and variance,
       ``inv = (var + eps) ** -0.5`` (a one-row group outputs its beta);
       ``fixed = (mean, inv)`` gives them;
-    * ``activation``, ``"relu"`` or ``"tanh"``;
+    * ``activation``, ``"relu"`` or ``"tanh"``, which needs ``offsets``;
     * ``pool = (pooling, seg, n_segments, plan)``: the output is each
       segment's ``"sum"``, ``"avg"`` or ``"max"`` of the rows, which
       ``_segment_reduce`` reduces in row order (``plan``, the
@@ -389,6 +391,8 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
         if idx.size and (idx.min() < 0 or idx.max() >= len(x.data)):
             raise IndexError(f"gather ids must lie in [0, {len(x.data)})")
     n, d = (len(x.data) if idx is None else len(idx)), x.data.shape[1]
+    if activation is not None and offsets is None:
+        raise ValueError("an activation acts on row groups; it needs offsets")
     offsets = [n] if offsets is None else offsets
     parents, n_groups = [x], len(offsets) - 1
     if weight is not None:
@@ -573,6 +577,20 @@ def mean0(a) -> Tensor:
     return _record(a.data.mean(axis=0), (a,), backward)
 
 
+def stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of nonnegative integer keys below ``bound``.
+
+    Least-significant digit first, one stable argsort per 16-bit digit on
+    the order so far: numpy radix-sorts 16-bit keys, so the whole sort is
+    linear, one pass while ``bound <= 2**16`` and one more per 16 bits.
+    """
+    keys = np.asarray(keys)
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # the cast keeps the low digit
+    for shift in range(16, (int(bound) - 1).bit_length(), 16):
+        order = order[np.argsort((keys[order] >> shift).astype(np.uint16), kind="stable")]
+    return order
+
+
 def _rank_plan(seg: np.ndarray, counts: np.ndarray, elements: int) -> list[tuple]:
     """The rows of each nonempty segment, rank by rank, in runs of whole segments.
 
@@ -586,11 +604,12 @@ def _rank_plan(seg: np.ndarray, counts: np.ndarray, elements: int) -> list[tuple
     ``POOL_FLOOR`` elements, and one ``POOL_FLOOR`` more per 16 ranks: each
     rank hands the interpreter lock between the threads.
     """
-    order = np.argsort(seg, kind="stable")
-    segments = np.argsort(-counts, kind="stable")[:np.count_nonzero(counts)]
+    order = stable_order(seg, len(counts))
+    largest = int(counts.max())
+    segments = stable_order(largest - counts, largest + 1)[:np.count_nonzero(counts)]
     sizes = counts[segments]
     starts = (np.cumsum(counts) - counts)[segments]
-    active = np.searchsorted(-sizes, -np.arange(1, sizes[0] + 1), side="right")
+    active = np.searchsorted(-sizes, -np.arange(1, largest + 1), side="right")
     ranks = [order[starts[:n] + k] for k, n in enumerate(active.tolist())]
     parts = _cpus()
     if elements < POOL_FLOOR * (parts + len(ranks) // 16):

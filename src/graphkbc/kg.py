@@ -15,6 +15,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .autodiff import stable_order
+
 
 class DataError(ValueError):
     """A malformed input data file (exit 2)."""
@@ -140,13 +142,20 @@ class KnowledgeGraph:
         rows = triplet_array(triplets)
         n_ent = int(rows[:, ::2].max()) + 1 if len(rows) else 0
         n_rel = int(rows[:, 1].max()) + 1 if len(rows) else 0
-        if n_ent * n_ent * n_rel >= 2**63:
+        n_keys = n_ent * n_ent * n_rel
+        if n_keys >= 2**63:
             raise ValueError("entity and relation ids too large for int64 triplet keys")
         self._bound = np.array([n_ent, n_rel, n_ent])
-        self.keys, first = np.unique(self._key(rows), return_index=True)
-        first.sort()
-        self.triplets: np.ndarray = rows[first]
-        self.duplicates_collapsed: int = len(rows) - len(first)
+        keys = self._key(rows)
+        order = stable_order(keys, n_keys)
+        keys = keys[order]
+        first = np.ones(len(keys), dtype=bool)  # the first of each run of equal keys
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        self.keys = keys[first]
+        kept = np.zeros(len(rows), dtype=bool)
+        kept[order[first]] = True
+        self.triplets: np.ndarray = rows[kept]
+        self.duplicates_collapsed: int = len(rows) - len(self.keys)
 
     def _key(self, rows: np.ndarray) -> np.ndarray:
         rows = rows.astype(np.int64, copy=False)

@@ -134,11 +134,11 @@ class NeighborTable:
         owner = rows[:, [2, 0]].ravel()
         nbr = rows[:, [0, 2]].ravel()
         keep = ~np.isin(nbr, np.asarray(exclude, dtype=np.intp))
-        order = np.argsort(owner[keep], kind="stable")
+        size = max(n_entities, int(rows[:, ::2].max()) + 1 if len(rows) else 0)
+        order = ad.stable_order(owner[keep], size)
         self.nbr = nbr[keep][order]
         self.rel = np.repeat(rows[:, 1], 2)[keep][order]
         self.dir = np.tile(np.array([DIR_HEAD, DIR_TAIL], dtype=np.intp), len(rows))[keep][order]
-        size = max(n_entities, int(rows[:, ::2].max()) + 1 if len(rows) else 0)
         self.indptr = np.zeros(size + 1, dtype=np.intp)
         np.cumsum(np.bincount(owner[keep], minlength=size), out=self.indptr[1:])
 
@@ -375,7 +375,7 @@ class GraphModel:
         real = dirs != DIR_SELF
         key = np.full(len(dirs), -1, dtype=np.intp)
         key[real] = self.group_index(layer, dirs[real], rel[real])
-        order = np.argsort(key, kind="stable")
+        order = ad.stable_order(key + 1, self.n_groups + 1)
         gather, seg, width = nbr_pos[order], seg[order], len(order) * self.cfg.dim
         offsets = None
         if self.A is not None:

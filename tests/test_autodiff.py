@@ -357,6 +357,30 @@ def test_segment_max_tie_goes_to_lowest_index_row():
 
 
 # ---------------------------------------------------------------------------
+# id sorts: 16-bit radix passes give numpy's stable argsort
+
+@st.composite
+def bounded_keys(draw):
+    """(keys, bound): keys of a few values below ``bound``, ``bound - 1`` among them, so ties abound."""
+    bound = draw(st.sampled_from([1, 2, 2**16, 2**16 + 1, 2**32 + 1, 2**62]))
+    values = draw(st.lists(st.integers(0, bound - 1), min_size=1, max_size=4)) + [bound - 1]
+    return np.array(draw(st.lists(st.sampled_from(values), max_size=60)), dtype=np.int64), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_keys())
+@example((np.zeros(0, np.int64), 2**62))
+@example((np.full(9, 2**62 - 1), 2**62))
+@example((np.full(9, 2**16), 2**16 + 1))
+@example((np.array([2**16, 0, 2**16, 1, 0]), 2**16 + 1))  # equal low digits, unequal keys
+def test_stable_order_is_numpy_stable_argsort(case):
+    keys, bound = case
+    order = ad.stable_order(keys, bound)
+    expected = np.argsort(keys, kind="stable")
+    assert order.dtype == expected.dtype and order.tolist() == expected.tolist()
+
+
+# ---------------------------------------------------------------------------
 # gather: repeated rows add in index order
 
 def test_repeated_gather_gradient_matches_add_at_bitwise():
@@ -609,8 +633,8 @@ def test_group_transition_rejects_unknown_activation():
 @pytest.mark.parametrize("pooling", ["sum", "avg", "max"])
 def test_pool_alone_reads_its_rows_in_place_and_never_writes_them(pooling):
     # a segment op makes no copy of its rows: its forward allocates less than
-    # they take. An activation has no grouped row to act on, and the backward
-    # still leaves the rows as they were
+    # they take, and its backward leaves the rows as they were. An activation
+    # has no grouped row to act on without offsets, so the op refuses one
     import tracemalloc
 
     rng = np.random.default_rng(9)
@@ -628,9 +652,9 @@ def test_pool_alone_reads_its_rows_in_place_and_never_writes_them(pooling):
     finally:
         tracemalloc.stop()
     assert peak < rows.nbytes
-    relu_out = group_transition(x, None, activation="relu", pool=(pooling, seg, 50, None))[0]
-    assert relu_out.data.tobytes() == out.data.tobytes()
-    backward(sum_all(relu_out * 2.0))
+    with pytest.raises(ValueError, match="offsets"):
+        group_transition(x, None, activation="relu", pool=(pooling, seg, 50, None))
+    backward(sum_all(out * 2.0))
     assert rows.tobytes() == kept.tobytes()
     assert x.grad.tobytes() == _numpy_pool_grad(pooling, rows, out.data, seg,
                                                 np.full(out.shape, 2.0)).tobytes()

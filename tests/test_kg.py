@@ -186,14 +186,18 @@ class TestGraph:
     )
 )
 def test_graph_index_invariants(raw):
-    triplets = [Triplet(*t) for t in raw]
-    g = build_graph(triplets)
-    distinct = list(dict.fromkeys(triplets))  # first-seen order
-    assert g.triplets.reshape(-1, 3).tolist() == [list(t) for t in distinct]
-    assert g.duplicates_collapsed == len(triplets) - len(distinct)
-    assert np.all(np.diff(g.keys) > 0) and len(g.keys) == len(g)
-    grid = np.array([[h, r, t] for h in range(-1, 8) for r in range(4) for t in range(8)])
-    assert g.contains(grid).tolist() == [Triplet(*row) in set(distinct) for row in grid.tolist()]
+    # from base 65,530 the entity ids pass 2**16 and the keys 2**32, so the
+    # dedup's sort takes more than one radix pass
+    for base in (0, 65_530):
+        triplets = [Triplet(h + base, r, t + base) for h, r, t in raw]
+        g = build_graph(triplets)
+        distinct = list(dict.fromkeys(triplets))  # first-seen order
+        assert g.triplets.reshape(-1, 3).tolist() == [list(t) for t in distinct]
+        assert g.duplicates_collapsed == len(triplets) - len(distinct)
+        assert np.all(np.diff(g.keys) > 0) and len(g.keys) == len(g)
+        ids = [-1, *range(base, base + 8)]
+        grid = np.array([[h, r, t] for h in ids for r in range(4) for t in ids])
+        assert g.contains(grid).tolist() == [Triplet(*row) in set(distinct) for row in grid.tolist()]
 
 
 def reference_load(path, entities: dict, relations: dict, labeled=False):

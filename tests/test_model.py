@@ -349,14 +349,20 @@ class TestPropagation:
     exclude=st.lists(st.integers(0, 9), max_size=4, unique=True).map(sorted),
 )
 def test_neighbor_table_matches_per_triplet_loop(triplets, extra, exclude):
-    # duplicates and self-loops stay in the table; ids 6..9 lie past n_entities
-    table = NeighborTable(6, [Triplet(*t) for t in triplets], extra=extra, exclude=exclude)
-    reference = reference_records(triplets, extra, exclude)
-    named = [e for h, _, t in triplets + extra for e in (h, t)]
-    assert len(table.indptr) - 1 == max([6] + [e + 1 for e in named])
-    for e in range(len(table.indptr) - 1):
-        assert csr_records(table, e) == reference.get(e, []), e
-    assert table.degrees(np.array([99])).tolist() == [0]
+    # duplicates and self-loops stay in the table; ids 6..9 lie past n_entities.
+    # From base 65,530 the ids pass 2**16, so the owners take two radix passes
+    for base in (0, 65_530):
+        def shift(rows):
+            return [(h + base, r, t + base) for h, r, t in rows]
+        rows, aux, dropped = shift(triplets), shift(extra), [e + base for e in exclude]
+        table = NeighborTable(6 + base, [Triplet(*t) for t in rows], extra=aux, exclude=dropped)
+        reference = reference_records(rows, aux, dropped)
+        named = [e for h, _, t in rows + aux for e in (h, t)]
+        assert len(table.indptr) - 1 == max([6 + base] + [e + 1 for e in named])
+        assert table.indptr[base] == 0  # no id below base has records
+        for e in range(base, len(table.indptr) - 1):
+            assert csr_records(table, e) == reference.get(e, []), (base, e)
+        assert table.degrees(np.array([99 + base])).tolist() == [0]
 
 
 def test_neighbor_records_match_per_entity_loop():

@@ -65,3 +65,13 @@ def test_bench_summary_counts_wins_by_direction():
     assert out["rate"]["change"]["median"] == 12
     assert out["rate"]["median_change"] == pytest.approx(0.2) and out["rate"]["beyond_parent_iqr"]
     assert out["rss"]["median_change"] == pytest.approx(-0.2)
+    assert out["rate"]["beyond_parent_iqr"] and not out["rate"]["claim_rule_met"]  # 3 of 5 won
+
+    # ten pairs: a claim needs 9 wins (ties count for neither) and a median
+    # change beyond the parent's interquartile range
+    for parent, change, wins, met in (([10] * 10, [10] + [13] * 9, 9, True),
+                                      ([10] * 10, [10] * 2 + [13] * 8, 8, False),
+                                      ([10, 20] * 5, [11, 21] * 5, 10, False)):
+        pairs = [{"parent": run(p, 5), "change": run(c, 5)} for p, c in zip(parent, change)]
+        out = bench_pairs.summary(pairs, {"rate": "higher"})
+        assert (out["rate"]["wins"], out["rate"]["claim_rule_met"]) == (wins, met)

@@ -12,8 +12,10 @@ workload of ``BENCHMARK.json`` with seed 1), the benchmark's command runs
 at a time, alternating which tree runs first. The output file holds
 both commits, every run's two lines (environment with host speed, then the
 result) and, per end-to-end metric, each side's median and quartiles, the
-pairs HEAD won and lost (ties count for neither) and the change of the
-medians. It is rewritten after every pair, so an interrupted run keeps the
+pairs HEAD won and lost (ties count for neither), the change of the
+medians, whether it exceeds the parent's interquartile range, and whether
+a gain may be claimed: HEAD won at least 9 in 10 of the pairs and its
+median lies beyond that range. It is rewritten after every pair, so an interrupted run keeps the
 pairs it ran.
 """
 
@@ -61,7 +63,7 @@ def _spread(values: list[float]) -> dict:
 
 
 def summary(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, wins, losses and the median change."""
+    """Per metric: each side's median and quartiles, wins, losses, median change, claim rule."""
     out = {}
     for metric, direction in better.items():
         sides = {side: [p[side]["result"]["metrics"][metric]["value"] for p in pairs]
@@ -69,13 +71,15 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1.0 if direction == "higher" else -1.0
         deltas = [sign * (c - p) for p, c in zip(sides["parent"], sides["change"])]
         parent, change = _spread(sides["parent"]), _spread(sides["change"])
+        wins = sum(d > 0 for d in deltas)
+        beyond = abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
         out[metric] = {
             "better": direction, "parent": parent, "change": change,
-            "wins": sum(d > 0 for d in deltas), "losses": sum(d < 0 for d in deltas),
+            "wins": wins, "losses": sum(d < 0 for d in deltas),
             "median_change": (change["median"] / parent["median"] - 1.0
                               if parent["median"] else None),
-            "beyond_parent_iqr": abs(change["median"] - parent["median"])
-                                 > parent["q3"] - parent["q1"],
+            "beyond_parent_iqr": beyond,
+            "claim_rule_met": 10 * wins >= 9 * len(pairs) and beyond,
         }
     return out
 
