@@ -15,8 +15,8 @@ result) and, per end-to-end metric, each side's median and quartiles, the
 pairs HEAD won and lost (ties count for neither), the change of the
 medians, whether it exceeds the parent's interquartile range, and whether
 a gain may be claimed: HEAD won at least 9 in 10 of the pairs and its
-median lies beyond that range. It is rewritten after every pair, so an interrupted run keeps the
-pairs it ran.
+median lies beyond that range. It is rewritten after every pair, so an
+interrupted run keeps the pairs it ran.
 """
 
 from __future__ import annotations
