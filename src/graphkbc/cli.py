@@ -341,7 +341,9 @@ def cmd_predict(args) -> int:
     # an entity outside the trained graph never received updates (it may
     # still own an untouched embedding row); resolve it through aux triplets
     ends = np.concatenate([queries[:, ::2].ravel(), aux[:, ::2].ravel()])
-    outside = np.setdiff1d(ends, graph.triplets[:, ::2])
+    in_graph = np.zeros(len(ev), dtype=bool)
+    in_graph[graph.triplets[:, ::2]] = True
+    outside = np.unique(ends[~in_graph[ends]])
     ctx = OokbContext(graph, aux, outside, model, sampler_seed=args.seed)
     if thresholds is None:
         # tuned on the training graph alone, as the standard protocol does

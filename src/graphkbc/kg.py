@@ -35,13 +35,19 @@ class Vocabulary:
     """Order-preserving string interner with contiguous 0-based ids."""
 
     def __init__(self, names: Iterable[str] = ()):
-        self.names: list[str] = []
-        self.index: dict[str, int] = {}
-        self.intern(list(names))
+        self.names: list[str] = list(dict.fromkeys(names))
+        self.index: dict[str, int] = dict(zip(self.names, range(len(self.names))))
 
     def intern(self, names: Sequence[str]) -> np.ndarray:
-        """The intp ids of ``names``, interning unseen ones in first-seen order."""
-        fresh = dict.fromkeys(filterfalse(self.index.__contains__, names))
+        """The intp ids of ``names``, interning unseen ones in first-seen order.
+
+        One lookup pass when every name is known; the first unknown one
+        interns the unseen names and looks them all up again.
+        """
+        try:
+            return np.fromiter(map(self.index.__getitem__, names), np.intp, len(names))
+        except KeyError:
+            fresh = dict.fromkeys(filterfalse(self.index.__contains__, names))
         self.index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
         self.names.extend(fresh)
         return np.fromiter(map(self.index.__getitem__, names), np.intp, len(names))
@@ -244,5 +250,5 @@ def save_triplet_file(
     if labels is not None:
         columns.append(np.where(labels, "1", "-1"))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(line + "\n" for line in map("\t".join, zip(*columns)))
+        fh.write("\n".join(map("\t".join, zip(*columns))) + "\n" if len(rows) else "")
 

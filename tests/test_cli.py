@@ -844,6 +844,24 @@ class TestEvalAndPredict:
         err = capsys.readouterr().err
         assert "data error" in err and "e99" in err
 
+    def test_predict_entity_the_checkpoint_names_but_train_lacks_needs_aux(self, trained,
+                                                                            capsys):
+        # e13 has an embedding row, but without its --train lines it is out of KB
+        tmp_path, paths, checkpoint = trained
+        train = tmp_path / "train-without-e13.txt"
+        train.write_text("".join(line for line in open(paths["train"]) if "e13" not in line))
+        queries, aux = tmp_path / "queries.txt", tmp_path / "aux.txt"
+        queries.write_text("e13\tnext\te2\n")
+        aux.write_text("e12\tnext\te13\n")
+        argv = ["predict", "--checkpoint", checkpoint, "--train", train,
+                "--triplets", queries, "--valid", paths["valid"]]
+        assert run(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "e13" in err
+        out = tmp_path / "pred.tsv"
+        assert run(argv + ["--aux", aux, "--out", out]) == EXIT_OK
+        assert out.read_text().split("\t")[:3] == ["e13", "next", "e2"]
+
 
 @pytest.mark.parametrize("argv", [
     ["eval", "--mode", "standard"],

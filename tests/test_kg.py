@@ -112,14 +112,18 @@ class TestLoad:
         with pytest.raises(TripletParseError, match="blank"):
             load_triplet_file(p, ev, rv)
 
-    def test_round_trip_byte_identical(self, tmp_path):
-        content = "a\tr\tb\t1\nc\ts\td\t-1\na\ts\td\t1\n"
+    @pytest.mark.parametrize("content, labeled", [
+        ("a\tr\tb\t1\nc\ts\td\t-1\na\ts\td\t1\n", True),
+        ("", True),
+        ("", False),
+    ], ids=["labeled", "zero-rows-labeled", "zero-rows-unlabeled"])
+    def test_round_trip_byte_identical(self, tmp_path, content, labeled):
         src = tmp_path / "in.txt"
         src.write_text(content)
         ev, rv = make_vocabs()
-        rows, labels = load_triplet_file(src, ev, rv, labeled=True)
+        rows, labels = load_triplet_file(src, ev, rv, labeled=labeled)
         dst = tmp_path / "out.txt"
-        save_triplet_file(dst, rows, ev, rv, labels)
+        save_triplet_file(dst, rows, ev, rv, labels if labeled else None)
         assert dst.read_bytes() == src.read_bytes()
 
     def test_save_takes_triplets_or_id_rows(self, tmp_path):
@@ -238,7 +242,8 @@ def reference_load(path, entities: dict, relations: dict, labeled=False):
 
 # names include characters that str.splitlines would break on but a file's
 # line iteration does not
-NAME = st.sampled_from(["a", "b", "c", "", "é", "名", "x y", "\x85", "\u2028", "\x0c", "1"])
+NAMES = ["a", "b", "c", "", "é", "名", "x y", "\x85", "\u2028", "\x0c", "1"]
+NAME = st.sampled_from(NAMES)
 LABEL = st.sampled_from(["1", "-1"] * 4 + ["0", "+1", "1 ", ""])
 SHAPE = st.sampled_from(["ok"] * 8 + ["blank", "short", "long"])
 LINE = st.tuples(st.lists(NAME, min_size=3, max_size=3), LABEL, SHAPE,
@@ -278,3 +283,48 @@ def test_parse_matches_the_per_line_reference(lines, labeled, final_newline,
     assert rows.tolist() == want[0] and labels.tolist() == want[1]
     assert ev.index == ref_e and ev.names == list(ref_e)
     assert rv.index == ref_r and rv.names == list(ref_r)
+
+
+@given(st.data())
+def test_intern_matches_a_first_seen_dict(data):
+    seed = data.draw(st.lists(NAME, max_size=8), label="seed")
+    v, ref = Vocabulary(seed), {}
+    for name in seed:
+        ref.setdefault(name, len(ref))
+    interned = Vocabulary()
+    interned.intern(seed)
+    assert v.names == interned.names == list(ref) and v.index == interned.index == ref
+    for _ in range(data.draw(st.integers(1, 5), label="calls")):
+        pool = data.draw(st.sampled_from([
+            list(ref), [n for n in NAMES if n not in ref], NAMES]), label="known, unseen or mixed")
+        names = data.draw(st.lists(st.sampled_from(pool), max_size=8) if pool else st.just([]),
+                          label="names")
+        ids = v.intern(names)
+        assert ids.dtype == np.intp
+        assert ids.tolist() == [ref.setdefault(n, len(ref)) for n in names]
+        assert v.names == list(ref) and v.index == ref
+
+
+@given(data=st.data(), labeled=st.booleans())
+def test_save_writes_the_per_line_format_and_loads_back(data, labeled):
+    entities = data.draw(st.lists(NAME, min_size=1, unique=True), label="entities")
+    relations = data.draw(st.lists(NAME, min_size=1, unique=True), label="relations")
+    rows = np.array(data.draw(st.lists(st.tuples(
+        st.integers(0, len(entities) - 1), st.integers(0, len(relations) - 1),
+        st.integers(0, len(entities) - 1)), max_size=8), label="rows"), dtype=np.intp)
+    rows = rows.reshape(-1, 3)
+    labels = np.array(data.draw(st.lists(st.booleans(), min_size=len(rows),
+                                         max_size=len(rows)), label="labels"), dtype=bool)
+    want = "".join(f"{entities[h]}\t{relations[r]}\t{entities[t]}"
+                   + (("\t1" if label else "\t-1") if labeled else "") + "\n"
+                   for (h, r, t), label in zip(rows.tolist(), labels))
+    ev, rv = Vocabulary(entities), Vocabulary(relations)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.txt")
+        save_triplet_file(path, rows, ev, rv, labels if labeled else None)
+        with open(path, "rb") as fh:
+            assert fh.read() == want.encode("utf-8")
+        got, got_labels = load_triplet_file(path, ev, rv, labeled)
+    assert got.tolist() == rows.tolist()
+    assert got_labels.tolist() == (labels.tolist() if labeled else [True] * len(rows))
+    assert ev.names == entities and rv.names == relations
