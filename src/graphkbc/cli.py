@@ -177,6 +177,11 @@ def _configs_from(merged: dict):
                  for cls in TRAIN_CONFIGS)
 
 
+def _options_of(configs) -> dict:
+    """The options of ``_configs_from``'s configs, with the values they hold after validation."""
+    return {_OPTION_OF.get(f.name, f.name): getattr(c, f.name) for c in configs for f in fields(c)}
+
+
 def cmd_train(args) -> int:
     options, start_epoch = TRAIN_FIELDS, 0
     if args.resume:
@@ -187,15 +192,15 @@ def cmd_train(args) -> int:
         options = {k: (kind, saved.get(k, default)) for k, (kind, default) in TRAIN_FIELDS.items()}
     merged = merge_options(options, args, args.config)
     try:
-        prop_cfg, objective, cfg = _configs_from(merged)
+        configs = _configs_from(merged)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    prop_cfg, objective, cfg = configs
 
     if args.resume:
-        given = {**prop_cfg.to_dict(), "objective": objective.objective, "margin": objective.margin}
         for key, value in saved.items():
-            if given[key] != value:
-                raise ConfigError(f"option {key!r} is {given[key]!r}, but the checkpoint "
+            if merged[key] != value:
+                raise ConfigError(f"option {key!r} is {merged[key]!r}, but the checkpoint "
                                   f"{args.resume} was trained with {value!r}")
         if cfg.epochs < start_epoch:
             raise ConfigError(f"--epochs {cfg.epochs} is below the {start_epoch} epochs the "
@@ -221,10 +226,8 @@ def cmd_train(args) -> int:
         graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
         model = init_model(len(ev), len(rv), prop_cfg, cfg.seed)
 
-    merged_echo = dict(merged)
-    merged_echo.update({"train": args.train, "resume": args.resume or "",
-                        "start_epoch": start_epoch})
-    _echo_config(args.out, "train", merged_echo)
+    _echo_config(args.out, "train", {**_options_of(configs), "train": args.train,
+                                     "resume": args.resume or "", "start_epoch": start_epoch})
     if graph.duplicates_collapsed:
         print(f"note: {graph.duplicates_collapsed} duplicate training triplets collapsed")
 

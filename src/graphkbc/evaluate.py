@@ -24,6 +24,7 @@ from .kg import DataError, KnowledgeGraph, labeled_arrays, triplet_array
 from .model import (
     _SEGMENT_POOL,
     DIR_HEAD,
+    POOLINGS,
     GraphModel,
     InferenceError,
     NeighborSampler,
@@ -318,8 +319,8 @@ def evaluate_ookb(
     """
     if method not in ("proposed", "baseline"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "baseline" and pooling not in _SEGMENT_POOL:
-        raise ValueError(f"baseline evaluation needs a pooling out of {sorted(_SEGMENT_POOL)}")
+    if method == "baseline" and pooling not in POOLINGS:
+        raise ValueError(f"baseline evaluation needs a pooling out of {sorted(POOLINGS)}")
     ctx = OokbContext(split.train, split.aux, split.ookb_entities, model,
                       sampler_seed=sampler_seed)
     report = {

@@ -66,13 +66,17 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """Persist as a newline-delimited name list; the line number is the id."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for name in self.names:
-                fh.write(name + "\n")
+        write_lines(path, self.names)
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
         return cls(_read_lines(path))
+
+
+def write_lines(path, lines: Sequence[str]) -> None:
+    """Write ``lines`` as UTF-8, each ended by a newline, in one write (none: an empty file)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n" if lines else "")
 
 
 def _read_lines(path) -> list[str]:
@@ -249,6 +253,5 @@ def save_triplet_file(
                entities[rows[:, 2]]]
     if labels is not None:
         columns.append(np.where(labels, "1", "-1"))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(map("\t".join, zip(*columns))) + "\n" if len(rows) else "")
+    write_lines(path, list(map("\t".join, zip(*columns))))
 

@@ -27,7 +27,13 @@ from .autodiff import Tensor
 from .kg import Vocabulary, triplet_array
 from .nn import BatchNorm, CheckpointError, ParamStore, load_checkpoint, save_checkpoint
 
-TRANSITIONS = ("identity", "tanh-layer", "relu-layer", "relation-relu-bn")
+# what each transition applies: (a matrix, a batch norm, the activation, groups per relation)
+TRANSITIONS = {
+    "identity": (False, False, None, False),
+    "tanh-layer": (True, False, "tanh", False),
+    "relu-layer": (True, False, "relu", False),
+    "relation-relu-bn": (True, True, "relu", True),
+}
 POOLINGS = ("sum", "avg", "max")
 MODES = ("stacked", "unrolled", "none")
 
@@ -56,7 +62,7 @@ class PropagationConfig:
         if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling {self.pooling!r} (expected one of {POOLINGS})")
         if self.transition not in TRANSITIONS:
-            raise ValueError(f"unknown transition {self.transition!r} (expected one of {TRANSITIONS})")
+            raise ValueError(f"unknown transition {self.transition!r} (expected one of {tuple(TRANSITIONS)})")
         if self.mode == "none":
             self.depth = 0
         elif self.depth < 1:
@@ -172,39 +178,22 @@ class NeighborSampler(NeighborTable):
 # ---------------------------------------------------------------------------
 # plans: the index work of a batch, which reads no parameter
 
-class StepPlan(NamedTuple):
-    """One propagation step's records, in transition-group order.
-
-    ``gather`` holds each record's row among the previous step's vectors and
-    ``gather_plan`` its ``autodiff.gather_plan`` (None: made when backward
-    runs); ``offsets`` splits the records into groups (None without
-    transition matrices); ``seg`` holds each record's target among
-    ``n_targets``, and ``pool`` its ``autodiff.segment_plan``.
-    """
-
-    gather: np.ndarray
-    gather_plan: list | None
-    offsets: np.ndarray | None
-    seg: np.ndarray
-    n_targets: int
-    pool: tuple
-
-
 class Plan(NamedTuple):
     """What ``GraphModel.score_ids`` runs on: a batch's index work (``GraphModel.plan``).
 
     The triplets' heads then tails are rows ``inverse`` of ``ids``, the
     sorted unique endpoints, whose vectors propagation yields: ``base`` is
     the final frontier, whose base rows step 1 pools, and ``steps`` the
-    ``StepPlan`` of each step. ``gathers`` holds the ``autodiff.gather_plan``
-    of the heads, tails and relations gathers (None each unless ``training``).
+    ``group_transition`` index arguments of each step (``_step_plan``).
+    ``gathers`` holds the ``autodiff.gather_plan`` of the heads, tails and
+    relations gathers (None each unless ``training``).
     """
 
     ids: np.ndarray
     inverse: np.ndarray
     relations: np.ndarray
     base: np.ndarray
-    steps: list[StepPlan]
+    steps: list[dict]
     gathers: tuple
     training: bool
 
@@ -234,13 +223,14 @@ class GraphModel:
         self.n_entities = n_entities
         self.n_relations = n_relations
         self.name_of = int
-        self.n_groups = cfg.n_layers * 2 * (n_relations if cfg.transition == "relation-relu-bn" else 1)
+        weighted, normed, _, per_relation = TRANSITIONS[cfg.transition]
+        self.n_groups = cfg.n_layers * 2 * (n_relations if per_relation else 1)
         d = cfg.dim
         params = {"entities": np.zeros((n_entities, d)), "relations": np.zeros((n_relations, d))}
         buffers = {}
-        if self.n_groups and cfg.transition != "identity":
+        if self.n_groups and weighted:
             params["A"] = np.broadcast_to(np.eye(d), (self.n_groups, d, d))
-        if self.n_groups and cfg.transition == "relation-relu-bn":
+        if self.n_groups and normed:
             # a step normalizes each group by its own batch statistics, so
             # inference needs each group's running statistics
             bn_params, buffers = BatchNorm.tensors("bn", self.n_groups, d)
@@ -266,11 +256,11 @@ class GraphModel:
     def group_index(self, layer, dirs, rel) -> np.ndarray:
         """Row ``(layer * 2 + direction) * R' + relation`` of the stacked tensors.
 
-        R' is ``n_relations`` for ``relation-relu-bn``; otherwise it is 1 and
-        the relation is ignored.
+        R' is ``n_relations`` for a transition whose groups are per relation
+        (``relation-relu-bn``); otherwise it is 1 and the relation is ignored.
         """
         dirs = np.asarray(dirs, dtype=np.intp)
-        if self.cfg.transition != "relation-relu-bn":
+        if not TRANSITIONS[self.cfg.transition][3]:
             return layer * 2 + dirs
         rel = np.asarray(rel, dtype=np.intp)
         bad = rel[(rel < 0) | (rel >= self.n_relations)]
@@ -343,34 +333,32 @@ class GraphModel:
         return Plan(ids, inverse, relations, base, steps, gathers, training)
 
     def _steps(self, ids: np.ndarray, table: NeighborTable | None, training: bool):
-        """The final frontier whose base rows step 1 pools, and the ``StepPlan`` of each step.
+        """The final frontier whose base rows step 1 pools, and each step's ``_step_plan``.
 
         ``ids`` are sorted and unique. An entity with neither neighbors nor
         a base embedding row raises ``InferenceError``.
         """
         if self.cfg.depth and table is None:
             raise ValueError("propagation depth >= 1 requires a neighbor table")
-        # top-down: discover which vectors each step needs
-        levels = []
-        for _ in range(self.cfg.depth):
-            records = self.neighbor_records(ids, table)
-            below, nbr_pos = np.unique(records[0], return_inverse=True)
-            levels.append((len(ids), nbr_pos, records[1:], len(below)))
+        steps = []
+        for step in range(self.cfg.depth, 0, -1):  # top-down: which vectors each step needs
+            nbr, rel, dirs, seg = self.neighbor_records(ids, table)
+            below, nbr_pos = np.unique(nbr, return_inverse=True)
+            steps.append(self._step_plan(nbr_pos, rel, dirs, seg, len(ids), len(below),
+                                         self.cfg.layer_of(step), training))
             ids = below
         bad = ids[ids >= self.n_entities]
         if bad.size:
             raise InferenceError(f"entity {self.name_of(int(bad[0]))!r} has no trained embedding")
-        steps = [self._step_plan(nbr_pos, rel, dirs, seg, n_targets, n_prev,
-                                 self.cfg.layer_of(step), training)
-                 for step, (n_targets, nbr_pos, (rel, dirs, seg), n_prev)
-                 in enumerate(reversed(levels), 1)]
-        return ids, steps
+        return ids, steps[::-1]
 
-    def _step_plan(self, nbr_pos, rel, dirs, seg, n_targets, n_prev, layer, training) -> StepPlan:
-        """One step over records whose neighbors are rows ``nbr_pos`` of ``n_prev`` vectors.
+    def _step_plan(self, nbr_pos, rel, dirs, seg, n_targets, n_prev, layer, training) -> dict:
+        """A step's ``group_transition`` index arguments: ``offsets``, ``gather`` and ``pool``.
 
-        The records are stably sorted by transition group, self records
-        first.
+        The records, whose neighbors are rows ``nbr_pos`` of ``n_prev``
+        vectors, are stably sorted by transition group, self records first;
+        ``offsets`` is None without transition matrices, and the gather's
+        ``autodiff.gather_plan`` None unless ``training``.
         """
         real = dirs != DIR_SELF
         key = np.full(len(dirs), -1, dtype=np.intp)
@@ -380,8 +368,9 @@ class GraphModel:
         offsets = None
         if self.A is not None:
             offsets = np.searchsorted(key[order], np.arange(self.n_groups + 1))
-        return StepPlan(gather, ad.gather_plan(gather, n_prev, width) if training else None,
-                        offsets, seg, n_targets, ad.segment_plan(seg, n_targets, width))
+        return {"offsets": offsets,
+                "gather": (gather, ad.gather_plan(gather, n_prev, width) if training else None),
+                "pool": (self.cfg.pooling, seg, n_targets, ad.segment_plan(seg, n_targets, width))}
 
     def propagate_batch(
         self,
@@ -401,28 +390,25 @@ class GraphModel:
         ids = np.unique(np.asarray(entity_ids, dtype=np.intp))
         return self._propagate(*self._steps(ids, table, training), training)
 
-    def _propagate(self, base: np.ndarray, steps: list[StepPlan], training: bool) -> Tensor:
+    def _propagate(self, base: np.ndarray, steps: list[dict], training: bool) -> Tensor:
         vecs = ad.gather_rows(self.entities, base)
         for step in steps:
             vecs = self._propagate_step(vecs, step, training)
         return vecs
 
-    def _propagate_step(self, prev_vecs: Tensor, step: StepPlan, training: bool) -> Tensor:
+    def _propagate_step(self, prev_vecs: Tensor, step: dict, training: bool) -> Tensor:
         """One pooled propagation step, one op: ``step``'s records gathered in group order.
 
         Every group's rows go through its matrix, batch norm and the
         activation, the self records pass through unchanged, and each
         target pools its records.
         """
-        args = {"gather": (step.gather, step.gather_plan),
-                "pool": (self.cfg.pooling, step.seg, step.n_targets, step.pool)}
+        activation = TRANSITIONS[self.cfg.transition][2]
         if self.bn is not None:
-            return self.bn.transition(prev_vecs, step.offsets, training, self.A, "relu", **args)
-        activation = None
-        if self.A is not None:
-            activation = "tanh" if self.cfg.transition == "tanh-layer" else "relu"
-        return ad.group_transition(prev_vecs, step.offsets, self.A, activation=activation,
-                                   training=training, **args)[0]
+            return self.bn.transition(prev_vecs, training=training, weight=self.A,
+                                      activation=activation, **step)
+        return ad.group_transition(prev_vecs, weight=self.A, activation=activation,
+                                   training=training, **step)[0]
 
     # -- scoring ----------------------------------------------------------
 

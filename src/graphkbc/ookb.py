@@ -34,6 +34,7 @@ from .kg import (
     read_json,
     save_triplet_file,
     triplet_array,
+    write_lines,
 )
 
 
@@ -230,8 +231,7 @@ def write_split(
     for key, part in (("valid", split.validation), ("test", split.test)):
         rows, labels = labeled_arrays(part)
         save_triplet_file(paths[key], rows, entity_vocab, relation_vocab, labels)
-    with open(paths["ookb"], "w", encoding="utf-8") as fh:
-        fh.writelines(entity_vocab.name_of(e) + "\n" for e in split.ookb_entities.tolist())
+    write_lines(paths["ookb"], list(map(entity_vocab.name_of, split.ookb_entities.tolist())))
     with open(paths["stats"], "w", encoding="utf-8") as fh:
         fh.write(split.stats.as_text())
     with open(paths["stats_json"], "w", encoding="utf-8") as fh:

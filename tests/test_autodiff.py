@@ -24,6 +24,7 @@ from graphkbc.autodiff import (
     sum_all,
     tanh,
 )
+from graphkbc.model import TRANSITIONS
 
 
 def naive_matvec(A, x):
@@ -506,12 +507,6 @@ def test_group_transition_is_the_unfused_chain_bitwise(training, activation):
         assert not W.grad[1].any() and not gamma.grad[1].any()  # the empty group
 
 
-_STEP_TRANSITIONS = {  # (weight, batch norm, activation) of each propagation transition
-    "identity": (False, False, None),
-    "tanh-layer": (True, False, "tanh"),
-    "relu-layer": (True, False, "relu"),
-    "relation-relu-bn": (True, True, "relu"),
-}
 _STANDALONE_POOL = {"sum": segment_sum, "avg": segment_mean, "max": segment_max}
 
 
@@ -542,14 +537,14 @@ def _numpy_pool_grad(pooling, rows, pooled, seg, upstream):
 
 @pytest.mark.parametrize("training", [True, False])
 @pytest.mark.parametrize("pooling", ["sum", "avg", "max"])
-@pytest.mark.parametrize("transition", sorted(_STEP_TRANSITIONS))
+@pytest.mark.parametrize("transition", sorted(TRANSITIONS))
 def test_propagation_step_is_gather_transition_and_pool_bitwise(transition, pooling, training):
     # one op against the chain it fuses: gather_rows, the unfused transition
     # and the standalone segment op. 3 self records pass through, then groups
     # of 5, 0, 1 and 40 records (1,000 at d = 100). The records repeat rows of
     # a 40-row table; every other record of the last group takes its
     # segment's row, so maxima tie across records, as relu's zeros do
-    weighted, normed, activation = _STEP_TRANSITIONS[transition]
+    weighted, normed, activation, _ = TRANSITIONS[transition]
     for d in (1, 6, 100):
         rng = np.random.default_rng(d)
         sizes = (3, 5, 0, 1, 1000 if d == 100 else 40)

@@ -179,6 +179,18 @@ class TestTrain:
         assert {k: config[k] for k in set(defaults) - given} == {
             k: v for k, v in defaults.items() if k not in given}
 
+    def test_echo_holds_the_validated_settings(self, corpus):
+        # under --mode none the model has depth 0, whatever --depth says
+        from graphkbc.model import load_model
+
+        tmp_path, paths = corpus
+        out = tmp_path / "run"
+        assert run(["train", "--train", paths["train"], "--out", out, "--mode", "none",
+                    "--depth", "2", "--epochs", "1", "--minibatch", "8", "--dim", "4"]) == EXIT_OK
+        config = json.loads((out / "config.json").read_text())
+        assert (config["mode"], config["depth"]) == ("none", 0)
+        assert load_model(out / "checkpoint-final")[0].cfg.depth == 0
+
     def test_resume_reproduces_uninterrupted_run(self, corpus):
         tmp_path, paths = corpus
         full = tmp_path / "full"
@@ -256,17 +268,20 @@ class TestTrain:
         assert model.cfg.to_dict() == {k: expected[k] for k in model.cfg.to_dict()}
         assert (extra["objective"], extra["margin"]) == ("pairwise", 2.0)
 
-    @pytest.mark.parametrize("flags, option", [
-        (["--dim", "7"], "dim"),
-        (["--margin", "50"], "margin"),
-        (["--objective", "pairwise"], "objective"),
-        ("neighbor_cap = 5\n", "neighbor_cap"),
-    ], ids=["dim-flag", "margin-flag", "objective-flag", "config-key"])
+    @pytest.mark.parametrize("flags, option, trained", [
+        (["--dim", "7"], "dim", []),
+        (["--margin", "50"], "margin", []),
+        (["--objective", "pairwise"], "objective", []),
+        ("neighbor_cap = 5\n", "neighbor_cap", []),
+        # the checkpoint's depth is 0, which its config would set again
+        (["--depth", "5"], "depth", ["--mode", "none"]),
+    ], ids=["dim-flag", "margin-flag", "objective-flag", "config-key", "depth-under-mode-none"])
     def test_resume_with_conflicting_model_setting_is_config_error(self, corpus, capsys,
-                                                                    flags, option):
+                                                                    flags, option, trained):
         tmp_path, paths = corpus
         half = tmp_path / "half"
-        assert run(["train", "--train", paths["train"], "--out", half] + TRAIN_ARGS) == EXIT_OK
+        assert run(["train", "--train", paths["train"], "--out", half]
+                   + TRAIN_ARGS + trained) == EXIT_OK
         if isinstance(flags, str):
             (tmp_path / "run.conf").write_text(flags)
             flags = ["--config", tmp_path / "run.conf"]

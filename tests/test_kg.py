@@ -35,11 +35,14 @@ class TestVocabulary:
         assert "a" in v and "c" not in v
 
     def test_round_trip(self, tmp_path):
-        v = Vocabulary(["x", "y", "z"])
-        v.save(tmp_path / "vocab.txt")
-        loaded = Vocabulary.load(tmp_path / "vocab.txt")
-        assert loaded.names == v.names
-        assert loaded.index == v.index
+        # one line per name: none makes an empty file, an empty name a blank line
+        for names, content in ((["x", "y", "z"], b"x\ny\nz\n"), ([], b""), ([""], b"\n")):
+            v = Vocabulary(names)
+            v.save(tmp_path / "vocab.txt")
+            assert (tmp_path / "vocab.txt").read_bytes() == content
+            loaded = Vocabulary.load(tmp_path / "vocab.txt")
+            assert loaded.names == v.names
+            assert loaded.index == v.index
 
 
 class TestLoad:

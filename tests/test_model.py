@@ -548,9 +548,10 @@ def test_a_training_step_holds_one_record_sized_array_and_the_winners():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    record_bytes = len(step.gather) * 32 * 8
-    assert record_bytes > 1 << 20 and len(step.gather) > 4 * step.n_targets
-    winners = step.n_targets * 32  # one byte per rank: no target has more than 16 records
+    (gather, _), (_, _, n_targets, _) = step["gather"], step["pool"]
+    record_bytes = len(gather) * 32 * 8
+    assert record_bytes > 1 << 20 and len(gather) > 4 * n_targets
+    winners = n_targets * 32  # one byte per rank: no target has more than 16 records
     assert held <= record_bytes + winners + out.data.nbytes + (64 << 10)
 
 

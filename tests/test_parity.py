@@ -29,7 +29,8 @@ def test_compare_ignores_only_metrics_wall_time(tmp_path):
 def test_command_sequence_runs_on_this_tree(tmp_path):
     # every command of the sequence succeeds, and writes what the comparison reads
     parity.run_tree(ROOT, tmp_path, parity.corpora())
-    for name in ("grid", "hub"):
+    assert set(parity.MODELS) == {"grid", "hub", "grid-relu", "hub-identity"}
+    for name in parity.MODELS:
         assert (tmp_path / name / "run" / "checkpoint-epoch0002" / "params.bin").exists()
         for mode in ("standard", "proposed", "baseline", "baseline-sum", "baseline-max"):
             assert (tmp_path / name / f"eval-{mode}" / "report.jsonl").exists()

@@ -3,13 +3,14 @@
 Usage: ``python tools/parity.py --against REV [--perfbench]``
 
 REV is exported with ``git archive`` into a temporary directory; nothing is
-fetched. For both source trees the script writes the grid and hub corpora
-of ``tests/synthetic_corpus.py`` and runs one ``graphkbc`` command sequence
+fetched. For both source trees the script writes, per model of ``MODELS``,
+its corpus (the grid or the hub corpus of ``tests/synthetic_corpus.py``)
+into the model's own directory and runs one ``graphkbc`` command sequence
 in a fresh Python process whose ``PYTHONPATH`` is that tree's ``src``:
 ``gen-ookb``, ``train`` with an intermediate checkpoint, ``eval`` in the
 standard, OOKB proposed and OOKB baseline modes (the baseline once per
 pooling: avg, sum and max), and ``predict`` with ``--thresholds`` and with
-``--valid``. Then it runs, per corpus, commands that must fail with a data
+``--valid``. Then it runs, per model, commands that must fail with a data
 error: standard ``eval`` with a test entity the checkpoint lacks,
 ``eval --mode ookb`` on a copy of the split with its aux file emptied,
 ``predict`` with an aux triplet linking two unknown entities and with a
@@ -19,7 +20,7 @@ commands that must fail with a usage error before reading their checkpoint,
 which does not exist: ``eval`` without its mode's files, without
 ``--split-prefix`` and without the baseline's ``--pooling``, and
 ``predict`` without ``--thresholds`` or ``--valid``. Each one's exit code
-and stderr go to ``{corpus}/faults.txt``. Both runs use the same relative
+and stderr go to ``{model}/faults.txt``. Both runs use the same relative
 paths, so echoed paths agree. Every output file is then compared byte for
 byte, except that ``wall_time`` is ignored in ``metrics.jsonl``.
 
@@ -55,15 +56,22 @@ ROOT = Path(__file__).resolve().parents[1]
 
 COMMON = ["--epochs", "4", "--checkpoint-every", "2", "--minibatch", "16",
           "--seed", "1", "--alpha1", "0.05"]
-# one model per corpus, between them covering each pooling family, both
-# modes, both norms, both objectives and both transition families
+# each model's corpus and options; between them they cover every pooling,
+# every transition, both modes, both norms and both objectives
 MODELS = {
-    "grid": ["--dim", "6", "--depth", "1", "--mode", "unrolled", "--pooling", "max",
-             "--transition", "relation-relu-bn", "--norm-p", "1",
-             "--objective", "absolute", "--margin", "2"],
-    "hub": ["--dim", "5", "--depth", "2", "--mode", "stacked", "--pooling", "avg",
-            "--transition", "tanh-layer", "--neighbor-cap", "3", "--norm-p", "2",
-            "--objective", "pairwise", "--margin", "1", "--filter-false-negatives"],
+    "grid": ("grid", ["--dim", "6", "--depth", "1", "--mode", "unrolled", "--pooling", "max",
+                      "--transition", "relation-relu-bn", "--norm-p", "1",
+                      "--objective", "absolute", "--margin", "2"]),
+    "hub": ("hub", ["--dim", "5", "--depth", "2", "--mode", "stacked", "--pooling", "avg",
+                    "--transition", "tanh-layer", "--neighbor-cap", "3", "--norm-p", "2",
+                    "--objective", "pairwise", "--margin", "1", "--filter-false-negatives"]),
+    "grid-relu": ("grid", ["--dim", "6", "--depth", "2", "--mode", "stacked", "--pooling", "sum",
+                           "--transition", "relu-layer", "--norm-p", "2",
+                           "--objective", "pairwise", "--margin", "2"]),
+    "hub-identity": ("hub", ["--dim", "5", "--depth", "2", "--mode", "unrolled",
+                             "--pooling", "max", "--transition", "identity",
+                             "--neighbor-cap", "3", "--norm-p", "1",
+                             "--objective", "absolute", "--margin", "1"]),
 }
 
 # runs in the child process: each argv list through cli.main, in order
@@ -76,8 +84,8 @@ for argv in json.loads(sys.argv[1]):
         sys.exit(f"graphkbc {' '.join(argv)} exited {code}")
 """
 
-# runs in the child process: each corpus's failing argv lists through
-# cli.main, writing each one's exit code and stderr to {corpus}/faults.txt
+# runs in the child process: each model's failing argv lists through
+# cli.main, writing each one's exit code and stderr to {model}/faults.txt
 FAULT_DRIVER = """
 import contextlib, io, json, sys
 from graphkbc.cli import main
@@ -131,7 +139,7 @@ def _named(triplets, ev, rv) -> list[str]:
 
 
 def corpora() -> dict[str, dict[str, list[str]]]:
-    """The lines of each corpus's train, valid and test files."""
+    """The lines of each model's train, valid and test files: those of its corpus."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     from synthetic_corpus import grid_corpus, hub_corpus
 
@@ -154,11 +162,11 @@ def corpora() -> dict[str, dict[str, list[str]]]:
     held = {line[:-2] for line in test + valid if line.endswith("\t1")}
     hub = {"train": [line for line in _named(train, ev, rv) if line not in held],
            "valid": valid, "test": test}
-    return {"grid": grid, "hub": hub}
+    return {name: {"grid": grid, "hub": hub}[corpus] for name, (corpus, _) in MODELS.items()}
 
 
 def commands(name: str, n_test: int) -> list[list[str]]:
-    """The command sequence of one corpus, in paths relative to the run directory."""
+    """The command sequence of one model, in paths relative to the run directory."""
     split = f"{name}/split/tail-{n_test}"
     bundle = f"{name}/run/checkpoint-final"
     files = {f: f"{name}/{f}.txt" for f in ("train", "valid", "test", "queries")}
@@ -171,7 +179,7 @@ def commands(name: str, n_test: int) -> list[list[str]]:
          "--test", files["test"], "--n", str(n_test), "--position", "tail",
          "--out", f"{name}/split"],
         ["train", "--train", f"{split}.train.txt", "--vocab", f"{name}/split/entities.txt",
-         "--out", f"{name}/run"] + COMMON + MODELS[name],
+         "--out", f"{name}/run"] + COMMON + MODELS[name][1],
         ["eval", "--checkpoint", bundle, "--mode", "standard", "--train", files["train"],
          "--valid", files["valid"], "--test", files["test"], "--out", f"{name}/eval-standard"],
         ["eval", "--checkpoint", bundle, "--mode", "ookb", "--split-prefix", split,
@@ -186,7 +194,7 @@ def commands(name: str, n_test: int) -> list[list[str]]:
 
 
 def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
-    """Write one corpus's faulty inputs under ``work`` and return the commands that read them.
+    """Write one model's faulty inputs under ``work`` and return the commands that read them.
 
     Runs after ``commands``, whose split and bundle the commands read.
     """
@@ -222,7 +230,7 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
                                 "--aux", f"{name}/faults/aux.txt"],
         predict + thresholds + ["--triplets", f"{name}/faults/sideways.txt",
                                 "--aux", f"{split}.aux.txt"],
-        ["train", "--train", empty, "--out", f"{name}/faults/train"] + COMMON + MODELS[name],
+        ["train", "--train", empty, "--out", f"{name}/faults/train"] + COMMON + MODELS[name][1],
         standard + ["--valid", empty, "--test", f"{name}/test.txt",
                     "--out", f"{name}/faults/eval-empty-valid"],
         standard + ["--valid", f"{name}/valid.txt", "--test", empty,
