@@ -273,7 +273,7 @@ class TestTrain:
         (["--margin", "50"], "margin", []),
         (["--objective", "pairwise"], "objective", []),
         ("neighbor_cap = 5\n", "neighbor_cap", []),
-        # the checkpoint's depth is 0, which its config would set again
+        # under the checkpoint's mode none, the config would set depth 5 back to its 0
         (["--depth", "5"], "depth", ["--mode", "none"]),
     ], ids=["dim-flag", "margin-flag", "objective-flag", "config-key", "depth-under-mode-none"])
     def test_resume_with_conflicting_model_setting_is_config_error(self, corpus, capsys,
