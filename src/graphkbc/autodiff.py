@@ -6,7 +6,8 @@ from a stack of matrices, batch normalization, an activation), row gathers,
 per-row norms and axis-0 means. The transition also gathers its rows and
 pools them per segment by sum, mean or max (``group_transition``'s
 ``gather`` and ``pool``): one propagation step is one op, which keeps one
-array of its records' size for the backward. ``segment_sum``,
+array of its records' size for the backward and builds each group's
+gradient inside its runs. ``segment_sum``,
 ``segment_mean`` and ``segment_max`` are its pool alone, as ``affine_rows``
 is its matrix alone. Each operation hands its output and a backward
 closure to ``_record``, which keeps the closure only when the output needs
@@ -371,11 +372,14 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
     backward it keeps one array of the rows' size: the normalized rows, or
     the activation's output when there is no batch norm (none without
     either). The gathered rows and a pooled op's transformed rows are freed
-    before it returns; the backward regathers each group's rows and
-    recomputes the activation's derivative from the normalized rows. Max
-    pooling keeps each (segment, feature)'s winning row, the lowest-index
-    one that attains the maximum, as its rank in the segment; an inference
-    forward (``training=False``) keeps none, and its output has no gradient.
+    before it returns. The backward builds each group's gradient from the
+    pooled one in a buffer of its run's largest group, regathers the group's
+    rows, recomputes the activation's derivative from the normalized rows
+    and writes the rows' gradient over the kept array. Max pooling keeps
+    each (segment, feature)'s winning row, the lowest-index one that attains
+    the maximum, as its rank in the segment, and only that rank's row gets
+    the gradient; an inference forward (``training=False``) keeps none, and
+    its output has no gradient.
 
     Returns the output and the (G, d) batch mean and variance (None unless
     ``norm`` uses batch statistics). The forward and the backward each split
@@ -473,27 +477,31 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
             out /= counts[:, None]
     # what the backward reads; the records' gradient is written over it
     kept = normalized if norm is not None else data if activation is not None else None
-    own_kept = kept is not None and kept is not out
 
     def backward(grad):
-        if pool is None:
-            dz_all = np.array(grad, dtype=DTYPE)  # a stored gradient is not written in place
-        elif pooling == "max":
+        if pool is not None and pooling == "max":
             if winners is None:
                 raise ValueError("an inference forward keeps no max-pooling winners; "
                                  "build the op with training=True to differentiate it")
-            dz_all = _max_grad(grad, winners, segment_runs, (n, d))
-        else:
-            dz_all = grad[seg]
+            rank = np.empty(n, winners.dtype)  # each record's rank in its segment
+            for _, ranks in segment_runs:
+                for k, ranked in enumerate(ranks):
+                    rank[ranked] = k
+
+        def records_grad(lo, hi, out):  # records lo:hi's gradient from the pooled one, into out
+            if pool is None:  # copied: a stored gradient is not written in place
+                out[...] = grad[lo:hi]
+                return out
+            np.take(grad, seg[lo:hi], axis=0, out=out, mode="clip")  # seg is checked by its plan
             if pooling == "avg":
-                dz_all /= counts[seg, None]
-        if n_pass == n:  # every row passed through: the gradient is the incoming one
-            gx = dz_all
-        else:
-            gx = kept if own_kept else np.empty((n, d))
-            gx[:n_pass] = dz_all[:n_pass]
-        if weight is not None:
-            gw = np.zeros_like(weight.data)
+                out /= counts[seg[lo:hi], None]
+            elif pooling == "max":  # off the winning rank: g * False, a zero of g's sign
+                out *= winners[seg[lo:hi]] == rank[lo:hi, None]
+            return out
+
+        gx = kept if kept is not None and kept is not out else np.empty((n, d))
+        records_grad(0, n_pass, gx[:n_pass])  # the rows that passed through
+        gw = None if weight is None else np.zeros_like(weight.data)
         if norm is not None:
             g_gamma, g_beta = np.zeros_like(gamma.data), np.zeros_like(beta.data)
         block = max(1, _BLOCK_ELEMENTS // d)
@@ -503,8 +511,9 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
 
         def backward_run(run):
             scratch = np.empty((block, d))
+            buffer = np.empty((max([hi - lo for _, lo, hi in run], default=0), d))  # largest group
             for g, lo, hi in run:
-                dz = dz_all[lo:hi]
+                dz = records_grad(lo, hi, buffer[:hi - lo])
                 if activation is not None:  # the activation's derivative, block by block
                     for b0, b1 in blocks(lo, hi):
                         if norm is None:
@@ -515,9 +524,9 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
                             if activation == "tanh":
                                 np.tanh(y, out=y)
                         if activation == "relu":
-                            dz_all[b0:b1] *= y > 0.0  # subgradient at 0 is 0
+                            dz[b0 - lo:b1 - lo] *= y > 0.0  # subgradient at 0 is 0
                         else:
-                            dz_all[b0:b1] *= 1.0 - y * y
+                            dz[b0 - lo:b1 - lo] *= 1.0 - y * y
                 if norm is not None:
                     xhat = kept[lo:hi]
                     g_beta[g] = dz.sum(axis=0)
@@ -530,8 +539,8 @@ def group_transition(x, offsets, weight=None, norm=None, activation=None, *,
                         if batch:
                             t = np.multiply(kept[b0:b1], m2, out=scratch[:b1 - b0])
                             t += m1  # the bits of m1 + t: addition commutes
-                            dz_all[b0:b1] -= t
-                        dz_all[b0:b1] *= inv[g]
+                            dz[b0 - lo:b1 - lo] -= t
+                        dz[b0 - lo:b1 - lo] *= inv[g]
                 # the group's kept rows are spent: its input rows go there, then their gradient
                 if weight is None:
                     gx[lo:hi] = dz
@@ -735,22 +744,6 @@ def segment_max(x, seg, n_segments: int) -> Tensor:
     return _pool_alone("max", x, seg, n_segments)
 
 
-def _max_grad(g: np.ndarray, winners: np.ndarray, runs: list, shape: tuple) -> np.ndarray:
-    """The rows' gradient of a segment max: each (segment, feature)'s ``g`` at its winning rank.
-
-    The other rows get ``g * False``, a zero of ``g``'s sign.
-    """
-    gx = np.empty(shape)
-
-    def scatter_run(run):
-        segments, ranks = run
-        g_seg, won = g[segments], winners[segments]
-        for k, rows in enumerate(ranks):
-            gx[rows] = g_seg[:len(rows)] * (won[:len(rows)] == k)
-    _each_run(scatter_run, runs)
-    return gx
-
-
 def rows_norm(x, p: int) -> Tensor:
     """Per-row L1 or L2 norm of a (n, d) batch; gradient at 0 is 0."""
     x = _ensure(x)
@@ -815,8 +808,8 @@ def gradcheck(build_loss, params: dict[str, Tensor], tol: float = GRADCHECK_TOLE
 
     ``build_loss`` must rebuild the scalar loss from the live ``params``
     tensors on every call. Every coordinate is probed. Returns failure
-    descriptions (empty = pass); the error measure is
-    ``|a - n| / max(1, |a|, |n|)``.
+    descriptions (empty = pass): a coordinate fails unless its error
+    ``|a - n| / max(1, |a|, |n|)`` is ``<= tol``, so a NaN error fails.
     """
     for p in params.values():
         p.grad = None
@@ -840,7 +833,7 @@ def gradcheck(build_loss, params: dict[str, Tensor], tol: float = GRADCHECK_TOLE
             numeric = (up - down) / (2.0 * eps)
             a = float(analytic[name].reshape(-1)[i])
             err = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            if err > tol:
+            if not err <= tol:
                 failures.append(
                     f"{name}[{i}]: analytic {a:.6g} vs numeric {numeric:.6g} (rel err {err:.2e})"
                 )

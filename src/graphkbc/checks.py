@@ -68,9 +68,11 @@ def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
     both = np.concatenate([pos, neg])
     failures = []
     # transitions per (layer, direction, relation) and per (layer, direction),
-    # and the benchmark's max-pooled relation-relu-bn
+    # the benchmark's max-pooled relation-relu-bn, a sum over rows that all
+    # pass through, and max winners found on the activation's kept output
     for transition, pooling in (("relation-relu-bn", "avg"), ("tanh-layer", "avg"),
-                                ("relation-relu-bn", "max")):
+                                ("relation-relu-bn", "max"), ("identity", "sum"),
+                                ("relu-layer", "max")):
         cfg = PropagationConfig(dim=4, depth=1, mode="stacked", pooling=pooling,
                                 transition=transition, neighbor_cap=2)
         model = GraphModel(6, 2, cfg)

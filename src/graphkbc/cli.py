@@ -373,6 +373,8 @@ def cmd_predict(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
+    if not 0 <= args.tolerance < np.inf:
+        raise UsageError(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
     ok, failures = gradient_check_report(tolerance=args.tolerance, seed=args.seed)
     if ok:
         print(f"gradcheck passed at tolerance {args.tolerance:g}")

@@ -96,8 +96,8 @@ class ObjectiveConfig:
     def __post_init__(self):
         if self.objective not in ("absolute", "pairwise"):
             raise ValueError(f"unknown objective {self.objective!r}")
-        if self.margin < 0:
-            raise ValueError("margin must be nonnegative")
+        if not 0 <= self.margin < np.inf:
+            raise ValueError(f"margin must be a finite number >= 0, got {self.margin}")
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.minibatch_size < 1:
             raise ValueError("epochs and minibatch_size must be positive")
-        if self.alpha1 <= 0 or self.alpha2 < 0:
-            raise ValueError("alpha1 must be positive and alpha2 nonnegative")
+        if not 0 < self.alpha1 < np.inf:
+            raise ValueError(f"alpha1 must be a finite number > 0, got {self.alpha1}")
+        if not 0 <= self.alpha2 < np.inf:
+            raise ValueError(f"alpha2 must be a finite number >= 0, got {self.alpha2}")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be positive")
 

@@ -194,6 +194,18 @@ class TestBackward:
             num.append((up - down) / (2 * eps))
         assert not np.allclose(analytic.reshape(-1), num, rtol=1e-4)
 
+    def test_gradcheck_fails_a_nan_gradient(self):
+        # a NaN error compares false with any tolerance: it must still fail
+        x = Tensor(np.array([[0.7, -0.3]]), requires_grad=True)
+
+        def build():
+            out = sum_all(tanh(x))
+            out._backward = lambda g: ad._accumulate(x, np.full(x.shape, np.nan))
+            return out
+
+        failures = gradcheck(build, {"x": x})
+        assert len(failures) == 2 and all("analytic nan" in f for f in failures), failures
+
 
 def test_backward_frees_the_tape_as_it_walks_it():
     rng = np.random.default_rng(5)

@@ -135,11 +135,17 @@ class TestTrain:
                     "--config", cfg])
         assert code == EXIT_USAGE
 
-    def test_invalid_pooling_is_config_error(self, corpus):
+    # every comparison with NaN is false, so a NaN setting must be refused outright
+    @pytest.mark.parametrize("option, value", [
+        ("--pooling", "median"), ("--margin", "nan"), ("--margin", "inf"),
+        ("--alpha1", "nan"), ("--alpha1", "inf"), ("--alpha2", "nan"), ("--alpha2", "inf")])
+    def test_invalid_pooling_is_config_error(self, corpus, capsys, option, value):
         tmp_path, paths = corpus
-        code = run(["train", "--train", paths["train"], "--out", tmp_path / "r",
-                    "--pooling", "median"])
+        code = run(["train", "--train", paths["train"], "--out", tmp_path / "r", option, value])
         assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and option[2:] in err, err
+        assert not (tmp_path / "r" / "metrics.jsonl").exists()
 
     def test_non_finite_loss_is_numerical_fault(self, tmp_path, capsys):
         ring = tmp_path / "ring.txt"
@@ -923,6 +929,17 @@ class TestGradcheckCommand:
     def test_tolerance_flag_respected(self, capsys):
         # an absurdly tight tolerance must flag finite-difference noise
         assert run(["gradcheck", "--tolerance", "1e-14"]) == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_tolerance_must_be_a_finite_number_at_least_zero(self, capsys, monkeypatch, tolerance):
+        from graphkbc import cli
+
+        monkeypatch.setattr(cli, "gradient_check_report",
+                            lambda **kw: pytest.fail("the suites ran"))
+        assert run(["gradcheck", "--tolerance", tolerance]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: --tolerance must be a finite number >= 0")
 
 
 def _openblas():

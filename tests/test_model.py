@@ -526,21 +526,25 @@ class TestFullModelGradients:
         assert failures == [], failures[:5]
 
 
-def test_a_training_step_holds_one_record_sized_array_and_the_winners():
-    # the benchmark's model (relation-relu-bn, max pooling) on a mid-size
-    # graph: after the forward, the step keeps its normalized rows for the
-    # backward and the winning rank of each (target, feature), and returns
-    # the pooled vectors; the gathered and transformed records are freed
-    import tracemalloc
-
+def _training_step(pooling):
+    """The benchmark's model (relation-relu-bn) on a mid-size graph: its first step and input."""
     rng = np.random.default_rng(3)
     triplets = np.stack([rng.integers(0, 2000, 8000), rng.integers(0, 11, 8000),
                          rng.integers(0, 2000, 8000)], axis=1)
-    m = make_model(2000, 11, dim=32, pooling="max", neighbor_cap=16)
+    m = make_model(2000, 11, dim=32, pooling=pooling, neighbor_cap=16)
     table = NeighborSampler(NeighborTable(2000, triplets), 16, seed=0)
     batch = triplets[:500]
     plan = m.plan(batch[:, 0], batch[:, 1], batch[:, 2], table, training=True)
-    prev, step = Tensor(m.entities.data[plan.base], requires_grad=True), plan.steps[0]
+    return m, plan.steps[0], Tensor(m.entities.data[plan.base], requires_grad=True)
+
+
+def test_a_training_step_holds_one_record_sized_array_and_the_winners():
+    # with max pooling, after the forward, the step keeps its normalized rows
+    # for the backward and the winning rank of each (target, feature), and
+    # returns the pooled vectors; the gathered and transformed records are freed
+    import tracemalloc
+
+    m, step, prev = _training_step("max")
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -553,6 +557,26 @@ def test_a_training_step_holds_one_record_sized_array_and_the_winners():
     assert record_bytes > 1 << 20 and len(gather) > 4 * n_targets
     winners = n_targets * 32  # one byte per rank: no target has more than 16 records
     assert held <= record_bytes + winners + out.data.nbytes + (64 << 10)
+
+
+@pytest.mark.parametrize("pooling", ["sum", "avg", "max"])
+def test_a_training_steps_backward_allocates_no_second_record_sized_array(pooling):
+    # the backward writes the records' gradient over the kept normalized rows
+    # and builds each group's share of the pooled gradient in a buffer of one
+    # group's size; besides those, it allocates the input's gradient
+    import tracemalloc
+
+    m, step, prev = _training_step(pooling)
+    loss = sum_all(m._propagate_step(prev, step, training=True))
+    record_bytes = len(step["gather"][0]) * 32 * 8
+    assert record_bytes > 1 << 20 and prev.data.nbytes < record_bytes / 3
+    tracemalloc.start()
+    try:
+        backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * record_bytes
 
 
 def _filled_model(seed, adam_t):

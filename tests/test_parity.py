@@ -42,7 +42,7 @@ def test_command_sequence_runs_on_this_tree(tmp_path):
         assert [line for line in faults if line.startswith("exit ")] == ["exit 2"] * 8 + ["exit 1"] * 4
 
 
-def test_bench_summary_counts_wins_by_direction():
+def _bench_pairs():
     import sys
     sys.path.insert(0, str(ROOT / "tools"))
     try:
@@ -51,6 +51,11 @@ def test_bench_summary_counts_wins_by_direction():
         spec.loader.exec_module(bench_pairs)
     finally:
         sys.path.remove(str(ROOT / "tools"))
+    return bench_pairs
+
+
+def test_bench_summary_counts_wins_by_direction():
+    bench_pairs = _bench_pairs()
 
     def run(rate, rss):
         return {"result": {"metrics": {"rate": {"value": rate}, "rss": {"value": rss}}}}
@@ -76,3 +81,29 @@ def test_bench_summary_counts_wins_by_direction():
         pairs = [{"parent": run(p, 5), "change": run(c, 5)} for p, c in zip(parent, change)]
         out = bench_pairs.summary(pairs, {"rate": "higher"})
         assert (out["rate"]["wins"], out["rate"]["claim_rule_met"]) == (wins, met)
+
+
+@pytest.mark.parametrize("wrong", [[], [("change", 3, 2)], [("parent", 0, 1), ("parent", 7, 4)]])
+def test_bench_pairs_records_incorrect_results_and_exits_1(tmp_path, monkeypatch, wrong):
+    # (side, pair, failed operations) of each result that is not correct
+    bench_pairs = _bench_pairs()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = {"parent": 0, "change": 0}
+
+    def bench(tree, argv):
+        k, runs[tree.name] = runs[tree.name], runs[tree.name] + 1
+        failed = sum(f for side, pair, f in wrong if (side, pair) == (tree.name, k))
+        return {"environment": {}, "result": {
+            "correct": not failed, "attempted": 10, "failed": failed,
+            "metrics": {name: {"value": 1.0 + k} for name in names}}}
+
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "bench", bench)
+    out = tmp_path / "BENCH.json"
+    code = bench_pairs.main(["--against", "HEAD", "--out", str(out), "--run", "wn11:1"])
+    correctness = json.loads(out.read_text())["runs"]["wn11:1"]["correctness"]
+    for side in ("parent", "change"):
+        mine = [f for s, _, f in wrong if s == side]
+        assert correctness[side] == {"incorrect": len(mine), "failed": sum(mine)}
+    assert code == (1 if wrong else 0)

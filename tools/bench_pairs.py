@@ -15,8 +15,11 @@ result) and, per end-to-end metric, each side's median and quartiles, the
 pairs HEAD won and lost (ties count for neither), the change of the
 medians, whether it exceeds the parent's interquartile range, and whether
 a gain may be claimed: HEAD won at least 9 in 10 of the pairs and its
-median lies beyond that range. It is rewritten after every pair, so an
-interrupted run keeps the pairs it ran.
+median lies beyond that range. Per run and side it also records how many
+results were not ``correct`` and the total of their ``failed`` operations.
+It is rewritten after every pair, so an interrupted run keeps the pairs it
+ran. Exits 0 when every result on both sides was correct, 1 when some
+were not, and 2 when the export or a benchmark run fails.
 """
 
 from __future__ import annotations
@@ -84,6 +87,15 @@ def summary(pairs: list[dict], better: dict[str, str]) -> dict:
     return out
 
 
+def correctness(pairs: list[dict]) -> dict:
+    """Per side: how many results were not correct, and the total of their failed operations."""
+    out = {}
+    for side in ("parent", "change"):
+        wrong = [p[side]["result"] for p in pairs if not p[side]["result"]["correct"]]
+        out[side] = {"incorrect": len(wrong), "failed": sum(r["failed"] for r in wrong)}
+    return out
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV")
@@ -117,6 +129,7 @@ def main(argv=None) -> int:
                     for side in order:
                         pair[side] = bench(trees[side], command(spec, name, seed))
                     pairs.append(pair)
+                    report["runs"][key]["correctness"] = correctness(pairs)
                     if len(pairs) >= 2:
                         report["runs"][key]["summary"] = summary(pairs, better)
                     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
@@ -124,6 +137,11 @@ def main(argv=None) -> int:
         except ParityError as exc:
             print(f"bench_pairs: {exc}", file=sys.stderr)
             return 2
+    wrong = [f"{key} {side}" for key, run in report["runs"].items()
+             for side, count in run["correctness"].items() if count["incorrect"]]
+    if wrong:
+        print(f"bench_pairs: results not correct in {', '.join(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 
