@@ -1,19 +1,22 @@
 """Minimal reverse-mode differentiation over dense float64 numpy arrays.
 
-Only the operations the propagation model needs: broadcasting arithmetic,
-activations, the fused transition of rows sorted by group (an affine map
-from a stack of matrices, batch normalization, an activation), row gathers,
-per-row norms and axis-0 means. The transition also gathers its rows and
-pools them per segment by sum, mean or max (``group_transition``'s
-``gather`` and ``pool``): one propagation step is one op, which keeps one
-array of its records' size for the backward and builds each group's
-gradient inside its runs. ``segment_sum``,
+The operations the propagation model trains and infers with: broadcasting
+addition and subtraction, relu, the fused transition of rows sorted by group
+(an affine map from a stack of matrices, batch normalization, an
+activation), row gathers, per-row norms and sums. The transition also
+gathers its rows and pools them per segment by sum, mean or max
+(``group_transition``'s ``gather`` and ``pool``): one propagation step is
+one op, which keeps one array of its records' size for the backward and
+builds each group's gradient inside its runs. ``segment_sum``,
 ``segment_mean`` and ``segment_max`` are its pool alone, as ``affine_rows``
-is its matrix alone. Each operation hands its output and a backward
-closure to ``_record``, which keeps the closure only when the output needs
-a gradient; a backward computes what it needs when it runs, except max
-pooling's winning rows, which the forward finds as it reduces, and only
-when a gradient will be taken.
+is its matrix alone. No command, ``gradcheck`` included, runs
+``affine_rows``, ``mul`` (``Tensor.__mul__``), ``power``, ``tanh``,
+``mean0`` or ``concat_rows``: they stay for the perfbench tracer, which
+wraps them by name, and for the tests' reference chains. Each operation
+hands its output and a backward closure to ``_record``, which keeps the
+closure only when the output needs a gradient; a backward computes what it
+needs when it runs, except max pooling's winning rows, which the forward
+finds as it reduces, and only when a gradient will be taken.
 ``backward`` walks the tape in reverse topological order and frees it as it
 goes: once it returns, a non-leaf's ``.grad`` and closure are gone, and only
 the leaves keep their ``.grad``.

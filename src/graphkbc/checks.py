@@ -26,9 +26,9 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
         "affine+relu+l2": lambda: ad.sum_all(
             ad.rows_norm(ad.relu(ad.group_transition(x, [0, 5], W)[0]), 2)),
         # rows 0-1 take matrix 0 and rows 2-4 matrix 2; matrix 1 gets no rows
-        # and so a zero gradient
+        # and so a zero gradient; tanh inside the op, as tanh-layer trains
         "tanh+l1": lambda: ad.sum_all(
-            ad.rows_norm(ad.tanh(ad.group_transition(x, [0, 2, 2, 5], A)[0]), 1)),
+            ad.rows_norm(ad.group_transition(x, [0, 2, 2, 5], A, activation="tanh")[0], 1)),
         "segment_pool": lambda: ad.sum_all(ad.segment_max(x, seg, 2) + ad.segment_mean(x, seg, 2)),
         # group 0 holds one row (its output is its beta), group 1 none
         "batchnorm": lambda: ad.sum_all(
@@ -44,7 +44,7 @@ def _op_suite(rng: np.random.Generator, tol: float) -> list[str]:
         # a leaf gathered by sorted unique ids (a row-sparse gradient) and by
         # repeated ids, so that the two gradients add in dense form
         "gather:sparse+repeated": lambda: ad.sum_all(
-            ad.rows_norm(ad.gather_rows(x, [0, 2, 3]) * ad.gather_rows(x, [3, 0, 3]), 2)),
+            ad.rows_norm(ad.gather_rows(x, [0, 2, 3]) + ad.gather_rows(x, [3, 0, 3]), 2)),
     }
     # one propagation step per pooling: record 0 passes through, as a self
     # record does, group 0 holds one record, group 1 none and group 2 five
@@ -85,7 +85,7 @@ def _model_suite(rng: np.random.Generator, tol: float) -> list[str]:
 
         def build_loss():
             # one joint scoring pass, as in training minibatches
-            scores = model.score_ids(model.plan(both[:, 0], both[:, 1], both[:, 2], table, training=True))
+            scores = model.score_ids(model.plan(both[:, 0], both[:, 1], both[:, 2], table))
             pos_s = ad.gather_rows(scores, np.arange(len(pos)))
             neg_s = ad.gather_rows(scores, np.arange(len(pos), len(both)))
             return loss_absolute(pos_s, neg_s, margin=1.0)

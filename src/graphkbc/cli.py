@@ -1,11 +1,13 @@
 """Command-line entry point: dataset generation, training, evaluation, prediction.
 
 One binary, five subcommands (gen-ookb, train, eval, predict, gradcheck).
-Options may come from a ``key = value`` config file with command-line flags
-taking precedence over it, and defaults below both; ``train``'s options and
-defaults are the fields of its config classes. Every command echoes its
-effective configuration next to its outputs before doing real work, and all
-randomness flows from the single ``seed`` option.
+``train``'s options and defaults are the fields of its config classes; they
+may come from a ``key = value`` config file, with command-line flags taking
+precedence over it and defaults below both. ``gen-ookb``, ``train`` and
+``eval`` echo their effective configuration as ``config.json`` next to their
+outputs before doing real work; ``predict`` and ``gradcheck`` write none.
+Options that do not go together are usage errors, raised before any file is
+read. All randomness flows from the single ``seed`` option.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error,
 3 numerical fault.
@@ -183,6 +185,8 @@ def _options_of(configs) -> dict:
 
 
 def cmd_train(args) -> int:
+    if args.resume and args.vocab:
+        raise UsageError("--vocab seeds a new model; a resumed one keeps its checkpoint's")
     options, start_epoch = TRAIN_FIELDS, 0
     if args.resume:
         # the model's settings come from the checkpoint; an option may only repeat them
@@ -191,10 +195,7 @@ def cmd_train(args) -> int:
         saved = {**model.cfg.to_dict(), **{k: extra[k] for k in ("objective", "margin") if k in extra}}
         options = {k: (kind, saved.get(k, default)) for k, (kind, default) in TRAIN_FIELDS.items()}
     merged = merge_options(options, args, args.config)
-    try:
-        configs = _configs_from(merged)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    configs = _configs_from(merged)
     prop_cfg, objective, cfg = configs
 
     if args.resume:
@@ -288,6 +289,8 @@ def cmd_eval(args) -> int:
         raise UsageError("ookb eval needs --split-prefix")
     if args.mode == "ookb" and args.method == "baseline" and not args.pooling:
         raise UsageError("baseline eval needs --pooling")
+    if (args.pooling or args.raw_neighbors) and (args.mode, args.method) != ("ookb", "baseline"):
+        raise UsageError("--pooling and --raw-neighbors apply only to the ookb baseline")
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     echo = {"checkpoint": args.checkpoint, "mode": args.mode, "seed": args.seed,
             "per_relation": not args.global_threshold}
@@ -327,6 +330,8 @@ def cmd_eval(args) -> int:
 def cmd_predict(args) -> int:
     if not (args.thresholds or args.valid):
         raise UsageError("predict needs --thresholds or --valid to tune on")
+    if args.thresholds and args.valid:
+        raise UsageError("predict takes --thresholds or --valid, not both")
     model, ev, rv, extra = load_model(args.checkpoint, moments=False)
     graph = build_graph(load_triplet_file(args.train, ev, rv)[0])
     queries, _ = load_triplet_file(args.triplets, ev, rv)

@@ -186,7 +186,7 @@ class Plan(NamedTuple):
     the final frontier, whose base rows step 1 pools, and ``steps`` the
     ``group_transition`` index arguments of each step (``_step_plan``).
     ``gathers`` holds the ``autodiff.gather_plan`` of the heads, tails and
-    relations gathers (None each unless ``training``).
+    relations gathers.
     """
 
     ids: np.ndarray
@@ -195,7 +195,6 @@ class Plan(NamedTuple):
     base: np.ndarray
     steps: list[dict]
     gathers: tuple
-    training: bool
 
 
 # ---------------------------------------------------------------------------
@@ -311,26 +310,22 @@ class GraphModel:
         relations: np.ndarray,
         tails: np.ndarray,
         table: NeighborTable | None,
-        *,
-        training: bool = False,
     ) -> Plan:
-        """The index work of scoring parallel id arrays (one per triplet) over ``table``.
+        """A training minibatch's index work: parallel id arrays (one per triplet) over ``table``.
 
-        It reads no parameter, so it may run while another step trains. A
-        training plan also holds what its gathers' backward reduces over.
+        It reads no parameter, so it may run while another step trains, and
+        holds what its gathers' backward reduces over.
         """
         heads = np.asarray(heads, dtype=np.intp)
         tails = np.asarray(tails, dtype=np.intp)
         relations = np.asarray(relations, dtype=np.intp)
         ids, inverse = np.unique(np.concatenate([heads, tails]), return_inverse=True)
-        base, steps = self._steps(ids, table, training)
-        gathers = (None, None, None)
-        if training:
-            width, n = len(heads) * self.cfg.dim, len(heads)
-            gathers = (ad.gather_plan(inverse[:n], len(ids), width),
-                       ad.gather_plan(inverse[n:], len(ids), width),
-                       ad.gather_plan(relations, self.n_relations, width))
-        return Plan(ids, inverse, relations, base, steps, gathers, training)
+        base, steps = self._steps(ids, table, True)
+        width, n = len(heads) * self.cfg.dim, len(heads)
+        gathers = (ad.gather_plan(inverse[:n], len(ids), width),
+                   ad.gather_plan(inverse[n:], len(ids), width),
+                   ad.gather_plan(relations, self.n_relations, width))
+        return Plan(ids, inverse, relations, base, steps, gathers)
 
     def _steps(self, ids: np.ndarray, table: NeighborTable | None, training: bool):
         """The final frontier whose base rows step 1 pools, and each step's ``_step_plan``.
@@ -372,14 +367,8 @@ class GraphModel:
                 "gather": (gather, ad.gather_plan(gather, n_prev, width) if training else None),
                 "pool": (self.cfg.pooling, seg, n_targets, ad.segment_plan(seg, n_targets, width))}
 
-    def propagate_batch(
-        self,
-        entity_ids: np.ndarray,
-        table: NeighborTable | None,
-        *,
-        training: bool = False,
-    ) -> Tensor:
-        """Vectors after ``depth`` propagation steps, one row per id of ``np.unique(entity_ids)``.
+    def propagate_batch(self, entity_ids: np.ndarray, table: NeighborTable | None) -> Tensor:
+        """Inference vectors after ``depth`` steps, one row per id of ``np.unique(entity_ids)``.
 
         Entities with no (post-exclusion) neighbors fall back to their base
         embedding at every step; an entity with neither neighbors nor a base
@@ -388,7 +377,7 @@ class GraphModel:
         returned directly.
         """
         ids = np.unique(np.asarray(entity_ids, dtype=np.intp))
-        return self._propagate(*self._steps(ids, table, training), training)
+        return self._propagate(*self._steps(ids, table, False), False)
 
     def _propagate(self, base: np.ndarray, steps: list[dict], training: bool) -> Tensor:
         vecs = ad.gather_rows(self.entities, base)
@@ -414,7 +403,7 @@ class GraphModel:
 
     def score_ids(self, plan: Plan) -> Tensor:
         """Implausibility scores of the triplets ``plan`` was made for, one per triplet."""
-        vecs = self._propagate(plan.base, plan.steps, plan.training)
+        vecs = self._propagate(plan.base, plan.steps, True)
         n = len(plan.relations)
         vh = ad.gather_rows(vecs, plan.inverse[:n], plan.gathers[0])
         vt = ad.gather_rows(vecs, plan.inverse[n:], plan.gathers[1])

@@ -181,7 +181,7 @@ def train(
     def plan_of(start, perm, rng_corrupt, capped):
         pos = positives[perm[start:start + cfg.minibatch_size]]
         both = np.concatenate([pos, corrupt_batch(pos, p_head, entity_pool, rng_corrupt, forbidden)])
-        return len(pos), model.plan(both[:, 0], both[:, 1], both[:, 2], capped, training=True)
+        return len(pos), model.plan(both[:, 0], both[:, 1], both[:, 2], capped)
 
     for epoch in range(start_epoch, cfg.epochs):
         wall_start = time.perf_counter()

@@ -297,6 +297,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"config error: option {option!r}" in err and "the checkpoint" in err
 
+    def test_resume_with_vocab_is_usage_error(self, tmp_path, capsys):
+        # a resumed model keeps its checkpoint's vocabulary; neither file exists
+        code = run(["train", "--train", tmp_path / "train.txt", "--out", tmp_path / "resumed",
+                    "--resume", tmp_path / "missing", "--vocab", tmp_path / "entities.txt"])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("usage error: ")
+        assert not (tmp_path / "resumed").exists()
+
     @pytest.mark.parametrize("command", ["gen-ookb", "train"])
     def test_non_utf8_train_file_is_data_error(self, corpus, capsys, command):
         tmp_path, paths = corpus
@@ -884,13 +892,26 @@ class TestEvalAndPredict:
         assert out.read_text().split("\t")[:3] == ["e13", "next", "e2"]
 
 
+STANDARD_FILES = ["--train", "{d}/train.txt", "--valid", "{d}/valid.txt", "--test", "{d}/test.txt"]
+PROPOSED = ["--mode", "ookb", "--split-prefix", "{d}/split", "--method", "proposed"]
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--mode", "standard"],
     ["eval", "--mode", "ookb"],
     ["eval", "--mode", "ookb", "--split-prefix", "{d}/split", "--method", "baseline"],
     ["predict", "--train", "{d}/train.txt", "--triplets", "{d}/queries.txt"],
+    # options that the chosen mode or method would ignore
+    ["eval", "--mode", "standard"] + STANDARD_FILES + ["--pooling", "sum"],
+    ["eval", "--mode", "standard"] + STANDARD_FILES + ["--raw-neighbors"],
+    ["eval"] + PROPOSED + ["--pooling", "sum"],
+    ["eval"] + PROPOSED + ["--raw-neighbors"],
+    ["predict", "--train", "{d}/train.txt", "--triplets", "{d}/queries.txt",
+     "--thresholds", "{d}/thresholds.json", "--valid", "{d}/valid.txt"],
 ], ids=["standard-eval-without-files", "ookb-eval-without-split", "baseline-without-pooling",
-        "predict-without-thresholds-or-valid"])
+        "predict-without-thresholds-or-valid", "standard-eval-with-pooling",
+        "standard-eval-with-raw-neighbors", "proposed-with-pooling", "proposed-with-raw-neighbors",
+        "predict-with-thresholds-and-valid"])
 def test_option_combination_is_checked_before_any_file_is_read(tmp_path, capsys, argv):
     # no path named here exists, the checkpoint included
     argv = argv[:1] + ["--checkpoint", "{d}/missing", "--out", "{d}/out"] + argv[1:]

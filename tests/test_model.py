@@ -290,7 +290,7 @@ class TestPropagation:
         for ids, rows in (([A, B, D], [0, 1, 3]), ([A, B, C, D], [0, 1, 2, 3])):
             m = make_model(5, 2, seed=3, dim=4, transition="relation-relu-bn", pooling="max",
                            depth=2, mode="stacked")
-            out = m.propagate_batch(np.array(ids), table, training=True)
+            out = m._propagate(*m._steps(np.array(ids), table, True), True)
             backward(sum_all(out * upstream[rows]))
             runs.append((m, out.data))
         (ref, ref_out), (m, out) = runs
@@ -304,6 +304,18 @@ class TestPropagation:
         assert grad[others].tobytes() == ref_grad[others].tobytes()
         for name in ("A", "bn.gamma", "bn.beta"):
             assert m.store.param(name).grad.tobytes() == ref.store.param(name).grad.tobytes()
+
+    def test_a_plan_trains(self):
+        # a plan is a training minibatch's: its max-pooled scores keep their
+        # winners for the backward, and batch statistics move the running ones
+        graph = build_graph([Triplet(A, R, B), Triplet(B, S, D), Triplet(D, R, A), Triplet(A, S, D)])
+        m = make_model(5, 2, seed=3, dim=4, transition="relation-relu-bn", pooling="max")
+        mean, var = m.bn.running_mean.copy(), m.bn.running_var.copy()
+        plan = m.plan([A, B, D], [R, S, R], [B, D, A], NeighborTable(5, graph.triplets))
+        backward(sum_all(m.score_ids(plan)))
+        assert np.abs(m.A.grad).sum() > 0
+        assert not np.array_equal(m.bn.running_mean, mean)
+        assert not np.array_equal(m.bn.running_var, var)
 
     def test_deterministic_when_cap_covers_degree(self):
         graph = build_graph([Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D)])
@@ -502,7 +514,7 @@ class TestFullModelGradients:
 
         def build_loss():
             from graphkbc import autodiff as ad
-            scores = m.score_ids(m.plan(both[:, 0], both[:, 1], both[:, 2], table, training=True))
+            scores = m.score_ids(m.plan(both[:, 0], both[:, 1], both[:, 2], table))
             pos_s = ad.gather_rows(scores, np.arange(3))
             neg_s = ad.gather_rows(scores, np.arange(3, 6))
             return loss_absolute(pos_s, neg_s, margin=1.0)
@@ -534,7 +546,7 @@ def _training_step(pooling):
     m = make_model(2000, 11, dim=32, pooling=pooling, neighbor_cap=16)
     table = NeighborSampler(NeighborTable(2000, triplets), 16, seed=0)
     batch = triplets[:500]
-    plan = m.plan(batch[:, 0], batch[:, 1], batch[:, 2], table, training=True)
+    plan = m.plan(batch[:, 0], batch[:, 1], batch[:, 2], table)
     return m, plan.steps[0], Tensor(m.entities.data[plan.base], requires_grad=True)
 
 

@@ -245,15 +245,20 @@ def fault_commands(work: Path, name: str, test: list[str]) -> list[list[str]]:
     ]
 
 
+def write_inputs(work: Path, name: str, files: dict[str, list[str]]) -> None:
+    """Write one model's files into ``work / name``, its test lines unlabeled as its queries."""
+    (work / name).mkdir(parents=True)
+    files = {**files, "queries": [line.rsplit("\t", 1)[0] for line in files["test"]]}
+    for file, lines in files.items():
+        (work / name / f"{file}.txt").write_text("".join(f"{line}\n" for line in lines),
+                                                 encoding="utf-8")
+
+
 def run_tree(tree: Path, work: Path, inputs: dict[str, dict[str, list[str]]]) -> None:
     """Write the corpora into ``work`` and run every command there with ``tree``'s source."""
     sequence = []
     for name, files in inputs.items():
-        (work / name).mkdir(parents=True)
-        files = {**files, "queries": [line.rsplit("\t", 1)[0] for line in files["test"]]}
-        for file, lines in files.items():
-            (work / name / f"{file}.txt").write_text("".join(f"{line}\n" for line in lines),
-                                                     encoding="utf-8")
+        write_inputs(work, name, files)
         sequence += commands(name, len(files["test"]))
     _child(tree, work, DRIVER, sequence)
     faults = {name: fault_commands(work, name, files["test"]) for name, files in inputs.items()}
