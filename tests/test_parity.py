@@ -26,20 +26,40 @@ def test_compare_ignores_only_metrics_wall_time(tmp_path):
         f"only.txt (only under {a})", "run/metrics.jsonl", "run/params.bin"]
 
 
-def test_command_sequence_runs_on_this_tree(tmp_path):
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    """The outputs of the parity command sequence on this tree, run once for the module."""
+    work = tmp_path_factory.mktemp("parity")
+    parity.run_tree(ROOT, work, parity.corpora())
+    return work
+
+
+def test_command_sequence_runs_on_this_tree(outputs):
     # every command of the sequence succeeds, and writes what the comparison reads
-    parity.run_tree(ROOT, tmp_path, parity.corpora())
     assert set(parity.MODELS) == {"grid", "hub", "grid-relu", "hub-identity"}
     for name in parity.MODELS:
-        assert (tmp_path / name / "run" / "checkpoint-epoch0002" / "params.bin").exists()
+        assert (outputs / name / "run" / "checkpoint-epoch0002" / "params.bin").exists()
         for mode in ("standard", "proposed", "baseline", "baseline-sum", "baseline-max"):
-            assert (tmp_path / name / f"eval-{mode}" / "report.jsonl").exists()
+            assert (outputs / name / f"eval-{mode}" / "report.jsonl").exists()
         for how in ("thresholds", "valid"):
-            lines = (tmp_path / name / f"predict-{how}.txt").read_text().splitlines()
-            assert len(lines) == len((tmp_path / name / "queries.txt").read_text().splitlines())
+            lines = (outputs / name / f"predict-{how}.txt").read_text().splitlines()
+            assert len(lines) == len((outputs / name / "queries.txt").read_text().splitlines())
         # the faulty inputs are data errors, the faulty option combinations usage errors
-        faults = (tmp_path / name / "faults.txt").read_text().splitlines()
+        faults = (outputs / name / "faults.txt").read_text().splitlines()
         assert [line for line in faults if line.startswith("exit ")] == ["exit 2"] * 8 + ["exit 1"] * 4
+
+
+def test_outputs_match_the_golden_digests(outputs):
+    # every output file is byte-identical to the recorded one; a change that
+    # moves bits on purpose rewrites the file (tools/parity.py --record-golden)
+    recorded = json.loads(parity.GOLDEN.read_text(encoding="utf-8"))
+    found = parity.golden(outputs)
+    if found["fingerprint"] != recorded["fingerprint"]:
+        pytest.skip(f"this BLAS's fingerprint {found['fingerprint']} is not the recorded "
+                    f"{recorded['fingerprint']}, so output bits may differ")
+    moved = sorted(rel for rel in found["digests"].keys() | recorded["digests"].keys()
+                   if found["digests"].get(rel) != recorded["digests"].get(rel))
+    assert moved == []
 
 
 def test_commands_reach_no_name_kept_for_the_tracer_and_the_tests(tmp_path, monkeypatch):

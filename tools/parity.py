@@ -1,6 +1,7 @@
 """Check that the working tree's outputs are byte-identical to a git revision's.
 
-Usage: ``python tools/parity.py --against REV [--perfbench]``
+Usage: ``python tools/parity.py --against REV [--perfbench]`` or
+``python tools/parity.py --record-golden``
 
 REV is exported with ``git archive`` into a temporary directory; nothing is
 fetched. For both source trees the script writes, per model of ``MODELS``,
@@ -37,11 +38,19 @@ is not; the peaks go to stdout, not into the compared files.
 
 Prints each file that differs. Exits 0 when none differs, 1 when some do,
 and 2 when the export or a command fails.
+
+``--record-golden`` runs the command sequence with the working tree alone
+and rewrites ``GOLDEN``: the sha256 of every output file, normalized as
+the comparison reads it, and the fingerprint of the BLAS the runs use, the
+digest of a few seeded products of fixed shapes. Output bits depend on the
+BLAS build and the CPU kernel, so ``tests/test_parity.py`` compares the
+digests only on the recorded fingerprint.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -53,6 +62,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "parity_digests.json"
 
 COMMON = ["--epochs", "4", "--checkpoint-every", "2", "--minibatch", "16",
           "--seed", "1", "--alpha1", "0.05"]
@@ -128,6 +138,18 @@ for name, epochs in json.loads(sys.argv[1]).items():
         fh.write(hashlib.sha256(vectors.tobytes()).hexdigest() + "\\n")
 """
 PERFBENCH_EPOCHS = {"wn11": 1, "depth_study": 3}
+
+# runs in the child process: prints the sha256 of seeded products of the
+# given (rows, inner, columns) shapes, small ones like the runs' and a large one
+FINGERPRINT_SCRIPT = """
+import hashlib, json, sys
+import numpy as np
+rng, digest = np.random.default_rng(0), hashlib.sha256()
+for n, k, m in json.loads(sys.argv[1]):
+    digest.update((rng.normal(size=(n, k)) @ rng.normal(size=(k, m))).tobytes())
+print(digest.hexdigest())
+"""
+FINGERPRINT_SHAPES = [(37, 5, 5), (41, 6, 6), (500, 100, 100)]
 
 
 class ParityError(Exception):
@@ -288,29 +310,37 @@ def _child(tree: Path, work: Path, script: str, payload, *path: Path) -> str:
     return done.stdout
 
 
-def _metrics(path: Path) -> list[dict]:
+def _content(path: Path) -> bytes:
+    """A file's bytes as outputs are compared: ``metrics.jsonl`` without ``wall_time``."""
+    if path.name != "metrics.jsonl":
+        return path.read_bytes()
     records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     for record in records:
         record.pop("wall_time", None)
-    return records
+    return json.dumps(records).encode()
+
+
+def _files(root: Path) -> list[str]:
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file())
 
 
 def differing_files(a: Path, b: Path) -> list[str]:
     """Relative paths of the files under ``a`` and ``b`` that are not the same."""
-    def files(root):
-        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
-
-    found_a, found_b = files(a), files(b)
+    found_a, found_b = set(_files(a)), set(_files(b))
     out = []
     for rel in sorted(found_a | found_b):
         if rel not in found_a or rel not in found_b:
             out.append(f"{rel} (only under {a if rel in found_a else b})")
-        elif Path(rel).name == "metrics.jsonl":
-            if _metrics(a / rel) != _metrics(b / rel):
-                out.append(rel)
-        elif (a / rel).read_bytes() != (b / rel).read_bytes():
+        elif _content(a / rel) != _content(b / rel):
             out.append(rel)
     return out
+
+
+def golden(work: Path) -> dict:
+    """The BLAS fingerprint and the sha256 of each file's compared content under ``work``."""
+    return {"fingerprint": _child(ROOT, work, FINGERPRINT_SCRIPT, FINGERPRINT_SHAPES).strip(),
+            "digests": {rel: hashlib.sha256(_content(work / rel)).hexdigest()
+                        for rel in _files(work)}}
 
 
 def export(rev: str, dest: Path) -> None:
@@ -325,13 +355,29 @@ def export(rev: str, dest: Path) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--against", required=True, metavar="REV",
-                        help="git revision to compare the working tree with")
+    what = parser.add_mutually_exclusive_group(required=True)
+    what.add_argument("--against", metavar="REV",
+                      help="git revision to compare the working tree with")
+    what.add_argument("--record-golden", action="store_true",
+                      help=f"rewrite {GOLDEN.relative_to(ROOT)} from the working tree's outputs")
     parser.add_argument("--perfbench", action="store_true",
                         help="also train on the benchmark's seed-1 corpora (minutes, ~1 GB)")
     args = parser.parse_args(argv)
+    if args.perfbench and args.record_golden:
+        parser.error("--perfbench goes with --against")
     sys.dont_write_bytecode = True  # leave no __pycache__ in the working tree
     inputs = corpora()
+    if args.record_golden:
+        with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
+            try:
+                run_tree(ROOT, Path(tmp), inputs)
+                record = golden(Path(tmp))
+            except ParityError as exc:
+                print(f"parity: {exc}", file=sys.stderr)
+                return 2
+        GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        print(f"recorded {len(record['digests'])} digests in {GOLDEN.relative_to(ROOT)}")
+        return 0
     with tempfile.TemporaryDirectory(prefix="parity-") as tmp:
         tmp = Path(tmp)
         runs = {"rev": tmp / "runs" / "rev", "work": tmp / "runs" / "work"}
