@@ -37,7 +37,7 @@ from .evaluate import (
     tune_thresholds,
 )
 from .kg import DataError, TripletParseError, Vocabulary, build_graph, load_triplet_file, read_json
-from .model import InferenceError, ObjectiveConfig, PropagationConfig, load_model, save_model
+from .model import POOLINGS, InferenceError, ObjectiveConfig, PropagationConfig, load_model, save_model
 from .nn import CheckpointError
 from .ookb import OokbPosition, generate, read_split, split_name, write_split
 from .trainer import TrainConfig, init_model, run_training
@@ -337,8 +337,10 @@ def cmd_predict(args) -> int:
     queries, _ = load_triplet_file(args.triplets, ev, rv)
     aux = load_triplet_file(args.aux, ev, rv)[0] if args.aux else np.empty((0, 3), dtype=np.intp)
     if args.thresholds:
-        def parse(data):
+        def parse(data):  # +inf is a real cutoff (tune_thresholds writes it), NaN is none
             per = {rv.id_of(name): float(t) for name, t in data["relations"].items() if name in rv}
+            if np.isnan([float(data["global"]), *per.values()]).any():
+                raise ValueError("a threshold is NaN")
             return ThresholdTable(per, float(data["global"]))
 
         thresholds = read_json(args.thresholds, parse)
@@ -425,7 +427,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split-prefix", default=None,
                    help="path prefix of gen-ookb outputs, e.g. out/head-1000")
     p.add_argument("--method", choices=("proposed", "baseline"), default="proposed")
-    p.add_argument("--pooling", choices=("sum", "avg", "max"), default=None)
+    p.add_argument("--pooling", choices=POOLINGS, default=None)
     p.add_argument("--raw-neighbors", action="store_true",
                    help="baseline pools raw neighbor vectors instead of implied positions")
     p.add_argument("--global-threshold", action="store_true",

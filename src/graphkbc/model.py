@@ -179,22 +179,22 @@ class NeighborSampler(NeighborTable):
 # plans: the index work of a batch, which reads no parameter
 
 class Plan(NamedTuple):
-    """What ``GraphModel.score_ids`` runs on: a batch's index work (``GraphModel.plan``).
+    """What ``GraphModel.score_ids`` runs on: a training batch's index work (``GraphModel.plan``).
 
-    The triplets' heads then tails are rows ``inverse`` of ``ids``, the
-    sorted unique endpoints, whose vectors propagation yields: ``base`` is
-    the final frontier, whose base rows step 1 pools, and ``steps`` the
-    ``group_transition`` index arguments of each step (``_step_plan``).
-    ``gathers`` holds the ``autodiff.gather_plan`` of the heads, tails and
-    relations gathers.
+    Propagation yields the vectors of ``ids``, the triplets' sorted unique
+    endpoints: ``base`` is the final frontier, whose base rows step 1 pools,
+    and ``steps`` each step's ``group_transition`` arguments (``_steps``).
+    ``heads``, ``tails`` and ``relations`` are the scoring gathers, each a
+    ``(rows, gather_plan)`` pair like a step's ``gather``: the triplets' rows
+    of the propagated vectors and of the relation embeddings.
     """
 
     ids: np.ndarray
-    inverse: np.ndarray
-    relations: np.ndarray
     base: np.ndarray
     steps: list[dict]
-    gathers: tuple
+    heads: tuple
+    tails: tuple
+    relations: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +322,23 @@ class GraphModel:
         ids, inverse = np.unique(np.concatenate([heads, tails]), return_inverse=True)
         base, steps = self._steps(ids, table, True)
         width, n = len(heads) * self.cfg.dim, len(heads)
-        gathers = (ad.gather_plan(inverse[:n], len(ids), width),
-                   ad.gather_plan(inverse[n:], len(ids), width),
-                   ad.gather_plan(relations, self.n_relations, width))
-        return Plan(ids, inverse, relations, base, steps, gathers)
+
+        def gather(rows, n_rows):
+            return rows, ad.gather_plan(rows, n_rows, width)
+
+        return Plan(ids, base, steps, gather(inverse[:n], len(ids)), gather(inverse[n:], len(ids)),
+                    gather(relations, self.n_relations))
 
     def _steps(self, ids: np.ndarray, table: NeighborTable | None, training: bool):
-        """The final frontier whose base rows step 1 pools, and each step's ``_step_plan``.
+        """The final frontier whose base rows step 1 pools, and each step's ``group_transition`` arguments.
 
-        ``ids`` are sorted and unique. An entity with neither neighbors nor
-        a base embedding row raises ``InferenceError``.
+        ``ids`` are sorted and unique. A step's dict holds its mode,
+        ``training``, and its records' ``offsets``, ``gather`` and ``pool``:
+        the records, whose neighbors are rows of the step below's ids, are
+        stably sorted by transition group, self records first; ``offsets`` is
+        None without transition matrices, and the gather's
+        ``autodiff.gather_plan`` None unless ``training``. An entity with
+        neither neighbors nor a base embedding row raises ``InferenceError``.
         """
         if self.cfg.depth and table is None:
             raise ValueError("propagation depth >= 1 requires a neighbor table")
@@ -339,33 +346,23 @@ class GraphModel:
         for step in range(self.cfg.depth, 0, -1):  # top-down: which vectors each step needs
             nbr, rel, dirs, seg = self.neighbor_records(ids, table)
             below, nbr_pos = np.unique(nbr, return_inverse=True)
-            steps.append(self._step_plan(nbr_pos, rel, dirs, seg, len(ids), len(below),
-                                         self.cfg.layer_of(step), training))
+            real = dirs != DIR_SELF
+            key = np.full(len(dirs), -1, dtype=np.intp)
+            key[real] = self.group_index(self.cfg.layer_of(step), dirs[real], rel[real])
+            order = ad.stable_order(key + 1, self.n_groups + 1)
+            gather, seg, width = nbr_pos[order], seg[order], len(order) * self.cfg.dim
+            offsets = None if self.A is None else np.searchsorted(key[order], np.arange(self.n_groups + 1))
+            steps.append({
+                "training": training,
+                "offsets": offsets,
+                "gather": (gather, ad.gather_plan(gather, len(below), width) if training else None),
+                "pool": (self.cfg.pooling, seg, len(ids), ad.segment_plan(seg, len(ids), width)),
+            })
             ids = below
         bad = ids[ids >= self.n_entities]
         if bad.size:
             raise InferenceError(f"entity {self.name_of(int(bad[0]))!r} has no trained embedding")
         return ids, steps[::-1]
-
-    def _step_plan(self, nbr_pos, rel, dirs, seg, n_targets, n_prev, layer, training) -> dict:
-        """A step's ``group_transition`` index arguments: ``offsets``, ``gather`` and ``pool``.
-
-        The records, whose neighbors are rows ``nbr_pos`` of ``n_prev``
-        vectors, are stably sorted by transition group, self records first;
-        ``offsets`` is None without transition matrices, and the gather's
-        ``autodiff.gather_plan`` None unless ``training``.
-        """
-        real = dirs != DIR_SELF
-        key = np.full(len(dirs), -1, dtype=np.intp)
-        key[real] = self.group_index(layer, dirs[real], rel[real])
-        order = ad.stable_order(key + 1, self.n_groups + 1)
-        gather, seg, width = nbr_pos[order], seg[order], len(order) * self.cfg.dim
-        offsets = None
-        if self.A is not None:
-            offsets = np.searchsorted(key[order], np.arange(self.n_groups + 1))
-        return {"offsets": offsets,
-                "gather": (gather, ad.gather_plan(gather, n_prev, width) if training else None),
-                "pool": (self.cfg.pooling, seg, n_targets, ad.segment_plan(seg, n_targets, width))}
 
     def propagate_batch(self, entity_ids: np.ndarray, table: NeighborTable | None) -> Tensor:
         """Inference vectors after ``depth`` steps, one row per id of ``np.unique(entity_ids)``.
@@ -377,37 +374,34 @@ class GraphModel:
         returned directly.
         """
         ids = np.unique(np.asarray(entity_ids, dtype=np.intp))
-        return self._propagate(*self._steps(ids, table, False), False)
+        return self._propagate(*self._steps(ids, table, False))
 
-    def _propagate(self, base: np.ndarray, steps: list[dict], training: bool) -> Tensor:
+    def _propagate(self, base: np.ndarray, steps: list[dict]) -> Tensor:
         vecs = ad.gather_rows(self.entities, base)
         for step in steps:
-            vecs = self._propagate_step(vecs, step, training)
+            vecs = self._propagate_step(vecs, step)
         return vecs
 
-    def _propagate_step(self, prev_vecs: Tensor, step: dict, training: bool) -> Tensor:
+    def _propagate_step(self, prev_vecs: Tensor, step: dict) -> Tensor:
         """One pooled propagation step, one op: ``step``'s records gathered in group order.
 
         Every group's rows go through its matrix, batch norm and the
         activation, the self records pass through unchanged, and each
-        target pools its records.
+        target pools its records, in the mode the step holds.
         """
         activation = TRANSITIONS[self.cfg.transition][2]
         if self.bn is not None:
-            return self.bn.transition(prev_vecs, training=training, weight=self.A,
-                                      activation=activation, **step)
-        return ad.group_transition(prev_vecs, weight=self.A, activation=activation,
-                                   training=training, **step)[0]
+            return self.bn.transition(prev_vecs, weight=self.A, activation=activation, **step)
+        return ad.group_transition(prev_vecs, weight=self.A, activation=activation, **step)[0]
 
     # -- scoring ----------------------------------------------------------
 
     def score_ids(self, plan: Plan) -> Tensor:
         """Implausibility scores of the triplets ``plan`` was made for, one per triplet."""
-        vecs = self._propagate(plan.base, plan.steps, True)
-        n = len(plan.relations)
-        vh = ad.gather_rows(vecs, plan.inverse[:n], plan.gathers[0])
-        vt = ad.gather_rows(vecs, plan.inverse[n:], plan.gathers[1])
-        vr = ad.gather_rows(self.relations, plan.relations, plan.gathers[2])
+        vecs = self._propagate(plan.base, plan.steps)
+        vh = ad.gather_rows(vecs, *plan.heads)
+        vt = ad.gather_rows(vecs, *plan.tails)
+        vr = ad.gather_rows(self.relations, *plan.relations)
         return ad.rows_norm(vh + vr - vt, self.cfg.norm_p)
 
 

@@ -693,7 +693,8 @@ class TestEvalAndPredict:
         ('{"global": 1.5}', "KeyError: 'relations'"),
         ('{"global": 1.5, "relations": {"ne', "JSONDecodeError"),
         ('{"global": 1.5, "relations": {"next": "high"}}', "could not convert"),
-    ], ids=["no-relations", "torn", "non-numeric"])
+        ('{"global": NaN, "relations": {"next": NaN}}', "ValueError: a threshold is NaN"),
+    ], ids=["no-relations", "torn", "non-numeric", "nan"])
     def test_malformed_thresholds_file_is_data_error(self, trained, capsys, content, message):
         tmp_path, paths, checkpoint = trained
         thresholds = tmp_path / "thresholds.json"

@@ -72,11 +72,13 @@ def csr_records(table, e):
 
 
 def transition(m, v, relation, direction=DIR_HEAD):
-    """Inference-mode transition of one vector: a one-record propagation step."""
-    batch = Tensor(np.asarray(v, dtype=float)[None, :])
-    one = np.zeros(1, dtype=np.intp)
-    step = m._step_plan(one, np.array([relation]), np.array([direction]), one, 1, 1, 0, False)
-    return m._propagate_step(batch, step, training=False).data[0]
+    """Inference-mode transition of one vector: a one-record propagation step.
+
+    Entity 0's one record is entity 1, as its head or its tail neighbor.
+    """
+    triplet = (1, relation, 0) if direction == DIR_HEAD else (0, relation, 1)
+    (step,) = m._steps(np.array([0]), NeighborTable(2, [triplet]), False)[1]
+    return m._propagate_step(Tensor(np.asarray(v, dtype=float)[None, :]), step).data[0]
 
 
 def matrix(m, layer, direction, relation=0):
@@ -290,7 +292,7 @@ class TestPropagation:
         for ids, rows in (([A, B, D], [0, 1, 3]), ([A, B, C, D], [0, 1, 2, 3])):
             m = make_model(5, 2, seed=3, dim=4, transition="relation-relu-bn", pooling="max",
                            depth=2, mode="stacked")
-            out = m._propagate(*m._steps(np.array(ids), table, True), True)
+            out = m._propagate(*m._steps(np.array(ids), table, True))
             backward(sum_all(out * upstream[rows]))
             runs.append((m, out.data))
         (ref, ref_out), (m, out) = runs
@@ -316,6 +318,19 @@ class TestPropagation:
         assert np.abs(m.A.grad).sum() > 0
         assert not np.array_equal(m.bn.running_mean, mean)
         assert not np.array_equal(m.bn.running_var, var)
+
+    def test_propagate_batch_infers(self):
+        # an inference batch's mode reaches the batch norm and the op through
+        # its steps alone: the running statistics stay as they are, and the
+        # max-pooled output keeps no winners for a backward
+        graph = build_graph([Triplet(A, R, B), Triplet(B, S, D), Triplet(D, R, A), Triplet(A, S, D)])
+        m = make_model(5, 2, seed=3, dim=4, transition="relation-relu-bn", pooling="max")
+        mean, var = m.bn.running_mean.copy(), m.bn.running_var.copy()
+        out = m.propagate_batch(np.array([A, B, D]), NeighborTable(5, graph.triplets))
+        assert m.bn.running_mean.tobytes() == mean.tobytes()
+        assert m.bn.running_var.tobytes() == var.tobytes()
+        with pytest.raises(ValueError, match="inference forward keeps no max-pooling winners"):
+            backward(sum_all(out))
 
     def test_deterministic_when_cap_covers_degree(self):
         graph = build_graph([Triplet(A, R, C), Triplet(B, R, C), Triplet(C, S, D)])
@@ -560,7 +575,7 @@ def test_a_training_step_holds_one_record_sized_array_and_the_winners():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        out = m._propagate_step(prev, step, training=True)
+        out = m._propagate_step(prev, step)
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -579,7 +594,7 @@ def test_a_training_steps_backward_allocates_no_second_record_sized_array(poolin
     import tracemalloc
 
     m, step, prev = _training_step(pooling)
-    loss = sum_all(m._propagate_step(prev, step, training=True))
+    loss = sum_all(m._propagate_step(prev, step))
     record_bytes = len(step["gather"][0]) * 32 * 8
     assert record_bytes > 1 << 20 and prev.data.nbytes < record_bytes / 3
     tracemalloc.start()

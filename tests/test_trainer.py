@@ -304,8 +304,7 @@ def test_minibatches_run_the_negatives_drawn_in_minibatch_order(monkeypatch):
     score_ids = GraphModel.score_ids
 
     def spy(self, plan):
-        both = np.stack([plan.ids[plan.inverse[:len(plan.relations)]], plan.relations,
-                         plan.ids[plan.inverse[len(plan.relations):]]], axis=1)
+        both = np.stack([plan.ids[plan.heads[0]], plan.relations[0], plan.ids[plan.tails[0]]], axis=1)
         executed.append(both)
         return score_ids(self, plan)
 
